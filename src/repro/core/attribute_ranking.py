@@ -7,8 +7,9 @@ roll-up dimensions, the paper keeps the worst (most interesting) score:
 "We pick the worst score from all scores, so that the most dissimilar case
 can be captured."
 
-Categorical attributes partition by distinct value; numerical attributes
-are first bucketized into basic intervals (:mod:`repro.core.bucketing`).
+Every attribute is partitioned by distinct value through the one fused
+engine path; a numerical attribute's ``{value: aggregate}`` partition is
+then folded into basic intervals (:mod:`repro.core.bucketing`).
 """
 
 from __future__ import annotations
@@ -16,17 +17,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from ..relational import vector
-from ..warehouse.schema import AttributeKind, GroupByAttribute
+from ..obs.tracer import current_tracer
+from ..warehouse.schema import GroupByAttribute
 from ..warehouse.subspace import Subspace
+from .annealing import merge_series
 from .bucketing import (
+    ADDITIVE_AGGREGATES,
     Bucketization,
     Interval,
     bucket_series,
     distinct_value_buckets,
     equal_width,
 )
-from .interestingness import InterestingnessMeasure
+from .interestingness import InterestingnessMeasure, quantize_score
 
 DEFAULT_NUM_BUCKETS = 40
 """The paper's default basic-interval count (§6.4 sets the system default
@@ -68,41 +71,126 @@ def _series_pair(domain, x: dict, y: dict) -> SeriesPair:
     )
 
 
-def categorical_scores(
+def candidate_scores(
     subspace: Subspace,
     rollups: Sequence[Subspace],
     candidates: Sequence[GroupByAttribute],
     measure_name: str,
     measure: InterestingnessMeasure,
+    num_buckets: int = DEFAULT_NUM_BUCKETS,
 ) -> list[float]:
-    """SCORE(attr, DS') for many categorical candidates at once.
+    """SCORE(attr, DS') per candidate, worst case over the roll-up spaces
+    (Eq. (1): with several hitted dimensions the maximum score wins).
 
-    Score-identical to calling :func:`attribute_score` per candidate, but
-    the per-space aggregation is fused: one multi-partition query over
-    DS' plus one per roll-up space answers **all** candidates, instead of
-    one query per (candidate, space) pair — the facet-construction hot
-    path the paper's Table 2 workload exercises.
+    The aggregation is fused: one multi-partition query over DS' plus one
+    per roll-up space answers **all** candidates, numerical ones included
+    — they come back as ``{distinct value: aggregate}`` through the same
+    plan cache, tier, scan kernel / SQL statement and request budget as
+    the categorical ones, and are only then folded into basic intervals
+    (:func:`fold_numerical`).  Degenerate candidates (empty domain, or a
+    numerical attribute under a non-additive measure) score ``-inf``.
     """
-    if not rollups:
-        raise ValueError("at least one roll-up space is required")
     if not candidates:
         return []
-    domains = [subspace.domain(gb) for gb in candidates]
+    if not rollups:
+        raise ValueError("at least one roll-up space is required")
+    # numerical candidates partition unrestricted: their DS' keys *are*
+    # the domain, and the fold skips roll-up values outside it.  Under a
+    # non-additive measure they have no sound segments at all: the empty
+    # domain, which is answered without a query
+    numeric_domain = None if _is_additive(subspace, measure_name) else ()
+    domains = [numeric_domain if gb.is_numerical else subspace.domain(gb)
+               for gb in candidates]
     xs = subspace.multi_partition_aggregates(
         candidates, measure_name, domains=domains)
-    scores: list[list[float]] = [[] for _ in candidates]
-    for rollup in rollups:
-        ys = rollup.multi_partition_aggregates(
-            candidates, measure_name, domains=domains)
-        for per_candidate, domain, x, y in zip(scores, domains, xs, ys):
-            if not domain:
-                continue  # nothing to partition: degenerate candidate
-            pair = _series_pair(domain, x, y)
-            per_candidate.append(
-                measure.score_series(pair.subspace_series,
-                                     pair.rollup_series)
-            )
-    return [max(s) if s else float("-inf") for s in scores]
+    ys_by_rollup = [
+        rollup.multi_partition_aggregates(candidates, measure_name,
+                                          domains=domains)
+        for rollup in rollups
+    ]
+    scores = []
+    for gb, domain, x, ys in zip(candidates, domains, xs,
+                                 zip(*ys_by_rollup)):
+        pairs: list[SeriesPair] = []
+        if domain is None:
+            try:
+                pairs, _ = fold_numerical(gb, x, ys, num_buckets)
+            except ValueError:
+                pass  # no in-domain values in DS': degenerate
+        elif domain:  # an empty domain has nothing to partition
+            pairs = [_series_pair(domain, x, y) for y in ys]
+        scores.append(max(
+            (measure.score_series(pair.subspace_series, pair.rollup_series)
+             for pair in pairs), default=float("-inf")))
+    return scores
+
+
+def _is_additive(subspace: Subspace, measure_name: str) -> bool:
+    measure = subspace.schema.measures[measure_name]
+    return measure.aggregate in ADDITIVE_AGGREGATES
+
+
+def fold_numerical(
+    gb: GroupByAttribute,
+    x: dict,
+    ys: Sequence[dict],
+    num_buckets: int = DEFAULT_NUM_BUCKETS,
+    buckets: Bucketization | None = None,
+) -> tuple[list[SeriesPair], Bucketization]:
+    """Fold ``{distinct value: aggregate}`` partitions into interval series:
+    ``x`` over DS', one of ``ys`` per roll-up space, one pair per roll-up.
+
+    Bucket boundaries default to equal width over the *subspace's* value
+    domain: the paper restricts PAR(RUP(DS'), attr) to the segments that
+    also exist in PAR(DS', attr), so roll-up values outside DS''s range
+    carry no information and would only dilute the bucket resolution.
+    Each DS'-empty bucket (no DS' key landed in it) is *merged* into its
+    left non-empty neighbour (leading empties merge right).  Dropping
+    them instead would discard roll-up mass that the distinct-value
+    ground truth keeps, so the correlation would not converge with the
+    bucket count.
+
+    Only sound for additive aggregates (callers check
+    :data:`~repro.core.bucketing.ADDITIVE_AGGREGATES`): a bucket's sum
+    is the sum of its values' sums, its average is not.
+    """
+    values = sorted(x)
+    if not values:
+        raise ValueError(
+            f"attribute {gb.ref} has no non-null values in the subspace")
+    with current_tracer().span("facet.bucketize", attribute=str(gb.ref),
+                               distinct=len(values)) as span:
+        if buckets is None:
+            buckets = equal_width(values[0], values[-1], num_buckets)
+        anchors = sorted({idx for idx in map(buckets.assign, values)
+                          if idx is not None})
+        span.set_tag("buckets", len(buckets))
+        span.set_tag("anchors", len(anchors))
+        if not anchors:
+            raise ValueError(
+                f"attribute {gb.ref} has no in-domain values in the "
+                "subspace")
+        # an anchor's segment runs up to the next anchor; the first one
+        # also covers the leading DS'-empty buckets
+        edges = [0, *anchors[1:], len(buckets)]
+        categories = tuple(
+            Interval(buckets.intervals[start].low,
+                     buckets.intervals[stop - 1].high,
+                     buckets.intervals[stop - 1].closed_right)
+            for start, stop in zip(edges, edges[1:])
+        )
+
+        def merged(groups: dict) -> tuple[float, ...]:
+            # sorted keys: one summation order whichever backend, cache
+            # or tier produced the partition
+            keys = sorted(groups)
+            series = bucket_series(keys, [groups[k] for k in keys],
+                                   buckets)
+            return tuple(merge_series(series, anchors[1:]))
+
+        merged_x = merged(x)
+        pairs = [SeriesPair(categories, merged_x, merged(y)) for y in ys]
+    return pairs, buckets
 
 
 def numerical_series(
@@ -113,63 +201,27 @@ def numerical_series(
     num_buckets: int = DEFAULT_NUM_BUCKETS,
     buckets: Bucketization | None = None,
 ) -> tuple[SeriesPair, Bucketization]:
-    """Series over basic intervals of the attribute domain.
+    """Series over basic intervals of the attribute domain, and the
+    bucketization used.
 
-    Bucket boundaries default to equal width over the *subspace's* value
-    domain: the paper restricts PAR(RUP(DS'), attr) to the segments that
-    also exist in PAR(DS', attr), so roll-up values outside DS''s range
-    carry no information and would only dilute the bucket resolution.
-    Buckets empty in DS' are additionally dropped from both series.
-
-    Returns the (possibly masked) series pair and the bucketization used.
+    Both spaces are partitioned by distinct value like a categorical
+    attribute (plan-cache hits once :func:`candidate_scores` ran) and
+    folded by :func:`fold_numerical`.  Raises ``ValueError`` — a
+    degenerate candidate to every caller — when DS' has no in-domain
+    values or the measure's aggregate is not additive.
     """
-    schema = subspace.schema
-    measure_vector = schema.measure_vector(measure_name)
-    sub_values = subspace.groupby_values(gb)
-    roll_values = rollup.groupby_values(gb)
-    if buckets is None:
-        domain_values = [v for v in sub_values if v is not None]
-        if not domain_values:
-            raise ValueError(
-                f"attribute {gb.ref} has no non-null values in the subspace"
-            )
-        buckets = equal_width(min(domain_values), max(domain_values), num_buckets)
-    sub_weights = vector.take(measure_vector, subspace.fact_rows)
-    roll_weights = vector.take(measure_vector, rollup.fact_rows)
-    x = bucket_series(sub_values, sub_weights, buckets)
-    y = bucket_series(roll_values, roll_weights, buckets)
-    # Restrict to segments that exist in DS' by *merging* each DS'-empty
-    # bucket into its left non-empty neighbour (leading empties merge
-    # right).  Dropping them instead would discard roll-up mass that the
-    # distinct-value ground truth keeps, so the correlation would not
-    # converge with the bucket count.
-    sub_counts = bucket_series(sub_values, [1.0] * len(sub_values), buckets)
-    anchors = [i for i, count in enumerate(sub_counts) if count > 0]
-    if not anchors:
+    x, y = _numeric_partitions(subspace, rollup, gb, measure_name)
+    pairs, buckets = fold_numerical(gb, x, [y], num_buckets, buckets)
+    return pairs[0], buckets
+
+
+def _numeric_partitions(subspace, rollup, gb, measure_name):
+    if not _is_additive(subspace, measure_name):
         raise ValueError(
-            f"attribute {gb.ref} has no in-domain values in the subspace"
-        )
-    merged_x = [0.0] * len(anchors)
-    merged_y = [0.0] * len(anchors)
-    spans: list[list[int]] = [[] for _ in anchors]
-    anchor_idx = 0
-    for i in range(len(buckets)):
-        if anchor_idx + 1 < len(anchors) and i >= anchors[anchor_idx + 1]:
-            anchor_idx += 1
-        merged_x[anchor_idx] += x[i]
-        merged_y[anchor_idx] += y[i]
-        spans[anchor_idx].append(i)
-    categories = []
-    for span in spans:
-        first = buckets.intervals[span[0]]
-        last = buckets.intervals[span[-1]]
-        categories.append(Interval(first.low, last.high, last.closed_right))
-    pair = SeriesPair(
-        categories=tuple(categories),
-        subspace_series=tuple(merged_x),
-        rollup_series=tuple(merged_y),
-    )
-    return pair, buckets
+            f"measure {measure_name!r} is not additive: per-value "
+            f"aggregates of {gb.ref} cannot be folded into intervals")
+    return (subspace.partition_aggregates(gb, measure_name),
+            rollup.partition_aggregates(gb, measure_name))
 
 
 def ground_truth_series(
@@ -180,12 +232,10 @@ def ground_truth_series(
 ) -> SeriesPair:
     """Series with one bucket per distinct value — the §6.4 ground truth:
     "each distinct value from the subspace has its own bucket"."""
-    sub_values = [v for v in subspace.groupby_values(gb) if v is not None]
-    buckets = distinct_value_buckets(sub_values)
-    pair, _ = numerical_series(
-        subspace, rollup, gb, measure_name, buckets=buckets
-    )
-    return pair
+    x, y = _numeric_partitions(subspace, rollup, gb, measure_name)
+    pairs, _ = fold_numerical(gb, x, [y],
+                              buckets=distinct_value_buckets(list(x)))
+    return pairs[0]
 
 
 def attribute_score(
@@ -196,32 +246,9 @@ def attribute_score(
     measure: InterestingnessMeasure,
     num_buckets: int = DEFAULT_NUM_BUCKETS,
 ) -> float:
-    """SCORE(attr, DS') combined over all roll-up spaces (worst-case pick).
-
-    Eq. (1) instantiated through the interestingness measure; with several
-    hitted dimensions the maximum (most interesting) score wins.
-    """
-    if not rollups:
-        raise ValueError("at least one roll-up space is required")
-    scores = []
-    for rollup in rollups:
-        if gb.kind is AttributeKind.NUMERICAL:
-            try:
-                pair, _ = numerical_series(
-                    subspace, rollup, gb, measure_name, num_buckets
-                )
-            except ValueError:
-                continue
-        else:
-            pair = categorical_series(subspace, rollup, gb, measure_name)
-        if not pair.categories:
-            continue  # nothing to partition: degenerate for this roll-up
-        scores.append(
-            measure.score_series(pair.subspace_series, pair.rollup_series)
-        )
-    if not scores:
-        return float("-inf")
-    return max(scores)
+    """SCORE(attr, DS') of one candidate (:func:`candidate_scores`)."""
+    return candidate_scores(subspace, rollups, [gb], measure_name,
+                            measure, num_buckets)[0]
 
 
 @dataclass(frozen=True)
@@ -246,27 +273,18 @@ def rank_groupby_attributes(
     Candidates whose partitions are degenerate (empty domains) sink to the
     bottom with -inf scores and are dropped when ``top_k`` is set.
 
-    Categorical candidates are scored in one fused batch per space
-    (:func:`categorical_scores`); numerical candidates keep their
-    per-candidate bucketized path.
+    All candidates are scored in one fused batch per space
+    (:func:`candidate_scores`).  Scores are compared quantised
+    (:func:`~repro.core.interestingness.quantize_score`) so exact ties
+    fall through to the textual tie-break instead of being decided by
+    the last-bit summation order of whichever path answered.
     """
-    categorical = [gb for gb in candidates
-                   if gb.kind is not AttributeKind.NUMERICAL]
-    batched = dict(zip(
-        categorical,
-        categorical_scores(subspace, rollups, categorical,
-                           measure_name, measure),
-    )) if categorical else {}
-    ranked = [
-        RankedAttribute(
-            gb,
-            batched[gb] if gb in batched
-            else attribute_score(subspace, rollups, gb, measure_name,
-                                 measure, num_buckets),
-        )
-        for gb in candidates
-    ]
-    ranked.sort(key=lambda r: (-r.score, str(r.attribute.ref)))
+    scores = candidate_scores(subspace, rollups, candidates, measure_name,
+                              measure, num_buckets)
+    ranked = [RankedAttribute(gb, score)
+              for gb, score in zip(candidates, scores)]
+    ranked.sort(key=lambda r: (-quantize_score(r.score),
+                               str(r.attribute.ref)))
     if top_k is not None:
         ranked = [r for r in ranked if r.score != float("-inf")][:top_k]
     return ranked

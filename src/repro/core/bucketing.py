@@ -12,7 +12,14 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
+
+ADDITIVE_AGGREGATES = frozenset({"sum", "count"})
+"""Aggregates whose per-value results may be folded into buckets by
+addition.  ``avg``/``min``/``max`` per distinct value cannot be merged
+into a bucket's aggregate without their rows, so numeric facets are
+defined for additive measures only."""
 
 
 @dataclass(frozen=True)
@@ -48,10 +55,10 @@ class Bucketization:
     def __len__(self) -> int:
         return len(self.intervals)
 
-    @property
-    def boundaries(self) -> list[float]:
-        """Interior boundaries (len(intervals) - 1 values)."""
-        return [iv.high for iv in self.intervals[:-1]]
+    @cached_property
+    def boundaries(self) -> tuple[float, ...]:
+        """Interior boundaries (len(intervals) - 1 values), built once."""
+        return tuple(iv.high for iv in self.intervals[:-1])
 
     def assign(self, value: float) -> int | None:
         """Index of the interval containing ``value``, or None if outside."""
@@ -112,11 +119,14 @@ def bucket_series(
     weights: Sequence[float],
     buckets: Bucketization,
 ) -> list[float]:
-    """Aggregate (sum) ``weights`` into ``buckets`` keyed by ``values``.
+    """Fold (sum) ``weights`` into ``buckets`` keyed by ``values``.
 
     Produces one aggregation value per interval — the "new attribute
-    values" of §5.2.2.  Values falling outside the bucketized domain (or
-    None) are skipped.
+    values" of §5.2.2.  ``values`` are the attribute's *distinct* values
+    and ``weights`` their group aggregates (a ``{value: aggregate}``
+    partition unzipped), so the cost is per distinct value, not per fact
+    row; folding is only sound for :data:`ADDITIVE_AGGREGATES`.  Values
+    falling outside the bucketized domain (or None) are skipped.
     """
     series = [0.0] * len(buckets)
     for value, weight in zip(values, weights):
@@ -126,12 +136,3 @@ def bucket_series(
         if idx is not None:
             series[idx] += weight
     return series
-
-
-def nonempty_mask(series: Sequence[float], reference: Sequence[float]) -> list[int]:
-    """Indices where ``reference`` (the DS' series) is non-zero.
-
-    Implements the paper's restriction of PAR(RUP(DS')) to the segments
-    that also exist in PAR(DS').
-    """
-    return [i for i, value in enumerate(reference) if value != 0.0]

@@ -41,7 +41,7 @@ from .attribute_ranking import (
     numerical_series,
     rank_groupby_attributes,
 )
-from .bucketing import Interval
+from .bucketing import ADDITIVE_AGGREGATES, Interval
 from .hits import HitGroup
 from .instance_ranking import rank_instances_batch
 from .interestingness import InterestingnessMeasure, SURPRISE
@@ -216,6 +216,8 @@ def _numerical_entries(
 
     The annealing objective compares correlations against the first
     roll-up space (when several exist, the first hitted dimension's).
+    For an attribute the ranking already scored, both partitions are
+    plan-cache hits.
     """
     rollup = rollups[0]
     try:
@@ -343,6 +345,13 @@ def build_facets(
         subspace = (engine.evaluate(star_net) if engine is not None
                     else star_net.evaluate(schema))
     budget = current_budget()
+    measure = schema.measures[config.measure_name]
+    if budget is not None and measure.aggregate not in ADDITIVE_AGGREGATES \
+            and any(gb.is_numerical for dim in schema.dimensions
+                    for gb in dim.groupbys):
+        budget.add_note(
+            f"numeric facets omitted: measure {measure.name!r} "
+            f"({measure.aggregate}) is not additive over value intervals")
     with tracer.span("facets", rows=len(subspace.fact_rows)):
         if rollups is None:
             try:

@@ -52,6 +52,18 @@ def pearson_correlation(x: Sequence[float], y: Sequence[float]) -> float:
     return max(-1.0, min(1.0, cov / denominator))
 
 
+def quantize_score(score: float) -> float:
+    """``score`` rounded to 12 significant digits, for sort keys.
+
+    The same aggregate reaches the ranking through a scan, a plan-cache
+    entry or a tier roll-up, which sum floats in different orders; exact
+    score ties (e.g. correlation ±1 against a roll-up to ALL) must not
+    be broken by that last-bit noise, so rankings compare quantised
+    scores and let their deterministic tie-breaks decide.
+    """
+    return float(f"{score:.11e}")
+
+
 class InterestingnessMeasure(Protocol):
     """Scores an (X, Y) aggregate-series pair; higher = more interesting."""
 

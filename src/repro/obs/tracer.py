@@ -316,6 +316,10 @@ def op_span(node):
     if not tracer.enabled:
         return NOOP_SPAN
     span = tracer.span("op." + node.kind, fp=plan_digest(node))
+    if node.kind == "MultiGroupAggregate":
+        # EXPLAIN lists which group-bys (numerical ones included) rode
+        # this fused scan / statement
+        span.set_tag("keys", ",".join(str(key) for key in node.keys))
     request_id = _REQUEST_ID.get()
     if request_id is not None:
         span.set_tag("request", request_id)

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import (
+    Bucketization,
     Interval,
     bucket_series,
     distinct_value_buckets,
@@ -55,6 +56,58 @@ class TestEqualWidth:
             equal_width(0.0, 1.0, 0)
         with pytest.raises(ValueError):
             equal_width(1.0, 0.0, 3)
+
+
+class TestAssignEdges:
+    """``assign`` is the scalar public API; its edge semantics are pinned
+    independently of how the boundaries are stored."""
+
+    def test_boundaries_are_built_once(self):
+        buckets = equal_width(0.0, 10.0, 5)
+        assert buckets.boundaries == (2.0, 4.0, 6.0, 8.0)
+        assert buckets.boundaries is buckets.boundaries
+
+    def test_interior_boundary_belongs_to_the_right_interval(self):
+        buckets = equal_width(0.0, 10.0, 5)
+        assert buckets.assign(2.0) == 1
+        assert buckets.assign(8.0) == 4
+
+    def test_below_and_above_domain(self):
+        buckets = equal_width(1.0, 9.0, 4)
+        assert buckets.assign(0.999) is None
+        assert buckets.assign(9.001) is None
+
+    def test_closed_last_interval_covers_the_maximum(self):
+        buckets = equal_width(1.0, 9.0, 4)
+        assert buckets.assign(9.0) == 3
+
+    def test_open_last_interval_excludes_its_high_end(self):
+        buckets = Bucketization((Interval(0.0, 1.0), Interval(1.0, 2.0)))
+        assert buckets.assign(1.0) == 1
+        assert buckets.assign(2.0) is None
+
+    def test_degenerate_low_equals_high(self):
+        buckets = equal_width(3.0, 3.0, 10)
+        assert buckets.boundaries == ()
+        assert buckets.assign(3.0) == 0
+        assert buckets.assign(2.9) is None
+        assert buckets.assign(3.1) is None
+
+    def test_empty_bucketization_rejected(self):
+        with pytest.raises(ValueError):
+            Bucketization(())
+
+    @given(vals=st.lists(st.floats(-100, 100), min_size=1, max_size=40),
+           probes=st.lists(st.floats(-150, 150), max_size=20))
+    @settings(max_examples=80, deadline=None)
+    def test_assign_agrees_with_linear_contains(self, vals, probes):
+        """Ground-truth buckets (open intervals between distinct values,
+        closed degenerate last) against a linear ``contains`` scan."""
+        buckets = distinct_value_buckets(vals)
+        for probe in [*vals, *probes]:
+            want = next((i for i, iv in enumerate(buckets.intervals)
+                         if iv.contains(probe)), None)
+            assert buckets.assign(probe) == want
 
 
 class TestDistinctValueBuckets:

@@ -8,12 +8,22 @@ group values, empty row sets, and domain fills.
 
 import pytest
 
+from repro.core import (
+    SURPRISE,
+    ExploreConfig,
+    StarNet,
+    attribute_score,
+    build_facets,
+    numerical_series,
+    rank_groupby_attributes,
+)
 from repro.plan import (
     AttrKey,
     Filter,
     GroupAggregate,
     InMemoryBackend,
     Partition,
+    QueryEngine,
     RowSet,
     Scan,
     SemiJoin,
@@ -30,6 +40,7 @@ from repro.relational import (
     text,
 )
 from repro.relational.expressions import Col
+from repro.resilience import Budget, Diagnostics, budget_scope
 from repro.warehouse import (
     AttributeKind,
     AttributeRef,
@@ -37,6 +48,7 @@ from repro.warehouse import (
     GroupByAttribute,
     Measure,
     StarSchema,
+    Subspace,
     path_from_fk_names,
 )
 
@@ -83,6 +95,8 @@ def tiny():
                              AttributeKind.CATEGORICAL, path),
             GroupByAttribute(AttributeRef("Dim", "Day"),
                              AttributeKind.CATEGORICAL, path),
+            GroupByAttribute(AttributeRef("Dim", "DimKey"),
+                             AttributeKind.NUMERICAL, path),
         ),
     )
     return StarSchema(
@@ -237,6 +251,70 @@ class TestAggregates:
         want = {("a", True): 3.0, ("b", False): 0}
         assert mem.execute(plan) == want
         assert sq.execute(plan) == want
+
+
+class TestNumericFacetsHonourTheAggregate:
+    """Numeric series fold per-value *aggregates*: a ``count`` measure
+    counts rows per interval (it used to sum the raw expression), and a
+    non-additive measure has no numeric series at all."""
+
+    @pytest.mark.parametrize("backend", ["memory", "sqlite"])
+    def test_count_measure_counts_rows_per_interval(self, tiny, backend):
+        engine = QueryEngine(tiny, backend=backend)
+        full = Subspace.full(tiny, engine=engine)
+        gb = tiny.groupby_attribute("Dim", "DimKey")
+        pair, buckets = numerical_series(full, full, gb, "n",
+                                         num_buckets=2)
+        # DimKey per fact row: 1, 1, 2, 3, NULL -> [1, 2) and [2, 3]
+        assert len(buckets) == 2
+        assert pair.subspace_series == (2.0, 2.0)
+        assert pair.rollup_series == (2.0, 2.0)
+        # ... which is the categorical partition of the same measure
+        assert sum(pair.subspace_series) == sum(
+            full.partition_aggregates(gb, "n").values())
+        engine.close()
+
+    def test_sum_measure_agrees_with_partition(self, tiny):
+        full = Subspace.full(tiny)
+        gb = tiny.groupby_attribute("Dim", "DimKey")
+        pair, _ = numerical_series(full, full, gb, "amount", num_buckets=2)
+        assert pair.subspace_series == (3.0, 4.0)
+
+    def test_non_additive_measure_is_a_degenerate_candidate(self, tiny):
+        full = Subspace.full(tiny)
+        gb = tiny.groupby_attribute("Dim", "DimKey")
+        with pytest.raises(ValueError, match="not additive"):
+            numerical_series(full, full, gb, "avg_amount")
+        assert attribute_score(full, [full], gb, "avg_amount",
+                               SURPRISE) == float("-inf")
+        ranked = rank_groupby_attributes(
+            full, [full], tiny.dimensions[0].groupbys, "avg_amount",
+            SURPRISE, top_k=10)
+        assert gb not in [r.attribute for r in ranked]
+
+    def test_session_notes_the_omitted_numeric_facets(self, tiny):
+        budget = Budget(deadline_ms=600_000)
+        with budget_scope(budget):
+            interface = build_facets(
+                tiny, StarNet("Fact", ()),
+                config=ExploreConfig(measure_name="avg_amount"))
+        shown = [a.attribute.ref.column for f in interface.facets
+                 for a in f.attributes]
+        assert "DimKey" not in shown and shown
+        notes = Diagnostics.from_budget(budget).notes
+        assert any("numeric facets omitted" in n and "avg_amount" in n
+                   for n in notes)
+        # the additive measure beside it keeps its numeric facet, silently
+        budget = Budget(deadline_ms=600_000)
+        with budget_scope(budget):
+            interface = build_facets(
+                tiny, StarNet("Fact", ()),
+                config=ExploreConfig(measure_name="n",
+                                     top_k_attributes=4))
+        assert "DimKey" in [a.attribute.ref.column
+                            for f in interface.facets
+                            for a in f.attributes]
+        assert not budget.notes
 
 
 class TestCounters:

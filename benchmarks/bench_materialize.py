@@ -21,7 +21,7 @@ full rebuilds — the "refresh cost proportional to delta" criterion.
 
 Schema caches are primed by untimed warm-ups shared by both modes,
 timed runs are interleaved, and the gate compares *minimum* runs —
-same protocol as :mod:`bench_morsel_scan`.
+same protocol as :mod:`bench_chunked_scan`.
 
 Usage::
 

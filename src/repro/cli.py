@@ -97,13 +97,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--max-interpretations", type=int, default=None,
                         help="cap on candidate star nets enumerated per "
                              "query")
-    parser.add_argument("--workers", type=int, default=None,
-                        help="worker threads for parallel phases: per-ray "
-                             "prefetch during differentiation, and "
-                             "morsel-parallel execution inside a single "
-                             "large scan-aggregate on the memory backend; "
-                             "default min(4, cpu count), 1 disables "
-                             "threading")
     parser.add_argument("--trace-out", metavar="PATH", default=None,
                         help="trace the whole command and write Chrome "
                              "trace_event JSON to PATH (open in "
@@ -206,15 +199,14 @@ def _build_parser() -> argparse.ArgumentParser:
              "concurrent clients, admission control and load shedding "
              "(the top-level --deadline-ms/--max-rows/"
              "--max-interpretations become server-side budget ceilings; "
-             "--backend/--resilient/--workers shape each worker session)")
+             "--backend/--resilient shape each worker session)")
     serve.add_argument("--host", default="127.0.0.1",
                        help="bind address (default loopback)")
     serve.add_argument("--port", type=int, default=8080,
                        help="bind port; 0 picks a free one")
     serve.add_argument("--pool-workers", type=int, default=4,
                        help="query worker threads, each with its own "
-                            "session (top-level --workers instead sets "
-                            "intra-query parallelism per session)")
+                            "session")
     serve.add_argument("--queue-depth", type=int, default=32,
                        help="admission queue capacity; arrivals beyond "
                             "it are shed with 429 + Retry-After")
@@ -314,7 +306,7 @@ def _session(args) -> KdapSession:
     if args.matchers is not None:
         matchers = tuple(name.strip() for name in args.matchers.split(",")
                          if name.strip())
-    return KdapSession(schema, backend=backend, workers=args.workers,
+    return KdapSession(schema, backend=backend,
                        slow_query_ms=args.slow_query_ms,
                        materialize=not args.no_materialize,
                        matchers=matchers)
@@ -552,7 +544,7 @@ def _serve_config(args):
 
     The top-level budget flags become *server ceilings* (clamping every
     client's hints) rather than per-query budgets, and the top-level
-    --backend/--resilient/--workers shape each worker's session.  Kept
+    --backend/--resilient shape each worker's session.  Kept
     separate from :func:`_cmd_serve` so tests can check the mapping
     without binding a socket.
     """
@@ -572,7 +564,6 @@ def _serve_config(args):
         max_interpretations=args.max_interpretations,
         backend=args.backend,
         resilient=args.resilient,
-        session_workers=args.workers or 1,
         chaos_error_rate=args.chaos_error_rate,
         chaos_latency_s=args.chaos_latency_s,
         chaos_seed=args.chaos_seed,

@@ -13,7 +13,7 @@ a single interestingness score (higher = more interesting):
   al., VLDB 2006).
 
 Both are thin wrappers over :func:`pearson_correlation`, which fixes a
-documented convention for degenerate series (zero variance).
+documented convention for degenerate (constant) series.
 """
 
 from __future__ import annotations
@@ -37,11 +37,19 @@ def pearson_correlation(x: Sequence[float], y: Sequence[float]) -> float:
         raise ValueError(f"series length mismatch: {len(x)} vs {len(y)}")
     if n < 2:
         return 0.0
+    # constancy is a property of the values, not of the variance: the
+    # mean of a repeated value need not round-trip to it, which leaves a
+    # constant series with a tiny non-zero variance
+    constant_x = min(x) == max(x)
+    constant_y = min(y) == max(y)
+    if constant_x or constant_y:
+        return 1.0 if constant_x and constant_y else 0.0
     mean_x = sum(x) / n
     mean_y = sum(y) / n
     var_x = sum((v - mean_x) ** 2 for v in x)
     var_y = sum((v - mean_y) ** 2 for v in y)
     if var_x == 0.0 or var_y == 0.0:
+        # not constant, but the squared deviations underflowed
         return 1.0 if var_x == var_y == 0.0 else 0.0
     cov = sum((a - mean_x) * (b - mean_y) for a, b in zip(x, y))
     # take the roots separately: var_x * var_y can underflow to 0.0 for

@@ -11,11 +11,8 @@
 
 from __future__ import annotations
 
-import contextvars
 import logging
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -107,14 +104,6 @@ class KdapSession:
         query evaluation — star-net materialisation, facet aggregation,
         drill-down — goes through one :class:`~repro.plan.engine.QueryEngine`
         on this backend, with plan-fingerprint caching.
-    workers:
-        Worker-thread cap for parallel phases: the per-ray semi-join
-        prefetch behind size previews, and — on the memory backend —
-        morsel-driven parallelism *inside* a single large scan-aggregate
-        (the chunk list is partitioned across workers and per-worker
-        partial aggregates merge deterministically).  Defaults to
-        ``min(4, cpu count)``; 1 disables threading entirely.  The
-        sqlite backend opens one mirror connection per worker thread.
     metrics:
         A :class:`~repro.obs.metrics.MetricsRegistry` the session's
         latency histograms, cache counters, and truncation counters go
@@ -139,13 +128,15 @@ class KdapSession:
 
     **Threading**: a session is a single-caller object — its ray cache,
     slow log, and last-query bookkeeping are not synchronised for
-    concurrent public calls.  It *owns* worker threads internally (ray
-    prefetch, morsel parallelism), and a sqlite-backed session may be
-    driven from a foreign thread because the mirror hands each thread
-    its own connection; but those per-thread connections only die with
-    the session, so thread-per-request callers leak one connection per
-    thread.  Concurrent servers therefore keep **one session per
-    long-lived worker thread** (see :mod:`repro.service`).  Using a
+    concurrent public calls, and it starts no threads of its own: every
+    request runs serially on the caller's thread.  A sqlite-backed
+    session may be driven from a foreign thread because the mirror hands
+    each thread its own connection; but those per-thread connections
+    only die with the session, so thread-per-request callers leak one
+    connection per thread.  Concurrent servers therefore keep **one
+    session per long-lived worker thread** (see :mod:`repro.service`);
+    those sessions still share the schema's vector/chunk caches and the
+    materialization tier, which stay lock-guarded.  Using a
     closed sqlite-backed session raises a typed
     :class:`~repro.relational.errors.BackendError` — never a raw
     ``sqlite3.ProgrammingError``.
@@ -154,17 +145,12 @@ class KdapSession:
     def __init__(self, schema: StarSchema,
                  index: AttributeTextIndex | None = None,
                  backend: str | ExecutionBackend = "memory",
-                 workers: int | None = None,
                  metrics: MetricsRegistry | None = None,
                  slow_query_ms: float | None = None,
                  materialize: bool | object = True,
                  matchers: Sequence[str] | None = None,
                  synonyms: SynonymRegistry | None = None):
         self.schema = schema
-        self.workers = (workers if workers is not None
-                        else min(4, os.cpu_count() or 1))
-        if self.workers < 1:
-            raise ValueError("workers must be at least 1")
         if index is None:
             index = AttributeTextIndex()
             index.index_database(schema.database, schema.searchable)
@@ -185,7 +171,6 @@ class KdapSession:
         # for raw execution or a shared MaterializationTier instance to
         # pool admission history across sessions
         self.engine = QueryEngine(schema, backend=backend,
-                                  workers=self.workers,
                                   materialize=materialize)
         # per-ray fact-set memo: the same (hit group, path) ray recurs
         # across many candidate star nets of one query.  The engine's plan
@@ -223,19 +208,6 @@ class KdapSession:
                 ray.hit_group.values, ray.path_to_fact, ray.dimension)
             self._ray_cache[key] = frozenset(rows)
         return self._ray_cache[key]
-
-    def _traced_ray_facts(self, ray) -> frozenset[int]:
-        """:meth:`_ray_facts` under a ``ray.prefetch`` span.
-
-        Prefetch tasks run in worker threads inside a copied context, so
-        this span — and every operator span the engine opens beneath it —
-        parents under the originating query's ``preview.sizes`` span even
-        though it starts and ends on another thread.
-        """
-        with current_tracer().span("ray.prefetch",
-                                   table=ray.hit_group.table,
-                                   attribute=ray.hit_group.attribute):
-            return self._ray_facts(ray)
 
     def subspace_size(self, star_net) -> int:
         """Fact-row count of a star net's subspace, with per-ray caching.
@@ -330,47 +302,10 @@ class KdapSession:
             time.perf_counter() - started)
         return ranked
 
-    def _prefetch_rays(self, ranked: list[ScoredInterpretation]) -> None:
-        """Evaluate the distinct uncached rays of ``ranked`` in parallel.
-
-        Candidates of one query share most rays, so sizing N candidates
-        serially leaves the per-ray semi-joins — the expensive part — on
-        one thread.  This warms :attr:`_ray_cache` (and the engine's plan
-        cache) with a bounded pool; the serial sizing loop then runs on
-        hits.  Each task runs in its own copied context so the ambient
-        budget propagates to (and is charged from) worker threads; a
-        task that exhausts the budget is swallowed here — the serial
-        loop re-hits the exhaustion and records the truncation exactly
-        as in the unthreaded path.
-        """
-        rays: dict[tuple, object] = {}
-        for scored in ranked:
-            for ray in scored.star_net.rays:
-                key = (ray.hit_group.domain, ray.hit_group.values,
-                       ray.path_to_fact.fk_names)
-                if key not in self._ray_cache:
-                    rays.setdefault(key, ray)
-        if len(rays) < 2 or self.workers < 2:
-            return
-        with ThreadPoolExecutor(
-                max_workers=min(self.workers, len(rays)),
-                thread_name_prefix="kdap-ray") as pool:
-            futures = [
-                pool.submit(contextvars.copy_context().run,
-                            self._traced_ray_facts, ray)
-                for ray in rays.values()
-            ]
-            for future in futures:
-                try:
-                    future.result()
-                except ResourceExhausted:
-                    pass
-
     def _preview_sizes(self, ranked: list[ScoredInterpretation],
                        budget: Budget | None
                        ) -> list[ScoredInterpretation]:
         """Attach subspace sizes, stopping (not failing) on exhaustion."""
-        self._prefetch_rays(ranked)
         previewed: list[ScoredInterpretation] = []
         for position, scored in enumerate(ranked):
             try:

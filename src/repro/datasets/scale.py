@@ -2,7 +2,7 @@
 
 The AdventureWorks builders model realistic *content* (names, promotions,
 injected surprises) at tens of thousands of rows.  Benchmarking the
-columnar chunk store and morsel-driven parallelism needs the opposite
+columnar chunk store and its grouped-aggregate kernel needs the opposite
 trade-off: a deliberately minimal dimension layout inflated to a million
 or more fact rows, generated in a couple of seconds, with value
 distributions that exercise every encoding:

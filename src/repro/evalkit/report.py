@@ -127,11 +127,10 @@ def render_counters(engine, metrics=None) -> str:
         rows = [
             (op, s["calls"], s["rows"], s.get("batches", 0),
              s.get("rows_per_batch", 0), s.get("chunks_scanned", 0),
-             s.get("chunks_skipped", 0), s.get("morsels", 0),
-             f"{s['seconds']:.4f}")
+             s.get("chunks_skipped", 0), f"{s['seconds']:.4f}")
             for op, s in ops.items()
         ]
         lines.append(render_table(
             ["operator", "calls", "rows", "batches", "rows/batch",
-             "chunks", "skipped", "morsels", "seconds"], rows))
+             "chunks", "skipped", "seconds"], rows))
     return "\n".join(lines)

@@ -5,8 +5,8 @@ standard library, and every other layer (plan, backends, resilience,
 session) emits into it:
 
 * :class:`Tracer` / :func:`tracing_scope` — hierarchical spans
-  propagated through context variables (surviving worker threads and
-  retry ladders), exportable as a tree or Chrome ``trace_event`` JSON;
+  propagated through context variables (surviving retry ladders),
+  exportable as a tree or Chrome ``trace_event`` JSON;
 * :class:`MetricsRegistry` — named counters, gauges, and fixed-boundary
   histograms with p50/p95/p99 summaries; one process-wide default plus
   per-session isolated registries via :func:`metrics_scope`;

@@ -33,7 +33,6 @@ class OpProfile:
     pushed_to_sql: bool = False
     chunks_scanned: int = 0
     chunks_skipped: int = 0
-    morsels: int = 0
 
     def as_dict(self) -> dict:
         return {
@@ -44,7 +43,6 @@ class OpProfile:
             "pushed_to_sql": self.pushed_to_sql,
             "chunks_scanned": self.chunks_scanned,
             "chunks_skipped": self.chunks_skipped,
-            "morsels": self.morsels,
         }
 
 
@@ -125,7 +123,6 @@ def collect_profiles(tracer: Tracer) -> dict[str, OpProfile]:
                     span.tags.get("chunks_scanned", 0) or 0)
                 profile.chunks_skipped += int(
                     span.tags.get("chunks_skipped", 0) or 0)
-                profile.morsels += int(span.tags.get("morsels", 0) or 0)
                 profile.seconds += span.duration_s
         elif span.tags.get("cached"):
             profile.cache_hits += 1
@@ -171,8 +168,6 @@ def render_plan(root: ExplainNode) -> str:
             if stats.chunks_scanned or stats.chunks_skipped:
                 actual += (f" chunks={stats.chunks_scanned}"
                            f"(+{stats.chunks_skipped} skipped)")
-            if stats.morsels:
-                actual += f" morsels={stats.morsels}"
             if stats.cache_hits:
                 actual += f" cache_hits={stats.cache_hits}"
             if stats.materialized:

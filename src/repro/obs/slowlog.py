@@ -8,7 +8,8 @@ materialisation plan's fingerprint digest, and the query's span tree.
 
 The log is a bounded ring (oldest entries drop first) so a long-lived
 session cannot grow it without bound, and is thread-safe because the
-ray-prefetch pool means query work spans threads.
+service reads a worker session's log (``/v1/slowlogz``, ``/v1/statz``)
+while that worker keeps recording into it.
 """
 
 from __future__ import annotations

@@ -9,11 +9,11 @@ to_chrome_trace`) loadable in ``chrome://tracing`` / Perfetto.
 
 Propagation is ambient: :func:`tracing_scope` installs a tracer into a
 :class:`~contextvars.ContextVar`, and the *current span* rides a second
-context variable, so nesting needs no span argument threading.  Both
-variables are carried into worker threads by
-``contextvars.copy_context().run`` — which the session's ray-prefetch
-pool already uses — so spans opened on a worker thread parent correctly
-under the originating query span.
+context variable, so nesting needs no span argument threading.  Query
+work runs on the thread that opened the query span; a caller that does
+hand work to another thread carries both variables along with
+``contextvars.copy_context().run``, and spans opened there parent
+correctly under the originating query span.
 
 When no tracer is installed, :func:`current_tracer` returns the
 module-level :data:`NOOP` tracer whose ``span()`` hands back one shared
@@ -128,9 +128,10 @@ class Span:
 class Tracer:
     """Collects a forest of spans for one traced scope.
 
-    Span trees may be built from several threads at once (ray-prefetch
-    workers); child attachment is lock-guarded, while per-span fields
-    stay single-writer (each span lives on the thread that opened it).
+    Span trees may be built from several threads at once (service worker
+    threads sharing one tracer); child attachment is lock-guarded, while
+    per-span fields stay single-writer (each span lives on the thread
+    that opened it).
     """
 
     enabled = True
@@ -292,7 +293,7 @@ def request_scope(request_id: str | None):
     """Attribute work in this context to one service request.
 
     The id rides a context variable — like the tracer and the budget, it
-    survives ``contextvars.copy_context().run`` into worker threads — so
+    survives ``contextvars.copy_context().run`` into other threads — so
     operator spans recorded anywhere under a request carry its id and a
     shared trace can be sliced per request.  ``None`` installs nothing.
     """

@@ -24,23 +24,18 @@ cost to plan nodes.
 
 from __future__ import annotations
 
-from typing import Protocol, Sequence, runtime_checkable
+from typing import Protocol, runtime_checkable
 
 import threading
-from concurrent.futures import ThreadPoolExecutor
-from contextvars import copy_context
 
 from ..obs.tracer import current_tracer, op_span
 from ..relational import vector
 from ..relational.errors import BackendError, SchemaError
 from ..relational.expressions import And, Between, Col, In, Predicate
 from ..relational.operators import (
-    AGGREGATE_STATES,
     AGGREGATES,
-    accumulate_chunk,
+    chunked_group_states,
     finalize_group_states,
-    fused_group_aggregates,
-    merge_group_states,
 )
 from ..relational.sqlite_backend import SqliteBackend as SqliteMirror
 from ..relational.sqlite_backend import from_sqlite
@@ -126,18 +121,6 @@ def _fill_domains(plan: MultiGroupAggregate, results: dict) -> dict:
 # ----------------------------------------------------------------------
 # in-memory backend
 # ----------------------------------------------------------------------
-MORSEL_ROWS = 65536
-"""Target rows per morsel of a parallel scan-aggregate (a run of whole
-chunks; large enough that per-morsel scheduling cost is noise)."""
-
-PARALLEL_MIN_ROWS = 131072
-"""Row-count floor below which scan-aggregates stay on the serial
-single-pass path.  Serial accumulation adds measures in ascending row
-order and is bit-identical to the pre-chunk fold; the morsel merge
-re-associates float additions at morsel boundaries, so small (test-size)
-workloads never see it."""
-
-
 class InMemoryBackend:
     """Columnar execution over the schema's encoded column chunks.
 
@@ -151,22 +134,20 @@ class InMemoryBackend:
     :class:`~repro.plan.counters.PlanCounters` records how many chunks
     each operator scanned vs skipped.
 
-    Scan-aggregates over at least :data:`PARALLEL_MIN_ROWS` rows are
-    *morsel-driven*: the chunk list is packed into ~:data:`MORSEL_ROWS`-row
-    morsels, ``workers`` threads accumulate mergeable per-group partial
-    states (budget charged and deadline checked per morsel, one tracer
-    span per morsel via ``copy_context``), and the partials merge in
-    morsel-index order — deterministic regardless of completion order.
+    Grouped aggregates have one kernel at every row count:
+    :func:`~repro.relational.operators.chunked_group_states` walks the
+    grouping keys' encoded fact chunks in one serial pass, accumulating
+    mergeable per-group states (the same states the materialization tier
+    stores, so a scan and an exact tier view agree bit for bit).  Only
+    composite keys (pivots) group packed key tuples instead.
     """
 
     name = "memory"
 
     def __init__(self, schema: StarSchema,
-                 batch_size: int = vector.DEFAULT_BATCH_SIZE,
-                 workers: int = 1):
+                 batch_size: int = vector.DEFAULT_BATCH_SIZE):
         self.schema = schema
         self.batch_size = batch_size
-        self.workers = max(1, workers)
         self.counters = PlanCounters()
         self._measure_vectors: dict[str, tuple[int, list]] = {}
         self._scan_rows: dict[str, tuple[int, list[int]]] = {}
@@ -371,18 +352,18 @@ class InMemoryBackend:
                     osp.set_tag("rows", 1)
                     osp.set_tag("batches", 1)
                     return fn(vector.take(measure, rows))
-            if len(keys) == 1 and len(rows) >= PARALLEL_MIN_ROWS:
-                states = self._morsel_partition(plan.child, keys, rows,
+            if len(keys) == 1:
+                states = self._partition_states(plan.child, keys[0], rows,
                                                 measure, plan.aggregate)
-                charge_groups(len(states[0]), "Partition")
+                charge_groups(len(states), "Partition")
                 with self.counters.timed("GroupAggregate") as out:
-                    out[0] = len(states[0])
+                    out[0] = len(states)
                     out[1] = 1
                     osp.set_tag("rows", out[0])
                     osp.set_tag("batches", 1)
-                    return finalize_group_states(plan.aggregate,
-                                                 states[0], plan.domain)
-            groups = self._partition_groups(plan.child, keys, rows)
+                    return finalize_group_states(plan.aggregate, states,
+                                                 plan.domain)
+            groups = self._partition_packed(plan.child, keys, rows)
             charge_groups(len(groups), "Partition")
             with self.counters.timed("GroupAggregate") as out:
                 out[0] = len(groups)
@@ -400,11 +381,10 @@ class InMemoryBackend:
                     for value, group_rows in groups.items()
                 }
 
-    def _partition_groups(self, node, keys, rows: list[int]) -> dict:
-        """key value → selection vector, built batch-at-a-time.
+    def _partition_packed(self, node, keys, rows: list[int]) -> dict:
+        """Composite key tuple → selection vector, built batch-at-a-time.
 
-        Single-key plans group over the raw fact-aligned vector; composite
-        keys are dictionary-encoded (:func:`~repro.relational.vector.
+        The keys are dictionary-encoded (:func:`~repro.relational.vector.
         pack_keys`) so the fold hashes small tuples exactly once per
         distinct key per batch.  ``node`` is the :class:`Partition` plan
         node (span attribution only).
@@ -416,29 +396,35 @@ class InMemoryBackend:
             groups: dict = {}
             for batch in vector.batches(rows, self.batch_size):
                 check_deadline("Partition")
-                if len(vectors) == 1:
-                    part = vector.group_rows(vectors[0], batch)
-                else:
-                    part = vector.group_rows_packed(vectors, batch)
-                if groups:
-                    for value, ids in part.items():
-                        known = groups.get(value)
-                        if known is None:
-                            groups[value] = ids
-                        else:
-                            known.extend(ids)
-                else:
-                    groups = part
+                for value, ids in vector.group_rows_packed(
+                        vectors, batch).items():
+                    known = groups.get(value)
+                    if known is None:
+                        groups[value] = ids
+                    else:
+                        known.extend(ids)
                 out[1] += 1
             out[0] = len(groups)
             osp.set_tag("rows", out[0])
             osp.set_tag("batches", out[1])
         return groups
 
+    def _partition_states(self, node, key, rows: list[int], measure,
+                          aggregate: str) -> dict:
+        """One key's ``value → state`` dict, recorded as the
+        :class:`Partition` plan node's span and counters."""
+        check_deadline("Partition")
+        with op_span(node) as osp, self.counters.timed("Partition") as out:
+            states, = self._group_states([key], rows, measure, aggregate,
+                                         "Partition", out)
+            out[0] = len(states)
+            osp.set_tag("rows", out[0])
+            osp.set_tag("batches", out[1])
+        return states
+
     def _execute_multi(self, plan: MultiGroupAggregate) -> dict:
         """The fused kernel: one pass over the child's rows updating one
-        accumulator dict per key (instead of ``len(keys)`` passes); large
-        row sets run morsel-parallel over the encoded chunks."""
+        state dict per key (instead of ``len(keys)`` passes)."""
         with op_span(plan) as osp:
             rows = self._rows(plan.child)
             if not rows:
@@ -447,132 +433,37 @@ class InMemoryBackend:
             check_deadline("MultiGroupAggregate")
             measure = self._measure_values(plan)
             keys = [key for key, _ in plan.branches()]
-
-            if len(rows) >= PARALLEL_MIN_ROWS:
-                with self.counters.timed("MultiGroupAggregate") as out:
-                    states, morsels, chunks = self._morsel_states(
-                        keys, rows, measure, plan.aggregate,
-                        "MultiGroupAggregate")
-                    folded = [
-                        finalize_group_states(plan.aggregate, s)
-                        for s in states
-                    ]
-                    out[0] = sum(len(groups) for groups in folded)
-                    out[1] = chunks
-                    out[2] = chunks
-                    out[4] = morsels
-                osp.set_tag("rows", out[0])
-                osp.set_tag("batches", out[1])
-                osp.set_tag("chunks_scanned", chunks)
-                osp.set_tag("morsels", morsels)
-                charge_groups(sum(len(groups) for groups in folded),
-                              "MultiGroupAggregate")
-                results = {key.fingerprint(): groups
-                           for key, groups in zip(keys, folded)}
-                return _fill_domains(plan, results)
-
-            def on_chunk(chunk_rows: int) -> None:
-                check_deadline("MultiGroupAggregate")
-                counters_out[1] += 1
-
-            with self.counters.timed("MultiGroupAggregate") as counters_out:
-                vectors = [self.schema.fact_vector(k.path, k.column)
-                           for k in keys]
-                folded = fused_group_aggregates(
-                    rows, vectors, measure, plan.aggregate,
-                    on_chunk=on_chunk, chunk_size=self.batch_size,
-                )
-                results = {key.fingerprint(): groups
-                           for key, groups in zip(keys, folded)}
-                counters_out[0] = sum(len(groups) for groups in folded)
-            osp.set_tag("rows", counters_out[0])
-            osp.set_tag("batches", counters_out[1])
-            charge_groups(sum(len(groups) for groups in folded),
-                          "MultiGroupAggregate")
-            return _fill_domains(plan, results)
-
-    # -- morsel-driven parallel aggregation ---------------------------
-    def _morsel_partition(self, node, keys, rows: list[int], measure,
-                          aggregate: str) -> list[dict]:
-        """The chunked/morselised :meth:`_partition_groups` analogue for
-        one single-column key: returns merged per-group *states* (the
-        caller finalizes), recording the same ``Partition`` span and
-        counters the row-id path records."""
-        check_deadline("Partition")
-        with op_span(node) as osp, self.counters.timed("Partition") as out:
-            states, morsels, chunks = self._morsel_states(
-                keys, rows, measure, aggregate, "Partition")
-            out[0] = len(states[0])
-            out[1] = chunks
-            out[2] = chunks
-            out[4] = morsels
+            with self.counters.timed("MultiGroupAggregate") as out:
+                states = self._group_states(keys, rows, measure,
+                                            plan.aggregate,
+                                            "MultiGroupAggregate", out)
+                results = {
+                    key.fingerprint(): finalize_group_states(plan.aggregate,
+                                                             groups)
+                    for key, groups in zip(keys, states)
+                }
+                out[0] = sum(len(groups) for groups in states)
             osp.set_tag("rows", out[0])
             osp.set_tag("batches", out[1])
-            osp.set_tag("chunks_scanned", chunks)
-            osp.set_tag("morsels", morsels)
-        return states
+            charge_groups(out[0], "MultiGroupAggregate")
+            return _fill_domains(plan, results)
 
-    def _morsel_states(self, keys, rows: list[int], measure,
-                       aggregate: str, stage: str):
-        """Run one fused scan-aggregate as morsels of whole chunks.
+    def _group_states(self, keys, rows: list[int], measure, aggregate: str,
+                      stage: str, out) -> list[dict]:
+        """Per-key ``value → state`` dicts over ``rows``: the one grouped
+        kernel, walking the keys' encoded fact chunks serially.
 
-        The chunk list is packed into ~:data:`MORSEL_ROWS`-row morsels;
-        each morsel accumulates fresh per-key partial states (deadline
-        checked and rows charged per morsel, one tracer span per
-        morsel).  With ``workers > 1`` the morsels run on a thread pool
-        — each task under ``contextvars.copy_context()`` so the ambient
-        budget and tracer propagate — and the partial states merge in
-        morsel-index order, making the result deterministic and
-        independent of completion order.  Serial execution accumulates
-        into one shared state dict in row order, which is bit-identical
-        to the pre-chunk fold semantics.
-
-        Returns ``(states_list, num_morsels, num_chunks)``.
+        The deadline is checked per chunk and every chunk counts as one
+        batch in ``out`` (the counter slot list).  No rows are charged
+        here: the row-producing child already charged them.
         """
-        key_chunk_lists = [self.schema.fact_chunks(k.path, k.column)
-                           for k in keys]
-        row_ids = (None if len(rows) == self.schema.num_fact_rows
-                   else rows)
-        morsels = _pack_morsels(key_chunk_lists[0], row_ids)
-        num_chunks = sum(len(items) for _, items in morsels)
-        acc = AGGREGATE_STATES[aggregate]
-        tracer = current_tracer()
+        def on_chunk(_rows: int) -> None:
+            check_deadline(stage)
+            out[1] += 1
 
-        def run_morsel(index: int, total: int, items, states) -> None:
-            with tracer.span("morsel") as span:
-                span.set_tag("morsel", index)
-                span.set_tag("rows", total)
-                span.set_tag("stage", stage)
-                check_deadline(stage)
-                charge_rows(total, stage)
-                for ci, sub in items:
-                    for chunks, target in zip(key_chunk_lists, states):
-                        accumulate_chunk(acc, target, chunks[ci],
-                                         measure, sub)
-
-        workers = min(self.workers, len(morsels))
-        if workers < 2:
-            states = [{} for _ in keys]
-            for index, (total, items) in enumerate(morsels):
-                run_morsel(index, total, items, states)
-            return states, len(morsels), num_chunks
-
-        def task(index: int, total: int, items) -> list[dict]:
-            states = [{} for _ in keys]
-            run_morsel(index, total, items, states)
-            return states
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(copy_context().run, task, index, total, items)
-                for index, (total, items) in enumerate(morsels)
-            ]
-            partials = [future.result() for future in futures]
-        merged = partials[0]
-        for other in partials[1:]:
-            for into, part in zip(merged, other):
-                merge_group_states(aggregate, into, part)
-        return merged, len(morsels), num_chunks
+        return chunked_group_states(
+            [self.schema.fact_chunks(k.path, k.column) for k in keys],
+            measure, aggregate, row_ids=rows, on_chunk=on_chunk)
 
     def _measure_values(self, plan: GroupAggregate) -> list:
         """Per-fact-row measure values, memoised by canonical measure SQL.
@@ -599,42 +490,6 @@ class InMemoryBackend:
         """Nothing to release."""
 
 
-def _pack_morsels(chunks: Sequence, row_ids: list[int] | None
-                  ) -> list[tuple[int, list[tuple[int, list[int] | None]]]]:
-    """Pack a (possibly filtered) chunked selection into morsels.
-
-    Returns ``(row_count, [(chunk_index, sub_selection_or_None), ...])``
-    per morsel: runs of whole chunks (``row_ids=None``) or of per-chunk
-    sub-selections, greedily grouped until a morsel reaches
-    :data:`MORSEL_ROWS` candidate rows.  Morsels never split a chunk, so
-    encoding fast paths stay available inside every morsel.
-    """
-    morsels: list[tuple[int, list]] = []
-    current: list[tuple[int, list[int] | None]] = []
-    count = 0
-    if row_ids is None:
-        pairs = ((index, None, len(chunk))
-                 for index, chunk in enumerate(chunks))
-    else:
-        size = chunks[0].stop if chunks else 1
-        pairs = (
-            (index,
-             None if len(sub) == len(chunks[index]) else sub,
-             len(sub))
-            for index, sub in vector.split_selection(row_ids, size)
-        )
-    for index, sub, rows in pairs:
-        current.append((index, sub))
-        count += rows
-        if count >= MORSEL_ROWS:
-            morsels.append((count, current))
-            current = []
-            count = 0
-    if current:
-        morsels.append((count, current))
-    return morsels
-
-
 # ----------------------------------------------------------------------
 # sqlite backend
 # ----------------------------------------------------------------------
@@ -646,8 +501,9 @@ class SqliteBackend:
     sessions should not pay).
 
     **Thread affinity**: the mirror hands each thread its own sqlite3
-    connection, so a live backend may be queried from worker threads
-    (the session's ray-prefetch pool does).  But connections are only
+    connection, so a live backend may be queried from any thread (a
+    service worker thread other than the one that built it, say).  But
+    connections are only
     released at :meth:`close`, so short-lived threads leak one
     connection each — long-running servers must pin one session (and
     thus one backend) per *long-lived* worker thread.  Using a closed
@@ -840,13 +696,9 @@ BACKENDS = {
 """Backend registry addressable by name (the CLI's ``--backend`` flag)."""
 
 
-def create_backend(schema: StarSchema, backend: str | ExecutionBackend,
-                   workers: int | None = None) -> ExecutionBackend:
-    """Resolve a backend name (or pass an instance through).
-
-    ``workers`` sizes the in-memory backend's morsel pool; backends
-    without intra-query parallelism ignore it.
-    """
+def create_backend(schema: StarSchema,
+                   backend: str | ExecutionBackend) -> ExecutionBackend:
+    """Resolve a backend name (or pass an instance through)."""
     if isinstance(backend, str):
         try:
             factory = BACKENDS[backend]
@@ -854,7 +706,5 @@ def create_backend(schema: StarSchema, backend: str | ExecutionBackend,
             raise ValueError(
                 f"unknown backend {backend!r}; "
                 f"choose from {sorted(BACKENDS)}") from None
-        if workers is not None and factory is InMemoryBackend:
-            return factory(schema, workers=workers)
         return factory(schema)
     return backend

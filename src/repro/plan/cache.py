@@ -49,8 +49,8 @@ class PlanCache:
         self.max_entries = max_entries
         self._entries: OrderedDict = OrderedDict()
         # LRU reordering mutates the OrderedDict on *reads*, so lookups
-        # from engine worker threads (parallel differentiate) must not
-        # interleave with each other or with inserts
+        # from concurrent callers must not interleave with each other or
+        # with inserts
         self._lock = threading.Lock()
         self.stats = CacheStats()
 

@@ -64,23 +64,17 @@ class FusionStats:
 class QueryEngine:
     """Evaluate logical plans with caching over a pluggable backend.
 
-    ``fuse_partitions`` controls whether
-    :meth:`multi_partition_aggregates` actually fuses: with the default
-    True, N group-bys over one subspace become a single
-    ``MultiGroupAggregate`` plan (one scan in memory, one batched
-    statement on sqlite); False falls back to N independent single-key
-    queries — kept for benchmarking the fusion win and as an escape
-    hatch.
+    :meth:`multi_partition_aggregates` always fuses: N group-bys over one
+    subspace become a single ``MultiGroupAggregate`` plan (one scan in
+    memory, one batched statement on sqlite).
     """
 
     def __init__(self, schema, backend: str | ExecutionBackend = "memory",
-                 max_cache_entries: int = 4096, fuse_partitions: bool = True,
-                 workers: int | None = None,
+                 max_cache_entries: int = 4096,
                  materialize: bool | object = False):
         self.schema = schema
-        self.backend = create_backend(schema, backend, workers=workers)
+        self.backend = create_backend(schema, backend)
         self.cache = PlanCache(max_entries=max_cache_entries)
-        self.fuse_partitions = fuse_partitions
         self.fusion = FusionStats()
         self._fusion_lock = threading.Lock()
         # the materialization tier answers partition aggregates from
@@ -135,9 +129,7 @@ class QueryEngine:
         grow.  Every cache access is therefore keyed by the database
         epoch — the sum of all table version counters, monotonic under
         the append-only contract — and a mutation simply strands the old
-        epoch's entries for LRU eviction.  External caches that share
-        entries with this engine (:class:`~repro.warehouse.cube_cache.
-        AggregateCache`) must key through this method too.
+        epoch's entries for LRU eviction.
         """
         return (sum(table.version
                     for table in self.schema.database.tables()),
@@ -303,12 +295,11 @@ class QueryEngine:
         """One value→aggregate dict per group-by, over one subspace.
 
         Semantically identical to calling
-        :meth:`subspace_partition_aggregates` once per ``gb``, but with
-        :attr:`fuse_partitions` on the engine executes a single
-        ``MultiGroupAggregate`` plan: the subspace's rows are scanned
-        (memory) or shipped to SQL (sqlite) **once** for all group-bys
-        instead of once per group-by.  ``domains``, when given, aligns
-        with ``gbs`` (None entries meaning unrestricted).
+        :meth:`subspace_partition_aggregates` once per ``gb``, but
+        executes a single ``MultiGroupAggregate`` plan: the subspace's
+        rows are scanned (memory) or shipped to SQL (sqlite) **once** for
+        all group-bys instead of once per group-by.  ``domains``, when
+        given, aligns with ``gbs`` (None entries meaning unrestricted).
         """
         gbs = list(gbs)
         if domains is None:
@@ -325,12 +316,6 @@ class QueryEngine:
             return [
                 {} if dk is None else {value: fill for value in dk}
                 for dk in domain_keys
-            ]
-        if not self.fuse_partitions:
-            return [
-                self.subspace_partition_aggregates(
-                    subspace, gb, measure_name, domain=dk)
-                for gb, dk in zip(gbs, domain_keys)
             ]
         results: list[dict | None] = [None] * len(gbs)
         # key fingerprint -> (gb, domain, single fp, result slots);

@@ -38,8 +38,8 @@ from typing import Iterable, Sequence
 
 CHUNK_SIZE = 4096
 """Rows per encoded chunk (matches the executor's batch size, so one
-chunk is one unit of budget charging, zone-map pruning, and morsel
-scheduling)."""
+chunk is one unit of budget charging, zone-map pruning, and deadline
+checking)."""
 
 DICT_MAX_CARD = 256
 """A chunk is dictionary-encoded only below this distinct-value count

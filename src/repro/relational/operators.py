@@ -193,69 +193,20 @@ AGGREGATES: dict[str, Callable] = {
 """Aggregate functions addressable by name (used by measures and SQL gen)."""
 
 
-def fused_group_aggregates(
-    rows: Iterable[int],
-    vectors: Sequence[Sequence],
-    measure_values: Sequence,
-    aggregate: str,
-    on_chunk: Callable[[int], None] | None = None,
-    chunk_size: int = 8192,
-) -> list[dict]:
-    """Per-group aggregates for N key vectors over one shared row set.
-
-    The fused equivalent of N separate partition-then-fold evaluations:
-    the row set is materialised once and each chunk is partitioned per
-    key with the :func:`~repro.relational.vector.group_rows` kernel (a
-    single tight loop per key, not one interpreted dispatch per row).
-    NULL keys are dropped per key (a row excluded from one partitioning
-    still counts in the others) and NULL measures are ignored inside
-    every group, exactly matching the per-key :data:`AGGREGATES` folds
-    — sum/count of an all-NULL group are 0, avg/min/max are None.
-
-    ``on_chunk`` (if given) receives each chunk's row count before the
-    chunk is folded, so long scans can cooperatively honour deadlines
-    and charge budgets at batch granularity.
-    """
-    if aggregate not in AGGREGATES:
-        raise KeyError(aggregate)
-    if not isinstance(rows, (list, tuple)):
-        rows = list(rows)
-    fn = AGGREGATES[aggregate]
-    partitions: list[dict] = [{} for _ in vectors]
-    for start in range(0, len(rows), chunk_size):
-        if on_chunk is not None:
-            on_chunk(min(chunk_size, len(rows) - start))
-        batch = rows[start:start + chunk_size]
-        for key_vector, groups in zip(vectors, partitions):
-            part = vector.group_rows(key_vector, batch)
-            if not groups:
-                groups.update(part)
-                continue
-            for value, ids in part.items():
-                known = groups.get(value)
-                if known is None:
-                    groups[value] = ids
-                else:
-                    known.extend(ids)
-    return [
-        {value: vector.fold(fn, measure_values, ids)
-         for value, ids in groups.items()}
-        for groups in partitions
-    ]
-
-
 # ----------------------------------------------------------------------
 # mergeable aggregate states over encoded chunks
 # ----------------------------------------------------------------------
 class AggregateStates:
     """Mergeable partial states for one aggregate function.
 
-    Each group's state is a small mutable list so partial aggregation
-    can run per morsel and the per-morsel dicts merge afterwards.  The
-    accumulation loops add measure values *in ascending row order*, so a
-    serial pass over chunks produces bit-identical floats to the
-    :data:`AGGREGATES` folds it replaces; only a cross-morsel
-    :meth:`merge` re-associates additions (at morsel boundaries).
+    Each group's state is a small mutable list, so partial states (a
+    materialized view and its append delta, or finer views rolled up)
+    merge afterwards.  The accumulation loops add measure values *in
+    ascending row order*, except that an RLE run is folded as one
+    C-level ``sum`` before it joins its group's state; every caller
+    shares these loops, so a scan, the unbound subspace path, and a
+    materialized view agree bit for bit.  Only :meth:`merge`
+    re-associates additions.
 
     Group-existence semantics match :func:`~repro.relational.vector.
     group_rows` + fold exactly: a group exists whenever its (non-NULL)
@@ -603,23 +554,23 @@ def chunked_group_states(
     aggregate: str,
     row_ids: Sequence[int] | None = None,
     on_chunk: Callable[[int], None] | None = None,
-    states_list: Sequence[dict] | None = None,
 ) -> list[dict]:
     """Fused group-aggregate states for N key columns over one shared
     selection, walking index-aligned encoded chunks in a single pass.
 
-    The chunked, mergeable-state successor of
-    :func:`fused_group_aggregates`: instead of materialising per-group
+    The one grouped-aggregate kernel: instead of materialising per-group
     row-id lists and folding them, every chunk accumulates directly into
-    per-key ``value → state`` dicts (``states_list``, fresh by default —
-    pass a previous result to continue accumulating).  ``on_chunk``
-    receives each chunk's candidate-row count before it is processed,
-    the budget/deadline hook of the morsel loop.
+    fresh per-key ``value → state`` dicts.  ``row_ids`` must be ascending
+    (None means every row); a chunk the selection covers whole takes the
+    encoding's fast loop.  ``on_chunk`` receives each chunk's
+    candidate-row count before it is processed — the caller's deadline
+    hook.
     """
     acc = AGGREGATE_STATES[aggregate]
-    states: list[dict] = ([{} for _ in key_chunk_lists]
-                          if states_list is None else list(states_list))
+    states: list[dict] = [{} for _ in key_chunk_lists]
     first = key_chunk_lists[0]
+    if row_ids is not None and first and len(row_ids) == first[-1].stop:
+        row_ids = None      # ascending and complete: skip the split
     if row_ids is None:
         for index, chunk in enumerate(first):
             if on_chunk is not None:
@@ -639,9 +590,9 @@ def chunked_group_states(
 
 
 def merge_group_states(aggregate: str, into: dict, other: dict) -> None:
-    """Merge one partial ``value → state`` dict into another (the morsel
-    merge protocol; insertion order of ``into`` is preserved, new keys
-    append in ``other``'s order)."""
+    """Merge one partial ``value → state`` dict into another (insertion
+    order of ``into`` is preserved, new keys append in ``other``'s
+    order)."""
     acc = AGGREGATE_STATES[aggregate]
     merge = acc.merge
     get = into.get

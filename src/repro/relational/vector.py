@@ -246,12 +246,6 @@ def is_subset_sorted(inner: Sequence[int], outer: Sequence[int]) -> bool:
     return True
 
 
-def fold(aggregate_fn, values: Sequence, row_ids: Iterable[int]) -> object:
-    """Apply one :data:`~repro.relational.operators.AGGREGATES` fold to a
-    gathered measure slice (the batch form of per-row accumulation)."""
-    return aggregate_fn([values[r] for r in row_ids])
-
-
 # ----------------------------------------------------------------------
 # chunk-aware kernels (encoded columns + zone-map skipping)
 # ----------------------------------------------------------------------

@@ -74,8 +74,8 @@ class Budget:
         self.max_interpretations = max_interpretations
         self._clock = clock
         self._started = clock()
-        # one budget may be charged from several engine worker threads
-        # (parallel differentiate); charges must stay read-check atomic
+        # a budget handed to several threads must not over-admit:
+        # charges stay read-check atomic
         self._lock = threading.Lock()
         self.rows_scanned = 0
         self.groups_seen = 0

@@ -159,8 +159,7 @@ class ResilientBackend:
         Every attempt — including the first — runs inside a
         ``retry.attempt`` span, so a traced query shows the whole retry
         ladder as child spans with error tags under the originating
-        query span (worker threads included: the tracer rides the same
-        copied context the budget does).
+        query span.
         """
         tracer = current_tracer()
         delays = list(self.policy.delays()) + [None]

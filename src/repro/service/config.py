@@ -60,10 +60,6 @@ class ServiceConfig:
     resilient:
         Wrap each worker's backend in retry + failover
         (:func:`~repro.resilience.create_resilient_backend`).
-    session_workers:
-        ``workers=`` passed to each :class:`KdapSession` (intra-query
-        parallelism: ray prefetch, morsel scans).  The default of 1
-        keeps thread fan-out = ``workers`` exactly.
     chaos_error_rate / chaos_latency_s / chaos_seed:
         When ``chaos_error_rate > 0`` or ``chaos_latency_s > 0``, each
         worker's primary backend is wrapped in a seeded
@@ -123,7 +119,6 @@ class ServiceConfig:
     drain_deadline_s: float = 10.0
     backend: str = "memory"
     resilient: bool = False
-    session_workers: int = 1
     chaos_error_rate: float = 0.0
     chaos_latency_s: float = 0.0
     chaos_seed: int = 0

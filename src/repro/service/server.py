@@ -288,10 +288,8 @@ class KdapService:
         elif config.resilient:
             backend = create_resilient_backend(self.schema, config.backend)
         else:
-            backend = create_backend(self.schema, config.backend,
-                                     workers=config.session_workers)
+            backend = config.backend
         return KdapSession(self.schema, index=self.index, backend=backend,
-                           workers=config.session_workers,
                            slow_query_ms=config.slow_query_ms,
                            materialize=(self.tier if self.tier is not None
                                         else False))

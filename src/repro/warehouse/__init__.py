@@ -17,7 +17,6 @@ from .graph import (
     SchemaGraph,
     path_from_fk_names,
 )
-from .cube_cache import AggregateCache, CacheStats
 from .describe import describe_schema, schema_statistics
 from .materialize import (
     FULL_SCOPE,
@@ -40,10 +39,8 @@ from .schema import (
 from .subspace import Subspace
 
 __all__ = [
-    "AggregateCache",
     "AttributeKind",
     "AttributeRef",
-    "CacheStats",
     "Dimension",
     "EMPTY_PATH",
     "FULL_SCOPE",

@@ -176,9 +176,10 @@ class StarSchema:
         self.graph = SchemaGraph(database)
         self._validate()
         # caches -------------------------------------------------------
-        # lock-guarded: ray-prefetch and morsel workers resolve vectors
-        # and chunks concurrently, and an unguarded dict fill would let
-        # two threads race to (re)compute the same entry.
+        # lock-guarded: the service's worker sessions share one schema
+        # and resolve vectors and chunks concurrently, and an unguarded
+        # dict fill would let two threads race to (re)compute the same
+        # entry.
         # Every entry is version-stamped: fact-aligned entries carry the
         # versions of the non-fact tables behind them plus the fact row
         # count at fill time (append-only tables ⇒ an unchanged prefix),

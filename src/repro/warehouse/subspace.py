@@ -8,9 +8,9 @@ A subspace may additionally be *engine-bound* (``engine`` set to a
 :class:`~repro.plan.engine.QueryEngine`): aggregation and partitioning
 then go through the engine's logical-plan layer — picking up plan-level
 caching and whichever execution backend the engine runs — while unbound
-subspaces fall back to the local loops over the schema's cached
-fact-aligned vectors.  Results are identical either way; the binding only
-chooses the evaluation path.
+subspaces run the same grouped kernel locally over the schema's cached
+fact-aligned column chunks.  Results are identical either way; the
+binding only chooses the evaluation path.
 """
 
 from __future__ import annotations
@@ -19,7 +19,11 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 from ..relational import vector as vec
-from ..relational.operators import AGGREGATES, fused_group_aggregates
+from ..relational.operators import (
+    AGGREGATES,
+    chunked_group_states,
+    finalize_group_states,
+)
 from .schema import GroupByAttribute, StarSchema
 
 
@@ -132,19 +136,8 @@ class Subspace:
         if self.engine is not None:
             return self.engine.subspace_partition_aggregates(
                 self, gb, measure_name, domain=domain)
-        measure = self.schema.measures[measure_name]
-        values = self.schema.measure_vector(measure_name)
-        fn = AGGREGATES[measure.aggregate]
-        groups = self.partition(gb)
-        if domain is None:
-            return {
-                value: fn(vec.take(values, rows))
-                for value, rows in groups.items()
-            }
-        return {
-            value: fn(vec.take(values, groups.get(value, ())))
-            for value in domain
-        }
+        return self.multi_partition_aggregates([gb], measure_name,
+                                               domains=[domain])[0]
 
     def multi_partition_aggregates(
         self,
@@ -157,9 +150,11 @@ class Subspace:
         Engine-bound subspaces route through
         :meth:`~repro.plan.engine.QueryEngine.multi_partition_aggregates`
         (one plan, one scan or one batched SQL statement for all
-        group-bys); unbound subspaces run the same one-pass fused kernel
-        locally over the schema's fact-aligned vectors.  ``domains``
-        aligns with ``gbs`` when given (None entries unrestricted).
+        group-bys); unbound subspaces run the memory backend's grouped
+        kernel (:func:`~repro.relational.operators.chunked_group_states`)
+        locally over the schema's encoded fact chunks, so both paths add
+        the same floats in the same order.  ``domains`` aligns with
+        ``gbs`` when given (None entries unrestricted).
         """
         gbs = list(gbs)
         if self.engine is not None:
@@ -171,18 +166,16 @@ class Subspace:
         if len(domain_keys) != len(gbs):
             raise ValueError("domains must align one-to-one with gbs")
         measure = self.schema.measures[measure_name]
-        fill = AGGREGATES[measure.aggregate](())
         if self.is_empty or not gbs:
+            fill = AGGREGATES[measure.aggregate](())
             return [
                 {} if dk is None else {value: fill for value in dk}
                 for dk in domain_keys
             ]
-        vectors = [self.schema.groupby_vector(gb) for gb in gbs]
-        measure_values = self.schema.measure_vector(measure_name)
-        fused = fused_group_aggregates(
-            self.fact_rows, vectors, measure_values, measure.aggregate)
-        return [
-            groups if dk is None
-            else {value: groups.get(value, fill) for value in dk}
-            for groups, dk in zip(fused, domain_keys)
-        ]
+        states = chunked_group_states(
+            [self.schema.fact_chunks(gb.path_from_fact, gb.ref.column)
+             for gb in gbs],
+            self.schema.measure_vector(measure_name), measure.aggregate,
+            row_ids=self.fact_rows)
+        return [finalize_group_states(measure.aggregate, groups, dk)
+                for groups, dk in zip(states, domain_keys)]

@@ -2,12 +2,14 @@
 
 ``explore "Silver"`` / ``"Blue"`` on the scale star tie exactly on
 several scores (correlation ±1 against a roll-up to ALL; the two shares
-of a two-valued attribute deviate by ±the same amount).  Which path
-answered an aggregate — scan, plan cache, tier roll-up, which worker's
-session — changes its last bits, and un-quantised sort keys let those
-bits pick the facets.  The replay below runs the two queries between
-other requests, in shuffled orders, alternating over two fresh sessions
-(sharing one tier, or with the tier off) and demands one answer.
+of a two-valued attribute deviate by ±the same amount).  If the path
+that answered an aggregate — scan, plan cache, tier view, which worker's
+session — changed its last bits, those bits would pick the facets and
+their entry order.  Attribute ranking sorts on quantised scores; entry
+order relies on every path adding the same floats in the same order.
+The replay below runs the two queries between other requests, in
+shuffled orders, alternating over two fresh sessions (sharing one tier,
+or with the tier off) and demands one answer.
 """
 
 import random
@@ -57,11 +59,9 @@ def test_selected_attributes_do_not_depend_on_cache_state(replays, query):
     assert len(selections) == 1, selections
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "instance ranking still compares raw |score|: quantising it reorders "
-    "exact ± ties in 9 committed scale.explore_cold ledger goldens, which "
-    "this PR may not move (ISSUE 14) — fix together with a golden refresh"))
 def test_entry_order_does_not_depend_on_cache_state(replays):
+    # instance ranking compares raw |score|; it is stable because every
+    # path (scan, plan cache, tier view) runs the one grouped kernel
     for query in TIED:
         orders = {labels for _, labels in replays[query]}
         assert len(orders) == 1, (query, orders)

@@ -5,7 +5,7 @@ domains, the star net built from them must produce the same aggregate
 through all three execution paths:
 
 * subspace evaluation (semi-join chains over fact-row sets),
-* the in-memory JoinQuery executor (hash-join trees),
+* the pinned in-memory JoinQuery oracle (hash-join trees),
 * sqlite running the generated SQL.
 """
 
@@ -14,9 +14,10 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core import HitGroup, Ray, StarNet
 from repro.relational import SqliteBackend
-from repro.relational.executor import execute_join_query
 from repro.textindex import SearchHit
 from repro.warehouse import path_from_fk_names
+
+from ..relational.join_oracle import execute_join_query
 
 GROUPS = ["LCD Projectors", "DLP Projectors", "Flat Panel(LCD)",
           "CRT Monitors", "LCD TVs", "Plasma TVs", "VCR", "DVD Players"]

@@ -1,7 +1,7 @@
-"""Spans must survive worker threads and the retry/failover ladder.
+"""Spans must nest under the phase that caused them, across the
+retry/failover ladder too.
 
-The tracer and current-span context variables ride
-``contextvars.copy_context().run`` into the ray-prefetch pool, and the
+Subspace-size previews evaluate rays inside ``preview.sizes``, and the
 resilience wrapper opens ``retry.attempt`` / ``backend.failover`` spans
 inline — both must parent under the originating query's span tree.
 """
@@ -35,37 +35,29 @@ def _span_names(node: dict) -> set[str]:
     return names
 
 
-class TestWorkerThreadPropagation:
-    def test_prefetch_spans_parent_under_the_query_span(self):
-        schema = build_aw_online(num_facts=2000, seed=42)
-        tracer = Tracer()
-        with KdapSession(schema, workers=4) as session:
-            with tracing_scope(tracer):
-                session.differentiate("bikes australia",
-                                      preview_sizes=True)
-        tree = tracer.to_tree()
-        assert [root["name"] for root in tree] == ["differentiate"]
-        preview = _find_all(tree, "preview.sizes")
-        assert preview, "preview.sizes span missing"
-        prefetches = _find_all(preview, "ray.prefetch")
-        assert len(prefetches) >= 2
-        # prefetch tasks really ran on other threads, yet their spans
-        # sit inside the single differentiate root
-        main_thread = tree[0]["thread"]
-        assert any(span["thread"] != main_thread for span in prefetches)
+def _traced_preview() -> list[dict]:
+    schema = build_aw_online(num_facts=2000, seed=42)
+    tracer = Tracer()
+    with KdapSession(schema) as session:
+        with tracing_scope(tracer):
+            session.differentiate("bikes australia", preview_sizes=True)
+    return tracer.to_tree()
 
-    def test_worker_operator_spans_nest_under_prefetch(self):
-        schema = build_aw_online(num_facts=2000, seed=42)
-        tracer = Tracer()
-        with KdapSession(schema, workers=4) as session:
-            with tracing_scope(tracer):
-                session.differentiate("bikes australia",
-                                      preview_sizes=True)
-        prefetches = _find_all(tracer.to_tree(), "ray.prefetch")
-        # at least one prefetch did real work: its engine evaluation
-        # (plan.materialize -> op.*) hangs below the prefetch span
-        nested = set().union(*(_span_names(p) for p in prefetches))
-        assert "plan.materialize" in nested
+
+class TestPreviewSpans:
+    def test_preview_spans_parent_under_the_query_span(self):
+        tree = _traced_preview()
+        assert [root["name"] for root in tree] == ["differentiate"]
+        assert len(_find_all(tree, "preview.sizes")) == 1
+        # sizing evaluates each distinct ray on the caller's thread
+        assert {span["thread"] for span in _find_all(tree, "op.SemiJoin")} \
+            == {tree[0]["thread"]}
+
+    def test_ray_evaluation_nests_under_preview_sizes(self):
+        (preview,) = _find_all(_traced_preview(), "preview.sizes")
+        # the rays' engine work (plan.materialize -> op.*) hangs below
+        # the preview span
+        assert "plan.materialize" in _span_names(preview)
 
 
 class _FlakyThenGood:

@@ -336,38 +336,52 @@ class TestBudgets:
 
     @pytest.mark.parametrize("backend", ["memory", "sqlite"])
     def test_fused_and_unfused_truncate_alike(self, ebiz, backend):
-        """Under the same group budget, both execution strategies raise
-        the same typed error for the same reason (the budget contract
-        does not depend on the fusion flag)."""
+        """Under the same group budget, the fused call and one
+        single-key call per group-by raise the same typed error for the
+        same reason (the budget contract does not depend on fusion)."""
         gbs = [ebiz.groupby_attribute(*choice) for choice in EBIZ_GBS]
         reasons = {}
-        for fuse in (True, False):
-            engine = QueryEngine(ebiz, backend=backend,
-                                 fuse_partitions=fuse)
+        for fused in (True, False):
+            engine = QueryEngine(ebiz, backend=backend)
             sub = Subspace.full(ebiz, engine=engine)
-            budget = Budget(max_groups=1)
-            with budget_scope(budget):
+            with budget_scope(Budget(max_groups=1)):
                 with pytest.raises(BudgetExceeded) as excinfo:
-                    engine.multi_partition_aggregates(sub, gbs, "revenue")
-            reasons[fuse] = excinfo.value.reason
+                    if fused:
+                        engine.multi_partition_aggregates(sub, gbs,
+                                                          "revenue")
+                    else:
+                        for gb in gbs:
+                            engine.subspace_partition_aggregates(
+                                sub, gb, "revenue")
+            reasons[fused] = excinfo.value.reason
             engine.close()
         assert reasons[True] == reasons[False] == "groups"
 
     def test_explore_truncation_events_match_unfused(self, ebiz):
         """A budgeted explore degrades to the same TruncationEvent stages
-        whether or not partition fusion is enabled."""
+        whether facets fuse their group-bys or ask one at a time."""
         from repro.core import KdapSession
 
+        class Unfused(QueryEngine):
+            def multi_partition_aggregates(self, subspace, gbs,
+                                           measure_name, domains=None):
+                gbs = list(gbs)
+                domains = domains or [None] * len(gbs)
+                return [self.subspace_partition_aggregates(
+                            subspace, gb, measure_name, domain=domain)
+                        for gb, domain in zip(gbs, domains)]
+
         stages = {}
-        for fuse in (True, False):
-            session = KdapSession(ebiz, workers=1)
-            session.engine.fuse_partitions = fuse
+        for fused in (True, False):
+            session = KdapSession(ebiz)
+            if not fused:
+                session.engine = Unfused(ebiz, materialize=True)
             ranked = session.differentiate("projectors seattle")
             assert ranked
             budget = Budget(max_groups=50)
             result = session.explore(ranked[0].star_net, budget=budget)
             assert result.is_partial
-            stages[fuse] = [e.stage for e in budget.events]
+            stages[fused] = [e.stage for e in budget.events]
             session.close()
         assert stages[True] == stages[False]
 

@@ -1,4 +1,4 @@
-"""In-memory JoinQuery execution, cross-checked against sqlite."""
+"""The pinned in-memory JoinQuery oracle, cross-checked against sqlite."""
 
 import pytest
 
@@ -13,7 +13,8 @@ from repro.relational import (
     isin,
 )
 from repro.relational.errors import SchemaError
-from repro.relational.executor import execute_join_query
+
+from .join_oracle import execute_join_query
 
 
 @pytest.fixture(scope="module")

@@ -10,6 +10,8 @@ import os
 import signal
 import threading
 
+import pytest
+
 from repro.cli import _build_parser, _serve_config
 from repro.service import KdapService, ServiceConfig, serve_until_signalled
 
@@ -21,7 +23,7 @@ class TestFlagMapping:
         args = _build_parser().parse_args([
             "--deadline-ms", "1500", "--max-rows", "99",
             "--max-interpretations", "3", "--backend", "sqlite",
-            "--resilient", "--workers", "2",
+            "--resilient",
             "serve", "--pool-workers", "3", "--queue-depth", "5",
             "--enqueue-deadline-ms", "250", "--drain-deadline-s", "1.5",
             "--chaos-error-rate", "0.2", "--chaos-seed", "7",
@@ -33,7 +35,6 @@ class TestFlagMapping:
         assert config.max_interpretations == 3
         assert config.backend == "sqlite"
         assert config.resilient is True
-        assert config.session_workers == 2
         assert config.workers == 3
         assert config.queue_depth == 5
         assert config.enqueue_deadline_ms == 250.0
@@ -46,8 +47,12 @@ class TestFlagMapping:
         args = _build_parser().parse_args(["serve"])
         config = _serve_config(args)
         assert config.max_deadline_ms == 30_000.0  # never unbounded
-        assert config.session_workers == 1
         assert config.workers == 4
+
+    def test_no_intra_query_thread_flag(self):
+        # sessions run serially; only the service pool is sized
+        with pytest.raises(SystemExit):
+            _build_parser().parse_args(["--workers", "2", "serve"])
 
 
 class TestSignalDrain:

@@ -132,11 +132,12 @@ def rescore_group(group: HitGroup, index: AttributeTextIndex,
     multi-keyword instances dominate; retrieval-time scores were per
     keyword only.
     """
+    scores = index.score_values(group.table, group.attribute, group.values,
+                                query)
     hits = tuple(
-        SearchHit(h.table, h.attribute, h.value,
-                  index.score_value(h.table, h.attribute, h.value, query),
+        SearchHit(h.table, h.attribute, h.value, score,
                   retrieval_score=h.raw_score)
-        for h in group.hits
+        for h, score in zip(group.hits, scores)
     )
     return HitGroup(group.table, group.attribute, hits, group.keywords)
 

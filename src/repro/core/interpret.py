@@ -44,6 +44,7 @@ from .generation import (
     split_query,
     valid_ray_paths,
 )
+from .hits import HitGroup
 from .matching import (
     DEFAULT_MATCHERS,
     EMPTY_MODIFIER,
@@ -217,36 +218,78 @@ def enumerate_interpretations(
     Mirrors the legacy two-level enumeration (seed cross product, then
     join-path cross product) with the same caps, budget charging, and
     truncation messages, generalised to mixed candidate kinds.
-    """
-    budget = current_budget()
-    seeds: list[tuple] = []
-    seen_seeds: set[tuple] = set()
-    for combo in itertools.islice(
-        itertools.product(*[slot.candidates for slot in slots]),
-        config.max_seeds * 4,
-    ):
-        if budget is not None:
-            try:
-                budget.check_deadline("generation")
-            except ResourceExhausted as exc:
-                budget.record_truncation(
-                    "generation", exc.reason,
-                    f"seed enumeration stopped after {len(seeds)} seeds")
-                break
-        groups, attributes, measures, modifier, confidence = \
-            _combine(combo)
-        merged = merge_seed_groups(groups, index) if groups else ()
-        merged = tuple(rescore_group(g, index, query) for g in merged)
-        key = (tuple(sorted((g.domain, g.values) for g in merged)),
-               _hint_key(attributes, measures, modifier))
-        if key in seen_seeds:
-            continue
-        seen_seeds.add(key)
-        seeds.append((merged, attributes, measures, modifier,
-                      confidence, combo))
-        if len(seeds) >= config.max_seeds:
-            break
 
+    Each hit is scored against the query once per call.  Three memos
+    live only for the call: the rescored group per (domain, values,
+    keywords); the merged, rescored seed per set of value hit groups,
+    keyed by the groups' identities (the slots keep them alive for the
+    whole call, and hashing a :class:`HitGroup` would hash every hit);
+    and the OLAP-valid ray paths per hit table.
+    """
+    rescored: dict[tuple, HitGroup] = {}
+    merged_of: dict[tuple[int, ...], tuple] = {}
+
+    def rescore(group: HitGroup) -> HitGroup:
+        key = (group.domain, group.values, group.keywords)
+        out = rescored.get(key)
+        if out is None:
+            out = rescored[key] = rescore_group(group, index, query)
+        return out
+
+    with current_tracer().span("starnet.enumerate") as span:
+        budget = current_budget()
+        seeds: list[tuple] = []
+        seen_seeds: set[tuple] = set()
+        combos = 0
+        for combo in itertools.islice(
+            itertools.product(*[slot.candidates for slot in slots]),
+            config.max_seeds * 4,
+        ):
+            if budget is not None:
+                try:
+                    budget.check_deadline("generation")
+                except ResourceExhausted as exc:
+                    budget.record_truncation(
+                        "generation", exc.reason,
+                        f"seed enumeration stopped after {len(seeds)} seeds")
+                    break
+            combos += 1
+            groups, attributes, measures, modifier, confidence = \
+                _combine(combo)
+            group_ids = tuple(map(id, groups))
+            entry = merged_of.get(group_ids)
+            if entry is None:
+                merged = tuple(rescore(g)
+                               for g in merge_seed_groups(groups, index))
+                entry = merged_of[group_ids] = (
+                    merged, tuple(sorted((g.domain, g.values)
+                                         for g in merged)))
+            merged, shape = entry
+            key = (shape, _hint_key(attributes, measures, modifier))
+            if key in seen_seeds:
+                continue
+            seen_seeds.add(key)
+            seeds.append((merged, attributes, measures, modifier,
+                          confidence, combo))
+            if len(seeds) >= config.max_seeds:
+                break
+
+        interpretations = _star_nets(schema, seeds, measure_predicates,
+                                     config, budget)
+        span.set_tag("combos", combos)
+        span.set_tag("seeds", len(seeds))
+        span.set_tag("rescored", len(rescored))
+        span.set_tag("merges", len(merged_of))
+        span.set_tag("candidates", len(interpretations))
+    return interpretations
+
+
+def _star_nets(schema: StarSchema, seeds: list[tuple],
+               measure_predicates: tuple, config: GenerationConfig,
+               budget) -> list[Interpretation]:
+    """The join-path cross product of each seed, deduplicated and capped,
+    with :func:`valid_ray_paths` asked once per hit table."""
+    ray_paths: dict[str, list] = {}
     interpretations: list[Interpretation] = []
     seen: set[tuple] = set()
     for merged, attributes, measures, modifier, confidence, combo \
@@ -254,8 +297,10 @@ def enumerate_interpretations(
         path_options = []
         feasible = True
         for group in merged:
-            options = valid_ray_paths(schema, group.table,
-                                      config.max_path_length)
+            options = ray_paths.get(group.table)
+            if options is None:
+                options = ray_paths[group.table] = valid_ray_paths(
+                    schema, group.table, config.max_path_length)
             if not options:
                 feasible = False
                 break
@@ -342,11 +387,8 @@ def interpret_query(
     if not outcome.slots:
         return [], report
 
-    with tracer.span("starnet.enumerate") as span:
-        interpretations = enumerate_interpretations(
-            schema, index, query, outcome.slots, measure_predicates,
-            config)
-        span.set_tag("candidates", len(interpretations))
+    interpretations = enumerate_interpretations(
+        schema, index, query, outcome.slots, measure_predicates, config)
     report.interpretations = len(interpretations)
     return interpretations, report
 

@@ -37,9 +37,10 @@ def try_merge(
     phrase = " ".join(keywords)
     raw_left = {h.value: h.raw_score for h in left.hits}
     raw_right = {h.value: h.raw_score for h in right.hits}
+    values = sorted(shared_values)
+    scores = index.score_values(left.table, left.attribute, values, phrase)
     merged_hits = []
-    for value in sorted(shared_values):
-        score = index.score_value(left.table, left.attribute, value, phrase)
+    for value, score in zip(values, scores):
         # the retrieval score stays a per-keyword engine score (mean of the
         # two constituents) — the Figure 4 baseline must not benefit from
         # phrase re-scoring, which Hristidis et al. do not perform

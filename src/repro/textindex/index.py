@@ -148,13 +148,13 @@ class AttributeTextIndex:
                     if candidate != term and candidate not in forms:
                         forms.append(candidate)
             expansions[term] = forms or [term]
-        all_terms = [form for forms in expansions.values() for form in forms]
+        all_terms = {form for forms in expansions.values() for form in forms}
         doc_ids = self._index.candidate_docs(all_terms)
-        doc_freq_of = {t: self._index.doc_freq(t) for t in set(all_terms)}
+        doc_freq_of = {t: self._index.doc_freq(t) for t in all_terms}
         num_docs = max(self._index.num_docs, 1)
         hits: list[SearchHit] = []
         for doc_id in doc_ids:
-            freqs = self._index.term_freqs(doc_id, set(all_terms))
+            freqs = self._index.term_freqs(doc_id, all_terms)
             # Collapse expansions back onto their source query term so coord
             # counts *query terms matched*, not expanded forms matched.
             collapsed: dict[str, int] = {}
@@ -209,23 +209,39 @@ class AttributeTextIndex:
         The paper's star-net ranking (§4.4) scores every hit against the
         whole query — not just the keyword that retrieved it — so that
         instances matching several keywords ("San Jose") outscore
-        single-keyword matches ("San Antonio").
+        single-keyword matches ("San Antonio").  The one-value form of
+        :meth:`score_values`.
         """
-        doc_id = self._doc_ids.get((table, attribute, value))
-        if doc_id is None:
-            return 0.0
+        return self.score_values(table, attribute, (value,), query)[0]
+
+    def score_values(self, table: str, attribute: str,
+                     values: Sequence[str], query: str) -> list[float]:
+        """Sim(value, q) for each of ``values`` of one attribute domain.
+
+        Analyses the query and looks up its document frequencies once for
+        the whole batch — a hit group is scored in one call.  Unknown
+        values score 0.0.
+        """
         query_terms = self.analyzer.analyze(query)
         if not query_terms:
-            return 0.0
-        doc_freq_of = {t: self._index.doc_freq(t) for t in set(query_terms)}
-        freqs = self._index.term_freqs(doc_id, set(query_terms))
-        return self.similarity.score(
-            freqs,
-            self._index.doc_length(doc_id),
-            query_terms,
-            doc_freq_of,
-            max(self._index.num_docs, 1),
-        )
+            return [0.0] * len(values)
+        term_set = set(query_terms)
+        doc_freq_of = {t: self._index.doc_freq(t) for t in term_set}
+        num_docs = max(self._index.num_docs, 1)
+        scores = []
+        for value in values:
+            doc_id = self._doc_ids.get((table, attribute, value))
+            if doc_id is None:
+                scores.append(0.0)
+                continue
+            scores.append(self.similarity.score(
+                self._index.term_freqs(doc_id, term_set),
+                self._index.doc_length(doc_id),
+                query_terms,
+                doc_freq_of,
+                num_docs,
+            ))
+        return scores
 
     def _doc_id_of(self, hit: SearchHit) -> int | None:
         return self._doc_ids.get((hit.table, hit.attribute, hit.value))

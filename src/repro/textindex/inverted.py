@@ -2,14 +2,19 @@
 
 Documents are integers (doc ids) assigned at add time; each posting stores
 the in-document term frequency and term positions (positions enable phrase
-scoring).  A prefix trie over the vocabulary supports the "partial matches"
-the paper requires, so the query ``mount`` can reach ``mountain``.
+scoring), and each document keeps its own term → frequency map so scoring
+one document never walks a postings list.  The vocabulary, kept as a sorted
+list, supports the "partial matches" the paper requires: one binary search
+finds every term a prefix can stand for, so the query ``mount`` can reach
+``mountain``.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import defaultdict
 from dataclasses import dataclass
+from itertools import takewhile
 from typing import Iterable, Iterator
 
 
@@ -28,6 +33,9 @@ class InvertedIndex:
     def __init__(self):
         self._postings: dict[str, list[Posting]] = defaultdict(list)
         self._doc_lengths: dict[int, int] = {}
+        self._doc_term_freqs: dict[int, dict[str, int]] = {}
+        # the vocabulary in sorted order; None after new terms arrive
+        self._sorted_terms: list[str] | None = []
         self._next_doc_id = 0
 
     # ------------------------------------------------------------------
@@ -41,10 +49,14 @@ class InvertedIndex:
         for pos, term in enumerate(terms):
             positions[term].append(pos)
         for term, pos_list in positions.items():
+            if term not in self._postings:
+                self._sorted_terms = None
             self._postings[term].append(
                 Posting(doc_id, len(pos_list), tuple(pos_list))
             )
         self._doc_lengths[doc_id] = len(terms)
+        self._doc_term_freqs[doc_id] = {
+            term: len(pos_list) for term, pos_list in positions.items()}
         return doc_id
 
     # ------------------------------------------------------------------
@@ -78,10 +90,16 @@ class InvertedIndex:
         """Indexed terms starting with ``prefix`` (for partial matching).
 
         Sorted for determinism; capped at ``limit`` expansions like Lucene's
-        ``maxClauseCount`` guard.
+        ``maxClauseCount`` guard.  The terms sharing a prefix are one
+        contiguous run of the sorted vocabulary, starting where a binary
+        search puts the prefix.
         """
-        matches = sorted(t for t in self._postings if t.startswith(prefix))
-        return matches[:limit]
+        if self._sorted_terms is None:
+            self._sorted_terms = sorted(self._postings)
+        terms = self._sorted_terms
+        start = bisect_left(terms, prefix)
+        return list(takewhile(lambda t: t.startswith(prefix),
+                              terms[start:start + limit]))
 
     def expand_fuzzy(self, term: str, max_edits: int = 1,
                      limit: int = 50) -> list[str]:
@@ -111,13 +129,8 @@ class InvertedIndex:
 
     def term_freqs(self, doc_id: int, terms: Iterable[str]) -> dict[str, int]:
         """Frequencies of the given terms inside one document."""
-        out: dict[str, int] = {}
-        for term in terms:
-            for posting in self._postings.get(term, ()):
-                if posting.doc_id == doc_id:
-                    out[term] = posting.freq
-                    break
-        return out
+        freqs = self._doc_term_freqs.get(doc_id, {})
+        return {term: freqs[term] for term in terms if term in freqs}
 
     def phrase_match(self, doc_id: int, terms: list[str]) -> bool:
         """True when ``terms`` occur as a contiguous phrase in ``doc_id``."""

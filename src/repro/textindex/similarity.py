@@ -10,7 +10,12 @@ with
     tf(t, d)  = sqrt(freq(t, d))
     idf(t)    = 1 + ln(N / (df(t) + 1))
     norm(d)   = 1 / sqrt(|d|)
-    coord(q,d)= (# query terms matched) / (# query terms)
+    coord(q,d)= (# query term occurrences matched) / (# query term occurrences)
+
+Like Lucene's boolean clauses, a repeated query term is one clause per
+occurrence: it counts once per occurrence on both sides of ``coord``, so
+``coord <= 1`` and the query ``bikes bikes`` scores a ``bikes`` document
+exactly twice what ``bikes`` does.
 
 The exact constants matter less than the monotonic structure the paper's
 ranking formula exploits: exact multi-term matches in short attribute values
@@ -89,7 +94,7 @@ class Similarity:
         if matched == 0:
             return 0.0
         total *= self.length_norm(doc_length)
-        total *= self.coord(matched, len(set(query_terms)))
+        total *= self.coord(matched, len(query_terms))
         return total
 
 

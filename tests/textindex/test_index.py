@@ -80,6 +80,37 @@ class TestScoreValue:
     def test_no_overlap_is_zero(self, index):
         assert index.score_value("Loc", "City", "Columbus", "plasma") == 0.0
 
+    def test_repeated_query_term_doubles_the_score(self, index):
+        once = index.score_value("Product", "Name", "Mountain Bikes Deluxe",
+                                 "Bikes")
+        twice = index.score_value("Product", "Name",
+                                  "Mountain Bikes Deluxe", "Bikes Bikes")
+        assert twice == 2 * once > 0.0
+
+
+class TestScoreValues:
+    VALUES = ["San Jose", "San Antonio", "Atlantis", "Columbus", "San Jose"]
+
+    @pytest.mark.parametrize("query", [
+        "San Jose", "san", "Columbus Day San", "plasma", "the of", "",
+    ])
+    def test_equals_one_value_form(self, index, query):
+        assert index.score_values("Loc", "City", self.VALUES, query) == [
+            index.score_value("Loc", "City", v, query) for v in self.VALUES]
+
+    def test_unknown_values_score_zero(self, index):
+        assert index.score_values("Loc", "City", ["Atlantis", "Columbus"],
+                                  "Columbus")[0] == 0.0
+        assert index.score_values("Nope", "City", ["Columbus"],
+                                  "Columbus") == [0.0]
+
+    def test_stopword_only_query(self, index):
+        assert index.score_values("Loc", "City", ["San Jose", "Columbus"],
+                                  "the of") == [0.0, 0.0]
+
+    def test_empty_batch(self, index):
+        assert index.score_values("Loc", "City", [], "San") == []
+
 
 class TestIndexDatabase:
     def test_distinct_values_indexed(self):

@@ -1,8 +1,9 @@
 """Inverted index: postings, statistics, phrase matching."""
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.textindex import InvertedIndex
+from repro.textindex import DEFAULT_ANALYZER, InvertedIndex
 
 
 def make_index(*docs):
@@ -59,6 +60,12 @@ class TestPrefixExpansion:
         index = make_index("zebra", "zeal", "zest")
         assert index.expand_prefix("ze") == ["zeal", "zebra", "zest"]
 
+    def test_sees_terms_added_after_a_lookup(self):
+        index = make_index("mountain")
+        assert index.expand_prefix("mo") == ["mountain"]
+        index.add_document(["motor", "mountain"])
+        assert index.expand_prefix("mo") == ["motor", "mountain"]
+
 
 class TestCandidateDocs:
     def test_or_semantics(self):
@@ -73,6 +80,10 @@ class TestTermFreqs:
     def test_per_doc(self):
         index = make_index("a a b", "a")
         assert index.term_freqs(0, ["a", "b", "z"]) == {"a": 2, "b": 1}
+
+
+    def test_unknown_doc(self):
+        assert make_index("a").term_freqs(7, ["a"]) == {}
 
 
 class TestPhraseMatch:
@@ -152,3 +163,67 @@ class TestFuzzyExpansion:
     def test_limit(self):
         index = make_index(" ".join(f"term{i}" for i in range(10)))
         assert len(index.expand_fuzzy("term0", limit=3)) == 3
+
+
+# ----------------------------------------------------------------------
+# the sorted vocabulary and the per-document term map equal their
+# definitions (a scan over every term / every postings list) over the
+# whole AdventureWorks vocabulary
+# ----------------------------------------------------------------------
+def scan_expand_prefix(index, prefix, limit=50):
+    return sorted(t for t in index.vocabulary() if t.startswith(prefix))[:limit]
+
+
+def scan_term_freqs(index, doc_id, terms):
+    out = {}
+    for term in terms:
+        for posting in index.postings(term):
+            if posting.doc_id == doc_id:
+                out[term] = posting.freq
+                break
+    return out
+
+
+@pytest.fixture(scope="module")
+def aw_documents(aw_online):
+    docs = []
+    for table, columns in aw_online.searchable.items():
+        for column in columns:
+            for value in sorted(aw_online.database.table(table)
+                                .distinct(column), key=str):
+                if isinstance(value, str) and value:
+                    docs.append(DEFAULT_ANALYZER.analyze(value))
+    return docs
+
+
+@pytest.fixture(scope="module")
+def aw_index(aw_documents):
+    index = InvertedIndex()
+    for terms in aw_documents:
+        index.add_document(terms)
+    return index
+
+
+class TestOverAdventureWorks:
+    def test_every_short_prefix(self, aw_index):
+        prefixes = {t[:n] for t in aw_index.vocabulary() for n in (1, 2, 3)}
+        prefixes |= {"", "zzz", "~", "0"}
+        assert len(prefixes) > 500
+        for prefix in prefixes:
+            assert aw_index.expand_prefix(prefix) == \
+                scan_expand_prefix(aw_index, prefix), prefix
+
+    def test_limit_boundary(self, aw_index):
+        for prefix in {t[:1] for t in aw_index.vocabulary()}:
+            n = len(scan_expand_prefix(aw_index, prefix, limit=10**6))
+            for limit in {0, 1, n - 1, n, n + 1}:
+                if limit >= 0:
+                    assert aw_index.expand_prefix(prefix, limit) == \
+                        scan_expand_prefix(aw_index, prefix, limit)
+
+    def test_term_freqs(self, aw_index, aw_documents):
+        extra = ["bike", "road", "zzz"]
+        for doc_id, terms in enumerate(aw_documents):
+            asked = terms + extra
+            assert aw_index.term_freqs(doc_id, asked) == \
+                scan_term_freqs(aw_index, doc_id, asked)

@@ -56,6 +56,19 @@ class TestScore:
     def test_empty_query(self):
         assert self.score({"a": 1}, 1, [], {}) == 0.0
 
+    def test_repeated_query_term_counts_per_occurrence(self):
+        # Lucene clause semantics: "t t" is two matching clauses, so it
+        # scores twice "t" — coord stays 2/2, not 2/1
+        once = self.score({"t": 1}, 3, ["t"], {"t": 4})
+        twice = self.score({"t": 1}, 3, ["t", "t"], {"t": 4})
+        assert twice == 2 * once
+
+    def test_repeated_term_with_a_miss(self):
+        dfs = {"t": 4, "u": 4}
+        base = self.score({"t": 1}, 3, ["t"], dfs)
+        assert self.score({"t": 1}, 3, ["t", "t", "u"], dfs) == \
+            2 * base * (2 / 3)
+
 
 class TestProperties:
     @given(freq=st.integers(1, 20), doc_len=st.integers(1, 50),
@@ -65,6 +78,18 @@ class TestProperties:
         score = DEFAULT_SIMILARITY.score(
             {"t": freq}, doc_len, ["t"], {"t": df}, 100)
         assert score > 0.0
+
+    @given(query=st.lists(st.sampled_from("abcd"), min_size=1, max_size=8),
+           freqs=st.dictionaries(st.sampled_from("abcde"),
+                                 st.integers(1, 5)),
+           doc_len=st.integers(1, 12))
+    @settings(max_examples=200, deadline=None)
+    def test_coord_never_exceeds_one(self, query, freqs, doc_len):
+        dfs = {t: 3 for t in "abcde"}
+        with_coord = DEFAULT_SIMILARITY.score(freqs, doc_len, query, dfs, 100)
+        without = Similarity(use_coord=False).score(freqs, doc_len, query,
+                                                    dfs, 100)
+        assert with_coord <= without
 
     @given(freq=st.integers(1, 20))
     @settings(max_examples=50, deadline=None)

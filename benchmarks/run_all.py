@@ -5,7 +5,7 @@ the engine primitives as plain wall-clock benchmarks — no pytest — and
 writes per-benchmark medians to ``BENCH_kdap.json``.  The committed
 baseline lets any later change diff its numbers against this PR's.
 
-The run doubles as two acceptance gates, each exiting non-zero on
+The run doubles as seven acceptance gates, each exiting non-zero on
 failure so CI catches a regression as a hard failure, not a silent
 slowdown:
 
@@ -32,11 +32,6 @@ slowdown:
   including a lattice roll-up), and append maintenance must fold
   exactly the delta — no full rebuilds.  Like the chunked-scan gate,
   always at full scale;
-* **interpretation** — the staged matcher-chain front end
-  (:mod:`bench_interpretation`) restricted to its value-only chain must
-  cost at most 0.6x of the pinned pre-refactor keyword front end on
-  all-value queries (it scores each hit group once per enumeration),
-  with asserted output parity;
 * **service concurrency** — a live HTTP server under steady load,
   overload, and chaos (:mod:`bench_service_concurrency`): steady-state
   shed rate and p95 bounded, overload answered with 429s (never 5xx or
@@ -83,10 +78,6 @@ from repro.evalkit import (
 from repro.obs.metrics import runs_summary
 from repro.plan import FusionStats, QueryEngine
 
-from bench_interpretation import (
-    MAX_RATIO as INTERPRETATION_MAX_RATIO,
-    compare as compare_interpretation,
-)
 from bench_materialize import (
     MIN_SPEEDUP as MATERIALIZE_MIN_SPEEDUP,
     compare as compare_materialize,
@@ -289,19 +280,6 @@ class Suite:
                   f"(median of {len(entry['runs_s'])}, interleaved)")
         return check
 
-    def bench_interpretation(self) -> dict:
-        """Staged value-only matcher chain vs the pinned legacy keyword
-        front end (interleaved runs, min-run ratio gate with asserted
-        output parity — see :mod:`bench_interpretation`)."""
-        benchmarks, check = compare_interpretation(self.online,
-                                                   max(self.repeats, 7))
-        self.benchmarks.update(benchmarks)
-        for name in sorted(benchmarks):
-            entry = benchmarks[name]
-            print(f"  {name}: {entry['median_s']:.4f} s "
-                  f"(median of {len(entry['runs_s'])}, interleaved)")
-        return check
-
     def bench_chunked_scan(self) -> dict:
         """Chunked serial scan-aggregate vs the pre-chunk plain-vector
         strategy, plus the zone-map skip scenario — always at one million
@@ -426,7 +404,6 @@ def main(argv=None) -> int:
         fusion_check = suite.bench_table2()
         scan_check = suite.bench_scan_aggregate()
         tracing_check = suite.bench_tracing_overhead()
-        interpretation_check = suite.bench_interpretation()
         chunked_check = suite.bench_chunked_scan()
         materialize_check = suite.bench_materialize()
         service_check = suite.bench_service_concurrency()
@@ -442,8 +419,6 @@ def main(argv=None) -> int:
                     for entry in fusion_check.values())
     scan_ok = scan_check["speedup"] >= MIN_SPEEDUP
     tracing_ok = tracing_check["overhead"] <= MAX_OVERHEAD
-    interpretation_ok = (interpretation_check["ratio"]
-                         <= INTERPRETATION_MAX_RATIO)
     chunked_ok = (chunked_check["speedup"] >= CHUNKED_MIN_SPEEDUP
                   and chunked_check["zone_skip"]["chunks_skipped"] > 0)
     materialize_ok = materialize_passes(materialize_check)
@@ -458,8 +433,6 @@ def main(argv=None) -> int:
         "fusion_check": {**fusion_check, "pass": fusion_ok},
         "scan_check": {**scan_check, "pass": scan_ok},
         "tracing_check": {**tracing_check, "pass": tracing_ok},
-        "interpretation_check": {**interpretation_check,
-                                 "pass": interpretation_ok},
         "chunked_scan_check": {**chunked_check, "pass": chunked_ok},
         "materialize_check": {**materialize_check, "pass": materialize_ok},
         "service_check": {**service_check, "pass": service_ok},
@@ -479,10 +452,6 @@ def main(argv=None) -> int:
     print(f"disabled-tracer overhead: "
           f"{tracing_check['overhead'] * 100:.2f}% "
           f"(ceiling {MAX_OVERHEAD * 100:.0f}%)")
-    print(f"staged interpretation: {interpretation_check['ratio']:.2f}x "
-          f"the legacy front end over "
-          f"{interpretation_check['queries']} queries "
-          f"(ceiling {INTERPRETATION_MAX_RATIO:.2f}x)")
     zone = chunked_check["zone_skip"]
     print(f"chunked scan-aggregate: {chunked_check['speedup']:.2f}x over "
           f"the pre-chunk strategy at {chunked_check['fact_rows']} rows "
@@ -529,11 +498,6 @@ def main(argv=None) -> int:
         print("TRACING OVERHEAD CHECK FAILED: disabled tracer costs "
               f"more than {MAX_OVERHEAD * 100:.0f}% on the "
               "scan-aggregate hot path", file=sys.stderr)
-        return 1
-    if not interpretation_ok:
-        print("INTERPRETATION CHECK FAILED: staged value-only chain "
-              f"more than {INTERPRETATION_MAX_RATIO:.2f}x the legacy "
-              "keyword front end", file=sys.stderr)
         return 1
     if not chunked_ok:
         print("CHUNKED SCAN CHECK FAILED: chunked serial "

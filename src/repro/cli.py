@@ -109,8 +109,8 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="comma-separated matcher chain for the "
                              "interpretation front end, in order "
                              "(default value,metadata,pattern); e.g. "
-                             "--matchers value for the legacy value-only "
-                             "pipeline")
+                             "--matchers value for the paper's value-only "
+                             "front end")
     sub = parser.add_subparsers(dest="command", required=True)
 
     query = sub.add_parser("query",

@@ -1,24 +1,23 @@
-"""The staged keyword-interpretation pipeline: tokenize → match →
+"""The keyword front end (paper §4.2–4.4): tokenize → match →
 enumerate → rank.
 
-This replaces the monolithic keyword→hit-group→star-net path as the
-session front end.  The stages:
+The stages:
 
 1. **tokenize** — whitespace keyword split + measure-predicate peeling
-   (unchanged from :mod:`repro.core.generation`);
+   (:func:`split_query`);
 2. **match** — the :class:`~repro.core.matching.MatcherChain` turns the
    keyword list into ordered :class:`~repro.core.matching.MatchSlot`\\ s
    of typed candidates (predicate hit groups, attribute/measure
    references, modifier hints) plus per-keyword diagnostics;
-3. **enumerate** — the cross product over slots generalises the legacy
-   hit-group cross product: value candidates still phrase-merge,
-   rescore against the full query, and fan out over OLAP-valid join
-   paths, while attribute/measure/modifier candidates ride along as
-   hints on the :class:`Interpretation`;
+3. **enumerate** — the cross product over slots generalises the
+   paper's hit-group cross product (Algorithm 1): value candidates
+   phrase-merge (§4.3), rescore against the full query, and fan out
+   over OLAP-valid join paths, while attribute/measure/modifier
+   candidates ride along as hints on the :class:`Interpretation`;
 4. **rank** — the paper's star-net score, multiplied by the combined
    match confidence.  Value candidates carry confidence 1.0, so a
-   query whose keywords all hit cell values ranks *identically* to the
-   pre-refactor front end (the parity suite pins this).
+   query whose keywords all hit cell values ranks by the paper's
+   SCORE(SN, q) alone (pinned against ``tests/core/enumeration_oracle``).
 
 An interpretation whose slots produced no hit group at all ("revenue
 by month top 3" on a warehouse with no such cell values) yields an
@@ -35,15 +34,9 @@ from dataclasses import dataclass, field
 from ..obs.tracer import current_tracer
 from ..relational.errors import ResourceExhausted
 from ..resilience.budget import current_budget
-from ..textindex.index import AttributeTextIndex
+from ..textindex.index import AttributeTextIndex, SearchHit
+from ..warehouse.graph import EMPTY_PATH, JoinPath
 from ..warehouse.schema import GroupByAttribute, StarSchema
-from .generation import (
-    DEFAULT_CONFIG,
-    GenerationConfig,
-    rescore_group,
-    split_query,
-    valid_ray_paths,
-)
 from .hits import HitGroup
 from .matching import (
     DEFAULT_MATCHERS,
@@ -53,6 +46,7 @@ from .matching import (
     MatchKind,
     Modifier,
 )
+from .measure_hits import parse_measure_keyword
 from .phrases import merge_seed_groups
 from .ranking import RankingMethod, score_star_net
 from .starnet import Ray, StarNet
@@ -122,8 +116,12 @@ class Interpretation:
 
 @dataclass(frozen=True)
 class ScoredInterpretation:
-    """A ranked interpretation (drop-in for the old ``ScoredStarNet``:
-    ``.star_net``, ``.score`` and ``.subspace_size`` keep working)."""
+    """An interpretation with its ranking score.
+
+    ``subspace_size`` is an optional fact-row-count preview attached when
+    the caller asks for it — how much data the interpretation covers,
+    shown before committing to the (more expensive) explore phase.
+    """
 
     interpretation: Interpretation
     score: float
@@ -175,6 +173,110 @@ class MatchReport:
 
 
 # ----------------------------------------------------------------------
+# stage 1: tokenize, and the ray-path helpers of stage 3
+# ----------------------------------------------------------------------
+@dataclass(frozen=True)
+class GenerationConfig:
+    """Caps and knobs for candidate generation."""
+
+    max_hits_per_keyword: int = 200
+    max_groups_per_keyword: int = 8
+    max_path_length: int = 5
+    max_seeds: int = 200
+    max_candidates: int = 400
+    fuzzy_matching: bool = False
+    """Also match keywords within one Levenshtein edit (typo
+    tolerance), on top of stemming and prefix expansion."""
+
+
+DEFAULT_CONFIG = GenerationConfig()
+
+
+def split_keywords(query: str) -> list[str]:
+    """Whitespace keyword split (the paper's q = {k1, ..., kn})."""
+    return [k for k in query.split() if k]
+
+
+def split_query(schema: StarSchema,
+                query: str) -> tuple[list[str], list]:
+    """Separate text keywords from measure predicates (§7 extension:
+    ``revenue>5000``-style keywords become fact-level filters)."""
+    keywords: list[str] = []
+    predicates: list = []
+    for keyword in split_keywords(query):
+        predicate = parse_measure_keyword(schema, keyword)
+        if predicate is not None:
+            predicates.append(predicate)
+        else:
+            keywords.append(keyword)
+    return keywords, predicates
+
+
+def ray_dimension(schema: StarSchema, path: JoinPath) -> str | None:
+    """The dimension a ray's path runs through.
+
+    A valid OLAP ray stays inside one dimension: every non-fact table on
+    the path must belong to it.  Returns the dimension name, or None for
+    the empty path (fact-table hit).  Paths not containable in any single
+    dimension are invalid interpretations → raises ValueError.
+    """
+    if not path.steps:
+        return None
+    tables = [t for t in path.tables if t not in schema.fact_complex]
+    candidates = [
+        dim.name
+        for dim in schema.dimensions
+        if all(t in dim.tables for t in tables)
+    ]
+    if not candidates:
+        raise ValueError(f"path {path} crosses dimension boundaries")
+    return candidates[0]
+
+
+def valid_ray_paths(
+    schema: StarSchema,
+    hit_table: str,
+    max_path_length: int,
+) -> list[tuple[JoinPath, str | None]]:
+    """All OLAP-valid (path, dimension) options from a hit table to the fact.
+
+    * a hit on the fact table itself yields the empty path;
+    * every other path must end at the fact table with its final step
+      arriving as a child (dimensions are parents of the fact) and stay
+      within one dimension.
+    """
+    if hit_table == schema.fact_table:
+        return [(EMPTY_PATH, None)]
+    options: list[tuple[JoinPath, str | None]] = []
+    for path in schema.graph.join_paths(hit_table, schema.fact_table,
+                                        max_length=max_path_length):
+        try:
+            dimension = ray_dimension(schema, path)
+        except ValueError:
+            continue
+        options.append((path, dimension))
+    return options
+
+
+def rescore_group(group: HitGroup, index: AttributeTextIndex,
+                  query: str) -> HitGroup:
+    """Re-score every hit of a group against the full query string.
+
+    §4.4 defines Sim(h.val, q) against the whole query, which is what lets
+    multi-keyword instances dominate; retrieval-time scores were per
+    keyword only.
+    """
+    scores = index.score_values(group.table, group.attribute, group.values,
+                                query)
+    hits = tuple(
+        SearchHit(h.table, h.attribute, h.value, score,
+                  retrieval_score=h.raw_score)
+        for h, score in zip(group.hits, scores)
+    )
+    return HitGroup(group.table, group.attribute, hits, group.keywords)
+
+
+# ----------------------------------------------------------------------
 # stage 3: enumeration
 # ----------------------------------------------------------------------
 def _combine(combo) -> tuple[tuple, tuple[GroupByAttribute, ...],
@@ -215,9 +317,11 @@ def enumerate_interpretations(
 ) -> list[Interpretation]:
     """Cross product over slots → deduplicated interpretations.
 
-    Mirrors the legacy two-level enumeration (seed cross product, then
-    join-path cross product) with the same caps, budget charging, and
-    truncation messages, generalised to mixed candidate kinds.
+    Two levels, as in Algorithm 1: the seed cross product (phrase
+    merging inside each seed), then each seed's join-path cross product,
+    both capped by ``config`` and charged to the ambient budget.  With no
+    slots the one empty combo yields the ray-less star net: the whole
+    dataspace, narrowed only by the measure predicates.
 
     Each hit is scored against the query once per call.  Three memos
     live only for the call: the rescored group per (domain, values,
@@ -361,7 +465,7 @@ def interpret_query(
     """
     if chain is None:
         chain = MatcherChain(schema, index)
-    keywords, predicates = split_query(schema, query, config)
+    keywords, predicates = split_query(schema, query)
     measure_predicates = tuple(predicates)
     tracer = current_tracer()
 
@@ -376,15 +480,10 @@ def interpret_query(
         counters=outcome.counters,
     )
 
-    if not keywords and measure_predicates:
-        # pure measure queries select a subspace of the whole dataspace
-        report.interpretations = 1
-        return [Interpretation(StarNet(
-            schema.fact_table, (),
-            measure_predicates=measure_predicates))], report
-    if outcome.unmatched and config.require_all_keywords:
-        return [], report
-    if not outcome.slots:
+    # every keyword must match; stopwords match nothing and say nothing,
+    # so a query left with only measure predicates selects a subspace
+    # of the whole dataspace
+    if outcome.unmatched or not (outcome.slots or measure_predicates):
         return [], report
 
     interpretations = enumerate_interpretations(
@@ -401,11 +500,11 @@ def score_interpretation(
 
     Interpretations with rays keep the paper's SCORE(SN, q) as the
     base — all-value interpretations have confidence 1.0, so their
-    scores equal the pre-refactor ranking exactly.  A ray-less
+    scores are the paper's exactly.  A ray-less
     interpretation that still says something (hints or measure
     predicates from non-value matchers) gets base 1.0 scaled by its
     confidence; a ray-less one without hints (pure measure-predicate
-    queries) keeps the legacy score of 0.0.
+    queries) scores 0.0, as :func:`score_star_net` does.
     """
     net = interpretation.star_net
     if net.rays:
@@ -422,8 +521,7 @@ def rank_interpretations(
     method: RankingMethod = RankingMethod.STANDARD,
 ) -> list[ScoredInterpretation]:
     """Score and sort, best first; ties break on textual form (star
-    net first, hints second), matching the legacy order for all-value
-    interpretations."""
+    net first, hints second)."""
     scored = [
         ScoredInterpretation(interp, score_interpretation(interp, method))
         for interp in interpretations

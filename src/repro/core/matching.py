@@ -24,8 +24,8 @@ pipeline speaks, and the three concrete matchers:
 :class:`MatcherChain` runs them with fallback semantics: pattern spans
 claim their tokens first, then each remaining keyword tries the value
 matcher and falls back to metadata only when no cell value matched.
-A query whose keywords all value-match therefore produces byte-identical
-candidates to the pre-refactor front end.
+A query whose keywords all value-match therefore gets exactly the
+paper's hit-group candidates.
 """
 
 from __future__ import annotations
@@ -146,7 +146,7 @@ class MatchSlot:
 
     Enumeration takes the cross product over slots, picking one
     candidate per slot — exactly the per-keyword hit-group cross
-    product of the legacy front end, generalised to mixed kinds.
+    product of the paper's Algorithm 1, generalised to mixed kinds.
     """
 
     keywords: tuple[str, ...]
@@ -185,7 +185,7 @@ def camel_words(name: str) -> list[str]:
 # concrete matchers
 # ----------------------------------------------------------------------
 class ValueMatcher:
-    """The pre-refactor behaviour: probe the text index per keyword."""
+    """The paper's matcher: probe the text index per keyword."""
 
     name = "value"
 

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 
 from .starnet import StarNet
 
@@ -53,7 +52,7 @@ def score_star_net(star_net: StarNet,
     """SCORE(SN, q) under one of the four ranking methods.
 
     Hits are assumed to already carry Sim(h.val, q) against the full query
-    (as produced by :func:`repro.core.generation.rescore_group`).
+    (as produced by :func:`repro.core.interpret.rescore_group`).
     """
     if star_net.size == 0:
         return 0.0
@@ -79,36 +78,3 @@ def score_star_net(star_net: StarNet,
     if method is RankingMethod.NO_GROUP_NUMBER_NORM:
         return total
     return total / (star_net.size ** 2)
-
-
-@dataclass(frozen=True)
-class ScoredStarNet:
-    """A candidate star net with its ranking score.
-
-    ``subspace_size`` is an optional fact-row-count preview attached when
-    the caller asks for it — useful for showing the user how much data an
-    interpretation covers before committing to the (more expensive)
-    explore phase.
-    """
-
-    star_net: StarNet
-    score: float
-    subspace_size: int | None = None
-
-    def __str__(self) -> str:
-        size = "" if self.subspace_size is None \
-            else f" ({self.subspace_size} facts)"
-        return f"{self.star_net}  [{self.score:.6f}]{size}"
-
-
-def rank_candidates(
-    candidates: list[StarNet],
-    method: RankingMethod = RankingMethod.STANDARD,
-) -> list[ScoredStarNet]:
-    """Score and sort candidates, best first.
-
-    Ties break deterministically on the star net's textual form.
-    """
-    scored = [ScoredStarNet(sn, score_star_net(sn, method)) for sn in candidates]
-    scored.sort(key=lambda s: (-s.score, str(s.star_net)))
-    return scored

@@ -42,9 +42,10 @@ from .facets import (
     apply_modifier,
     build_facets,
 )
-from .generation import DEFAULT_CONFIG, GenerationConfig
 from .interestingness import InterestingnessMeasure, SURPRISE
 from .interpret import (
+    DEFAULT_CONFIG,
+    GenerationConfig,
     Interpretation,
     MatchReport,
     ScoredInterpretation,
@@ -254,7 +255,7 @@ class KdapSession:
         modifiers — and enumeration crosses them into
         :class:`~repro.core.interpret.Interpretation` candidates.
         ``matchers`` overrides the session's chain selection for this
-        query (e.g. ``("value",)`` for the legacy value-only front end).
+        query (e.g. ``("value",)`` for the paper's value-only front end).
 
         With ``preview_sizes`` each returned candidate carries the number
         of fact rows its subspace would contain (computed with per-ray

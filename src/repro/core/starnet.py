@@ -1,9 +1,8 @@
-"""Star seeds, rays, and star nets (paper §4.2).
+"""Rays and star nets (paper §4.2).
 
-A *star seed* picks one hit group per keyword; a *star net* additionally
-fixes a join path from every hit group's table to the fact table.  The
-star net is the unit the user disambiguates among — it fully determines a
-sub-dataspace.
+A *star net* picks one hit group per keyword and fixes a join path from
+every hit group's table to the fact table.  The star net is the unit the
+user disambiguates among — it fully determines a sub-dataspace.
 
 The OLAP-specific join semantics of §4.2 are implemented here:
 
@@ -29,16 +28,6 @@ from ..warehouse.rollup import select_rows_by_values, slice_facts
 from ..warehouse.schema import StarSchema
 from ..warehouse.subspace import Subspace
 from .hits import HitGroup
-
-
-@dataclass(frozen=True)
-class StarSeed:
-    """One hit group chosen from each keyword's hit set."""
-
-    hit_groups: tuple[HitGroup, ...]
-
-    def __str__(self) -> str:
-        return "{" + ", ".join(str(g) for g in self.hit_groups) + "}"
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,9 @@
 """Figure 4: evaluation of the four star-net ranking methods.
 
-For each benchmark query we generate candidates once, rank them under each
-method, and record the 1-based rank of the first *relevant* star net
-(ground truth from :mod:`repro.datasets.queries`).  The figure's curves
+For each benchmark query we interpret it once with the paper's value-only
+front end, rank the interpretations under each method, and record the
+1-based rank of the first *relevant* star net (ground truth from
+:mod:`repro.datasets.queries`).  The figure's curves
 plot, for each method, the fraction of queries whose relevant star net
 appears within the top-x results.
 """
@@ -12,8 +13,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from ..core.generation import DEFAULT_CONFIG, GenerationConfig, generate_candidates
-from ..core.ranking import RankingMethod, rank_candidates
+from ..core.interpret import (
+    DEFAULT_CONFIG,
+    GenerationConfig,
+    interpret_query,
+    rank_interpretations,
+)
+from ..core.ranking import RankingMethod
 from ..core.session import KdapSession
 from ..datasets.queries import BenchmarkQuery, relevant_rank
 
@@ -92,16 +98,16 @@ def evaluate_ranking(
     methods: Sequence[RankingMethod] = ALL_METHODS,
     config: GenerationConfig = DEFAULT_CONFIG,
 ) -> RankingEvaluation:
-    """Run the Figure 4 protocol: one candidate generation per query,
-    one ranking per method."""
+    """Run the Figure 4 protocol: one value-only interpretation per
+    query, one ranking per method."""
     outcomes: list[QueryOutcome] = []
     for query in queries:
-        candidates = generate_candidates(
-            session.schema, session.index, query.text, config
-        )
+        interpretations, _report = interpret_query(
+            session.schema, session.index, query.text, config,
+            matchers=("value",), chain=session.chain)
         ranks: dict[RankingMethod, int | None] = {}
         for method in methods:
-            ranked = rank_candidates(candidates, method)
+            ranked = rank_interpretations(interpretations, method)
             ranks[method] = relevant_rank(ranked, query)
-        outcomes.append(QueryOutcome(query, ranks, len(candidates)))
+        outcomes.append(QueryOutcome(query, ranks, len(interpretations)))
     return RankingEvaluation(outcomes)

@@ -9,7 +9,7 @@ from __future__ import annotations
 from typing import Mapping, Sequence
 
 from ..core.facets import FacetedInterface
-from ..core.ranking import ScoredStarNet
+from ..core.interpret import ScoredInterpretation
 
 
 def render_table(headers: Sequence[str],
@@ -29,16 +29,15 @@ def render_table(headers: Sequence[str],
     return "\n".join(lines)
 
 
-def render_star_nets(ranked: Sequence[ScoredStarNet],
+def render_star_nets(ranked: Sequence[ScoredInterpretation],
                      limit: int = 5) -> str:
     """Table 1 style: hit groups per star net plus the ranking score."""
     rows = []
     for scored in ranked[:limit]:
         groups = "  &  ".join(str(g) for g in scored.star_net.hit_groups)
-        interp = getattr(scored, "interpretation", None)
-        if not groups and interp is not None:
+        if not groups:
             # metadata/pattern-only interpretation: no hit groups to show
-            groups = interp.describe()
+            groups = scored.interpretation.describe()
         rows.append((groups, f"{scored.score:.6f}"))
     return render_table(("star net (hit groups)", "score"), rows)
 

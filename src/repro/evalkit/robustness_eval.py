@@ -14,7 +14,7 @@ import string
 from dataclasses import dataclass
 from typing import Sequence
 
-from ..core.generation import GenerationConfig
+from ..core.interpret import GenerationConfig
 from ..core.ranking import RankingMethod
 from ..core.session import KdapSession
 from ..datasets.queries import BenchmarkQuery

@@ -1,18 +1,33 @@
-"""Pinned oracle: the unmemoised interpretation walk (pre-memo body).
+"""Pinned oracles: the unmemoised interpretation walk and the paper's
+value-only front end built on it.
 
-This is the body ``enumerate_interpretations`` had before it memoised
-rescored groups, merged seeds and ray paths within one call: every combo
-phrase-merges its value groups again and rescores every hit against the
-query with one ``score_value`` call per hit, and every seed asks
-``valid_ray_paths`` again.  It shares no memo and no batch scorer with the
-production walk, which is what makes it an oracle for the memoised path.
+``oracle_enumerate_interpretations`` is the body
+``enumerate_interpretations`` had before it memoised rescored groups,
+merged seeds and ray paths within one call: every combo phrase-merges its
+value groups again and rescores every hit against the query with one
+``score_value`` call per hit, and every seed asks ``valid_ray_paths``
+again.  It shares no memo and no batch scorer with the production walk,
+which is what makes it an oracle for the memoised path.
+
+``oracle_front_end`` is Algorithm 1 + §4.4 end to end without the
+matcher chain or ``rank_interpretations``: one slot of cell-value hit
+groups per keyword straight from the text index, the walk above, and the
+paper's score.
 """
 
 import itertools
 
-from repro.core.generation import valid_ray_paths
-from repro.core.hits import HitGroup
-from repro.core.interpret import Interpretation, _combine, _hint_key
+from repro.core.hits import HitGroup, retrieve_hit_groups
+from repro.core.interpret import (
+    Interpretation,
+    ScoredInterpretation,
+    _combine,
+    _hint_key,
+    split_query,
+    valid_ray_paths,
+)
+from repro.core.matching import MatchCandidate, MatchKind, MatchSlot
+from repro.core.ranking import score_star_net
 from repro.core.starnet import Ray, StarNet
 from repro.relational.errors import ResourceExhausted
 from repro.resilience.budget import current_budget
@@ -149,3 +164,34 @@ def oracle_enumerate_interpretations(schema, index, query, slots,
             if len(interpretations) >= config.max_candidates:
                 return interpretations
     return interpretations
+
+
+def oracle_front_end(schema, index, query, config, method):
+    """The paper's value-only front end: every keyword must hit cell
+    values, stopword-only keywords are skipped, and a query left with
+    only measure predicates selects the whole dataspace.  Ranked best
+    first, ties broken on the star net's text."""
+    keywords, predicates = split_query(schema, query)
+    slots = []
+    for keyword in keywords:
+        if not index.analyzer.analyze(keyword):
+            continue
+        groups = retrieve_hit_groups(
+            index, keyword,
+            max_hits=config.max_hits_per_keyword,
+            max_groups=config.max_groups_per_keyword,
+            fuzzy=config.fuzzy_matching)
+        if not groups:
+            return []
+        slots.append(MatchSlot((keyword,), tuple(
+            MatchCandidate(kind=MatchKind.VALUE, keywords=(keyword,),
+                           matcher="value", confidence=1.0, hit_group=g)
+            for g in groups), "value"))
+    if not slots and not predicates:
+        return []
+    interpretations = oracle_enumerate_interpretations(
+        schema, index, query, slots, tuple(predicates), config)
+    scored = [ScoredInterpretation(i, score_star_net(i.star_net, method))
+              for i in interpretations]
+    scored.sort(key=lambda s: (-s.score, str(s.star_net)))
+    return scored

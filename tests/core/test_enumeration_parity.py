@@ -11,9 +11,9 @@ same order, same matches and confidence, and bit-identical ``score`` and
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core import MatcherChain, enumerate_interpretations, \
-    interpret_query
-from repro.core.generation import DEFAULT_CONFIG, split_query
+from repro.core import DEFAULT_CONFIG, MatcherChain, \
+    enumerate_interpretations, interpret_query
+from repro.core.interpret import split_query
 from repro.datasets import AW_ONLINE_QUERIES, AW_RESELLER_QUERIES
 from repro.obs import Tracer, tracing_scope
 from repro.resilience import Budget
@@ -75,7 +75,7 @@ def reseller(aw_reseller):
 
 def _args(setup, query, config=DEFAULT_CONFIG):
     schema, index, chain = setup
-    keywords, predicates = split_query(schema, query, config)
+    keywords, predicates = split_query(schema, query)
     slots = chain.match(keywords, config).slots
     return schema, index, query, slots, tuple(predicates), config
 
@@ -152,6 +152,30 @@ class TestScoredOnce:
         monkeypatch.setattr(Analyzer, "analyze", counting)
         assert enumerate_interpretations(*args)
         assert len(calls) < 300
+
+    def test_front_end_work_bound(self, online, monkeypatch):
+        # the whole front end (tokenize, match, enumerate) over the
+        # ledger's front-end texts: the memoised walk makes ~1.7k analyse
+        # calls and rescores ~370 distinct groups in total; the
+        # unmemoised walk made ~4.9k calls on one of these texts alone
+        schema, index, chain = online
+        calls = 0
+        analyze = Analyzer.analyze
+
+        def counting(self, content):
+            nonlocal calls
+            calls += 1
+            return analyze(self, content)
+
+        monkeypatch.setattr(Analyzer, "analyze", counting)
+        tracer = Tracer()
+        with tracing_scope(tracer):
+            for text in FRONT_END_TEXTS:
+                interpret_query(schema, index, text, chain=chain)
+        rescored = sum(s.tags["rescored"] for s in tracer.spans()
+                       if s.name == "starnet.enumerate")
+        assert calls <= 2000
+        assert rescored <= 450
 
 
 class TestEnumerateSpan:

@@ -1,13 +1,22 @@
-"""Candidate star-net generation (Algorithm 1)."""
+"""Candidate star-net generation (Algorithm 1) through the paper's
+value-only front end."""
 
 
 from repro.core import (
+    DEFAULT_CONFIG,
     GenerationConfig,
-    generate_candidates,
-    generate_star_seeds,
+    interpret_query,
     split_keywords,
     valid_ray_paths,
 )
+
+
+def value_nets(session, query, config=DEFAULT_CONFIG):
+    """The star nets of the value-only front end, in enumeration order."""
+    interpretations, _report = interpret_query(
+        session.schema, session.index, query, config,
+        matchers=("value",), chain=session.chain)
+    return [i.star_net for i in interpretations]
 
 
 class TestSplitKeywords:
@@ -46,42 +55,31 @@ class TestValidRayPaths:
 
 class TestSeeds:
     def test_one_seed_per_hit_group_combo(self, ebiz_session):
-        seeds = generate_star_seeds(ebiz_session.schema, ebiz_session.index,
-                                    "Columbus")
-        domains = {s.hit_groups[0].domain for s in seeds}
+        nets = value_nets(ebiz_session, "Columbus")
+        domains = {n.hit_groups[0].domain for n in nets}
         assert ("LOCATION", "City") in domains
         assert ("HOLIDAY", "Event") in domains
 
     def test_phrase_merge_applied(self, ebiz_session):
-        seeds = generate_star_seeds(ebiz_session.schema, ebiz_session.index,
-                                    "San Jose")
-        merged = [s for s in seeds if len(s.hit_groups) == 1
-                  and s.hit_groups[0].values == ("San Jose",)]
+        nets = value_nets(ebiz_session, "San Jose")
+        merged = [n for n in nets if n.size == 1
+                  and n.hit_groups[0].values == ("San Jose",)]
         assert merged
 
     def test_unmatched_keyword_fails_query(self, ebiz_session):
-        assert generate_star_seeds(ebiz_session.schema, ebiz_session.index,
-                                   "Columbus qqqqzz") == []
-
-    def test_unmatched_keyword_tolerated_when_configured(self, ebiz_session):
-        config = GenerationConfig(require_all_keywords=False)
-        seeds = generate_star_seeds(ebiz_session.schema, ebiz_session.index,
-                                    "Columbus qqqqzz", config)
-        assert seeds
+        assert value_nets(ebiz_session, "Columbus qqqqzz") == []
 
     def test_stopword_keywords_skipped(self, ebiz_session):
-        with_stop = generate_star_seeds(ebiz_session.schema,
-                                        ebiz_session.index, "the Columbus")
-        without = generate_star_seeds(ebiz_session.schema,
-                                      ebiz_session.index, "Columbus")
-        assert {tuple(g.domain for g in s.hit_groups) for s in with_stop} \
-            == {tuple(g.domain for g in s.hit_groups) for s in without}
+        with_stop = value_nets(ebiz_session, "the Columbus")
+        without = value_nets(ebiz_session, "Columbus")
+        assert {tuple(g.domain for g in n.hit_groups) for n in with_stop} \
+            == {tuple(g.domain for g in n.hit_groups) for n in without}
 
     def test_hits_rescored_against_full_query(self, ebiz_session):
-        seeds = generate_star_seeds(ebiz_session.schema, ebiz_session.index,
-                                    "Columbus LCD")
-        for seed in seeds:
-            for group in seed.hit_groups:
+        nets = value_nets(ebiz_session, "Columbus LCD")
+        assert nets
+        for net in nets:
+            for group in net.hit_groups:
                 for hit in group.hits:
                     assert hit.retrieval_score is not None
 
@@ -89,8 +87,7 @@ class TestSeeds:
 class TestCandidates:
     def test_columbus_lcd_interpretations(self, ebiz_session):
         """Example 3.1: the ambiguity fan-out is fully enumerated."""
-        candidates = generate_candidates(ebiz_session.schema,
-                                         ebiz_session.index, "Columbus LCD")
+        candidates = value_nets(ebiz_session, "Columbus LCD")
         city_paths = {
             c.rays[0].path_to_fact.fk_names
             for c in candidates
@@ -104,8 +101,7 @@ class TestCandidates:
         assert any("fk_trans_seller" in p for p in city_paths)
 
     def test_every_candidate_contains_fact(self, ebiz_session):
-        candidates = generate_candidates(ebiz_session.schema,
-                                         ebiz_session.index, "Columbus LCD")
+        candidates = value_nets(ebiz_session, "Columbus LCD")
         for candidate in candidates:
             assert candidate.fact_table == "TRANSITEM"
             for ray in candidate.rays:
@@ -113,8 +109,7 @@ class TestCandidates:
                     assert ray.path_to_fact.target == "TRANSITEM"
 
     def test_candidates_unique(self, ebiz_session):
-        candidates = generate_candidates(ebiz_session.schema,
-                                         ebiz_session.index, "Columbus LCD")
+        candidates = value_nets(ebiz_session, "Columbus LCD")
         keys = [
             tuple(sorted((r.hit_group.domain, r.hit_group.values,
                           r.path_to_fact.fk_names) for r in c.rays))
@@ -124,11 +119,8 @@ class TestCandidates:
 
     def test_max_candidates_cap(self, ebiz_session):
         config = GenerationConfig(max_candidates=3)
-        candidates = generate_candidates(ebiz_session.schema,
-                                         ebiz_session.index,
-                                         "Columbus LCD", config)
+        candidates = value_nets(ebiz_session, "Columbus LCD", config)
         assert len(candidates) == 3
 
     def test_no_hits_no_candidates(self, ebiz_session):
-        assert generate_candidates(ebiz_session.schema, ebiz_session.index,
-                                   "qqqqzz") == []
+        assert value_nets(ebiz_session, "qqqqzz") == []

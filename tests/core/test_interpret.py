@@ -4,6 +4,7 @@ confidence-folded ranking, and match diagnostics."""
 import pytest
 
 from repro.core import (
+    DEFAULT_CONFIG,
     Interpretation,
     MatcherChain,
     Modifier,
@@ -13,7 +14,6 @@ from repro.core import (
     rank_interpretations,
     score_interpretation,
 )
-from repro.core.generation import DEFAULT_CONFIG
 from repro.core.interpret import MatchReport
 from repro.datasets.scale import build_scale
 from repro.textindex.index import AttributeTextIndex

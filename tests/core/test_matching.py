@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core import (
+    DEFAULT_CONFIG,
     DEFAULT_MATCHERS,
     MatchKind,
     MatcherChain,
@@ -12,7 +13,6 @@ from repro.core import (
     ValueMatcher,
     validate_matchers,
 )
-from repro.core.generation import DEFAULT_CONFIG
 from repro.core.matching import PatternMatcher, camel_words
 from repro.datasets.scale import build_scale
 from repro.textindex.index import AttributeTextIndex

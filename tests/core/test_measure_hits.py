@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import GenerationConfig, generate_candidates
+from repro.core import interpret_query
 from repro.core.measure_hits import (
     MeasurePredicate,
     measure_fact_rows,
@@ -58,11 +58,17 @@ class TestEvaluation:
         assert not pred.holds(None)
 
 
+def value_nets(session, query):
+    """The star nets of the value-only front end, in enumeration order."""
+    interpretations, _report = interpret_query(
+        session.schema, session.index, query, matchers=("value",),
+        chain=session.chain)
+    return [i.star_net for i in interpretations]
+
+
 class TestIntegration:
     def test_mixed_query(self, online_session):
-        candidates = generate_candidates(
-            online_session.schema, online_session.index,
-            "Road Bikes revenue>3000")
+        candidates = value_nets(online_session, "Road Bikes revenue>3000")
         assert candidates
         net = candidates[0]
         assert len(net.measure_predicates) == 1
@@ -71,18 +77,19 @@ class TestIntegration:
         assert all(vector[r] > 3000 for r in subspace.fact_rows)
 
     def test_pure_measure_query(self, online_session):
-        candidates = generate_candidates(
-            online_session.schema, online_session.index, "Quantity>=3")
+        candidates = value_nets(online_session, "Quantity>=3")
         assert len(candidates) == 1
         net = candidates[0]
         assert net.size == 0
         subspace = net.evaluate(online_session.schema)
         assert not subspace.is_empty
+        # a stopword leaves the query measure-only; a keyword that
+        # matches nothing still fails it
+        assert value_nets(online_session, "the Quantity>=3") == candidates
+        assert value_nets(online_session, "qqqzz Quantity>=3") == []
 
     def test_sql_includes_predicate(self, online_session, aw_online):
-        candidates = generate_candidates(
-            online_session.schema, online_session.index,
-            "Road Bikes revenue>3000")
+        candidates = value_nets(online_session, "Road Bikes revenue>3000")
         net = candidates[0]
         sql = net.to_sql(aw_online, "revenue")
         assert "> 3000" in sql
@@ -92,12 +99,3 @@ class TestIntegration:
         assert got == pytest.approx(subspace.aggregate("revenue"),
                                     rel=1e-9)
 
-    def test_disabled_by_config(self, online_session):
-        config = GenerationConfig(enable_measure_predicates=False)
-        candidates = generate_candidates(
-            online_session.schema, online_session.index,
-            "Quantity>=3", config)
-        # with the extension off, 'Quantity>=3' is ordinary text (the
-        # analyzer splits it into tokens) — no candidate carries a
-        # measure predicate
-        assert all(not c.measure_predicates for c in candidates)

@@ -6,10 +6,11 @@ import pytest
 
 from repro.core import (
     HitGroup,
+    Interpretation,
     RankingMethod,
     Ray,
     StarNet,
-    rank_candidates,
+    rank_interpretations,
     score_star_net,
 )
 from repro.textindex import SearchHit
@@ -82,14 +83,15 @@ class TestVariants:
 class TestRankCandidates:
     def test_sorted_best_first(self):
         nets = [make_net(([1.0], [1.0])), make_net(([5.0], [5.0]))]
-        ranked = rank_candidates(nets)
+        ranked = rank_interpretations([Interpretation(n) for n in nets])
         assert ranked[0].score >= ranked[1].score
         assert ranked[0].star_net is nets[1]
 
     def test_deterministic_tie_break(self):
-        nets = [make_net(([1.0], [1.0])) for _ in range(3)]
-        first = rank_candidates(nets)
-        second = rank_candidates(list(reversed(nets)))
+        interps = [Interpretation(make_net(([1.0], [1.0])))
+                   for _ in range(3)]
+        first = rank_interpretations(interps)
+        second = rank_interpretations(list(reversed(interps)))
         assert [s.score for s in first] == [s.score for s in second]
 
 

@@ -2,9 +2,16 @@
 
 import pytest
 
-from repro.core import StarNet, generate_candidates
-from repro.core.generation import DEFAULT_CONFIG
+from repro.core import StarNet, interpret_query
 from repro.relational import SqliteBackend
+
+
+def value_nets(session, query):
+    """The star nets of the value-only front end, in enumeration order."""
+    interpretations, _report = interpret_query(
+        session.schema, session.index, query, matchers=("value",),
+        chain=session.chain)
+    return [i.star_net for i in interpretations]
 
 
 def top_net(session, query):
@@ -72,9 +79,7 @@ class TestSqlCompilation:
     def test_alias_merging_same_dimension(self, ebiz_session):
         """Two hierarchies of the Product dimension share the PRODUCT
         table expression (intersection semantics)."""
-        candidates = generate_candidates(
-            ebiz_session.schema, ebiz_session.index,
-            "Electronics Projectors", DEFAULT_CONFIG)
+        candidates = value_nets(ebiz_session, "Electronics Projectors")
         merged = [
             c for c in candidates
             if {r.hit_group.table for r in c.rays} == {"UNSPSC", "PGROUP"}
@@ -89,9 +94,7 @@ class TestSqlCompilation:
     def test_alias_split_different_dimensions(self, ebiz_session):
         """Seattle customers buying in Portland stores: the LOCATION table
         appears twice under different aliases."""
-        candidates = generate_candidates(
-            ebiz_session.schema, ebiz_session.index, "Seattle Portland",
-            DEFAULT_CONFIG)
+        candidates = value_nets(ebiz_session, "Seattle Portland")
         cross = [
             c for c in candidates
             if {r.dimension for r in c.rays} == {"Customer", "Store"}

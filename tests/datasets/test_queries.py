@@ -101,16 +101,19 @@ class TestRelevance:
 
 class TestRelevantRank:
     def test_rank_found(self):
-        from repro.core import ScoredStarNet
+        from repro.core import Interpretation, ScoredInterpretation
         query = BenchmarkQuery(95, "t", ((Spec("T", "A", "x"),),))
         ranked = [
-            ScoredStarNet(make_net(("T", "B", "y")), 2.0),
-            ScoredStarNet(make_net(("T", "A", "x")), 1.0),
+            ScoredInterpretation(Interpretation(make_net(("T", "B", "y"))),
+                                 2.0),
+            ScoredInterpretation(Interpretation(make_net(("T", "A", "x"))),
+                                 1.0),
         ]
         assert relevant_rank(ranked, query) == 2
 
     def test_rank_missing(self):
-        from repro.core import ScoredStarNet
+        from repro.core import Interpretation, ScoredInterpretation
         query = BenchmarkQuery(94, "t", ((Spec("T", "A", "x"),),))
-        ranked = [ScoredStarNet(make_net(("T", "B", "y")), 1.0)]
+        ranked = [ScoredInterpretation(
+            Interpretation(make_net(("T", "B", "y"))), 1.0)]
         assert relevant_rank(ranked, query) is None

@@ -2,10 +2,14 @@
 
 import pytest
 
-from repro.core import RankingMethod
+from repro.core import DEFAULT_CONFIG, GenerationConfig, RankingMethod
 from repro.evalkit import ALL_METHODS
 from repro.datasets import AW_ONLINE_QUERIES, AW_RESELLER_QUERIES
+from repro.datasets.queries import relevant_rank
 from repro.evalkit import evaluate_ranking
+from repro.evalkit.robustness_eval import evaluate_robustness
+
+from ..core.enumeration_oracle import oracle_front_end
 
 
 @pytest.fixture(scope="module")
@@ -91,3 +95,37 @@ class TestKeywordCountBreakdown:
         breakdown = evaluation.by_keyword_count(RankingMethod.STANDARD)
         counts = list(breakdown)
         assert counts == sorted(counts)
+
+
+def assert_matches_reference(session, evaluation, config=DEFAULT_CONFIG):
+    """Every outcome's ranks and candidate count equal the pinned
+    value-only front end's (``oracle_front_end``)."""
+    for outcome in evaluation.outcomes:
+        for method, rank in outcome.ranks.items():
+            ranked = oracle_front_end(session.schema, session.index,
+                                      outcome.query.text, config, method)
+            assert (rank, outcome.num_candidates) == \
+                (relevant_rank(ranked, outcome.query), len(ranked)), \
+                (outcome.query.text, method)
+
+
+class TestMatchesReference:
+    """Figure 4 and the typo-robustness ablation run on the product
+    front end; their numbers must be the paper front end's exactly."""
+
+    def test_online(self, online_session):
+        evaluation = evaluate_ranking(online_session, AW_ONLINE_QUERIES,
+                                      methods=list(RankingMethod))
+        assert_matches_reference(online_session, evaluation)
+
+    def test_reseller(self, reseller_session):
+        evaluation = evaluate_ranking(reseller_session, AW_RESELLER_QUERIES,
+                                      methods=list(RankingMethod))
+        assert_matches_reference(reseller_session, evaluation)
+
+    def test_robustness_fuzzy_off_and_on(self, online_session):
+        result = evaluate_robustness(online_session, AW_ONLINE_QUERIES)
+        assert_matches_reference(online_session, result.without_fuzzy,
+                                 GenerationConfig(fuzzy_matching=False))
+        assert_matches_reference(online_session, result.with_fuzzy,
+                                 GenerationConfig(fuzzy_matching=True))

@@ -1,10 +1,11 @@
-"""Pipeline-vs-legacy parity (property tests).
+"""Pipeline-vs-reference parity (property tests).
 
-The staged pipeline's value-only chain must reproduce the pre-refactor
-front end *exactly*: same candidate star nets, same scores, same order.
-The legacy path (:func:`generate_candidates` + :func:`rank_candidates`)
-is kept in the tree as the pinned reference, so any drift in phrase
-merging, enumeration caps, dedup, or ranking shows up here.
+The staged pipeline's value-only chain must reproduce the paper's front
+end *exactly*: same candidate star nets, same scores, same order.  The
+pinned reference is ``oracle_front_end`` (tests/core/enumeration_oracle),
+which builds value slots straight from the text index and ranks with the
+bare star-net score, so any drift in matching, phrase merging,
+enumeration caps, dedup, or ranking shows up here.
 
 Also pins the fallback guarantee: with the full default chain enabled,
 a query whose keywords all hit cell values never changes — metadata and
@@ -16,34 +17,37 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core import (
+    DEFAULT_CONFIG,
     KdapSession,
     RankingMethod,
-    generate_candidates,
     interpret_query,
-    rank_candidates,
     rank_interpretations,
 )
-from repro.core.generation import DEFAULT_CONFIG
+
+from ..core.enumeration_oracle import oracle_front_end
 
 # keyword pool mixing cell values (several attribute domains, phrase
-# fragments, fuzzy-adjacent words) with junk that matches nothing
+# fragments, fuzzy-adjacent words) with a stopword, a measure predicate,
+# and junk that matches nothing
 KEYWORDS = [
     "Road", "Bikes", "Mountain", "France", "Germany", "October",
     "December", "Silver", "Touring", "Europe", "Clothing", "Manager",
-    "qqqzz",
+    "the", "revenue>3000", "qqqzz",
 ]
-
-METHODS = [RankingMethod.STANDARD, RankingMethod.BASELINE]
-
 
 def _shape(ranked):
     """The observable output: interpretation text + rounded score."""
     return [(str(s.star_net), round(s.score, 9)) for s in ranked]
 
 
+def _exact(ranked):
+    """Interpretation text + the score's exact ``repr``."""
+    return [(str(s.star_net), repr(s.score)) for s in ranked]
+
+
 @given(
     words=st.lists(st.sampled_from(KEYWORDS), min_size=1, max_size=3),
-    method=st.sampled_from(METHODS),
+    method=st.sampled_from(list(RankingMethod)),
 )
 @settings(max_examples=40, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -52,15 +56,14 @@ def test_value_only_pipeline_matches_legacy(aw_online, online_session,
     query = " ".join(words)
     index = online_session.index
 
-    legacy = rank_candidates(
-        generate_candidates(aw_online, index, query, DEFAULT_CONFIG),
-        method)
+    reference = oracle_front_end(aw_online, index, query, DEFAULT_CONFIG,
+                                 method)
     interps, _report = interpret_query(
         aw_online, index, query, DEFAULT_CONFIG, matchers=("value",),
         chain=online_session.chain)
     staged = rank_interpretations(interps, method)
 
-    assert _shape(staged) == _shape(legacy)
+    assert _exact(staged) == _exact(reference)
     for scored in staged:
         assert scored.interpretation.confidence == 1.0
         assert not scored.interpretation.has_hints

@@ -20,8 +20,7 @@ refreshed view (``refreshed_rows == delta x refreshes``) with zero
 full rebuilds — the "refresh cost proportional to delta" criterion.
 
 Schema caches are primed by untimed warm-ups shared by both modes,
-timed runs are interleaved, and the gate compares *minimum* runs —
-same protocol as :mod:`bench_chunked_scan`.
+timed runs are interleaved, and the gate compares *minimum* runs.
 
 Usage::
 

@@ -5,33 +5,17 @@ the engine primitives as plain wall-clock benchmarks — no pytest — and
 writes per-benchmark medians to ``BENCH_kdap.json``.  The committed
 baseline lets any later change diff its numbers against this PR's.
 
-The run doubles as seven acceptance gates, each exiting non-zero on
-failure so CI catches a regression as a hard failure, not a silent
+The run doubles as three acceptance gates, rows of :data:`GATES` that
+one loop records, prints and fails the same way; any failing gate exits
+non-zero so CI catches a regression as a hard failure, not a silent
 slowdown:
 
-* **fusion** — the Table 2 facet workload is timed on the engine (whose
-  multi-group-by path always fuses) and on :class:`UnfusedEngine`, a
-  bench-local baseline answering each group-by separately, per backend;
-  the fused path must not be slower;
-* **vectorization** — the scan-aggregate microbenchmark
-  (:mod:`bench_scan_aggregate`) compares the vectorized in-memory
-  backend against the seed row-at-a-time interpreter; the vectorized
-  path must win by at least 2x;
-* **tracing overhead** — the same workload with the tracing layer
-  disabled (:mod:`bench_tracing_overhead`) must stay within 3% of a
-  pinned span-free reference, so observability never taxes production;
-* **chunked scan** — the chunked serial scan-aggregate
-  (:mod:`bench_chunked_scan`) must beat the pre-chunk plain-vector
-  strategy by at least 2x on a million clustered fact rows, and the
-  selective date-range scenario must skip at least one chunk via its
-  zone maps.  This gate always runs at full scale (>= 1M rows), even
-  under ``--smoke``: the acceptance criterion is defined there;
 * **materialize** — the sub-cube tier (:mod:`bench_materialize`) must
   answer the categorical partition workload at least 2x faster than
   direct scanning on a million fact rows (with real view hits,
   including a lattice roll-up), and append maintenance must fold
-  exactly the delta — no full rebuilds.  Like the chunked-scan gate,
-  always at full scale;
+  exactly the delta — no full rebuilds.  Always at full scale, even
+  under ``--smoke``;
 * **service concurrency** — a live HTTP server under steady load,
   overload, and chaos (:mod:`bench_service_concurrency`): steady-state
   shed rate and p95 bounded, overload answered with 429s (never 5xx or
@@ -76,28 +60,11 @@ from repro.evalkit import (
     evaluate_ranking,
 )
 from repro.obs.metrics import runs_summary
-from repro.plan import FusionStats, QueryEngine
+from repro.plan import QueryEngine
 
-from bench_materialize import (
-    MIN_SPEEDUP as MATERIALIZE_MIN_SPEEDUP,
-    compare as compare_materialize,
-    passes as materialize_passes,
-)
-from bench_chunked_scan import (
-    MIN_SPEEDUP as CHUNKED_MIN_SPEEDUP,
-    compare as compare_chunked,
-)
-from bench_scan_aggregate import MIN_SPEEDUP, compare as compare_scan
-from bench_service_concurrency import (
-    compare as compare_service,
-    passes as service_passes,
-)
-from bench_telemetry_overhead import (
-    MAX_OVERHEAD as TELEMETRY_MAX_OVERHEAD,
-    compare as compare_telemetry,
-    passes as telemetry_passes,
-)
-from bench_tracing_overhead import MAX_OVERHEAD, compare as compare_tracing
+import bench_materialize
+import bench_service_concurrency
+import bench_telemetry_overhead
 
 QUERY = "California Mountain Bikes"
 
@@ -105,17 +72,48 @@ FACET_CONFIG = ExploreConfig(top_k_attributes=4, top_k_instances=4,
                              display_intervals=3)
 
 
-class UnfusedEngine(QueryEngine):
-    """The Table 2 baseline: one single-key partition query per
-    group-by instead of one fused ``MultiGroupAggregate``."""
+def _materialize(suite) -> tuple[dict, dict]:
+    # builds its own million-row warehouse: the append scenario mutates it
+    schema = build_scale(num_facts=1_000_000, seed=7)
+    return bench_materialize.compare(schema, max(suite.repeats, 3))
 
-    def multi_partition_aggregates(self, subspace, gbs, measure_name,
-                                   domains=None):
-        gbs = list(gbs)
-        domains = [None] * len(gbs) if domains is None else list(domains)
-        return [self.subspace_partition_aggregates(subspace, gb,
-                                                   measure_name, domain=d)
-                for gb, d in zip(gbs, domains)]
+
+def _service(suite) -> tuple[dict, dict]:
+    benchmarks, check = bench_service_concurrency.compare(suite.online)
+    # the full statz/metricz snapshots are CI artifacts (the standalone
+    # runner's --statz-out / --metricz-out), not baseline material
+    check.pop("statz", None)
+    check.pop("metricz", None)
+    return benchmarks, check
+
+
+def _telemetry(suite) -> tuple[dict, dict]:
+    return bench_telemetry_overhead.compare(suite.online)
+
+
+#: (report key, run(suite) -> (benchmarks, check), passes(check), what
+#: the gate demands — printed with its verdict)
+GATES = (
+    ("materialize_check", _materialize, bench_materialize.passes,
+     f"the sub-cube tier answers >= {bench_materialize.MIN_SPEEDUP:.1f}x "
+     "faster than direct scans at 1M rows, serves (roll-up) hits, and "
+     "append maintenance folds exactly the delta"),
+    ("service_check", _service, bench_service_concurrency.passes,
+     "steady load sheds <= "
+     f"{bench_service_concurrency.MAX_STEADY_SHED_RATE:.0%} at p95 <= "
+     f"{bench_service_concurrency.MAX_STEADY_P95_S:g} s with no 5xx, "
+     "overload answers 429s (never 5xx or hangs), chaos faults are "
+     "absorbed by retry/failover"),
+    ("telemetry_check", _telemetry, bench_telemetry_overhead.passes,
+     "always-on telemetry within "
+     f"{bench_telemetry_overhead.MAX_OVERHEAD * 100:.0f}% at the floor "
+     "p95, every errored trace persisted, healthy traffic held to the "
+     "head cadence, every trace file complete JSON"),
+)
+
+#: scalar fields shown on a gate entry's console line, when present
+_SHOWN = ("median_s", "min_s", "p95_s", "requests", "throughput_rps",
+          "shed", "errors_5xx")
 
 
 def _timed(fn, repeats: int) -> dict:
@@ -139,6 +137,7 @@ class Suite:
         self.smoke = smoke
         self.repeats = repeats
         self.benchmarks: dict[str, dict] = {}
+        self.checks: dict[str, dict] = {}
         if smoke:
             self.online = build_aw_online(num_customers=300,
                                           num_facts=8000, seed=42)
@@ -172,76 +171,24 @@ class Suite:
         assert ranked, "table1 query must have interpretations"
         self.net = ranked[0].star_net
 
-    def bench_table2(self) -> dict:
-        """The facet workload, fused vs per-attribute, per backend.
-
-        Every timed run starts from a cold plan cache so the comparison
-        measures execution strategy, not memoisation.  Both modes get one
-        untimed warm-up (priming shared schema vectors / the sqlite
-        mirror) and the timed runs are interleaved fused/unfused so
-        machine drift cannot bias either side.  The gate compares the
-        *minimum* run of each mode (the deterministic workload's best
-        case is its true cost; medians still carry scheduler noise) with
-        a 3% guard band, because on the in-memory backend the facet
-        wall-clock is dominated by numerical bucketing the fused path
-        does not touch — the fusion win there is a few percent
-        end-to-end, while a genuine fusion regression shows up far
-        above the band.
-        """
-        check: dict[str, dict] = {}
-        repeats = max(self.repeats, 7)
+    def bench_table2(self):
+        """The facet workload per backend.  Every timed run starts from a
+        cold plan cache so it measures execution, not memoisation; one
+        untimed warm-up primes shared schema vectors / the sqlite
+        mirror."""
         for backend in ("memory", "sqlite"):
-            engines = {
-                True: QueryEngine(self.online, backend=backend),
-                False: UnfusedEngine(self.online, backend=backend),
-            }
+            engine = QueryEngine(self.online, backend=backend)
 
-            def run(engine):
+            def run():
                 engine.cache.clear()
                 return build_facets(self.online, self.net,
                                     config=FACET_CONFIG, engine=engine)
 
-            for engine in engines.values():
-                run(engine)
-            engines[True].fusion = FusionStats()
-            runs: dict[bool, list[float]] = {True: [], False: []}
-            for _ in range(repeats):
-                for fuse in (True, False):
-                    started = time.perf_counter()
-                    run(engines[fuse])
-                    runs[fuse].append(time.perf_counter() - started)
-            for fuse, mode in ((True, "fused"), (False, "unfused")):
-                name = f"table2_facets_{mode}_{backend}"
-                self.benchmarks[name] = {
-                    "median_s": round(statistics.median(runs[fuse]), 6),
-                    "min_s": round(min(runs[fuse]), 6),
-                    "runs_s": [round(r, 6) for r in runs[fuse]],
-                    **runs_summary(runs[fuse]),
-                    "meta": {"backend": backend, "fused": fuse},
-                }
-                print(f"  {name}: "
-                      f"{self.benchmarks[name]['median_s']:.4f} s "
-                      f"(median of {repeats}, interleaved)")
-            stats = engines[True].fusion
-            fusion = {   # accumulated over the timed runs: per-run share
-                "fused_queries": stats.fused_queries // repeats,
-                "attributes_fused": stats.attributes_fused // repeats,
-                "scans_saved": stats.scans_saved // repeats,
-            }
-            for engine in engines.values():
-                engine.close()
-            fused = self.benchmarks[f"table2_facets_fused_{backend}"]
-            unfused = self.benchmarks[f"table2_facets_unfused_{backend}"]
-            check[backend] = {
-                "fused_s": fused["median_s"],
-                "unfused_s": unfused["median_s"],
-                "fused_min_s": fused["min_s"],
-                "unfused_min_s": unfused["min_s"],
-                "speedup": round(unfused["median_s"]
-                                 / max(fused["median_s"], 1e-9), 3),
-                "fusion": fusion,
-            }
-        return check
+            run()
+            self.record(f"table2_facets_{backend}", run,
+                        repeats=max(self.repeats, 7),
+                        meta={"backend": backend})
+            engine.close()
 
     def bench_figures(self):
         queries = AW_ONLINE_QUERIES[:8] if self.smoke else AW_ONLINE_QUERIES
@@ -268,92 +215,19 @@ class Suite:
                                        iterations=iterations),
             repeats=1, meta={"iterations": iterations})
 
-    def bench_scan_aggregate(self) -> dict:
-        """Vectorized vs row-at-a-time scan-aggregate (interleaved runs,
-        min-run gate — see :mod:`bench_scan_aggregate`)."""
-        benchmarks, check = compare_scan(self.online,
-                                         max(self.repeats, 7))
-        self.benchmarks.update(benchmarks)
-        for name in sorted(benchmarks):
-            entry = benchmarks[name]
-            print(f"  {name}: {entry['median_s']:.4f} s "
-                  f"(median of {len(entry['runs_s'])}, interleaved)")
-        return check
-
-    def bench_chunked_scan(self) -> dict:
-        """Chunked serial scan-aggregate vs the pre-chunk plain-vector
-        strategy, plus the zone-map skip scenario — always at one million
-        clustered fact rows (see :mod:`bench_chunked_scan` for the pinned
-        reference and the interleaved min-run protocol).
-        """
-        schema = build_scale(num_facts=1_000_000, seed=7)
-        benchmarks, check = compare_chunked(schema, max(self.repeats, 3))
-        self.benchmarks.update(benchmarks)
-        for name in sorted(benchmarks):
-            entry = benchmarks[name]
-            print(f"  {name}: {entry['median_s']:.4f} s "
-                  f"(min {entry['min_s']:.4f} s, interleaved)")
-        return check
-
-    def bench_materialize(self) -> dict:
-        """Materialized sub-cube tier vs direct scanning, plus the
-        incremental append-refresh scenario — always at one million
-        fact rows (see :mod:`bench_materialize`; builds its own
-        warehouse because the append scenario mutates it)."""
-        schema = build_scale(num_facts=1_000_000, seed=7)
-        benchmarks, check = compare_materialize(schema,
-                                                max(self.repeats, 3))
-        self.benchmarks.update(benchmarks)
-        for name in sorted(benchmarks):
-            entry = benchmarks[name]
-            print(f"  {name}: {entry['median_s']:.4f} s "
-                  f"(min {entry['min_s']:.4f} s, interleaved)")
-        return check
-
-    def bench_service_concurrency(self) -> dict:
-        """Concurrent service scenarios: steady load, overload shedding,
-        and chaos-mode fault absorption (see
-        :mod:`bench_service_concurrency` for the behavioural gate)."""
-        benchmarks, check = compare_service(self.online)
-        self.benchmarks.update(benchmarks)
-        for name in sorted(benchmarks):
-            entry = benchmarks[name]
-            print(f"  {name}: {entry['requests']} requests, "
-                  f"{entry['throughput_rps']:.1f} req/s, "
-                  f"p95 {entry['p95_s']:.3f} s, shed {entry['shed']}, "
-                  f"5xx {entry['errors_5xx']}")
-        # the full statz/metricz snapshots are CI artifacts (the
-        # standalone runner's --statz-out / --metricz-out), not
-        # baseline material
-        check.pop("statz", None)
-        check.pop("metricz", None)
-        return check
-
-    def bench_telemetry(self) -> dict:
-        """Always-on telemetry vs an identical bare deployment, paired
-        floor-latency protocol plus the tail-sampling audit (see
-        :mod:`bench_telemetry_overhead` for the gate)."""
-        benchmarks, check = compare_telemetry(self.online)
-        self.benchmarks.update(benchmarks)
-        for name in sorted(benchmarks):
-            entry = benchmarks[name]
-            print(f"  {name}: {entry['requests']} requests, floor p95 "
-                  f"{entry['p95_s'] * 1000:.2f} ms, workload sum "
-                  f"{entry['sum_s'] * 1000:.2f} ms")
-        return check
-
-    def bench_tracing_overhead(self) -> dict:
-        """Disabled-tracer overhead vs the pinned span-free reference
-        (interleaved runs, min-run gate — see
-        :mod:`bench_tracing_overhead`)."""
-        benchmarks, check = compare_tracing(self.online,
-                                            max(self.repeats, 7))
-        self.benchmarks.update(benchmarks)
-        for name in sorted(benchmarks):
-            entry = benchmarks[name]
-            print(f"  {name}: {entry['median_s']:.4f} s "
-                  f"(median of {len(entry['runs_s'])}, interleaved)")
-        return check
+    # ------------------------------------------------------------------
+    # acceptance gates
+    # ------------------------------------------------------------------
+    def run_gates(self):
+        for name, run, passes, _ in GATES:
+            benchmarks, check = run(self)
+            self.benchmarks.update(benchmarks)
+            for entry_name in sorted(benchmarks):
+                entry = benchmarks[entry_name]
+                shown = ", ".join(f"{key} {entry[key]:g}"
+                                  for key in _SHOWN if key in entry)
+                print(f"  {entry_name}: {shown}")
+            self.checks[name] = {**check, "pass": passes(check)}
 
     # ------------------------------------------------------------------
     # engine primitives
@@ -401,130 +275,34 @@ def main(argv=None) -> int:
     suite = Suite(args.smoke, repeats)
     try:
         suite.bench_table1()
-        fusion_check = suite.bench_table2()
-        scan_check = suite.bench_scan_aggregate()
-        tracing_check = suite.bench_tracing_overhead()
-        chunked_check = suite.bench_chunked_scan()
-        materialize_check = suite.bench_materialize()
-        service_check = suite.bench_service_concurrency()
-        telemetry_check = suite.bench_telemetry()
+        suite.bench_table2()
+        suite.run_gates()
         suite.bench_figures()
         suite.bench_primitives()
     finally:
         suite.close()
 
-    # best-run comparison with a 3% noise band: a real fusion regression
-    # (fused path degenerating to worse-than-N-singles) lands far outside
-    fusion_ok = all(entry["fused_min_s"] <= entry["unfused_min_s"] * 1.03
-                    for entry in fusion_check.values())
-    scan_ok = scan_check["speedup"] >= MIN_SPEEDUP
-    tracing_ok = tracing_check["overhead"] <= MAX_OVERHEAD
-    chunked_ok = (chunked_check["speedup"] >= CHUNKED_MIN_SPEEDUP
-                  and chunked_check["zone_skip"]["chunks_skipped"] > 0)
-    materialize_ok = materialize_passes(materialize_check)
-    service_ok = service_passes(service_check)
-    telemetry_ok = telemetry_passes(telemetry_check)
     report = {
         "suite": "kdap",
         "smoke": args.smoke,
         "repeats": repeats,
         "python": platform.python_version(),
         "benchmarks": suite.benchmarks,
-        "fusion_check": {**fusion_check, "pass": fusion_ok},
-        "scan_check": {**scan_check, "pass": scan_ok},
-        "tracing_check": {**tracing_check, "pass": tracing_ok},
-        "chunked_scan_check": {**chunked_check, "pass": chunked_ok},
-        "materialize_check": {**materialize_check, "pass": materialize_ok},
-        "service_check": {**service_check, "pass": service_ok},
-        "telemetry_check": {**telemetry_check, "pass": telemetry_ok},
+        **suite.checks,
     }
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)
         fh.write("\n")
     print(f"\nwrote {args.out}")
-    for backend, entry in fusion_check.items():
-        print(f"fusion[{backend}]: fused {entry['fused_s']:.4f}s vs "
-              f"unfused {entry['unfused_s']:.4f}s "
-              f"({entry['speedup']:.2f}x, "
-              f"{entry['fusion']['scans_saved']} scans saved)")
-    print(f"vectorized scan-aggregate: {scan_check['speedup']:.2f}x over "
-          f"row-at-a-time (required {MIN_SPEEDUP:.1f}x)")
-    print(f"disabled-tracer overhead: "
-          f"{tracing_check['overhead'] * 100:.2f}% "
-          f"(ceiling {MAX_OVERHEAD * 100:.0f}%)")
-    zone = chunked_check["zone_skip"]
-    print(f"chunked scan-aggregate: {chunked_check['speedup']:.2f}x over "
-          f"the pre-chunk strategy at {chunked_check['fact_rows']} rows "
-          f"(required {CHUNKED_MIN_SPEEDUP:.1f}x), zone maps skipped "
-          f"{zone['chunks_skipped']} of "
-          f"{zone['chunks_skipped'] + zone['chunks_scanned']} chunks")
-    refresh = materialize_check["refresh"]
-    print(f"materialized tier: {materialize_check['speedup']:.2f}x over "
-          f"direct scans at {materialize_check['fact_rows']} rows "
-          f"(required {MATERIALIZE_MIN_SPEEDUP:.1f}x), "
-          f"{materialize_check['views']} views / "
-          f"{materialize_check['hits']} hits "
-          f"({materialize_check['rollup_hits']} roll-ups); append folded "
-          f"{refresh['refreshed_rows']} rows over "
-          f"{refresh['refreshes']} refreshes for a "
-          f"{refresh['delta_rows']}-row delta, "
-          f"{refresh['rebuilds']} rebuilds")
-    steady = service_check["steady"]
-    print(f"service concurrency: steady p95 {steady['p95_s']:.3f}s at "
-          f"{steady['throughput_rps']:.1f} req/s (shed rate "
-          f"{steady['shed_rate']:.2%}), overload shed "
-          f"{service_check['overload']['shed']} with "
-          f"{service_check['overload']['errors_5xx']} 5xx, chaos "
-          f"absorbed {service_check['chaos']['resilience']['transient_errors']} "
-          "faults")
-    sampling = telemetry_check["sampling"]
-    print(f"telemetry overhead: {telemetry_check['overhead'] * 100:+.2f}% "
-          f"floor p95 (ceiling {TELEMETRY_MAX_OVERHEAD * 100:.0f}%), "
-          f"sampling persisted "
-          f"{sampling['sampling']['persisted_total']} of "
-          f"{sampling['sampling']['considered']} traces "
-          f"({sampling['sampling']['persisted']['error']} errored, all "
-          "captured)")
-    if not fusion_ok:
-        print("FUSION CHECK FAILED: fused facet workload slower than "
-              "per-attribute path", file=sys.stderr)
-        return 1
-    if not scan_ok:
-        print("VECTORIZATION CHECK FAILED: vectorized scan-aggregate "
-              f"below {MIN_SPEEDUP:.1f}x over the row-at-a-time "
-              "interpreter", file=sys.stderr)
-        return 1
-    if not tracing_ok:
-        print("TRACING OVERHEAD CHECK FAILED: disabled tracer costs "
-              f"more than {MAX_OVERHEAD * 100:.0f}% on the "
-              "scan-aggregate hot path", file=sys.stderr)
-        return 1
-    if not chunked_ok:
-        print("CHUNKED SCAN CHECK FAILED: chunked serial "
-              f"scan-aggregate below {CHUNKED_MIN_SPEEDUP:.1f}x over the "
-              "pre-chunk strategy, or zone maps skipped no chunks",
-              file=sys.stderr)
-        return 1
-    if not materialize_ok:
-        print("MATERIALIZATION CHECK FAILED: the sub-cube tier fell "
-              f"below {MATERIALIZE_MIN_SPEEDUP:.1f}x over direct scans, "
-              "served no (roll-up) hits, or append maintenance did not "
-              "fold exactly the delta", file=sys.stderr)
-        return 1
-    if not service_ok:
-        print("SERVICE CONCURRENCY CHECK FAILED: the server shed under "
-              "steady load, answered 5xx/hung under overload, or chaos "
-              "faults escaped the retry/failover ladder",
-              file=sys.stderr)
-        return 1
-    if not telemetry_ok:
-        print("TELEMETRY CHECK FAILED: the always-on telemetry stack "
-              f"costs more than {TELEMETRY_MAX_OVERHEAD * 100:.0f}% at "
-              "the workload p95, tail sampling missed an errored trace "
-              "or over-sampled healthy traffic, or a persisted trace "
-              "was not complete JSON", file=sys.stderr)
-        return 1
-    return 0
+    failed = 0
+    for name, _, _, demand in GATES:
+        check = suite.checks[name]
+        print(f"{name}: {'pass' if check['pass'] else 'FAILED'} ({demand})")
+        if not check["pass"]:
+            failed += 1
+            print(f"{name.upper()} FAILED: "
+                  f"{json.dumps(check, sort_keys=True)}", file=sys.stderr)
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

@@ -50,10 +50,12 @@ def exhaustive_splits(
 ) -> AnnealingResult:
     """The exact optimal splitting under the L-skew constraint.
 
-    Enumerates split positions recursively, pruning branches whose
-    segment lengths already violate the constraint's feasible bounds.
-    Raises :class:`ValueError` when the state space exceeds
-    ``max_states`` (use :func:`beam_splits` there instead).
+    Enumerates split positions recursively, carrying the longest and
+    shortest finished segment down the recursion and pruning a prefix as
+    soon as ``longest > skew_limit * shortest`` (exact: the final max can
+    only grow and the final min only shrink).  Raises :class:`ValueError`
+    when the search visits more than ``max_states`` states (use
+    :func:`beam_splits` there instead).
     """
     m = len(x)
     if m != len(y):
@@ -68,19 +70,23 @@ def exhaustive_splits(
     best_splits: tuple[int, ...] | None = None
     best_error = float("inf")
     evaluations = 0
+    states = 0
     current: list[int] = []
 
-    def recurse(position: int, segments_left: int) -> None:
-        nonlocal best_splits, best_error, evaluations
-        if evaluations > max_states:
+    def recurse(position: int, segments_left: int, longest: int,
+                shortest: float) -> None:
+        nonlocal best_splits, best_error, evaluations, states
+        states += 1
+        if states > max_states:
             raise ValueError(
                 f"exhaustive search exceeds {max_states} states; "
                 "use beam_splits for this size"
             )
         if segments_left == 1:
-            splits = tuple(current)
-            if not is_valid_splitting(splits, m, skew_limit):
+            last = m - position
+            if max(longest, last) > skew_limit * min(shortest, last):
                 return
+            splits = tuple(current)
             evaluations += 1
             error = abs(merged_correlation(x, y, splits) - basic)
             if error < best_error:
@@ -89,11 +95,15 @@ def exhaustive_splits(
             return
         # the remaining segments each need at least one basic interval
         for split in range(position + 1, m - segments_left + 2):
+            length = split - position
+            wide, narrow = max(longest, length), min(shortest, length)
+            if wide > skew_limit * narrow:
+                continue
             current.append(split)
-            recurse(split, segments_left - 1)
+            recurse(split, segments_left - 1, wide, narrow)
             current.pop()
 
-    recurse(0, k)
+    recurse(0, k, 0, float("inf"))
     if best_splits is None:
         raise ValueError(
             f"no valid splitting of {m} intervals into {k} segments "

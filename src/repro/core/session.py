@@ -176,8 +176,10 @@ class KdapSession:
         # per-ray fact-set memo: the same (hit group, path) ray recurs
         # across many candidate star nets of one query.  The engine's plan
         # cache holds the row tuples; this memo only avoids re-building
-        # frozensets for the intersection loop in subspace_size.
+        # frozensets for the intersection loop in subspace_size.  It holds
+        # one epoch (the plan cache's): an append empties it.
         self._ray_cache: dict[tuple, frozenset[int]] = {}
+        self._ray_epoch: int | None = None
         self._closed = False
 
     def close(self) -> None:
@@ -201,14 +203,19 @@ class KdapSession:
     # cached subspace sizing
     # ------------------------------------------------------------------
     def _ray_facts(self, ray) -> frozenset[int]:
-        key = (ray.hit_group.domain, ray.hit_group.values,
-               ray.path_to_fact.fk_names)
-        if key not in self._ray_cache:
-            rows = self.engine.semijoin_rows(
+        epoch, key = self.engine.cache_key((ray.hit_group.domain,
+                                            ray.hit_group.values,
+                                            ray.path_to_fact.fk_names))
+        if epoch != self._ray_epoch:
+            self._ray_cache.clear()
+            self._ray_epoch = epoch
+        facts = self._ray_cache.get(key)
+        if facts is None:
+            facts = frozenset(self.engine.semijoin_rows(
                 ray.hit_group.table, ray.hit_group.attribute,
-                ray.hit_group.values, ray.path_to_fact, ray.dimension)
-            self._ray_cache[key] = frozenset(rows)
-        return self._ray_cache[key]
+                ray.hit_group.values, ray.path_to_fact, ray.dimension))
+            self._ray_cache[key] = facts
+        return facts
 
     def subspace_size(self, star_net) -> int:
         """Fact-row count of a star net's subspace, with per-ray caching.

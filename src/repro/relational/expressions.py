@@ -1,12 +1,13 @@
 """Predicate and scalar expression trees.
 
-Expressions evaluate against a :class:`~repro.relational.table.Table` in
-two modes: the scalar :meth:`Expression.evaluate` (one row at a time —
-the reference semantics) and the batch :meth:`Expression.evaluate_batch`
-/ :meth:`Predicate.select_batch` kernels that move whole selection
+Expressions evaluate against a :class:`~repro.relational.table.Table`
+through the batch :meth:`Expression.evaluate_batch` /
+:meth:`Predicate.select_batch` kernels, which move whole selection
 vectors through :mod:`repro.relational.vector` at C-comprehension speed.
-Both modes are result-identical by construction; the randomized parity
-suite pins that equivalence.
+SQL semantics are collapsed to two values: ``None`` propagates through
+arithmetic and any comparison involving NULL is False.  The per-row
+reference semantics live with the tests (``tests/relational/
+row_oracle.py``), and the randomized parity suite pins the kernels to it.
 
 The trees are intentionally tiny — comparisons, boolean combinators,
 ``IN`` sets, ranges, and arithmetic over columns — which covers
@@ -33,19 +34,10 @@ def _resolve_ids(table: Table,
 class Expression:
     """Base class for all expressions."""
 
-    def evaluate(self, table: Table, row_id: int):
-        """Value of this expression on one row (reference semantics)."""
-        raise NotImplementedError
-
     def evaluate_batch(self, table: Table,
                        row_ids: Sequence[int] | None = None) -> list:
-        """Values of this expression over a selection vector.
-
-        The base implementation is the per-row reference loop; concrete
-        nodes override it with columnar kernels.  All overrides must be
-        value-identical to this loop.
-        """
-        return [self.evaluate(table, r) for r in _resolve_ids(table, row_ids)]
+        """Values of this expression over a selection vector."""
+        raise NotImplementedError
 
     def columns(self) -> set[str]:
         """Names of all columns this expression reads."""
@@ -70,9 +62,6 @@ class Col(Expression):
 
     name: str
 
-    def evaluate(self, table: Table, row_id: int):
-        return table.value(row_id, self.name)
-
     def evaluate_batch(self, table: Table,
                        row_ids: Sequence[int] | None = None) -> list:
         return vector.take(table.column_values(self.name), row_ids)
@@ -89,9 +78,6 @@ class Const(Expression):
     """A literal constant."""
 
     value: object
-
-    def evaluate(self, table: Table, row_id: int):
-        return self.value
 
     def evaluate_batch(self, table: Table,
                        row_ids: Sequence[int] | None = None) -> list:
@@ -127,13 +113,6 @@ class Arith(Expression):
         if self.op not in _ARITH_OPS:
             raise ExpressionError(f"unknown arithmetic operator {self.op!r}")
 
-    def evaluate(self, table: Table, row_id: int):
-        lhs = self.left.evaluate(table, row_id)
-        rhs = self.right.evaluate(table, row_id)
-        if lhs is None or rhs is None:
-            return None
-        return _ARITH_OPS[self.op](lhs, rhs)
-
     def evaluate_batch(self, table: Table,
                        row_ids: Sequence[int] | None = None) -> list:
         op = _ARITH_OPS[self.op]
@@ -160,10 +139,10 @@ class Predicate(Expression):
                      row_ids: Sequence[int] | None = None) -> list[int]:
         """Selection vector of candidate rows satisfying this predicate.
 
-        Result-identical to filtering ``row_ids`` with per-row
-        :meth:`evaluate`; concrete predicates override with columnar
-        kernels (``IN`` probes a set over the raw column, ``AND``
-        narrows the selection one conjunct at a time).
+        The base compresses ``row_ids`` by the :meth:`evaluate_batch`
+        mask; concrete predicates override with columnar kernels (``IN``
+        probes a set over the raw column, ``AND`` narrows the selection
+        one conjunct at a time).
         """
         ids = _resolve_ids(table, row_ids)
         return vector.compress(self.evaluate_batch(table, ids), ids)
@@ -190,13 +169,6 @@ class Compare(Predicate):
     def __post_init__(self) -> None:
         if self.op not in _CMP_OPS:
             raise ExpressionError(f"unknown comparison operator {self.op!r}")
-
-    def evaluate(self, table: Table, row_id: int) -> bool:
-        lhs = self.left.evaluate(table, row_id)
-        rhs = self.right.evaluate(table, row_id)
-        if lhs is None or rhs is None:
-            return False
-        return _CMP_OPS[self.op](lhs, rhs)
 
     def evaluate_batch(self, table: Table,
                        row_ids: Sequence[int] | None = None) -> list:
@@ -225,10 +197,6 @@ class In(Predicate):
     def of(expr: Expression, values: Iterable) -> "In":
         """Build an ``IN`` predicate from any iterable of values."""
         return In(expr, frozenset(values))
-
-    def evaluate(self, table: Table, row_id: int) -> bool:
-        value = self.expr.evaluate(table, row_id)
-        return value is not None and value in self.values
 
     def evaluate_batch(self, table: Table,
                        row_ids: Sequence[int] | None = None) -> list:
@@ -263,14 +231,6 @@ class Between(Predicate):
     low: float
     high: float
     inclusive_high: bool = False
-
-    def evaluate(self, table: Table, row_id: int) -> bool:
-        value = self.expr.evaluate(table, row_id)
-        if value is None:
-            return False
-        if self.inclusive_high:
-            return self.low <= value <= self.high
-        return self.low <= value < self.high
 
     def evaluate_batch(self, table: Table,
                        row_ids: Sequence[int] | None = None) -> list:
@@ -315,9 +275,6 @@ class And(Predicate):
         if len(flat) == 1:
             return flat[0]
         return And(tuple(flat))
-
-    def evaluate(self, table: Table, row_id: int) -> bool:
-        return all(p.evaluate(table, row_id) for p in self.parts)
 
     def evaluate_batch(self, table: Table,
                        row_ids: Sequence[int] | None = None) -> list:
@@ -365,9 +322,6 @@ class Or(Predicate):
             return flat[0]
         return Or(tuple(flat))
 
-    def evaluate(self, table: Table, row_id: int) -> bool:
-        return any(p.evaluate(table, row_id) for p in self.parts)
-
     def evaluate_batch(self, table: Table,
                        row_ids: Sequence[int] | None = None) -> list:
         if not self.parts:
@@ -401,9 +355,6 @@ class Not(Predicate):
 
     inner: Predicate
 
-    def evaluate(self, table: Table, row_id: int) -> bool:
-        return not self.inner.evaluate(table, row_id)
-
     def evaluate_batch(self, table: Table,
                        row_ids: Sequence[int] | None = None) -> list:
         return [not hit for hit in self.inner.evaluate_batch(table, row_ids)]
@@ -426,9 +377,6 @@ class IsNull(Predicate):
     """NULL test."""
 
     expr: Expression
-
-    def evaluate(self, table: Table, row_id: int) -> bool:
-        return self.expr.evaluate(table, row_id) is None
 
     def evaluate_batch(self, table: Table,
                        row_ids: Sequence[int] | None = None) -> list:

@@ -1,11 +1,18 @@
 """Exact and beam-search interval merging (the §7 algorithms extension)."""
 
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core import AnnealingConfig, anneal_splits, is_valid_splitting
+from repro.core import (
+    AnnealingConfig,
+    anneal_splits,
+    is_valid_splitting,
+    merged_correlation,
+    pearson_correlation,
+)
 from repro.core.optimal_merge import beam_splits, exhaustive_splits
 
 
@@ -42,6 +49,21 @@ class TestExhaustive:
         x, y = series(m=60, seed=1)
         with pytest.raises(ValueError):
             exhaustive_splits(x, y, 8, max_states=100)
+
+    @pytest.mark.parametrize("skew_limit", [1.0, 1.5, 2.0, 4.0, 100.0])
+    def test_prune_is_exact(self, skew_limit):
+        """The skew prune drops only invalid prefixes: every valid
+        splitting is still scored, and the winner matches brute force."""
+        m, k = 12, 4
+        x, y = series(m=m, seed=5)
+        basic = pearson_correlation(x, y)
+        valid = [s for s in combinations(range(1, m), k - 1)
+                 if is_valid_splitting(s, m, skew_limit)]
+        best = min(valid,
+                   key=lambda s: abs(merged_correlation(x, y, s) - basic))
+        result = exhaustive_splits(x, y, k, skew_limit=skew_limit)
+        assert result.splits == best
+        assert len(result.error_history) == len(valid)
 
     def test_mismatched_series(self):
         with pytest.raises(ValueError):

@@ -8,6 +8,7 @@ from repro.core import (
     KdapSession,
     RankingMethod,
 )
+from repro.datasets import build_aw_online
 
 
 class TestDifferentiate:
@@ -102,6 +103,30 @@ class TestSubspaceSizePreview:
         online_session.differentiate("Columbus", limit=5,
                                      preview_sizes=True)
         assert len(online_session._ray_cache) == before
+
+    def test_preview_after_append(self):
+        """An appended matching fact row shows up in the next preview,
+        and the ray memo does not keep the old epoch's entries."""
+        schema = build_aw_online(num_customers=60, num_facts=1500, seed=11)
+        with KdapSession(schema) as session:
+            [scored] = session.differentiate("Mountain Bikes", limit=1,
+                                             preview_sizes=True)
+            memo_size = len(session._ray_cache)
+            net = scored.star_net
+            subspace = session.engine.evaluate(net)
+            assert scored.subspace_size == len(subspace) > 0
+            fact = schema.database.table(schema.fact_table)
+            row = fact.row(subspace.fact_rows[0])
+            row[fact.primary_key] = max(
+                fact.column_values(fact.primary_key)) + 1
+            fact.insert(row)
+            grown = scored.subspace_size + 1
+            assert len(session.engine.evaluate(net)) == grown
+            assert session.subspace_size(net) == grown
+            [again] = session.differentiate("Mountain Bikes", limit=1,
+                                            preview_sizes=True)
+            assert again.subspace_size == grown
+            assert len(session._ray_cache) == memo_size
 
     def test_measure_predicate_preview(self, online_session):
         ranked = online_session.differentiate(

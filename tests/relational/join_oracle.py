@@ -25,6 +25,8 @@ from repro.relational.errors import SchemaError
 from repro.relational.operators import AGGREGATES
 from repro.relational.sql import JoinQuery
 
+from .row_oracle import evaluate_row
+
 
 def execute_join_query(database: Database,
                        query: JoinQuery) -> list[tuple]:
@@ -98,7 +100,7 @@ def execute_join_query(database: Database,
         rows = [
             env for env in rows
             if env[slot] is not None
-            and alias_filter.predicate.evaluate(table, env[slot])
+            and evaluate_row(alias_filter.predicate, table, env[slot])
         ]
 
     # ------------------------------------------------------------------
@@ -109,7 +111,7 @@ def execute_join_query(database: Database,
     def measure_of(env: tuple):
         if query.measure_expr is None:
             return 1
-        return query.measure_expr.evaluate(fact, env[0])
+        return evaluate_row(query.measure_expr, fact, env[0])
 
     if not query.group_by:
         return [(aggregate_fn(measure_of(env) for env in rows),)]

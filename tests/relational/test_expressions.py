@@ -1,4 +1,8 @@
-"""Expression tree evaluation and validation."""
+"""Expression tree evaluation and validation.
+
+Semantics are checked through the product's only evaluation route, the
+batch kernels, on one-row selections.
+"""
 
 import pytest
 
@@ -34,20 +38,34 @@ def table():
     return t
 
 
+def value_at(expr, table, row_id):
+    """The batch kernel's value of ``expr`` on one row."""
+    [value] = expr.evaluate_batch(table, [row_id])
+    return value
+
+
+def holds(predicate, table, row_id):
+    """Whether ``predicate`` selects one row; the mask and the selection
+    vector must agree."""
+    selected = predicate.select_batch(table, [row_id]) == [row_id]
+    assert bool(value_at(predicate, table, row_id)) == selected
+    return selected
+
+
 class TestScalars:
     def test_col(self, table):
-        assert Col("A").evaluate(table, 0) == 1
+        assert value_at(Col("A"), table, 0) == 1
 
     def test_const(self, table):
-        assert Const(42).evaluate(table, 0) == 42
+        assert value_at(Const(42), table, 0) == 42
 
     def test_arith_multiply(self, table):
         expr = Arith("*", Col("A"), Col("B"))
-        assert expr.evaluate(table, 1) == 20.0
+        assert value_at(expr, table, 1) == 20.0
 
     def test_arith_null_propagates(self, table):
         expr = Arith("+", Col("A"), Const(1))
-        assert expr.evaluate(table, 2) is None
+        assert value_at(expr, table, 2) is None
 
     def test_arith_unknown_op(self):
         with pytest.raises(ExpressionError):
@@ -60,18 +78,18 @@ class TestScalars:
 
 class TestComparisons:
     def test_eq_true(self, table):
-        assert eq("A", 1).evaluate(table, 0)
+        assert holds(eq("A", 1), table, 0)
 
     def test_eq_false(self, table):
-        assert not eq("A", 1).evaluate(table, 1)
+        assert not holds(eq("A", 1), table, 1)
 
     def test_null_comparison_is_false(self, table):
-        assert not eq("A", 1).evaluate(table, 2)
-        assert not Compare("!=", Col("A"), Const(1)).evaluate(table, 2)
+        assert not holds(eq("A", 1), table, 2)
+        assert not holds(Compare("!=", Col("A"), Const(1)), table, 2)
 
     def test_ordering_ops(self, table):
-        assert Compare("<", Col("A"), Const(2)).evaluate(table, 0)
-        assert Compare(">=", Col("B"), Const(10.0)).evaluate(table, 1)
+        assert holds(Compare("<", Col("A"), Const(2)), table, 0)
+        assert holds(Compare(">=", Col("B"), Const(10.0)), table, 1)
 
     def test_unknown_op(self):
         with pytest.raises(ExpressionError):
@@ -81,43 +99,43 @@ class TestComparisons:
 class TestInAndBetween:
     def test_in(self, table):
         pred = isin("C", ["x", "z"])
-        assert pred.evaluate(table, 0)
-        assert not pred.evaluate(table, 1)
+        assert holds(pred, table, 0)
+        assert not holds(pred, table, 1)
 
     def test_in_null_is_false(self, table):
-        assert not isin("C", ["x"]).evaluate(table, 2)
+        assert not holds(isin("C", ["x"]), table, 2)
 
     def test_between_half_open(self, table):
         pred = Between(Col("B"), 2.5, 10.0)
-        assert pred.evaluate(table, 0)
-        assert not pred.evaluate(table, 1)  # 10.0 excluded
+        assert holds(pred, table, 0)
+        assert not holds(pred, table, 1)  # 10.0 excluded
 
     def test_between_closed(self, table):
         pred = Between(Col("B"), 2.5, 10.0, inclusive_high=True)
-        assert pred.evaluate(table, 1)
+        assert holds(pred, table, 1)
 
     def test_between_null_is_false(self, table):
-        assert not Between(Col("B"), 0, 100).evaluate(table, 2)
+        assert not holds(Between(Col("B"), 0, 100), table, 2)
 
 
 class TestBooleanCombinators:
     def test_and(self, table):
         pred = And.of(eq("A", 1), eq("C", "x"))
-        assert pred.evaluate(table, 0)
-        assert not pred.evaluate(table, 1)
+        assert holds(pred, table, 0)
+        assert not holds(pred, table, 1)
 
     def test_or(self, table):
         pred = Or.of(eq("A", 2), eq("C", "x"))
-        assert pred.evaluate(table, 0)
-        assert pred.evaluate(table, 1)
-        assert not pred.evaluate(table, 2)
+        assert holds(pred, table, 0)
+        assert holds(pred, table, 1)
+        assert not holds(pred, table, 2)
 
     def test_not(self, table):
-        assert Not(eq("A", 2)).evaluate(table, 0)
+        assert holds(Not(eq("A", 2)), table, 0)
 
     def test_is_null(self, table):
-        assert IsNull(Col("A")).evaluate(table, 2)
-        assert not IsNull(Col("A")).evaluate(table, 0)
+        assert holds(IsNull(Col("A")), table, 2)
+        assert not holds(IsNull(Col("A")), table, 0)
 
     def test_and_flattens(self):
         inner = And.of(eq("A", 1), eq("A", 2))
@@ -129,7 +147,7 @@ class TestBooleanCombinators:
         assert Or.of(eq("A", 1)) == eq("A", 1)
 
     def test_true_constant(self, table):
-        assert TRUE.evaluate(table, 0)
+        assert holds(TRUE, table, 0)
 
 
 class TestValidation:

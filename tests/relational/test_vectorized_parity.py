@@ -1,10 +1,11 @@
 """Randomized parity: batch kernels vs per-row reference semantics.
 
-The vectorized rewrite keeps scalar ``Expression.evaluate`` as the
-reference semantics; these property tests pin the equivalence on
-arbitrary expression trees over tables with NULLs:
+The product evaluates expressions only through batch kernels; the
+per-row reference semantics live in :mod:`.row_oracle`.  These property
+tests pin the equivalence on arbitrary expression trees over tables
+with NULLs:
 
-* ``evaluate_batch`` must equal one ``evaluate`` call per row (whole
+* ``evaluate_batch`` must equal one ``evaluate_row`` call per row (whole
   table and arbitrary selection-vector subsets);
 * ``select_batch`` must equal per-row evaluation compressed to the
   truthy rows (same candidate order);
@@ -32,6 +33,8 @@ from repro.relational.expressions import (
     Or,
 )
 from repro.resilience import Budget
+
+from .row_oracle import evaluate_row
 
 # ----------------------------------------------------------------------
 # expression-tree strategies
@@ -91,7 +94,7 @@ def make_table(rows) -> Table:
           suppress_health_check=[HealthCheck.too_slow])
 def test_batch_matches_per_row(rows, predicate, data):
     table = make_table(rows)
-    reference = [bool(predicate.evaluate(table, r))
+    reference = [bool(evaluate_row(predicate, table, r))
                  for r in range(len(table))]
 
     assert [bool(v) for v in predicate.evaluate_batch(table)] == reference
@@ -114,7 +117,7 @@ def test_batch_matches_per_row(rows, predicate, data):
           suppress_health_check=[HealthCheck.too_slow])
 def test_expression_batch_matches_per_row(rows, expr, data):
     table = make_table(rows)
-    reference = [expr.evaluate(table, r) for r in range(len(table))]
+    reference = [evaluate_row(expr, table, r) for r in range(len(table))]
     assert expr.evaluate_batch(table) == reference
     subset = sorted(data.draw(
         st.sets(st.integers(0, max(len(table) - 1, 0)))
@@ -127,7 +130,7 @@ def test_empty_connectives_match_per_row():
     """Zero-part And/Or: vacuous truth per row must hold batch-wise."""
     table = make_table([(1, 1.0, "red"), (None, None, None)])
     for predicate in (And(()), Or(())):
-        reference = [predicate.evaluate(table, r)
+        reference = [evaluate_row(predicate, table, r)
                      for r in range(len(table))]
         assert [bool(v) for v in predicate.evaluate_batch(table)] == \
             reference

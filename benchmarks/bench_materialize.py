@@ -76,7 +76,7 @@ def _workload(schema):
 
 
 def _run_queries(engine, schema, gbs) -> list[dict]:
-    full = Subspace.full(schema)
+    full = Subspace.full(schema, engine=engine)
     return [engine.subspace_partition_aggregates(full, gb, "revenue")
             for gb in gbs]
 
@@ -117,7 +117,7 @@ def compare(schema, repeats: int) -> tuple[dict, dict]:
     # its own policy — nothing is precomputed out of band).
     results = {mode: _run_queries(engine, schema, gbs)
                for mode, engine in engines.items()}
-    full = Subspace.full(schema)
+    full = Subspace.full(schema, engine=engines["tier_on"])
     for gb in gbs:
         engines["tier_on"].subspace_partition_aggregates(
             full, gb, "revenue", domain=WARM_DOMAINS[gb.ref.column])

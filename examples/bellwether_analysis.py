@@ -31,8 +31,9 @@ def main() -> None:
     query = "Mountain Bikes"
     ranked = session.differentiate(query, limit=1)
     net = ranked[0].star_net
-    subspace = net.evaluate(schema)
-    rollups = rollup_subspaces(schema, net)
+    engine = session.engine
+    subspace = engine.evaluate(net)
+    rollups = rollup_subspaces(schema, net, engine)
     print(f"\nSubspace: {net}  ({len(subspace)} facts)")
 
     print("\nAttribute ranking, bellwether vs surprise "
@@ -62,7 +63,7 @@ def main() -> None:
     scored = []
     for month in sorted(set(subspace.groupby_values(month_gb))):
         rows = [r for r in subspace.fact_rows if month_values[r] == month]
-        local = Subspace.of(schema, rows, label=month)
+        local = Subspace.of(schema, rows, label=month, engine=engine)
         local_series = [
             local.partition_aggregates(state_gb, "revenue",
                                        domain=domain)[s] or 0.0

@@ -25,6 +25,7 @@ from typing import Sequence
 from ..obs.tracer import current_tracer
 from ..relational import vector
 from ..relational.errors import ResourceExhausted
+from ..relational.operators import AGGREGATES
 from ..resilience.budget import current_budget
 from ..warehouse.graph import JoinPath
 from ..warehouse.rollup import generalize_values
@@ -134,13 +135,13 @@ def rollup_ray(schema: StarSchema, ray: Ray) -> Ray | None:
 
 
 def rollup_subspace(schema: StarSchema, star_net: StarNet,
-                    dimension: str, engine=None) -> Subspace:
+                    dimension: str, engine) -> Subspace:
     """RUP(DS') along one hitted dimension.
 
     Every ray of ``dimension`` is generalised one hierarchy level (or
     dropped at the top — roll-up to ALL); rays of other dimensions keep
-    their selections.  With an ``engine`` the rolled-up net is evaluated
-    through the plan layer (and the result stays engine-bound).
+    their selections.  The rolled-up net is evaluated through ``engine``
+    (and the result stays bound to it).
     """
     new_rays: list[Ray] = []
     for ray in star_net.rays:
@@ -150,25 +151,19 @@ def rollup_subspace(schema: StarSchema, star_net: StarNet,
                 new_rays.append(rolled)
         else:
             new_rays.append(ray)
-    rolled_net = StarNet(star_net.fact_table, tuple(new_rays))
-    if engine is not None:
-        subspace = engine.evaluate(rolled_net)
-    else:
-        subspace = rolled_net.evaluate(schema)
-    return Subspace(subspace.schema, subspace.fact_rows,
-                    label=f"RUP[{dimension}]({star_net})",
-                    engine=subspace.engine)
+    rolled = engine.evaluate(StarNet(star_net.fact_table, tuple(new_rays)))
+    return Subspace(schema, rolled.fact_rows,
+                    label=f"RUP[{dimension}]({star_net})", engine=engine)
 
 
 def rollup_subspaces(schema: StarSchema, star_net: StarNet,
-                     engine=None) -> list[Subspace]:
+                     engine) -> list[Subspace]:
     """One roll-up space per hitted dimension; the full dataspace when the
     star net has no hitted dimensions (e.g. only fact-attribute hits)."""
     dims = star_net.hitted_dimensions
     if not dims:
         return [Subspace.full(schema, engine=engine)]
-    return [rollup_subspace(schema, star_net, d, engine=engine)
-            for d in dims]
+    return [rollup_subspace(schema, star_net, d, engine) for d in dims]
 
 
 # ----------------------------------------------------------------------
@@ -318,7 +313,8 @@ def build_facets(
     interestingness: InterestingnessMeasure = SURPRISE,
     config: ExploreConfig = ExploreConfig(),
     rollups: Sequence[Subspace] | None = None,
-    engine=None,
+    *,
+    engine,
     promote: Sequence[GroupByAttribute] = (),
 ) -> FacetedInterface:
     """Construct the full dynamic multi-faceted interface for a star net.
@@ -333,17 +329,13 @@ def build_facets(
     exactly like hit-group attributes, ahead of interestingness-ranked
     ones.
 
-    With an ``engine`` (a :class:`~repro.plan.engine.QueryEngine`), the
-    subspace, roll-up spaces, and all facet aggregation evaluate through
-    the logical-plan layer on that engine's backend, sharing its
-    fingerprint-keyed result cache.
+    The subspace, roll-up spaces, and all facet aggregation evaluate
+    through ``engine`` (a :class:`~repro.plan.engine.QueryEngine`) on its
+    backend, sharing its fingerprint-keyed result cache.
     """
     tracer = current_tracer()
-    if engine is not None and subspace is not None:
-        subspace = engine.bind(subspace)
-    if subspace is None:
-        subspace = (engine.evaluate(star_net) if engine is not None
-                    else star_net.evaluate(schema))
+    subspace = (engine.evaluate(star_net) if subspace is None
+                else engine.bind(subspace))
     budget = current_budget()
     measure = schema.measures[config.measure_name]
     if budget is not None and measure.aggregate not in ADDITIVE_AGGREGATES \
@@ -356,8 +348,7 @@ def build_facets(
         if rollups is None:
             try:
                 with tracer.span("facets.rollups"):
-                    rollups = rollup_subspaces(schema, star_net,
-                                               engine=engine)
+                    rollups = rollup_subspaces(schema, star_net, engine)
             except ResourceExhausted as exc:
                 if budget is None:
                     raise
@@ -369,9 +360,7 @@ def build_facets(
                     total_aggregate=_safe_total(subspace, config, budget),
                     facets=(),
                 )
-        rollups = list(rollups)
-        if engine is not None:
-            rollups = [engine.bind(r) for r in rollups]
+        rollups = [engine.bind(r) for r in rollups]
         facets: list[DynamicFacet] = []
         dims = sorted(schema.dimensions, key=lambda d: d.name)
         for position, dim in enumerate(dims):
@@ -501,9 +490,10 @@ def apply_modifier(interface: FacetedInterface, modifier,
 
 def _safe_total(subspace: Subspace, config: ExploreConfig,
                 budget) -> float:
-    """G(DS') even under an exhausted budget: fall back to the local
-    unbudgeted fold over the already-materialised rows (one cheap pass)
-    so a partial interface still reports its subspace total."""
+    """G(DS') even under an exhausted budget: fall back to an unbudgeted
+    fold of the schema's cached measure vector over the already-
+    materialised rows (one cheap pass) so a partial interface still
+    reports its subspace total."""
     try:
         return subspace.aggregate(config.measure_name)
     except ResourceExhausted as exc:
@@ -512,6 +502,7 @@ def _safe_total(subspace: Subspace, config: ExploreConfig,
         budget.record_truncation(
             "total", exc.reason,
             "subspace total computed locally outside the engine")
-        unbound = Subspace(subspace.schema, subspace.fact_rows,
-                           subspace.label)
-        return unbound.aggregate(config.measure_name)
+        schema = subspace.schema
+        values = schema.measure_vector(config.measure_name)
+        fold = AGGREGATES[schema.measures[config.measure_name].aggregate]
+        return fold(vector.take(values, subspace.fact_rows))

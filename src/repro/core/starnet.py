@@ -18,15 +18,12 @@ The OLAP-specific join semantics of §4.2 are implemented here:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 
 from ..plan.compile import compile_plan
 from ..plan.nodes import Filter, PlanNode, Scan, SemiJoin
 from ..relational.sql import JoinQuery, qualify_measure
 from ..warehouse.graph import JoinPath
-from ..warehouse.rollup import select_rows_by_values, slice_facts
 from ..warehouse.schema import StarSchema
-from ..warehouse.subspace import Subspace
 from .hits import HitGroup
 
 
@@ -98,32 +95,6 @@ class StarNet:
         parts = [str(r.hit_group) for r in self.rays]
         parts.extend(f"[{p}]" for p in self.measure_predicates)
         return " & ".join(parts)
-
-    # ------------------------------------------------------------------
-    # evaluation
-    # ------------------------------------------------------------------
-    def ray_facts(self, schema: StarSchema, ray: Ray) -> set[int]:
-        """Fact rows selected by one ray (OR across the hit group's values)."""
-        from ..warehouse.schema import AttributeRef
-
-        ref = AttributeRef(ray.hit_group.table, ray.hit_group.attribute)
-        rows = select_rows_by_values(schema, ref, ray.hit_group.values)
-        return slice_facts(schema, ray.hit_group.table, rows, ray.path_to_fact)
-
-    def evaluate(self, schema: StarSchema) -> Subspace:
-        """The sub-dataspace DS': intersection of all rays' fact rows
-        (further constrained by any measure predicates)."""
-        if self.rays:
-            row_sets = [self.ray_facts(schema, ray) for ray in self.rays]
-            rows = reduce(set.intersection, row_sets)
-        else:
-            rows = set(range(schema.num_fact_rows))
-        if self.measure_predicates:
-            from .measure_hits import measure_fact_rows
-
-            for predicate in self.measure_predicates:
-                rows &= measure_fact_rows(schema, predicate)
-        return Subspace.of(schema, rows, label=str(self))
 
     # ------------------------------------------------------------------
     # logical plan / SQL rendering

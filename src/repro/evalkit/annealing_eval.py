@@ -63,8 +63,8 @@ def basic_series_for_query(
     if not ranked:
         raise ValueError(f"query {query!r} produced no interpretation")
     star_net = ranked[0].star_net
-    subspace = star_net.evaluate(session.schema)
-    rollup = rollup_subspaces(session.schema, star_net)[0]
+    subspace = session.engine.evaluate(star_net)
+    rollup = rollup_subspaces(session.schema, star_net, session.engine)[0]
     gb = session.schema.groupby_attribute(attr_table, attr_column)
     pair, _ = numerical_series(subspace, rollup, gb, measure_name,
                                num_buckets)

@@ -22,6 +22,7 @@ from typing import Sequence
 
 from ..core.attribute_ranking import ground_truth_series, numerical_series
 from ..core.interestingness import pearson_correlation
+from ..plan.engine import QueryEngine
 from ..warehouse.schema import GroupByAttribute, StarSchema
 from ..warehouse.subspace import Subspace
 
@@ -44,13 +45,16 @@ def rollup_cases(
     parent_gb: GroupByAttribute,
     parent_of: dict,
     min_rows: int = 50,
+    *,
+    engine,
 ) -> list[RollupCase]:
     """Enumerate roll-up cases for a child → parent hierarchy pair.
 
     ``parent_of`` maps child values to parent values (from
     :meth:`StarSchema.parent_map` or equivalent).  Cases with fewer than
     ``min_rows`` fact rows in DS' are skipped: correlations over a handful
-    of points are pure noise.
+    of points are pure noise.  Both spaces of every case are bound to
+    ``engine``.
     """
     child_vector = schema.groupby_vector(child_gb)
     parent_vector = schema.groupby_vector(parent_gb)
@@ -71,9 +75,10 @@ def rollup_cases(
         cases.append(RollupCase(
             child_value=child_value,
             parent_value=parent_value,
-            subspace=Subspace.of(schema, rows, label=str(child_value)),
+            subspace=Subspace.of(schema, rows, label=str(child_value),
+                                 engine=engine),
             rollup=Subspace.of(schema, by_parent[parent_value],
-                               label=str(parent_value)),
+                               label=str(parent_value), engine=engine),
         ))
     return cases
 
@@ -175,12 +180,14 @@ def evaluate_buckets_online(
     income = schema.groupby_attribute("DimCustomer", "YearlyIncome")
     dealer = schema.groupby_attribute("DimProduct", "DealerPrice")
 
+    engine = QueryEngine(schema)
     geo_cases = rollup_cases(
         schema, state, country,
-        _hierarchy_parent_map(schema, state, country), min_rows)
+        _hierarchy_parent_map(schema, state, country), min_rows,
+        engine=engine)
     product_cases = rollup_cases(
         schema, sub, cat,
-        _hierarchy_parent_map(schema, sub, cat), min_rows)
+        _hierarchy_parent_map(schema, sub, cat), min_rows, engine=engine)
 
     lines = [
         bucket_error_line(schema, geo_cases, income, measure_name,
@@ -209,7 +216,8 @@ def evaluate_buckets_reseller(
                                    "ProductCategoryName")
     cases = rollup_cases(
         schema, sub, cat,
-        _hierarchy_parent_map(schema, sub, cat), min_rows)
+        _hierarchy_parent_map(schema, sub, cat), min_rows,
+        engine=QueryEngine(schema))
     lines = [
         bucket_error_line(
             schema, cases,

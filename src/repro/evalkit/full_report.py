@@ -54,6 +54,7 @@ def generate_report(
     interface = build_facets(
         online, ranked[0].star_net,
         config=ExploreConfig(top_k_attributes=4, display_intervals=3),
+        engine=online_session.engine,
     )
     parts.append("## Table 2 — Product-dimension facet\n")
     parts.append(_md_block(render_facets(interface,

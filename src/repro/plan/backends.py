@@ -118,6 +118,15 @@ def _fill_domains(plan: MultiGroupAggregate, results: dict) -> dict:
     return out
 
 
+def _fact_measure(schema: StarSchema, plan) -> list:
+    """Per-fact-row measure values of an aggregate plan: the schema's
+    shared vector for ``plan.measure_sql``, or constant 1 for count plans
+    that carry no measure expression."""
+    if plan.measure_expr is None:
+        return [1] * schema.num_fact_rows
+    return schema.expression_vector(plan.measure_sql, plan.measure_expr)
+
+
 # ----------------------------------------------------------------------
 # in-memory backend
 # ----------------------------------------------------------------------
@@ -149,7 +158,6 @@ class InMemoryBackend:
         self.schema = schema
         self.batch_size = batch_size
         self.counters = PlanCounters()
-        self._measure_vectors: dict[str, tuple[int, list]] = {}
         self._scan_rows: dict[str, tuple[int, list[int]]] = {}
 
     # -- rows ----------------------------------------------------------
@@ -343,7 +351,7 @@ class InMemoryBackend:
                 osp.set_tag("rows", 0)
                 return _empty_result(plan)
             fn = AGGREGATES[plan.aggregate]
-            measure = self._measure_values(plan)
+            measure = _fact_measure(self.schema, plan)
             if not keys:
                 check_deadline("GroupAggregate")
                 with self.counters.timed("GroupAggregate") as out:
@@ -431,7 +439,7 @@ class InMemoryBackend:
                 osp.set_tag("rows", 0)
                 return _empty_multi_result(plan)
             check_deadline("MultiGroupAggregate")
-            measure = self._measure_values(plan)
+            measure = _fact_measure(self.schema, plan)
             keys = [key for key, _ in plan.branches()]
             with self.counters.timed("MultiGroupAggregate") as out:
                 states = self._group_states(keys, rows, measure,
@@ -464,27 +472,6 @@ class InMemoryBackend:
         return chunked_group_states(
             [self.schema.fact_chunks(k.path, k.column) for k in keys],
             measure, aggregate, row_ids=rows, on_chunk=on_chunk)
-
-    def _measure_values(self, plan: GroupAggregate) -> list:
-        """Per-fact-row measure values, memoised by canonical measure SQL.
-
-        The vector is computed through the expression batch seam
-        (:meth:`~repro.relational.expressions.Expression.evaluate_batch`)
-        — the same kernels the filter path uses — so there is exactly one
-        measure-extraction code path.
-        """
-        key = plan.measure_sql
-        fact = self.schema.database.table(_leaf(plan).table)
-        cached = self._measure_vectors.get(key)
-        if cached is not None and cached[0] == fact.version:
-            return cached[1]
-        if plan.measure_expr is None:
-            values = [1] * len(fact)
-        else:
-            plan.measure_expr.validate(fact)
-            values = plan.measure_expr.evaluate_batch(fact)
-        self._measure_vectors[key] = (fact.version, values)
-        return values
 
     def close(self) -> None:
         """Nothing to release."""

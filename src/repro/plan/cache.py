@@ -40,7 +40,9 @@ class PlanCache:
 
     ``max_entries`` is enforced strictly: inserting into a full cache
     evicts the least-recently-used entry (and counts it in
-    :attr:`CacheStats.evictions`).
+    :attr:`CacheStats.evictions`).  :meth:`get` counts nothing: the
+    engine counts each lookup through :meth:`record`, in the same place
+    it updates the metrics registry.
     """
 
     def __init__(self, max_entries: int = 4096):
@@ -55,17 +57,23 @@ class PlanCache:
         self.stats = CacheStats()
 
     def get(self, fingerprint, default=None):
-        """The cached result, or ``default``; refreshes LRU order and counts
-        the lookup as a hit or miss.  Pass a private sentinel as ``default``
-        when None is a legitimate cached value."""
+        """The cached result, or ``default``; refreshes LRU order.  Pass a
+        private sentinel as ``default`` when None is a legitimate cached
+        value."""
         with self._lock:
             value = self._entries.get(fingerprint, _MISSING)
             if value is _MISSING:
-                self.stats.misses += 1
                 return default
             self._entries.move_to_end(fingerprint)
-            self.stats.hits += 1
             return value
+
+    def record(self, hit: bool) -> None:
+        """Count one lookup as a hit or a miss."""
+        with self._lock:
+            if hit:
+                self.stats.hits += 1
+            else:
+                self.stats.misses += 1
 
     def put(self, fingerprint, value) -> None:
         """Store a result, evicting the LRU entry when full."""

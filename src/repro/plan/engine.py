@@ -180,13 +180,20 @@ class QueryEngine:
         request_id = current_request_id()
         return {} if request_id is None else {"request": request_id}
 
-    def _note_cache(self, plan: PlanNode, hit: bool, kind: str) -> None:
-        """Record one plan-cache lookup in the ambient metrics registry
-        and (when tracing) as a zero-duration marker span so EXPLAIN can
-        attribute cache hits to plan nodes."""
+    def _count_lookup(self, hit: bool) -> None:
+        """Count one plan-cache lookup in :class:`CacheStats` and the
+        ambient metrics registry — the one place either counts, so the
+        two always agree."""
+        self.cache.record(hit)
         current_registry().counter(
             "kdap.plan.cache.hits" if hit
             else "kdap.plan.cache.misses").inc()
+
+    def _note_cache(self, plan: PlanNode, hit: bool, kind: str) -> None:
+        """Count one plan-cache lookup and (when tracing) record a hit as
+        a zero-duration marker span so EXPLAIN can attribute cache hits
+        to plan nodes."""
+        self._count_lookup(hit)
         tracer = current_tracer()
         if tracer.enabled and hit:
             with tracer.span(f"plan.{kind}", cached=True,
@@ -272,7 +279,7 @@ class QueryEngine:
         if self.tier is None:
             return self.execute(plan)
         key = self.cache_key(plan.fingerprint())
-        if key in self.cache:  # stat-free peek; execute() counts the hit
+        if key in self.cache:  # execute() counts the hit
             return self.execute(plan)
         answer = self.tier.answer(subspace.fact_rows, gb, measure_name,
                                   domain=domain_key)
@@ -340,8 +347,14 @@ class QueryEngine:
                     domain=dk)
                 single_fp = single.fingerprint()
                 single_key = self.cache_key(single_fp)
+                # a cached branch counts one hit; a missing one counts
+                # nothing here, because the fused execute counts its miss.
+                # No marker span: the single plan is not part of the fused
+                # plan EXPLAIN renders, and digesting its row set would
+                # cost more than the hit saves.
                 cached = self.cache.get(single_key, _MISS)
                 if cached is not _MISS:
+                    self._count_lookup(hit=True)
                     results[index] = dict(cached)
                     continue
                 if self.tier is not None:

@@ -204,9 +204,8 @@ class AggregateStates:
     merge afterwards.  The accumulation loops add measure values *in
     ascending row order*, except that an RLE run is folded as one
     C-level ``sum`` before it joins its group's state; every caller
-    shares these loops, so a scan, the unbound subspace path, and a
-    materialized view agree bit for bit.  Only :meth:`merge`
-    re-associates additions.
+    shares these loops, so a scan and a materialized view agree bit for
+    bit.  Only :meth:`merge` re-associates additions.
 
     Group-existence semantics match :func:`~repro.relational.vector.
     group_rows` + fold exactly: a group exists whenever its (non-NULL)

@@ -19,26 +19,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from ..relational import vector
 from ..relational.errors import SchemaError
 from .schema import AttributeRef, GroupByAttribute, StarSchema
 from .subspace import Subspace
 
 
 def slice_(subspace: Subspace, gb: GroupByAttribute, value) -> Subspace:
-    """Fact rows of ``subspace`` whose ``gb`` attribute equals ``value``.
-
-    Engine-bound subspaces evaluate through the plan layer (and stay
-    bound); unbound ones filter locally over the fact-aligned vector.
-    """
-    label = f"{subspace.label} / {gb.ref}={value!r}"
-    if subspace.engine is not None:
-        rows = subspace.engine.filter_rows(subspace, [(gb, (value,))])
-    else:
-        rows = vector.select_in(subspace.schema.groupby_vector(gb),
-                                (value,), subspace.fact_rows,
-                                keep_null=True)
-    return Subspace.of(subspace.schema, rows, label=label,
+    """Fact rows of ``subspace`` whose ``gb`` attribute equals ``value``,
+    filtered through the subspace's engine (the result stays bound)."""
+    rows = subspace.engine.filter_rows(subspace, [(gb, (value,))])
+    return Subspace.of(subspace.schema, rows,
+                       label=f"{subspace.label} / {gb.ref}={value!r}",
                        engine=subspace.engine)
 
 
@@ -46,19 +37,13 @@ def dice(subspace: Subspace,
          selections: Mapping[GroupByAttribute, Iterable]) -> Subspace:
     """Restrict several attributes simultaneously (value sets are ORed
     within an attribute, ANDed across attributes)."""
-    schema = subspace.schema
     label = subspace.label
     normalized = [(gb, tuple(values)) for gb, values in selections.items()]
     for gb, values in normalized:
         label += f" / {gb.ref} IN {sorted(map(str, set(values)))}"
-    if subspace.engine is not None:
-        rows = subspace.engine.filter_rows(subspace, normalized)
-    else:
-        rows = list(subspace.fact_rows)
-        for gb, values in normalized:
-            rows = vector.select_in(schema.groupby_vector(gb), values,
-                                    rows, keep_null=True)
-    return Subspace.of(schema, rows, label=label, engine=subspace.engine)
+    rows = subspace.engine.filter_rows(subspace, normalized)
+    return Subspace.of(subspace.schema, rows, label=label,
+                       engine=subspace.engine)
 
 
 def _level_groupby(schema: StarSchema, gb: GroupByAttribute,
@@ -140,24 +125,13 @@ def pivot(subspace: Subspace, rows_gb: GroupByAttribute,
           cols_gb: GroupByAttribute, measure_name: str) -> PivotTable:
     """Cross-tabulate the measure over two attributes.
 
-    Engine-bound subspaces compute the cells through a two-key
-    :class:`~repro.plan.nodes.Partition` plan (cached, backend-agnostic);
-    unbound ones accumulate locally.  Rows with a NULL on either axis are
-    dropped in both paths.
+    The cells come from a two-key :class:`~repro.plan.nodes.Partition`
+    plan on the subspace's engine (cached, backend-agnostic), folded with
+    the measure's own aggregate.  Rows with a NULL on either axis are
+    dropped.
     """
-    schema = subspace.schema
-    if subspace.engine is not None:
-        cells = subspace.engine.pivot_aggregates(
-            subspace, rows_gb, cols_gb, measure_name)
-    else:
-        groups = vector.group_rows_packed(
-            [schema.groupby_vector(rows_gb), schema.groupby_vector(cols_gb)],
-            list(subspace.fact_rows))
-        measure_vector = schema.measure_vector(measure_name)
-        cells = {
-            key: sum((measure_vector[r] or 0.0) for r in rows)
-            for key, rows in groups.items()
-        }
+    cells = subspace.engine.pivot_aggregates(
+        subspace, rows_gb, cols_gb, measure_name)
     row_values = tuple(sorted({r for r, _c in cells}, key=str))
     col_values = tuple(sorted({c for _r, c in cells}, key=str))
     return PivotTable(row_values, col_values, cells)

@@ -385,25 +385,30 @@ class StarSchema:
         return self.fact_vector(gb.path_from_fact, gb.ref.column)
 
     def measure_vector(self, measure_name: str) -> list:
-        """Cached per-fact-row measure values (computed through the
-        expression batch seam, one kernel pass over the fact table).
-        Fact appends evaluate only the delta rows."""
+        """Cached per-fact-row values of a named measure."""
+        expression = self.measures[measure_name].expression
+        return self.expression_vector(str(expression), expression)
+
+    def expression_vector(self, sql: str, expression: Expression) -> list:
+        """Cached per-fact-row values of a measure expression (computed
+        through the expression batch seam, one kernel pass over the fact
+        table).  Keyed by the canonical SQL ``sql`` — the ``measure_sql``
+        plans carry — so name-based and plan-based callers share one
+        entry.  Fact appends evaluate only the delta rows."""
         n = self.num_fact_rows
         with self._cache_lock:
-            entry = self._measure_vectors.get(measure_name)
+            entry = self._measure_vectors.get(sql)
         if entry is not None and entry[0] == n:
             return entry[1]
-        measure = self.measures[measure_name]
         fact = self.database.table(self.fact_table)
         if entry is not None and entry[0] < n:
-            delta = measure.expression.evaluate_batch(
-                fact, range(entry[0], n))
+            delta = expression.evaluate_batch(fact, range(entry[0], n))
             values = entry[1] + delta
         else:
-            measure.expression.validate(fact)
-            values = measure.expression.evaluate_batch(fact)
+            expression.validate(fact)
+            values = expression.evaluate_batch(fact)
         with self._cache_lock:
-            self._measure_vectors[measure_name] = (n, values)
+            self._measure_vectors[sql] = (n, values)
         return values
 
     # ------------------------------------------------------------------

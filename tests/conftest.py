@@ -10,6 +10,7 @@ import pytest
 
 from repro.core import KdapSession
 from repro.datasets import build_aw_online, build_aw_reseller, build_ebiz
+from repro.plan import QueryEngine
 
 
 @pytest.fixture(scope="session")
@@ -30,6 +31,23 @@ def ebiz():
     """A small EBiz warehouse (the paper's running example)."""
     return build_ebiz(num_customers=80, num_stores=10, num_trans=1200,
                       seed=7)
+
+
+@pytest.fixture(scope="session")
+def aw_engine(aw_online):
+    """A memory-backend engine over the small AW_ONLINE warehouse; every
+    subspace is engine-bound, so hand-built ones bind to this."""
+    engine = QueryEngine(aw_online)
+    yield engine
+    engine.close()
+
+
+@pytest.fixture(scope="session")
+def ebiz_engine(ebiz):
+    """A memory-backend engine over the EBiz warehouse."""
+    engine = QueryEngine(ebiz)
+    yield engine
+    engine.close()
 
 
 @pytest.fixture(scope="session")

@@ -17,15 +17,15 @@ from repro.warehouse import Subspace
 
 
 @pytest.fixture(scope="module")
-def california_bikes(online_session):
+def california_bikes(online_session, aw_engine):
     """DS' and its two roll-up spaces for 'California Mountain Bikes'."""
     ranked = online_session.differentiate("California Mountain Bikes",
                                           limit=1)
     net = ranked[0].star_net
     schema = online_session.schema
-    subspace = net.evaluate(schema)
+    subspace = aw_engine.evaluate(net)
     rollups = {
-        dim: rollup_subspace(schema, net, dim)
+        dim: rollup_subspace(schema, net, dim, aw_engine)
         for dim in net.hitted_dimensions
     }
     return schema, net, subspace, rollups
@@ -148,10 +148,11 @@ class TestRanking:
         scores = [r.score for r in ranked]
         assert scores == sorted(scores, reverse=True)
 
-    def test_empty_subspace_fully_degenerate(self, online_session):
+    def test_empty_subspace_fully_degenerate(self, online_session,
+                                             aw_engine):
         schema = online_session.schema
-        empty = Subspace.of(schema, [], "empty")
-        full = Subspace.full(schema)
+        empty = Subspace.of(schema, [], "empty", engine=aw_engine)
+        full = Subspace.full(schema, engine=aw_engine)
         gb = schema.groupby_attribute("DimDate", "MonthName")
         ranked = rank_groupby_attributes(empty, [full], [gb], "revenue",
                                          SURPRISE, top_k=5)

@@ -12,11 +12,11 @@ from repro.warehouse import AttributeKind
 
 
 @pytest.fixture(scope="module")
-def interface(online_session):
+def interface(online_session, aw_engine):
     ranked = online_session.differentiate("California Mountain Bikes",
                                           limit=1)
     net = ranked[0].star_net
-    return net, build_facets(online_session.schema, net)
+    return net, build_facets(online_session.schema, net, engine=aw_engine)
 
 
 class TestStructure:
@@ -84,13 +84,14 @@ class TestPromotion:
 
 
 class TestNumericalFacets:
-    def test_dealer_price_intervals(self, online_session):
+    def test_dealer_price_intervals(self, online_session, aw_engine):
         """Table 2 shows DealerPrice as merged numeric ranges."""
         ranked = online_session.differentiate("California Mountain Bikes",
                                               limit=1)
         net = ranked[0].star_net
         config = ExploreConfig(top_k_attributes=6, display_intervals=3)
-        ui = build_facets(online_session.schema, net, config=config)
+        ui = build_facets(online_session.schema, net, config=config,
+                          engine=aw_engine)
         product = ui.facet("Product")
         price = [a for a in product.attributes
                  if a.attribute.ref.column == "DealerPrice"]
@@ -103,29 +104,33 @@ class TestNumericalFacets:
 
 
 class TestRollupSpaces:
-    def test_one_per_hitted_dimension(self, online_session):
+    def test_one_per_hitted_dimension(self, online_session, aw_engine):
         ranked = online_session.differentiate("California Mountain Bikes",
                                               limit=1)
         net = ranked[0].star_net
-        rollups = rollup_subspaces(online_session.schema, net)
+        rollups = rollup_subspaces(online_session.schema, net, aw_engine)
         assert len(rollups) == len(net.hitted_dimensions)
 
-    def test_full_space_when_no_hitted_dimension(self, online_session):
+    def test_full_space_when_no_hitted_dimension(self, online_session,
+                                                 aw_engine):
         from repro.core import StarNet
         schema = online_session.schema
-        rollups = rollup_subspaces(schema, StarNet(schema.fact_table, ()))
+        rollups = rollup_subspaces(schema, StarNet(schema.fact_table, ()),
+                                   aw_engine)
         assert len(rollups) == 1
         assert len(rollups[0]) == schema.num_fact_rows
 
 
 class TestMeasures:
-    def test_bellwether_changes_selection_scores(self, online_session):
+    def test_bellwether_changes_selection_scores(self, online_session,
+                                                 aw_engine):
         ranked = online_session.differentiate("California Mountain Bikes",
                                               limit=1)
         net = ranked[0].star_net
-        surprise_ui = build_facets(online_session.schema, net)
+        surprise_ui = build_facets(online_session.schema, net,
+                                   engine=aw_engine)
         bell_ui = build_facets(online_session.schema, net,
-                               interestingness=BELLWETHER)
+                               interestingness=BELLWETHER, engine=aw_engine)
         s_scores = {
             (f.dimension, a.attribute.ref.column): a.score
             for f in surprise_ui.facets for a in f.attributes
@@ -144,15 +149,15 @@ class TestIntervalExpansion:
     """§5.3.2: displayed intervals expand into sub-intervals."""
 
     @pytest.fixture(scope="class")
-    def price_facet(self, online_session):
+    def price_facet(self, online_session, aw_engine):
         from repro.core import rollup_subspaces
 
         ranked = online_session.differentiate("California Mountain Bikes",
                                               limit=1)
         net = ranked[0].star_net
         schema = online_session.schema
-        subspace = net.evaluate(schema)
-        rollups = rollup_subspaces(schema, net)
+        subspace = aw_engine.evaluate(net)
+        rollups = rollup_subspaces(schema, net, aw_engine)
         gb = schema.groupby_attribute("DimCustomer", "YearlyIncome")
         config = ExploreConfig(display_intervals=3)
         from repro.core.facets import _numerical_entries

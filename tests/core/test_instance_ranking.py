@@ -6,13 +6,13 @@ from repro.core import instance_score, rank_instances, rollup_subspace
 
 
 @pytest.fixture(scope="module")
-def context(online_session):
+def context(online_session, aw_engine):
     ranked = online_session.differentiate("California Mountain Bikes",
                                           limit=1)
     net = ranked[0].star_net
     schema = online_session.schema
-    subspace = net.evaluate(schema)
-    rollups = [rollup_subspace(schema, net, d)
+    subspace = aw_engine.evaluate(net)
+    rollups = [rollup_subspace(schema, net, d, aw_engine)
                for d in net.hitted_dimensions]
     return schema, subspace, rollups
 

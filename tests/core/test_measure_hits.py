@@ -67,33 +67,34 @@ def value_nets(session, query):
 
 
 class TestIntegration:
-    def test_mixed_query(self, online_session):
+    def test_mixed_query(self, online_session, aw_engine):
         candidates = value_nets(online_session, "Road Bikes revenue>3000")
         assert candidates
         net = candidates[0]
         assert len(net.measure_predicates) == 1
-        subspace = net.evaluate(online_session.schema)
+        subspace = aw_engine.evaluate(net)
         vector = online_session.schema.measure_vector("revenue")
         assert all(vector[r] > 3000 for r in subspace.fact_rows)
 
-    def test_pure_measure_query(self, online_session):
+    def test_pure_measure_query(self, online_session, aw_engine):
         candidates = value_nets(online_session, "Quantity>=3")
         assert len(candidates) == 1
         net = candidates[0]
         assert net.size == 0
-        subspace = net.evaluate(online_session.schema)
+        subspace = aw_engine.evaluate(net)
         assert not subspace.is_empty
         # a stopword leaves the query measure-only; a keyword that
         # matches nothing still fails it
         assert value_nets(online_session, "the Quantity>=3") == candidates
         assert value_nets(online_session, "qqqzz Quantity>=3") == []
 
-    def test_sql_includes_predicate(self, online_session, aw_online):
+    def test_sql_includes_predicate(self, online_session, aw_online,
+                                    aw_engine):
         candidates = value_nets(online_session, "Road Bikes revenue>3000")
         net = candidates[0]
         sql = net.to_sql(aw_online, "revenue")
         assert "> 3000" in sql
-        subspace = net.evaluate(aw_online)
+        subspace = aw_engine.evaluate(net)
         with SqliteBackend(aw_online.database) as backend:
             got = backend.execute(sql)[0][0] or 0.0
         assert got == pytest.approx(subspace.aggregate("revenue"),

@@ -27,6 +27,7 @@ from repro.plan import InMemoryBackend, QueryEngine, SqliteBackend
 from repro.resilience import Budget, FaultInjectingBackend, ResilientBackend
 from repro.warehouse import MaterializationTier, Subspace
 
+from ..warehouse.subspace_oracle import LocalKernel
 from .numeric_oracle import oracle_numerical_series
 
 SUPPRESS = [HealthCheck.function_scoped_fixture, HealthCheck.too_slow]
@@ -143,8 +144,9 @@ def test_engine_series_equal_the_row_oracle(
     gb = data.draw(st.sampled_from(_numeric_gbs(schema)))
     rows, rollup_rows = _spaces(schema, gb, shape, seed, fraction,
                                 rollup_kind)
-    plain_sub = Subspace(schema, rows, "DS'")
-    plain_roll = Subspace(schema, rollup_rows, "RUP")
+    local = LocalKernel(schema)
+    plain_sub = Subspace(schema, rows, "DS'", engine=local)
+    plain_roll = Subspace(schema, rollup_rows, "RUP", engine=local)
     buckets = None
     if ground_truth:
         values = [v for v in plain_sub.groupby_values(gb) if v is not None]
@@ -155,9 +157,9 @@ def test_engine_series_equal_the_row_oracle(
                                        num_buckets, buckets=buckets)
     except ValueError:
         want = None  # DS' holds only NULL attribute values
-    for config in [None, *CONFIGS]:  # None: unbound local kernel
-        engine = engines[warehouse, config] if config else None
-        if engine is not None and engine.tier is not None and seed % 2:
+    for config in [None, *CONFIGS]:  # None: the pinned local kernel
+        engine = engines[warehouse, config] if config else local
+        if config and engine.tier is not None and seed % 2:
             engine.cache.clear()  # let the tier, not the cache, answer
         sub = Subspace(schema, rows, "DS'", engine=engine)
         roll = Subspace(schema, rollup_rows, "RUP", engine=engine)
@@ -191,11 +193,14 @@ def test_parity_examples_reached_every_path(engines):
 
 def test_null_only_subspace_is_degenerate(scale_with_nulls):
     schema = scale_with_nulls
+    engine = QueryEngine(schema)
     gb = schema.groupby_attribute("DimProduct", "ListPrice")
     n = schema.num_fact_rows
-    nulls = Subspace(schema, tuple(range(n - 60, n)), "nulls")
+    nulls = Subspace(schema, tuple(range(n - 60, n)), "nulls",
+                     engine=engine)
     with pytest.raises(ValueError, match="no non-null values"):
-        numerical_series(nulls, Subspace.full(schema), gb, "revenue")
+        numerical_series(nulls, Subspace.full(schema, engine=engine), gb,
+                         "revenue")
 
 
 def test_numeric_candidates_ride_the_fused_query(aw_online):
@@ -244,7 +249,7 @@ def test_series_include_appended_rows(tier):
     assert series() == before  # warm: plan cache / tier answers
     _append_scale_facts(schema, random.Random(4), 200, range(1, 25))
     after = series()
-    plain = Subspace.full(schema)
+    plain = Subspace.full(schema, engine=LocalKernel(schema))
     _, x, y, _ = oracle_numerical_series(plain, plain, gb, "revenue")
     assert _close(after.subspace_series, x)
     assert _close(after.rollup_series, y)

@@ -1,5 +1,6 @@
 """End-to-end KdapSession API."""
 
+import pytest
 
 from repro.core import (
     BELLWETHER,
@@ -50,6 +51,24 @@ class TestExplore:
                                         interestingness=BELLWETHER)
         assert result.interface.facets
 
+    @pytest.mark.parametrize("materialize", [False, True])
+    def test_cache_counter_models_agree(self, aw_online, online_session,
+                                        materialize):
+        """Regression: a fused call's per-branch cache peek counted in
+        ``CacheStats`` but not in ``kdap.plan.cache.*``, and a branch
+        miss was counted again as the fused plan's miss."""
+        with KdapSession(aw_online, index=online_session.index,
+                         materialize=materialize) as session:
+            for query in ("California Mountain Bikes", "Road Bikes",
+                          "California Mountain Bikes"):
+                [scored] = session.differentiate(query, limit=1)
+                session.explore(scored.star_net)
+            stats = session.engine.cache_stats
+            counted = session.metrics.counter
+            assert stats.hits > 0 and stats.misses > 0
+            assert stats.hits == counted("kdap.plan.cache.hits").value
+            assert stats.misses == counted("kdap.plan.cache.misses").value
+
 
 class TestSearch:
     def test_happy_path(self, online_session):
@@ -85,12 +104,12 @@ class TestIndexConstruction:
 
 
 class TestSubspaceSizePreview:
-    def test_preview_matches_evaluation(self, online_session):
+    def test_preview_matches_evaluation(self, online_session, aw_engine):
         ranked = online_session.differentiate(
             "California Mountain Bikes", limit=5, preview_sizes=True)
         for scored in ranked:
             assert scored.subspace_size == len(
-                scored.star_net.evaluate(online_session.schema))
+                aw_engine.evaluate(scored.star_net))
 
     def test_no_preview_by_default(self, online_session):
         ranked = online_session.differentiate("Road Bikes", limit=3)
@@ -128,9 +147,9 @@ class TestSubspaceSizePreview:
             assert again.subspace_size == grown
             assert len(session._ray_cache) == memo_size
 
-    def test_measure_predicate_preview(self, online_session):
+    def test_measure_predicate_preview(self, online_session, aw_engine):
         ranked = online_session.differentiate(
             "Road Bikes revenue>3000", limit=1, preview_sizes=True)
         scored = ranked[0]
         assert scored.subspace_size == len(
-            scored.star_net.evaluate(online_session.schema))
+            aw_engine.evaluate(scored.star_net))

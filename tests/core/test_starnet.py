@@ -23,7 +23,7 @@ def top_net(session, query):
 class TestEvaluation:
     def test_subspace_is_fact_subset(self, ebiz_session):
         net = top_net(ebiz_session, "Columbus LCD")
-        subspace = net.evaluate(ebiz_session.schema)
+        subspace = ebiz_session.engine.evaluate(net)
         assert 0 < len(subspace) < ebiz_session.schema.num_fact_rows
 
     def test_intersection_semantics(self, ebiz_session):
@@ -31,9 +31,9 @@ class TestEvaluation:
         schema = ebiz_session.schema
         net = top_net(ebiz_session, "Columbus LCD")
         assert net.size == 2
-        full = net.evaluate(schema)
-        singles = [StarNet(net.fact_table, (ray,)).evaluate(schema)
-                   for ray in net.rays]
+        full = ebiz_session.engine.evaluate(net)
+        singles = [ebiz_session.engine.evaluate(
+            StarNet(net.fact_table, (ray,))) for ray in net.rays]
         expected = set(singles[0].fact_rows) & set(singles[1].fact_rows)
         assert set(full.fact_rows) == expected
 
@@ -44,7 +44,7 @@ class TestEvaluation:
         assert net.size == 1
         group = net.rays[0].hit_group
         assert len(group.values) >= 2  # LCD Projectors, LCD TVs, Flat Panel
-        subspace = net.evaluate(schema)
+        subspace = ebiz_session.engine.evaluate(net)
         gb = schema.groupby_attribute("PGROUP", "GroupName")
         seen = set(subspace.domain(gb))
         assert seen == set(group.values)
@@ -69,7 +69,7 @@ class TestSqlCompilation:
         the same aggregate as the in-memory subspace evaluation."""
         schema = ebiz_session.schema
         net = top_net(ebiz_session, "Columbus LCD")
-        subspace = net.evaluate(schema)
+        subspace = ebiz_session.engine.evaluate(net)
         want = subspace.aggregate("revenue")
         with SqliteBackend(schema.database) as backend:
             rows = backend.execute(net.to_sql(schema, "revenue"))

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core import ExploreConfig, KdapSession
 from repro.datasets import build_trends
+from repro.plan import QueryEngine
 from repro.warehouse import Subspace
 
 
@@ -55,7 +56,7 @@ class TestKdapOverQueryLogs:
         vector = schema.groupby_vector(term_gb)
         rows = [r for r, v in enumerate(vector)
                 if v == "halloween costumes"]
-        subspace = Subspace.of(schema, rows)
+        subspace = Subspace.of(schema, rows, engine=QueryEngine(schema))
         parts = subspace.partition_aggregates(month_gb, "volume")
         assert max(parts, key=parts.get) == "October"
 

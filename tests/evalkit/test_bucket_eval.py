@@ -22,26 +22,27 @@ def reseller_eval(aw_reseller):
 
 
 class TestRollupCases:
-    def test_subspace_inside_rollup(self, aw_online):
+    def test_subspace_inside_rollup(self, aw_online, aw_engine):
         state = aw_online.groupby_attribute("DimGeography",
                                             "StateProvinceName")
         country = aw_online.groupby_attribute("DimGeography",
                                               "CountryRegionName")
         cases = rollup_cases(aw_online, state, country,
                              _hierarchy_parent_map(aw_online, state,
-                                                   country))
+                                                   country),
+                             engine=aw_engine)
         assert cases
         for case in cases:
             assert case.rollup.contains(case.subspace)
 
-    def test_min_rows_respected(self, aw_online):
+    def test_min_rows_respected(self, aw_online, aw_engine):
         state = aw_online.groupby_attribute("DimGeography",
                                             "StateProvinceName")
         country = aw_online.groupby_attribute("DimGeography",
                                               "CountryRegionName")
         mapping = _hierarchy_parent_map(aw_online, state, country)
         cases = rollup_cases(aw_online, state, country, mapping,
-                             min_rows=200)
+                             min_rows=200, engine=aw_engine)
         for case in cases:
             assert len(case.subspace) >= 200
 
@@ -79,14 +80,15 @@ class TestFigure6Shape:
 
 
 class TestCaseError:
-    def test_exact_at_distinct_granularity(self, aw_online):
+    def test_exact_at_distinct_granularity(self, aw_online, aw_engine):
         """With enough buckets a case's error vanishes."""
         sub = aw_online.groupby_attribute("DimProductSubcategory",
                                           "ProductSubcategoryName")
         cat = aw_online.groupby_attribute("DimProductCategory",
                                           "ProductCategoryName")
         cases = rollup_cases(aw_online, sub, cat,
-                             _hierarchy_parent_map(aw_online, sub, cat))
+                             _hierarchy_parent_map(aw_online, sub, cat),
+                             engine=aw_engine)
         income = aw_online.groupby_attribute("DimCustomer", "YearlyIncome")
         errors = [
             err for case in cases

@@ -3,8 +3,8 @@
 For arbitrary star nets and group-by choices over EBiz, three evaluation
 paths must agree exactly:
 
-* the legacy path — unbound :class:`Subspace` loops over fact-aligned
-  vectors (no plan layer at all);
+* the pinned local oracle (``tests/warehouse/subspace_oracle.py``) —
+  loops over fact-aligned vectors, no plan layer at all;
 * :class:`InMemoryBackend` through a :class:`QueryEngine`;
 * :class:`SqliteBackend` through a :class:`QueryEngine`.
 
@@ -20,6 +20,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.plan import QueryEngine
 from repro.warehouse import Subspace
 
+from ..warehouse.subspace_oracle import LocalKernel
 from .test_engine_agreement import CITIES, GROUPS, build_net
 
 GB_CHOICES = [
@@ -54,7 +55,7 @@ def test_three_way_backend_parity(ebiz, engines, groups, cities,
     net = build_net(ebiz, groups, cities)
     gb = ebiz.groupby_attribute(*gb_choice)
 
-    legacy = net.evaluate(ebiz)
+    legacy = LocalKernel(ebiz).evaluate(net)
     via_memory = memory.evaluate(net)
     via_sqlite = sqlite.evaluate(net)
     assert via_memory.fact_rows == legacy.fact_rows
@@ -83,7 +84,7 @@ def test_three_way_backend_parity(ebiz, engines, groups, cities,
 def test_empty_subspace_three_ways(ebiz, engines):
     """A net whose rays select disjoint regions yields the empty DS'."""
     memory, sqlite = engines
-    empty = Subspace.of(ebiz, (), label="empty")
+    empty = Subspace.of(ebiz, (), label="empty", engine=LocalKernel(ebiz))
     gb = ebiz.groupby_attribute("LOCATION", "City")
     want_groups = empty.partition_aggregates(gb, "revenue")
     want_total = empty.aggregate("revenue")

@@ -4,7 +4,7 @@ For arbitrary value selections over the EBiz product-group and store-city
 domains, the star net built from them must produce the same aggregate
 through all three execution paths:
 
-* subspace evaluation (semi-join chains over fact-row sets),
+* the pinned local oracle (semi-join chains over fact-row sets),
 * the pinned in-memory JoinQuery oracle (hash-join trees),
 * sqlite running the generated SQL.
 """
@@ -18,6 +18,7 @@ from repro.textindex import SearchHit
 from repro.warehouse import path_from_fk_names
 
 from ..relational.join_oracle import execute_join_query
+from ..warehouse import subspace_oracle
 
 GROUPS = ["LCD Projectors", "DLP Projectors", "Flat Panel(LCD)",
           "CRT Monitors", "LCD TVs", "Plasma TVs", "VCR", "DVD Players"]
@@ -61,7 +62,8 @@ def build_net(schema, group_values, city_values):
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 def test_three_way_agreement(ebiz, backend, groups, cities):
     net = build_net(ebiz, groups, cities)
-    want = net.evaluate(ebiz).aggregate("revenue")
+    want = subspace_oracle.aggregate(
+        ebiz, subspace_oracle.star_net_rows(ebiz, net), "revenue")
     query = net.to_join_query(ebiz, "revenue")
     in_memory = execute_join_query(ebiz.database, query)[0][0]
     via_sqlite = backend.execute(query.to_sql())[0][0] or 0.0

@@ -79,7 +79,7 @@ class TestTable2Facets:
                                               limit=1)
         config = ExploreConfig(top_k_attributes=4, display_intervals=3)
         ui = build_facets(online_session.schema, ranked[0].star_net,
-                          config=config)
+                          config=config, engine=online_session.engine)
         return ui.facet("Product")
 
     def test_subcategory_always_selected(self, product_facet):

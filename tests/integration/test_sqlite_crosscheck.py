@@ -1,14 +1,16 @@
 """Cross-validation: the in-memory engine vs sqlite3 on generated SQL.
 
 For a spread of keyword queries, the star net's generated SQL executed on
-a sqlite mirror must produce exactly the aggregate that the in-memory
-subspace evaluation computes.  This is the repo's substitute for running
+a sqlite mirror must produce exactly the aggregate that the pinned local
+subspace oracle computes.  This is the repo's substitute for running
 against the paper's commercial RDBMS.
 """
 
 import pytest
 
 from repro.relational import SqliteBackend
+
+from ..warehouse.subspace_oracle import LocalKernel
 
 ONLINE_QUERIES = [
     "California Mountain Bikes",
@@ -43,7 +45,7 @@ def check(session, backend, query, top_k=3):
     ranked = session.differentiate(query, limit=top_k)
     assert ranked, f"no interpretation for {query!r}"
     for scored in ranked:
-        subspace = scored.star_net.evaluate(session.schema)
+        subspace = LocalKernel(session.schema).evaluate(scored.star_net)
         want = subspace.aggregate("revenue")
         sql = scored.star_net.to_sql(session.schema, "revenue")
         got = backend.execute(sql)[0][0] or 0.0
@@ -67,7 +69,7 @@ def test_groupby_breakdown_matches_sqlite(online_session, online_backend):
     schema = online_session.schema
     ranked = online_session.differentiate("Road Bikes", limit=1)
     net = ranked[0].star_net
-    subspace = net.evaluate(schema)
+    subspace = LocalKernel(schema).evaluate(net)
     gb = schema.groupby_attribute("DimProduct", "Color")
     want = subspace.partition_aggregates(gb, "revenue")
 

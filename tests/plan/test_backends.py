@@ -275,13 +275,13 @@ class TestNumericFacetsHonourTheAggregate:
         engine.close()
 
     def test_sum_measure_agrees_with_partition(self, tiny):
-        full = Subspace.full(tiny)
+        full = Subspace.full(tiny, engine=QueryEngine(tiny))
         gb = tiny.groupby_attribute("Dim", "DimKey")
         pair, _ = numerical_series(full, full, gb, "amount", num_buckets=2)
         assert pair.subspace_series == (3.0, 4.0)
 
     def test_non_additive_measure_is_a_degenerate_candidate(self, tiny):
-        full = Subspace.full(tiny)
+        full = Subspace.full(tiny, engine=QueryEngine(tiny))
         gb = tiny.groupby_attribute("Dim", "DimKey")
         with pytest.raises(ValueError, match="not additive"):
             numerical_series(full, full, gb, "avg_amount")
@@ -297,7 +297,8 @@ class TestNumericFacetsHonourTheAggregate:
         with budget_scope(budget):
             interface = build_facets(
                 tiny, StarNet("Fact", ()),
-                config=ExploreConfig(measure_name="avg_amount"))
+                config=ExploreConfig(measure_name="avg_amount"),
+                engine=QueryEngine(tiny))
         shown = [a.attribute.ref.column for f in interface.facets
                  for a in f.attributes]
         assert "DimKey" not in shown and shown
@@ -310,7 +311,8 @@ class TestNumericFacetsHonourTheAggregate:
             interface = build_facets(
                 tiny, StarNet("Fact", ()),
                 config=ExploreConfig(measure_name="n",
-                                     top_k_attributes=4))
+                                     top_k_attributes=4),
+                engine=QueryEngine(tiny))
         assert "DimKey" in [a.attribute.ref.column
                             for f in interface.facets
                             for a in f.attributes]

@@ -8,6 +8,7 @@ size thresholds, and one large-star case checks the budget contract
 past the row count where a parallel path used to take over.
 """
 
+import sys
 import threading
 
 import pytest
@@ -183,3 +184,37 @@ class TestThreadSafety:
         for thread in threads:
             thread.join()
         assert not errors
+
+    def test_backends_share_the_schema_measure_vector(self):
+        """Worker sessions each own a backend over one schema; their
+        measure values come from the schema's one lock-guarded cache.
+        Concurrent cold fills must agree, and afterwards name-based and
+        plan-based callers hold the same list."""
+        schema = build_scale(num_facts=3000, seed=5)
+        plan = month_sum_plan(schema)
+        expected = InMemoryBackend(build_scale(num_facts=3000, seed=5)) \
+            .execute(plan)
+        errors: list[BaseException] = []
+
+        def worker() -> None:
+            try:
+                backend = InMemoryBackend(schema)
+                for _ in range(5):
+                    assert backend.execute(plan) == expected
+            except BaseException as exc:  # pragma: no cover
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker) for _ in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors
+        assert schema.measure_vector("revenue") is schema.expression_vector(
+            plan.measure_sql, plan.measure_expr)

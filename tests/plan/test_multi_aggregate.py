@@ -3,8 +3,8 @@
 The contract under test: ``multi_partition_aggregates`` over N group-bys
 is *semantically identical* to N independent
 ``subspace_partition_aggregates`` calls — on the in-memory backend, the
-sqlite backend, a ResilientBackend-wrapped backend, and the unbound
-local Subspace path — while executing as one fused plan.  The awkward
+sqlite backend, a ResilientBackend-wrapped backend, and the pinned
+local kernel (``subspace_oracle``) — while executing as one fused plan.  The awkward
 aggregate semantics (empty-domain fills, all-NULL groups) must not
 diverge between the single and fused paths for any aggregate.
 """
@@ -48,6 +48,7 @@ from repro.warehouse import (
 )
 
 from ..integration.test_engine_agreement import CITIES, GROUPS, build_net
+from ..warehouse.subspace_oracle import LocalKernel
 
 AGG_MEASURES = {
     "sum": "m_sum",
@@ -150,10 +151,10 @@ class TestEmptyDomainFills:
 
     @pytest.mark.parametrize("aggregate", sorted(AGG_MEASURES))
     def test_local_path_same_fill(self, agg_schema, aggregate):
-        """The unbound Subspace fused kernel uses the same fills."""
+        """The pinned local fused kernel uses the same fills."""
         measure = AGG_MEASURES[aggregate]
         gbs = _gbs(agg_schema)
-        sub = Subspace.full(agg_schema)
+        sub = Subspace.full(agg_schema, engine=LocalKernel(agg_schema))
         domains = [("a", "__absent__"), ("large", "__absent__")]
         fused = sub.multi_partition_aggregates(gbs, measure,
                                                domains=domains)
@@ -288,10 +289,10 @@ EBIZ_GBS = [
 def test_fused_equals_singles_everywhere(ebiz, ebiz_engines, groups,
                                          cities, gb_choices, restrict):
     """Fused == N singles on memory, sqlite, and resilient engines, and
-    all three agree with the unbound local fused kernel."""
+    all three agree with the pinned local fused kernel."""
     net = build_net(ebiz, groups, cities)
     gbs = [ebiz.groupby_attribute(*choice) for choice in gb_choices]
-    local = net.evaluate(ebiz)
+    local = LocalKernel(ebiz).evaluate(net)
     domains = None
     if restrict:
         domains = [tuple(local.domain(gb)[:3]) + ("__nope__",)
@@ -330,7 +331,7 @@ class TestBudgets:
         assert excinfo.value.reason == "groups"
         # exhaustion must not poison the cache with a partial result
         fresh = engine.multi_partition_aggregates(sub, gbs, "revenue")
-        local = Subspace.full(ebiz)
+        local = Subspace.full(ebiz, engine=LocalKernel(ebiz))
         assert fresh == [local.partition_aggregates(gb, "revenue")
                          for gb in gbs]
 
@@ -401,7 +402,8 @@ class TestFailures:
         assert len(engine.cache) == 0
         # retry succeeds and agrees with the local path
         got = engine.multi_partition_aggregates(sub, gbs, "revenue")
-        local = Subspace(ebiz, tuple(range(100)))
+        local = Subspace(ebiz, tuple(range(100)),
+                         engine=LocalKernel(ebiz))
         assert got == [local.partition_aggregates(gb, "revenue")
                        for gb in gbs]
 
@@ -412,7 +414,7 @@ class TestFailures:
         gbs = [ebiz.groupby_attribute(*choice) for choice in EBIZ_GBS[:3]]
         sub = Subspace.full(ebiz, engine=engine)
         got = engine.multi_partition_aggregates(sub, gbs, "revenue")
-        local = Subspace.full(ebiz)
+        local = Subspace.full(ebiz, engine=LocalKernel(ebiz))
         assert got == [local.partition_aggregates(gb, "revenue")
                        for gb in gbs]
 

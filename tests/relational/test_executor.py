@@ -14,6 +14,7 @@ from repro.relational import (
 )
 from repro.relational.errors import SchemaError
 
+from ..warehouse import subspace_oracle
 from .join_oracle import execute_join_query
 
 
@@ -93,11 +94,12 @@ class TestAgainstSqlite:
                                      backend, join_query)
 
     def test_three_way_agreement(self, ebiz_session, backend):
-        """subspace evaluation == in-memory executor == sqlite."""
+        """subspace oracle == in-memory executor == sqlite."""
         ranked = ebiz_session.differentiate("Columbus LCD", limit=1)
         net = ranked[0].star_net
         schema = ebiz_session.schema
-        want = net.evaluate(schema).aggregate("revenue")
+        want = subspace_oracle.aggregate(
+            schema, subspace_oracle.star_net_rows(schema, net), "revenue")
         query = net.to_join_query(schema, "revenue")
         ours = execute_join_query(schema.database, query)[0][0]
         theirs = backend.execute(query.to_sql())[0][0] or 0.0

@@ -18,6 +18,8 @@ from repro.relational.table import Table
 from repro.relational.types import float_, integer, text
 from repro.warehouse import MaterializationTier, Subspace
 
+from ..warehouse.subspace_oracle import LocalKernel
+
 
 def make_table():
     return Table("T", [integer("K", nullable=False), text("Name"),
@@ -119,18 +121,20 @@ def test_backend_measure_memo_not_stale_after_append():
     """Regression: the memory backend memoised measure vectors with no
     version check, so a fact append made grouped row ids index past the
     end of the stale vector (IndexError) — or worse, silently drop the
-    appended rows from aggregates."""
+    appended rows from aggregates.  The backend now reads the schema's
+    append-aware measure vector."""
     schema = build_scale(num_facts=400, seed=3)
     engine = QueryEngine(schema)
     gb = schema.groupby_attribute("DimProduct", "CategoryName")
-    engine.subspace_partition_aggregates(Subspace.full(schema), gb,
-                                         "revenue")
+    engine.subspace_partition_aggregates(
+        Subspace.full(schema, engine=engine), gb, "revenue")
     fact = schema.database.table("FactScaleSales")
     fact.insert({"OrderKey": 401, "ProductKey": 1, "DateKey": 20030103,
                  "UnitPrice": 100.0, "Quantity": 1})
-    after = engine.subspace_partition_aggregates(Subspace.full(schema),
-                                                 gb, "revenue")
-    direct = Subspace.full(schema).partition_aggregates(gb, "revenue")
+    after = engine.subspace_partition_aggregates(
+        Subspace.full(schema, engine=engine), gb, "revenue")
+    direct = Subspace.full(schema, engine=LocalKernel(schema)) \
+        .partition_aggregates(gb, "revenue")
     assert totals(after) == totals(direct)
 
 
@@ -141,7 +145,7 @@ def test_plan_cache_epoch_rolls_over_on_any_table_mutation():
     schema = build_scale(num_facts=400, seed=3)
     engine = QueryEngine(schema)
     gb = schema.groupby_attribute("DimProduct", "CategoryName")
-    full = Subspace.full(schema)
+    full = Subspace.full(schema, engine=engine)
     first = engine.subspace_partition_aggregates(full, gb, "revenue")
     assert engine.cache_stats.misses == 1
     engine.subspace_partition_aggregates(full, gb, "revenue")
@@ -169,6 +173,7 @@ def test_dim_mutation_invalidates_non_incremental_view():
          "ListPrice": round(rng.uniform(1, 9), 2)} for i in range(3)])
     answer = tier.answer(tuple(range(schema.num_fact_rows)), gb,
                          "revenue")
-    direct = Subspace.full(schema).partition_aggregates(gb, "revenue")
+    direct = Subspace.full(schema, engine=LocalKernel(schema)) \
+        .partition_aggregates(gb, "revenue")
     assert answer == direct
     assert tier.stats.rebuilds == 1 and tier.stats.refreshes == 0

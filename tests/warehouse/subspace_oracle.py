@@ -1,0 +1,143 @@
+"""Pinned oracle: subspace evaluation without the plan layer.
+
+Before every :class:`~repro.warehouse.subspace.Subspace` was engine-bound,
+a subspace without an engine evaluated itself locally, and
+``StarNet.evaluate(schema)`` evaluated a star net beside
+``QueryEngine.evaluate``.  This module keeps that route as the reference
+the engine is compared against.  It never touches a plan, the plan cache,
+the materialization tier or a backend:
+
+* a star net's rows are the intersection of its rays' fact rows, each ray
+  selected by value and pushed down its join path
+  (:func:`~repro.warehouse.rollup.select_rows_by_values` +
+  :func:`~repro.warehouse.rollup.slice_facts`), narrowed by any measure
+  predicates;
+* G(DS') folds the schema's cached measure vector;
+* partition aggregates run the grouped kernel
+  (:func:`~repro.relational.operators.chunked_group_states`) over the
+  schema's encoded fact chunks, so they add the same floats in the same
+  order as the memory backend.
+
+:class:`LocalKernel` duck-types the engine methods a ``Subspace`` and the
+OLAP operators call, so ``Subspace(schema, rows,
+engine=LocalKernel(schema))`` evaluates the way an unbound subspace used
+to — except that its pivot folds the measure's own aggregate, where the
+old local pivot always summed.
+"""
+
+from __future__ import annotations
+
+from functools import reduce
+
+from repro.core.measure_hits import measure_fact_rows
+from repro.relational import vector
+from repro.relational.operators import (
+    AGGREGATES,
+    chunked_group_states,
+    finalize_group_states,
+)
+from repro.warehouse.rollup import select_rows_by_values, slice_facts
+from repro.warehouse.schema import AttributeRef
+from repro.warehouse.subspace import Subspace
+
+
+def ray_rows(schema, ray) -> set[int]:
+    """Fact rows selected by one ray (OR across the hit group's values)."""
+    ref = AttributeRef(ray.hit_group.table, ray.hit_group.attribute)
+    rows = select_rows_by_values(schema, ref, ray.hit_group.values)
+    return slice_facts(schema, ray.hit_group.table, rows, ray.path_to_fact)
+
+
+def star_net_rows(schema, net) -> tuple[int, ...]:
+    """DS': the intersection of all rays' fact rows, further constrained
+    by the net's measure predicates (sorted row ids)."""
+    if net.rays:
+        rows = reduce(set.intersection,
+                      [ray_rows(schema, ray) for ray in net.rays])
+    else:
+        rows = set(range(schema.num_fact_rows))
+    for predicate in net.measure_predicates:
+        rows &= measure_fact_rows(schema, predicate)
+    return tuple(sorted(rows))
+
+
+def aggregate(schema, rows, measure_name: str):
+    """G(DS') over ``rows``."""
+    fold = AGGREGATES[schema.measures[measure_name].aggregate]
+    return fold(vector.take(schema.measure_vector(measure_name), rows))
+
+
+def multi_partition_aggregates(schema, rows, gbs, measure_name: str,
+                               domains=None) -> list[dict]:
+    """One ``value → aggregate`` dict per group-by over ``rows`` (NULL
+    keys dropped; a domain restricts and fills its dict)."""
+    gbs = list(gbs)
+    domain_keys = ([None] * len(gbs) if domains is None
+                   else [None if d is None else tuple(d) for d in domains])
+    if len(domain_keys) != len(gbs):
+        raise ValueError("domains must align one-to-one with gbs")
+    name = schema.measures[measure_name].aggregate
+    if not rows or not gbs:
+        fill = AGGREGATES[name](())
+        return [{} if dk is None else {value: fill for value in dk}
+                for dk in domain_keys]
+    states = chunked_group_states(
+        [schema.fact_chunks(gb.path_from_fact, gb.ref.column)
+         for gb in gbs],
+        schema.measure_vector(measure_name), name, row_ids=rows)
+    return [finalize_group_states(name, groups, dk)
+            for groups, dk in zip(states, domain_keys)]
+
+
+def filter_rows(schema, rows, selections) -> list[int]:
+    """Rows whose attribute value lies in each ``(gb, values)``
+    selection's value set (ANDed across selections)."""
+    rows = list(rows)
+    for gb, values in selections:
+        rows = vector.select_in(schema.groupby_vector(gb), tuple(values),
+                                rows, keep_null=True)
+    return rows
+
+
+def pivot_cells(schema, rows, rows_gb, cols_gb, measure_name: str) -> dict:
+    """(row value, column value) → the measure's aggregate over that
+    cell's rows (a NULL on either axis drops the row)."""
+    fold = AGGREGATES[schema.measures[measure_name].aggregate]
+    values = schema.measure_vector(measure_name)
+    groups = vector.group_rows_packed(
+        [schema.groupby_vector(rows_gb), schema.groupby_vector(cols_gb)],
+        list(rows))
+    return {key: fold(vector.take(values, cell))
+            for key, cell in groups.items()}
+
+
+class LocalKernel:
+    """The local route behind the engine interface a ``Subspace`` uses."""
+
+    def __init__(self, schema):
+        self.schema = schema
+
+    def evaluate(self, net) -> Subspace:
+        return Subspace(self.schema, star_net_rows(self.schema, net),
+                        label=str(net), engine=self)
+
+    def subspace_aggregate(self, subspace, measure_name):
+        return aggregate(self.schema, subspace.fact_rows, measure_name)
+
+    def subspace_partition_aggregates(self, subspace, gb, measure_name,
+                                      domain=None) -> dict:
+        return self.multi_partition_aggregates(
+            subspace, [gb], measure_name, domains=[domain])[0]
+
+    def multi_partition_aggregates(self, subspace, gbs, measure_name,
+                                   domains=None) -> list[dict]:
+        return multi_partition_aggregates(
+            self.schema, subspace.fact_rows, gbs, measure_name, domains)
+
+    def filter_rows(self, subspace, selections) -> list[int]:
+        return filter_rows(self.schema, subspace.fact_rows, selections)
+
+    def pivot_aggregates(self, subspace, rows_gb, cols_gb,
+                         measure_name) -> dict:
+        return pivot_cells(self.schema, subspace.fact_rows, rows_gb,
+                           cols_gb, measure_name)

@@ -33,6 +33,12 @@ def approx_equal(a: dict, b: dict) -> bool:
         math.isclose(a[k], b[k], rel_tol=1e-9, abs_tol=1e-9) for k in a)
 
 
+def scanned(schema) -> Subspace:
+    """The full space on a fresh tier-less engine: the direct fact-scan
+    answer the tier must reproduce."""
+    return Subspace.full(schema, engine=QueryEngine(schema))
+
+
 @pytest.fixture(scope="module")
 def scale():
     """Read-only scale warehouse (mutating tests build their own)."""
@@ -56,7 +62,7 @@ def test_exact_hit_matches_direct_scan(scale):
     gb = scale.groupby_attribute("DimProduct", "ProductName")
     tier.precompute("revenue", [gb])
     answer = tier.answer(full_rows(scale), gb, "revenue")
-    direct = Subspace.full(scale).partition_aggregates(gb, "revenue")
+    direct = scanned(scale).partition_aggregates(gb, "revenue")
     assert approx_equal(answer, direct)
     assert tier.stats.hits == 1 and tier.stats.rollup_hits == 0
 
@@ -67,7 +73,7 @@ def test_rollup_answers_coarser_level_from_finer_view(scale):
     coarse = scale.groupby_attribute("DimProduct", "CategoryName")
     tier.precompute("revenue", [fine])
     rolled = tier.answer(full_rows(scale), coarse, "revenue")
-    direct = Subspace.full(scale).partition_aggregates(coarse, "revenue")
+    direct = scanned(scale).partition_aggregates(coarse, "revenue")
     assert rolled is not None and approx_equal(rolled, direct)
     assert tier.stats.rollup_hits == 1
     # the derived view is registered: the next ask is an exact hit
@@ -85,7 +91,7 @@ def test_rollup_refused_across_non_functional_step(scale):
     assert tier.answer(full_rows(scale), year, "revenue") is None
     # materialized directly, the coarse level answers fine
     tier.precompute("revenue", [year])
-    direct = Subspace.full(scale).partition_aggregates(year, "revenue")
+    direct = scanned(scale).partition_aggregates(year, "revenue")
     assert approx_equal(tier.answer(full_rows(scale), year, "revenue"),
                         direct)
 
@@ -98,7 +104,7 @@ def test_rollup_respects_domain_restriction_and_fill(scale):
     domain = ("Bikes", "NoSuchCategory")
     rolled = tier.answer(full_rows(scale), coarse, "revenue",
                          domain=domain)
-    direct = Subspace.full(scale).partition_aggregates(
+    direct = scanned(scale).partition_aggregates(
         coarse, "revenue", domain=domain)
     assert approx_equal(rolled, direct)
     assert rolled["NoSuchCategory"] == direct["NoSuchCategory"]
@@ -115,7 +121,8 @@ def test_rowset_scope_parity(scale, rows):
     fine = scale.groupby_attribute("DimProduct", "ProductName")
     coarse = scale.groupby_attribute("DimProduct", "CategoryName")
     tier.note_miss(row_tuple, fine, "revenue", "fp")
-    subspace = Subspace(scale, row_tuple, "sample")
+    subspace = Subspace(scale, row_tuple, "sample",
+                        engine=QueryEngine(scale))
     assert approx_equal(
         tier.answer(row_tuple, fine, "revenue"),
         subspace.partition_aggregates(fine, "revenue"))
@@ -153,7 +160,7 @@ def test_incremental_refresh_equals_from_scratch(batches, seed):
     for count in batches:
         append_facts(schema, rng, count)
         answer = tier.answer(full_rows(schema), gb, "revenue")
-        direct = Subspace.full(schema).partition_aggregates(gb, "revenue")
+        direct = scanned(schema).partition_aggregates(gb, "revenue")
         assert approx_equal(answer, direct)
     assert tier.stats.refreshes == len(batches)
     assert tier.stats.refreshed_rows == sum(batches)
@@ -182,7 +189,7 @@ def test_dimension_mutation_triggers_full_rebuild(fresh_scale):
         "Color": "Black", "CategoryName": "Bikes", "ListPrice": 9.99,
     })
     answer = tier.answer(full_rows(schema), gb, "revenue")
-    direct = Subspace.full(schema).partition_aggregates(gb, "revenue")
+    direct = scanned(schema).partition_aggregates(gb, "revenue")
     assert approx_equal(answer, direct)
     assert tier.stats.rebuilds == 1
 
@@ -251,8 +258,8 @@ def test_tier_answers_are_untruncated_under_row_budget(scale):
     tier = MaterializationTier(scale)
     gb = scale.groupby_attribute("DimProduct", "ProductName")
     coarse = scale.groupby_attribute("DimProduct", "CategoryName")
-    direct = Subspace.full(scale).partition_aggregates(gb, "revenue")
-    direct_coarse = Subspace.full(scale).partition_aggregates(
+    direct = scanned(scale).partition_aggregates(gb, "revenue")
+    direct_coarse = scanned(scale).partition_aggregates(
         coarse, "revenue")
     with budget_scope(Budget(max_rows=10)):
         tier.precompute("revenue", [gb])
@@ -274,7 +281,7 @@ def test_expired_deadline_skips_admission_without_corruption(scale):
     assert len(tier) == 1
     assert approx_equal(
         tier.answer(full_rows(scale), gb, "revenue"),
-        Subspace.full(scale).partition_aggregates(gb, "revenue"))
+        scanned(scale).partition_aggregates(gb, "revenue"))
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +295,7 @@ def test_engine_tier_parity_and_admission(scale, backend):
     plain = QueryEngine(scale, backend=backend)
     tiered = QueryEngine(scale, backend=backend, materialize=True)
     try:
-        full = Subspace.full(scale)
+        full = Subspace.full(scale, engine=tiered)
         gb = scale.groupby_attribute("DimProduct", "ProductName")
         coarse = scale.groupby_attribute("DimProduct", "CategoryName")
         domains = [None, ("Scale Product 001", "Scale Product 002")]
@@ -316,11 +323,11 @@ def test_engine_epoch_keys_prevent_stale_results_after_append():
     engine = QueryEngine(schema)
     gb = schema.groupby_attribute("DimProduct", "ProductName")
     before = engine.subspace_partition_aggregates(
-        Subspace.full(schema), gb, "revenue")
+        Subspace.full(schema, engine=engine), gb, "revenue")
     append_facts(schema, random.Random(9), 40)
     after = engine.subspace_partition_aggregates(
-        Subspace.full(schema), gb, "revenue")
-    direct = Subspace.full(schema).partition_aggregates(gb, "revenue")
+        Subspace.full(schema, engine=engine), gb, "revenue")
+    direct = scanned(schema).partition_aggregates(gb, "revenue")
     assert approx_equal(after, direct)
     assert not approx_equal(before, after)
 
@@ -334,7 +341,7 @@ def test_shared_empty_tier_instance_is_adopted(scale):
     try:
         assert all(e.tier is tier for e in engines)
         gb = scale.groupby_attribute("DimProduct", "ProductName")
-        full = Subspace.full(scale)
+        full = Subspace.full(scale, engine=engines[0])
         engines[0].subspace_partition_aggregates(full, gb, "revenue")
         assert len(tier) == 1  # admitted via engine 0...
         engines[1].subspace_partition_aggregates(
@@ -347,7 +354,7 @@ def test_shared_empty_tier_instance_is_adopted(scale):
 
 def test_fused_path_reports_misses_and_hits_tier(scale):
     engine = QueryEngine(scale, materialize=True)
-    full = Subspace.full(scale)
+    full = Subspace.full(scale, engine=engine)
     gbs = [scale.groupby_attribute("DimProduct", "ProductName"),
            scale.groupby_attribute("DimDate", "MonthName")]
     engine.multi_partition_aggregates(full, gbs, "revenue")
@@ -378,7 +385,7 @@ def test_persistence_round_trip(scale, tmp_path):
     gb = scale.groupby_attribute("DimProduct", "ProductName")
     assert approx_equal(
         warm.answer(full_rows(scale), gb, "revenue"),
-        Subspace.full(scale).partition_aggregates(gb, "revenue"))
+        scanned(scale).partition_aggregates(gb, "revenue"))
     assert warm.stats.restored == built
 
 

@@ -2,7 +2,9 @@
 
 import pytest
 
-from repro.warehouse import Subspace
+from repro.plan import QueryEngine
+from repro.relational.expressions import Col
+from repro.warehouse import Measure, StarSchema, Subspace
 from repro.warehouse.operations import (
     dice,
     drill_down,
@@ -11,10 +13,12 @@ from repro.warehouse.operations import (
     slice_,
 )
 
+from .subspace_oracle import pivot_cells
+
 
 @pytest.fixture(scope="module")
-def full(aw_online):
-    return Subspace.full(aw_online)
+def full(aw_online, aw_engine):
+    return Subspace.full(aw_online, engine=aw_engine)
 
 
 class TestSlice:
@@ -121,3 +125,40 @@ class TestPivot:
         quarter = aw_online.groupby_attribute("DimDate", "CalendarQuarter")
         table = pivot(full, cat, quarter, "revenue")
         assert table.cell("Nope", "Q1") == 0.0
+
+
+@pytest.fixture(scope="module")
+def priced(aw_online):
+    """AW_ONLINE with a non-additive ``avg`` and a ``count`` measure."""
+    return StarSchema(
+        aw_online.database, aw_online.fact_table, aw_online.dimensions,
+        [*aw_online.measures.values(),
+         Measure("avg_price", Col("UnitPrice"), "avg"),
+         Measure("order_lines", Col("Quantity"), "count")],
+        aw_online.searchable, synonyms=aw_online.synonyms)
+
+
+class TestPivotFoldsTheMeasureAggregate:
+    """Regression: the unbound pivot summed every cell whatever the
+    measure's aggregate (an ``avg`` cell read 2 104 766.18 on the full
+    aw_online dataset where the engine read 799.08).  That route is
+    gone; the one left folds each cell with the measure's aggregate."""
+
+    @pytest.mark.parametrize("backend", ["memory", "sqlite"])
+    @pytest.mark.parametrize("measure", ["avg_price", "order_lines"])
+    def test_cells_equal_the_oracle_fold(self, priced, backend, measure):
+        with pytest.raises(TypeError):  # no summing local route left
+            Subspace.full(priced)
+        education = priced.groupby_attribute("DimCustomer", "Education")
+        occupation = priced.groupby_attribute("DimCustomer", "Occupation")
+        engine = QueryEngine(priced, backend=backend)
+        try:
+            table = pivot(Subspace.full(priced, engine=engine),
+                          education, occupation, measure)
+        finally:
+            engine.close()
+        want = pivot_cells(priced, range(priced.num_fact_rows),
+                           education, occupation, measure)
+        assert table.cells.keys() == want.keys()
+        for key, value in want.items():
+            assert table.cells[key] == pytest.approx(value, rel=1e-9), key

@@ -6,24 +6,34 @@ from repro.warehouse import Subspace
 
 
 @pytest.fixture(scope="module")
-def spaces(aw_online):
-    full = Subspace.full(aw_online)
+def spaces(aw_online, aw_engine):
+    full = Subspace.full(aw_online, engine=aw_engine)
     half = Subspace.of(aw_online, range(0, aw_online.num_fact_rows, 2),
-                       label="even")
+                       label="even", engine=aw_engine)
     return aw_online, full, half
 
 
 class TestConstruction:
-    def test_of_normalises(self, aw_online):
-        subspace = Subspace.of(aw_online, [3, 1, 2, 1])
+    def test_of_normalises(self, aw_online, aw_engine):
+        subspace = Subspace.of(aw_online, [3, 1, 2, 1], engine=aw_engine)
         assert subspace.fact_rows == (1, 2, 3)
 
     def test_full(self, spaces):
         schema, full, _half = spaces
         assert len(full) == schema.num_fact_rows
 
-    def test_empty(self, aw_online):
-        assert Subspace.of(aw_online, []).is_empty
+    def test_empty(self, aw_online, aw_engine):
+        assert Subspace.of(aw_online, [], engine=aw_engine).is_empty
+
+    def test_engine_is_required(self, aw_online):
+        """There is one evaluation route: a subspace without an engine
+        cannot be built."""
+        with pytest.raises(TypeError):
+            Subspace(aw_online, (0, 1))
+        with pytest.raises(TypeError):
+            Subspace.of(aw_online, [0, 1])
+        with pytest.raises(TypeError):
+            Subspace.full(aw_online)
 
 
 class TestAlgebra:
@@ -55,12 +65,14 @@ class TestAggregation:
     def test_additivity(self, spaces):
         schema, full, half = spaces
         other = Subspace.of(
-            schema, set(full.fact_rows) - set(half.fact_rows))
+            schema, set(full.fact_rows) - set(half.fact_rows),
+            engine=full.engine)
         assert half.aggregate("revenue") + other.aggregate("revenue") == \
             pytest.approx(full.aggregate("revenue"))
 
-    def test_empty_aggregate_zero(self, aw_online):
-        assert Subspace.of(aw_online, []).aggregate("revenue") == 0.0
+    def test_empty_aggregate_zero(self, aw_online, aw_engine):
+        assert Subspace.of(aw_online, [], engine=aw_engine) \
+            .aggregate("revenue") == 0.0
 
 
 class TestPartitioning:

@@ -101,10 +101,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="trace the whole command and write Chrome "
                              "trace_event JSON to PATH (open in "
                              "chrome://tracing or Perfetto)")
-    parser.add_argument("--slow-query-ms", type=float, default=None,
-                        help="record explore calls slower than this "
-                             "threshold in the session's slow-query log "
-                             "(printed to stderr at exit)")
     parser.add_argument("--matchers", default=None, metavar="LIST",
                         help="comma-separated matcher chain for the "
                              "interpretation front end, in order "
@@ -307,7 +303,6 @@ def _session(args) -> KdapSession:
         matchers = tuple(name.strip() for name in args.matchers.split(",")
                          if name.strip())
     return KdapSession(schema, backend=backend,
-                       slow_query_ms=args.slow_query_ms,
                        materialize=not args.no_materialize,
                        matchers=matchers)
 
@@ -357,20 +352,7 @@ def _stats_payload(session) -> dict:
     resilience = getattr(engine.backend, "resilience", None)
     if resilience is not None:
         payload["resilience"] = resilience.as_dict()
-    if session.slow_log is not None:
-        payload["slow_queries"] = session.slow_log.as_dict()
     return payload
-
-
-def _report_slow_queries(session) -> None:
-    """Print the session's recorded slow queries to stderr."""
-    log = session.slow_log
-    if log is None or not len(log):
-        return
-    print(f"\n{len(log)} slow quer{'y' if len(log) == 1 else 'ies'} "
-          f"(> {log.threshold_ms:g} ms):", file=sys.stderr)
-    for record in log.records:
-        print(f"  {record.describe()}", file=sys.stderr)
 
 
 def _print_match_notes(session) -> None:
@@ -438,7 +420,6 @@ def _cmd_explore(args) -> int:
             else:
                 with open(args.stats_json, "w", encoding="utf-8") as fh:
                     fh.write(payload + "\n")
-        _report_slow_queries(session)
         return 0
 
 
@@ -457,7 +438,6 @@ def _cmd_explain(args) -> int:
             print(json.dumps(result.as_dict(), indent=2))
         else:
             print(result.render())
-        _report_slow_queries(session)
         return 0
 
 
@@ -553,8 +533,6 @@ def _serve_config(args):
     overrides = {}
     if args.deadline_ms is not None:
         overrides["max_deadline_ms"] = args.deadline_ms
-    if args.slow_query_ms is not None:
-        overrides["slow_query_ms"] = args.slow_query_ms
     return ServiceConfig(
         workers=args.pool_workers,
         queue_depth=args.queue_depth,

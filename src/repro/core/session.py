@@ -18,14 +18,7 @@ from typing import Sequence
 
 from ..obs.explain import ExplainResult, profile_plan
 from ..obs.metrics import MetricsRegistry, metrics_scope
-from ..obs.slowlog import SlowQueryLog
-from ..obs.tracer import (
-    Tracer,
-    current_request_id,
-    current_tracer,
-    plan_digest,
-    tracing_scope,
-)
+from ..obs.tracer import Tracer, current_tracer, tracing_scope
 from ..plan.backends import ExecutionBackend
 from ..plan.builders import subspace_aggregate_plan
 from ..plan.engine import QueryEngine
@@ -112,11 +105,6 @@ class KdapSession:
         sessions in one process never mix numbers; pass
         ``repro.obs.metrics.DEFAULT_REGISTRY`` to aggregate
         process-wide instead.
-    slow_query_ms:
-        When set, explore calls slower than this threshold are recorded
-        in :attr:`slow_log` (query text, chosen interpretation, plan
-        fingerprint, and — when tracing — the span tree).  None
-        disables the slow-query log entirely.
     materialize:
         Materialized sub-cube tier (default True): facet and roll-up
         aggregates are answered from materialized mergeable states —
@@ -127,8 +115,8 @@ class KdapSession:
         :class:`~repro.warehouse.materialize.MaterializationTier`
         shares one (e.g. warm-started from a persisted warehouse).
 
-    **Threading**: a session is a single-caller object — its ray cache,
-    slow log, and last-query bookkeeping are not synchronised for
+    **Threading**: a session is a single-caller object — its ray cache
+    and last-match bookkeeping are not synchronised for
     concurrent public calls, and it starts no threads of its own: every
     request runs serially on the caller's thread.  A sqlite-backed
     session may be driven from a foreign thread because the mirror hands
@@ -147,7 +135,6 @@ class KdapSession:
                  index: AttributeTextIndex | None = None,
                  backend: str | ExecutionBackend = "memory",
                  metrics: MetricsRegistry | None = None,
-                 slow_query_ms: float | None = None,
                  materialize: bool | object = True,
                  matchers: Sequence[str] | None = None,
                  synonyms: SynonymRegistry | None = None):
@@ -164,9 +151,6 @@ class KdapSession:
         self.chain = MatcherChain(schema, index, synonyms)
         self.last_match_report: MatchReport | None = None
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self.slow_log = (SlowQueryLog(slow_query_ms)
-                         if slow_query_ms is not None else None)
-        self._last_query = ""
         # sessions default the materialization tier ON (facet roll-ups
         # over recurring subspaces are exactly its workload); pass False
         # for raw execution or a shared MaterializationTier instance to
@@ -283,7 +267,6 @@ class KdapSession:
         started = time.perf_counter()
         with metrics_scope(self.metrics), budget_scope(budget), \
                 tracer.span("differentiate", query=query) as span:
-            self._last_query = query
             candidates, report = interpret_query(
                 self.schema, self.index, query, config,
                 matchers=selection, chain=self.chain)
@@ -360,11 +343,6 @@ class KdapSession:
         to a partial :class:`ExploreResult` whose ``diagnostics`` records
         the truncated stages (empty subspace + no facets in the worst
         case of a deadline hit during materialisation).
-
-        When the session has a slow-query log and ambient tracing is
-        off, a local tracer is installed for the duration so a slow
-        query's record carries its span tree; fast queries only pay for
-        spans they would have paid for anyway.
         """
         interpretation: Interpretation | None = None
         if isinstance(star_net, ScoredInterpretation):
@@ -381,31 +359,13 @@ class KdapSession:
         label = (interpretation.describe() if interpretation is not None
                  else str(net))
         budget = budget or current_budget()
-        tracer = current_tracer()
-        local_tracer = None
-        if self.slow_log is not None and not tracer.enabled:
-            local_tracer = Tracer()
-            tracer = local_tracer
         started = time.perf_counter()
-        with tracing_scope(local_tracer), metrics_scope(self.metrics), \
-                budget_scope(budget), \
-                tracer.span("explore", star_net=label) as span:
+        with metrics_scope(self.metrics), budget_scope(budget), \
+                current_tracer().span("explore", star_net=label):
             result = self._explore_inner(net, interestingness,
                                          config, budget, interpretation)
-        elapsed_s = time.perf_counter() - started
-        self.metrics.histogram("kdap.explore.seconds").observe(elapsed_s)
-        if self.slow_log is not None:
-            recorded = self.slow_log.observe(
-                self._last_query, label,
-                plan_digest(net.to_plan(self.schema)),
-                elapsed_s * 1000.0,
-                span_tree=(span.to_dict() if tracer.enabled else None),
-                request_id=current_request_id())
-            if recorded:
-                logger.warning(
-                    "slow query (%.1f ms > %.1f ms): %s",
-                    elapsed_s * 1000.0, self.slow_log.threshold_ms,
-                    label)
+        self.metrics.histogram("kdap.explore.seconds").observe(
+            time.perf_counter() - started)
         return result
 
     def _explore_inner(

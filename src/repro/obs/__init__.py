@@ -1,4 +1,4 @@
-"""Observability: tracing, metrics, EXPLAIN ANALYZE, slow-query log.
+"""Observability: tracing, metrics, EXPLAIN ANALYZE, events, sampling.
 
 This package is the bottom of the import graph — it depends only on the
 standard library, and every other layer (plan, backends, resilience,
@@ -13,8 +13,6 @@ session) emits into it:
 * :func:`profile_plan` / :class:`ExplainResult` — logical plans
   annotated per-node with actual calls/rows/batches/seconds pulled from
   span data (``KdapSession.explain`` / ``repro explain``);
-* :class:`SlowQueryLog` — threshold-triggered ring of slow queries with
-  interpretation, plan fingerprint, request id, and span tree;
 * :class:`EventLog` — bounded ring of structured request-lifecycle
   events (JSONL sink optional), the machine-readable operator timeline;
 * :class:`TailSampler` — persist-or-drop decisions for full traces
@@ -34,7 +32,6 @@ Public surface::
         metrics_scope, current_registry, runs_summary,
         ExplainNode, ExplainResult, OpProfile, profile_plan,
         render_plan, render_span_tree,
-        SlowQueryLog, SlowQueryRecord,
         Event, EventLog,
         SamplingPolicy, SamplingDecision, TailSampler,
         render_prometheus, parse_prometheus, metric_name,
@@ -77,7 +74,6 @@ from .explain import (
     render_plan,
     render_span_tree,
 )
-from .slowlog import SlowQueryLog, SlowQueryRecord
 from .events import Event, EventLog
 from .sampling import SamplingDecision, SamplingPolicy, TailSampler
 from .promexport import (
@@ -111,8 +107,6 @@ __all__ = [
     "SamplingPolicy",
     "SloPolicy",
     "SloTracker",
-    "SlowQueryLog",
-    "SlowQueryRecord",
     "Span",
     "TailSampler",
     "Tracer",

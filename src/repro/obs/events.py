@@ -68,9 +68,9 @@ class EventLog:
 
     ``emit`` is O(1) under one lock: sequence assignment, ring append
     (the deque drops the oldest entry itself), and — when a sink path was
-    given — one buffered JSONL write.  Sink failures are logged once and
-    disable the sink rather than failing the request path: telemetry
-    must never take down serving.
+    given — one line-buffered JSONL write.  Sink failures are logged
+    once and disable the sink rather than failing the request path:
+    telemetry must never take down serving.
 
     ``clock`` is injectable so tests pin wall time.
     """
@@ -88,7 +88,10 @@ class EventLog:
         self.emitted = 0
         self._sink = None
         if sink_path is not None:
-            self._sink = open(sink_path, "a", encoding="utf-8")
+            # line-buffered: every event reaches the file as it is
+            # emitted, so a collector following it sees each line live
+            self._sink = open(sink_path, "a", buffering=1,
+                              encoding="utf-8")
 
     def emit(self, kind: str, /, **fields) -> Event:
         """Append one event (and mirror it to the sink, if any).
@@ -121,6 +124,13 @@ class EventLog:
         with self._lock:
             events = list(self._events)
         return [event.as_dict() for event in events[-n:]] if n else []
+
+    def select(self, keep) -> list[dict]:
+        """The retained events ``keep(event)`` accepts, oldest first —
+        only those are copied out."""
+        with self._lock:
+            events = list(self._events)
+        return [event.as_dict() for event in events if keep(event)]
 
     @property
     def dropped(self) -> int:

@@ -35,8 +35,7 @@ def plan_digest(node) -> str:
     """Stable short hex digest of a plan node's canonical fingerprint.
 
     Used to tag per-operator spans so EXPLAIN ANALYZE can join span data
-    back to plan-tree nodes, and recorded by the slow-query log (stable
-    across processes, unlike ``hash()``).
+    back to plan-tree nodes (stable across processes, unlike ``hash()``).
     """
     payload = repr(node.fingerprint()).encode("utf-8", "backslashreplace")
     return hashlib.sha1(payload).hexdigest()[:12]

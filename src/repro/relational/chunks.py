@@ -149,12 +149,6 @@ class ColumnChunk:
         ``<= high``); NULLs never match."""
         raise NotImplementedError
 
-    def group_into(self, groups: dict,
-                   row_ids: Sequence[int] | None = None) -> None:
-        """Append this chunk's global row ids into ``groups`` (value →
-        ascending id list), dropping NULL keys."""
-        raise NotImplementedError
-
 
 class PlainChunk(ColumnChunk):
     """A zero-copy view over ``base[start:stop]`` of the raw value list.
@@ -203,21 +197,6 @@ class PlainChunk(ColumnChunk):
         return [
             r for r in row_ids if base[r] is not None and low <= base[r] < high
         ]
-
-    def group_into(self, groups: dict,
-                   row_ids: Sequence[int] | None = None) -> None:
-        base = self.base
-        if row_ids is None:
-            row_ids = range(self.start, self.stop)
-        get = groups.get
-        for r in row_ids:
-            value = base[r]
-            if value is not None:
-                group = get(value)
-                if group is None:
-                    groups[value] = [r]
-                else:
-                    group.append(r)
 
 
 class DictChunk(ColumnChunk):
@@ -283,32 +262,6 @@ class DictChunk(ColumnChunk):
         if row_ids is None:
             return [start + i for i, c in enumerate(codes) if c in hits]
         return [r for r in row_ids if codes[r - start] in hits]
-
-    def group_into(self, groups: dict,
-                   row_ids: Sequence[int] | None = None) -> None:
-        dictionary, codes, start = self.dictionary, self.codes, self.start
-        if row_ids is None:
-            buckets: list[list[int]] = [[] for _ in dictionary]
-            for i, c in enumerate(codes):
-                buckets[c].append(start + i)
-            for value, bucket in zip(dictionary, buckets):
-                if value is None or not bucket:
-                    continue
-                group = groups.get(value)
-                if group is None:
-                    groups[value] = bucket
-                else:
-                    group.extend(bucket)
-            return
-        get = groups.get
-        for r in row_ids:
-            value = dictionary[codes[r - start]]
-            if value is not None:
-                group = get(value)
-                if group is None:
-                    groups[value] = [r]
-                else:
-                    group.append(r)
 
 
 class RLEChunk(ColumnChunk):
@@ -386,36 +339,6 @@ class RLEChunk(ColumnChunk):
         return self._select_runs(
             lambda v: v is not None and low <= v < high, row_ids
         )
-
-    def group_into(self, groups: dict,
-                   row_ids: Sequence[int] | None = None) -> None:
-        start = self.start
-        if row_ids is None:
-            get = groups.get
-            for value, lo, hi in self._runs():
-                if value is None:
-                    continue
-                ids = range(start + lo, start + hi)
-                group = get(value)
-                if group is None:
-                    groups[value] = list(ids)
-                else:
-                    group.extend(ids)
-            return
-        ends, values = self.run_ends, self.run_values
-        idx = 0
-        get = groups.get
-        for r in row_ids:
-            local = r - start
-            while ends[idx] <= local:
-                idx += 1
-            value = values[idx]
-            if value is not None:
-                group = get(value)
-                if group is None:
-                    groups[value] = [r]
-                else:
-                    group.append(r)
 
 
 # ----------------------------------------------------------------------

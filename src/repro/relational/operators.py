@@ -1,41 +1,23 @@
 """Relational operators over columnar tables.
 
-These are *set-of-row-ids* operators: rather than materialising intermediate
-tables, most functions take and return row-id collections against named base
+Operators work on *sets of row ids* rather than materialised intermediate
 tables.  That is precisely the shape KDAP needs — a subspace is a set of fact
 rows, and star joins are chains of semi-joins from dimension selections down
 to the fact table.
 
-Execution is columnar: every operator moves whole selection vectors
-through the batch kernels of :mod:`repro.relational.vector` (and the
-predicates' ``select_batch`` API) instead of dispatching one interpreted
-``Expression.evaluate`` call per row.  The scalar evaluation path stays
-available as the reference semantics; the two are result-identical.
+Execution is columnar: :func:`semi_join` probes a whole key column
+through the batch kernels of :mod:`repro.relational.vector`, and the
+grouped aggregates fold encoded chunks into mergeable states
+(:func:`chunked_group_states`), so no operator dispatches per row.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
-from typing import Callable, Hashable, Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from . import vector
 from .chunks import ColumnChunk, DictChunk, RLEChunk
-from .expressions import Predicate
 from .table import Table
-
-
-def select(table: Table, predicate: Predicate,
-           row_ids: Iterable[int] | None = None) -> list[int]:
-    """Row ids of ``table`` satisfying ``predicate``.
-
-    When ``row_ids`` is given, only those rows are tested (filter
-    refinement).  The predicate runs as one batch kernel over the
-    candidate selection, not per row.
-    """
-    predicate.validate(table)
-    if row_ids is not None and not isinstance(row_ids, (list, tuple, range)):
-        row_ids = list(row_ids)
-    return predicate.select_batch(table, row_ids)
 
 
 def semi_join(
@@ -60,86 +42,6 @@ def semi_join(
         return []
     return vector.select_in(child.column_values(child_key), keys,
                             child_row_ids)
-
-
-def hash_join(
-    left: Table,
-    left_key: str,
-    right: Table,
-    right_key: str,
-    left_row_ids: Iterable[int] | None = None,
-    right_row_ids: Iterable[int] | None = None,
-) -> list[tuple[int, int]]:
-    """Equi-join returning ``(left_row_id, right_row_id)`` pairs.
-
-    Build side: the right key column is dictionary-grouped in one pass;
-    probe side: the left key column is gathered as a batch and probed
-    against the index.
-    """
-    right_values = right.column_values(right_key)
-    right_index = vector.group_rows(right_values, right_row_ids)
-    if not right_index:
-        return []
-    left_values = left.column_values(left_key)
-    if left_row_ids is None:
-        left_row_ids = range(len(left))
-    elif not isinstance(left_row_ids, (list, tuple, range)):
-        left_row_ids = list(left_row_ids)
-    probe = vector.take(left_values, left_row_ids)
-    out: list[tuple[int, int]] = []
-    get = right_index.get
-    for lid, value in zip(left_row_ids, probe):
-        if value is None:
-            continue
-        for rid in get(value, ()):
-            out.append((lid, rid))
-    return out
-
-
-def project(table: Table, columns: Sequence[str],
-            row_ids: Iterable[int] | None = None,
-            distinct: bool = False) -> list[tuple]:
-    """Tuples of the selected columns over the given rows (one columnar
-    gather per column, zipped back into row tuples)."""
-    stores = [table.column_values(c) for c in columns]
-    if row_ids is not None and not isinstance(row_ids, (list, tuple, range)):
-        row_ids = list(row_ids)
-    rows = vector.gather_tuples(stores, row_ids)
-    if distinct:
-        # dict preserves first-seen order, deduplicating in one C pass
-        return list(dict.fromkeys(rows))
-    return rows
-
-
-def group_by(
-    table: Table,
-    key_of: Callable[[int], Hashable],
-    row_ids: Iterable[int] | None = None,
-) -> dict[Hashable, list[int]]:
-    """Partition rows by an arbitrary key function; drops ``None`` keys.
-
-    ``key_of`` receives a row id and returns the group key.  This is the
-    scalar escape hatch for computed keys (bucket assignment functions);
-    column partitioning goes through the vectorized
-    :func:`group_by_column`.
-    """
-    groups: dict[Hashable, list[int]] = defaultdict(list)
-    ids = range(len(table)) if row_ids is None else row_ids
-    for rid in ids:
-        key = key_of(rid)
-        if key is not None:
-            groups[key].append(rid)
-    return dict(groups)
-
-
-def group_by_column(
-    table: Table,
-    column: str,
-    row_ids: Iterable[int] | None = None,
-) -> dict[Hashable, list[int]]:
-    """Partition rows by the value of one column (NULLs dropped) in one
-    columnar pass."""
-    return vector.group_rows(table.column_values(column), row_ids)
 
 
 def aggregate_sum(values: Iterable[float]) -> float:

@@ -247,7 +247,7 @@ def is_subset_sorted(inner: Sequence[int], outer: Sequence[int]) -> bool:
 
 
 # ----------------------------------------------------------------------
-# chunk-aware kernels (encoded columns + zone-map skipping)
+# chunk boundaries
 # ----------------------------------------------------------------------
 def split_selection(
     row_ids: Sequence[int], chunk_size: int
@@ -264,77 +264,3 @@ def split_selection(
         j = bisect_left(row_ids, (index + 1) * chunk_size, i)
         yield index, row_ids[i:j]
         i = j
-
-
-def _chunk_subsets(chunks: Sequence, row_ids: Sequence[int] | None):
-    """(chunk, sub_selection_or_None) pairs for a selection over uniform
-    chunks; ``None`` sub-selection means the whole chunk qualifies."""
-    if row_ids is None:
-        for chunk in chunks:
-            yield chunk, None
-        return
-    size = chunks[0].stop if chunks else 0
-    for index, sub in split_selection(row_ids, size):
-        chunk = chunks[index]
-        yield chunk, (None if len(sub) == len(chunk) else sub)
-
-
-def select_in_chunks(
-    chunks: Sequence,
-    wanted,
-    row_ids: Sequence[int] | None = None,
-    keep_null: bool = False,
-) -> tuple[list[int], int, int]:
-    """Chunked :func:`select_in` with zone-map pruning.
-
-    Returns ``(selection, chunks_scanned, chunks_skipped)``: a chunk
-    whose zone map (or dictionary / run values) proves no row can match
-    is skipped without materialising anything.
-    """
-    if not isinstance(wanted, (set, frozenset)):
-        wanted = set(wanted)
-    out: list[int] = []
-    scanned = skipped = 0
-    for chunk, sub in _chunk_subsets(chunks, row_ids):
-        if not chunk.may_match_in(wanted, keep_null):
-            skipped += 1
-            continue
-        scanned += 1
-        out.extend(chunk.select_in(wanted, keep_null, sub))
-    return out, scanned, skipped
-
-
-def select_range_chunks(
-    chunks: Sequence,
-    low,
-    high,
-    row_ids: Sequence[int] | None = None,
-    inclusive_high: bool = False,
-) -> tuple[list[int], int, int]:
-    """Chunked :func:`select_range` with zone-map pruning."""
-    out: list[int] = []
-    scanned = skipped = 0
-    for chunk, sub in _chunk_subsets(chunks, row_ids):
-        if not chunk.may_match_range(low, high, inclusive_high):
-            skipped += 1
-            continue
-        scanned += 1
-        out.extend(chunk.select_range(low, high, inclusive_high, sub))
-    return out, scanned, skipped
-
-
-def group_rows_chunks(
-    chunks: Sequence, row_ids: Sequence[int] | None = None
-) -> tuple[dict, int]:
-    """Chunked :func:`group_rows`: value → ascending global row ids.
-
-    Encoded chunks partition without per-row hashing (dictionary chunks
-    bucket by small-int code, RLE chunks extend whole runs); returns the
-    groups plus the number of chunks scanned.
-    """
-    groups: dict = {}
-    scanned = 0
-    for chunk, sub in _chunk_subsets(chunks, row_ids):
-        scanned += 1
-        chunk.group_into(groups, sub)
-    return groups, scanned

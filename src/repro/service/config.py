@@ -94,10 +94,9 @@ class ServiceConfig:
         Tail-sampling policy: always persist traces slower than
         ``trace_slow_ms``; keep 1-in-``trace_head_n`` of healthy fast
         ones (0 disables head sampling).  Errored and budget-truncated
-        requests are always persisted regardless.
-    slow_query_ms:
-        Per-worker slow-query log threshold (None disables the log and
-        empties ``/v1/slowlogz``).
+        requests are always persisted regardless.  ``trace_slow_ms`` is
+        also what "slow" means for ``/v1/slowlogz``: the outcome events
+        over it that the ``event_capacity`` ring still holds.
     slo_target_p95_ms / slo_error_budget / slo_burn_alert /
     slo_short_window_s / slo_long_window_s:
         The service objective: a request is *bad* when it errors or
@@ -130,7 +129,6 @@ class ServiceConfig:
     event_path: str | None = None
     trace_slow_ms: float = 1_000.0
     trace_head_n: int = 10
-    slow_query_ms: float | None = 1_000.0
     slo_target_p95_ms: float = 1_000.0
     slo_error_budget: float = 0.01
     slo_burn_alert: float = 2.0

@@ -10,7 +10,7 @@ JSON service::
     GET  /v1/statz          admission counters, latency, SLO, per-worker
     GET  /v1/metricz        Prometheus text exposition (fleet rollup)
     GET  /v1/eventz?n=K     newest K structured lifecycle events
-    GET  /v1/slowlogz       merged per-worker slow-query log
+    GET  /v1/slowlogz       newest outcome events over trace_slow_ms
 
 The request path is admission → clamp → execute → envelope:
 
@@ -290,7 +290,6 @@ class KdapService:
         else:
             backend = config.backend
         return KdapSession(self.schema, index=self.index, backend=backend,
-                           slow_query_ms=config.slow_query_ms,
                            materialize=(self.tier if self.tier is not None
                                         else False))
 
@@ -420,12 +419,14 @@ class KdapService:
                       worker: str, budget, trace_reason: str | None
                       ) -> None:
         """One ``finished``/``errored`` event carrying the attribution
-        package: fingerprint, budget outcome, truncation reasons,
-        matcher notes, and the trace-persist decision (the request id in
-        every event doubles as the trace id)."""
+        package: query text, fingerprint, budget outcome, truncation
+        reasons, matcher notes, and the trace-persist decision (the
+        request id in every event doubles as the trace id).  An outcome
+        over ``trace_slow_ms`` also counts as slow for ``/v1/slowlogz``."""
         fields = {
             "request_id": job.request_id,
             "op": spec.kind,
+            "query": spec.query,
             "status": status,
             "elapsed_ms": round(elapsed_ms, 3),
             "queue_wait_ms": round(queue_wait_s * 1000.0, 3),
@@ -447,6 +448,8 @@ class KdapService:
             fields["notes"] = list(budget.notes)[:5]
         if trace_reason is not None:
             fields["trace"] = trace_reason
+        if fields["elapsed_ms"] > self.config.trace_slow_ms:
+            self.registry.counter("kdap.service.slow").inc()
         self.events.emit("errored" if status >= 500 else "finished",
                          **fields)
 
@@ -561,8 +564,8 @@ class KdapService:
     def statz(self) -> dict:
         """Server admission/latency instruments plus per-worker session
         stats, a cross-session rollup, and the telemetry sections (SLO
-        state, event-log accounting, trace-sampling accounting, merged
-        slow-log counts) when telemetry is on."""
+        state, event-log accounting, trace-sampling accounting, slow-log
+        counts) when telemetry is on."""
         workers = []
         rollup: dict[str, int] = {}
         registries = []
@@ -623,26 +626,33 @@ class KdapService:
             out["slo"] = self.slo.status()
         if self.events is not None:
             out["events"] = self.events.snapshot()
+            out["slowlog"] = self._slowlog(out["service"]["counters"],
+                                           self._slow_events())
         if self.sampler is not None:
             out["sampling"] = self.sampler.snapshot()
-        if self.config.slow_query_ms is not None:
-            out["slowlog"] = self._slowlog_counts()
         return out
 
-    def _slowlog_counts(self) -> dict:
-        """Slow-log accounting merged across workers (records ride
-        ``/v1/slowlogz``)."""
-        observed = recorded = retained = 0
-        for session in list(self.pool.sessions):
-            log = session.slow_log
-            if log is None:
-                continue
-            observed += log.observed
-            recorded += log.recorded
-            retained += len(log)
-        return {"threshold_ms": self.config.slow_query_ms,
-                "observed": observed, "recorded": recorded,
-                "retained": retained}
+    def _slow_events(self) -> list[dict]:
+        """The ``finished``/``errored`` events still in the ring whose
+        ``elapsed_ms`` exceeds ``trace_slow_ms``, oldest first.  The ring
+        holds the last ``event_capacity`` events of every kind, so this
+        window is what the slow list sees; the JSONL sink and trace files
+        keep older slow requests."""
+        threshold = self.config.trace_slow_ms
+        return self.events.select(
+            lambda event: event.kind in ("finished", "errored")
+            and event.fields["elapsed_ms"] > threshold)
+
+    def _slowlog(self, counters: dict, slow: list[dict]) -> dict:
+        """Slow-list accounting: requests with an outcome, those over the
+        threshold (a registry counter, so it outlives the ring), and
+        those the ring still holds."""
+        observed = sum(value for name, value in counters.items()
+                       if name.startswith("kdap.service.status."))
+        return {"threshold_ms": self.config.trace_slow_ms,
+                "observed": observed,
+                "recorded": counters.get("kdap.service.slow", 0),
+                "retained": len(slow)}
 
     def metricz(self) -> str:
         """The Prometheus exposition: server registry + every worker
@@ -660,28 +670,24 @@ class KdapService:
         return 200, {"log": self.events.snapshot(),
                      "events": self.events.tail(n)}
 
-    def slowlogz(self) -> dict:
-        """Per-worker slow-query records merged on one timeline.
+    def slowlogz(self) -> tuple[int, dict]:
+        """The slow outcome events still in the event ring (at most the
+        newest 64) plus their accounting.
 
-        Span trees stay out of the payload (they can dwarf everything
-        else); each record's ``request_id`` keys the persisted trace
-        file when the tail sampler kept one.
+        A filter over the event log, not a store of its own: each record
+        is a ``finished``/``errored`` event over ``trace_slow_ms`` — the
+        threshold above which the tail sampler persists the trace, so a
+        record's ``request_id`` names its ``trace-<id>.json`` whenever
+        ``trace_dir`` is set.
         """
-        records = []
-        for session in list(self.pool.sessions):
-            log = session.slow_log
-            if log is None:
-                continue
-            for record in log.records:
-                entry = record.as_dict()
-                entry["has_span_tree"] = entry.pop("span_tree") is not None
-                records.append(entry)
-        records.sort(key=lambda entry: entry["wall_time"])
-        counts = self._slowlog_counts() if \
-            self.config.slow_query_ms is not None else {
-                "threshold_ms": None, "observed": 0, "recorded": 0,
-                "retained": 0}
-        return {**counts, "records": records[-64:]}
+        if self.events is None:
+            return 404, error_payload(
+                "telemetry_disabled",
+                "the event log is off (telemetry=False)")
+        slow = self._slow_events()
+        return 200, {**self._slowlog(self.registry.snapshot()["counters"],
+                                     slow),
+                     "records": slow[-64:]}
 
 
 def _make_handler(service: KdapService):
@@ -736,7 +742,8 @@ def _make_handler(service: KdapService):
                 status, payload = service.eventz(n)
                 self._send(status, payload)
             elif path == "/v1/slowlogz":
-                self._send(200, service.slowlogz())
+                status, payload = service.slowlogz()
+                self._send(status, payload)
             else:
                 self._send(404, error_payload(
                     "not_found", f"no such endpoint: {self.path}"))

@@ -309,7 +309,10 @@ class StarSchema:
         return [values[rid] if rid is not None else None for rid in current]
 
     def _path_versions(self, path: JoinPath) -> tuple[int, ...]:
-        """Versions of every non-fact table a resolution path reads."""
+        """Versions of every non-fact table a resolution path reads (none
+        for the empty path of a fact-table column)."""
+        if not path.steps:
+            return ()
         return tuple(self.database.table(t).version for t in path.tables
                      if t != self.fact_table)
 

@@ -60,6 +60,15 @@ class TestEventLog:
         with pytest.raises(ValueError):
             log.tail(-1)
 
+    def test_select_filters_the_ring_oldest_first(self):
+        log = EventLog(capacity=4, clock=lambda: 0.0)
+        for index in range(6):
+            log.emit("odd" if index % 2 else "even", n=index)
+        # index 1 has left the ring, so only 3 and 5 remain to select
+        assert [event["n"] for event in
+                log.select(lambda event: event.kind == "odd")] == [3, 5]
+        assert log.select(lambda event: event.fields["n"] > 9) == []
+
     def test_snapshot_accounting(self):
         log = EventLog(capacity=2, clock=lambda: 0.0)
         for _ in range(3):
@@ -85,6 +94,17 @@ class TestEventLog:
         assert [line["n"] for line in lines] == [0, 1, 2, 3]
         assert all(line["kind"] == "e" and line["ts"] == 10.5
                    for line in lines)
+
+    def test_sink_lines_are_visible_before_close(self, tmp_path):
+        # a collector following the file reads each event as it is
+        # emitted, not when a block buffer fills or the log closes
+        path = tmp_path / "events.jsonl"
+        log = EventLog(capacity=4, sink_path=str(path))
+        log.emit("finished", request_id="r1")
+        with open(path, encoding="utf-8") as follower:
+            lines = follower.read().splitlines()
+        log.close()
+        assert [json.loads(line)["request_id"] for line in lines] == ["r1"]
 
     def test_sink_failure_disables_sink_not_emit(self, tmp_path):
         path = tmp_path / "events.jsonl"

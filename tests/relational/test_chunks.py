@@ -1,17 +1,31 @@
 """Encoded column chunks: roundtrip, encoding choice, kernel parity.
 
 Randomized (hypothesis) checks that the chunk layer is a pure storage
-change: every encoded kernel — membership and range selection, grouping,
-fused aggregate states — must return exactly what a scalar reference
-loop over the plain values returns, for full scans and for arbitrary
-ascending sub-selections, and zone maps may only ever *skip* chunks that
-provably contain no match.
+change: the memory backend's chunked ``Filter`` — ``IN`` / ``BETWEEN``
+predicates and attribute value sets — and the fused aggregate states must return exactly what a scalar
+reference loop over the plain values returns, for full scans and for
+arbitrary ascending sub-selections, and zone maps may only ever *skip*
+chunks that provably contain no match.
 """
+
+from functools import partial
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.relational import vector
+from repro.plan.backends import InMemoryBackend
+from repro.plan.nodes import AttrKey, Filter, RowSet, Scan
+from repro.relational import (
+    Between,
+    Col,
+    Database,
+    In,
+    Table,
+    integer,
+    text,
+    vector,
+)
 from repro.relational.chunks import (
     DictChunk,
     PlainChunk,
@@ -23,6 +37,8 @@ from repro.relational.operators import (
     finalize_group_states,
     merge_group_states,
 )
+from repro.warehouse.graph import EMPTY_PATH
+from repro.warehouse.schema import StarSchema
 
 SIZE = 16
 """Tiny chunks so a couple hundred values exercise many boundaries."""
@@ -31,6 +47,15 @@ mixed_values = st.lists(
     st.one_of(st.none(), st.integers(-5, 5),
               st.sampled_from(["red", "green", "blue"])),
     max_size=120)
+typed_values = st.one_of(
+    st.lists(st.one_of(st.none(), st.integers(-5, 5)), max_size=120)
+    .map(lambda values: (integer, values)),
+    st.lists(st.one_of(st.none(),
+                       st.sampled_from(["red", "green", "blue"])),
+             max_size=120)
+    .map(lambda values: (text, values)))
+"""A typed table column holds one type, so each example draws either an
+integer or a text column (both with NULLs)."""
 numeric_values = st.lists(st.one_of(st.none(), st.integers(-50, 50)),
                           max_size=120)
 measures = st.one_of(st.none(), st.integers(-20, 20),
@@ -43,6 +68,30 @@ def subset_of(data, n: int) -> list[int]:
         return []
     return sorted(data.draw(
         st.sets(st.integers(0, n - 1), max_size=n), label="subset"))
+
+
+def run_filter(column, cells, rows=None, **filter_args):
+    """Rows a ``Filter(**filter_args)`` plan keeps on the memory backend
+    over a one-column fact table ``F.V`` holding ``cells`` in ``SIZE``-row
+    chunks,
+    plus that Filter's ``(chunks_scanned, chunks_skipped)``.
+
+    Both chunk stores are shrunk to ``SIZE``: the table's own columns (a
+    ``predicate=`` Filter) and the schema's fact-aligned attribute
+    vectors (an ``attr=`` + ``values=`` Filter)."""
+    database = Database("chunks")
+    table = Table("F", [column("V")])
+    table.load_columns({"V": cells})
+    database.add_table(table)
+    backend = InMemoryBackend(StarSchema(database, "F", (), (), {}))
+    source = Scan("F") if rows is None else RowSet("F", tuple(rows))
+    small = partial(encode_column, chunk_size=SIZE)
+    with mock.patch("repro.relational.table.encode_column", small), \
+            mock.patch("repro.warehouse.schema.encode_column", small):
+        kept = backend.materialize(Filter(source, **filter_args))
+    stats = backend.counters.as_dict().get("Filter", {})
+    return (list(kept), stats.get("chunks_scanned", 0),
+            stats.get("chunks_skipped", 0))
 
 
 # ----------------------------------------------------------------------
@@ -87,34 +136,56 @@ class TestEncoding:
 
 
 # ----------------------------------------------------------------------
-# selection kernels
+# chunked Filter on the memory backend
 # ----------------------------------------------------------------------
 class TestSelectionParity:
-    @given(values=mixed_values, data=st.data(),
+    @given(column=typed_values, data=st.data(),
            keep_null=st.booleans(), use_subset=st.booleans())
     @settings(max_examples=80, deadline=None)
-    def test_select_in_matches_scalar_reference(self, values, data,
+    def test_select_in_matches_scalar_reference(self, column, data,
                                                 keep_null, use_subset):
+        kind, values = column
         wanted = set(data.draw(
             st.lists(st.one_of(st.none(), st.integers(-5, 5),
                                st.sampled_from(["red", "green", "gold"])),
                      max_size=4), label="wanted"))
         rows = (subset_of(data, len(values)) if use_subset
                 else list(range(len(values))))
-        chunks = encode_column(values, SIZE)
-        out, scanned, skipped = vector.select_in_chunks(
-            chunks, wanted, rows if use_subset else None, keep_null)
-        # keep_null=True is plain set membership (None in wanted selects
-        # NULL rows); keep_null=False is SQL semantics (None never
-        # matches) — same convention as vector.select_in
+        source_rows = rows if use_subset else None
+        # keep_null=True is the attribute Filter (slice / dice): plain set
+        # membership, so None in wanted selects NULL rows; keep_null=False
+        # is the predicate Filter's SQL IN, where NULL never matches
         if keep_null:
+            out, scanned, skipped = run_filter(
+                kind, values, source_rows,
+                attr=AttrKey("F", "V", EMPTY_PATH), values=tuple(wanted))
             expected = [r for r in rows if values[r] in wanted]
         else:
+            out, scanned, skipped = run_filter(
+                kind, values, source_rows,
+                predicate=In.of(Col("V"), wanted))
             expected = [r for r in rows
                         if values[r] is not None and values[r] in wanted]
         assert out == expected
         assert out == vector.select_in(values, wanted, rows, keep_null)
-        assert scanned + skipped <= len(chunks)
+        assert scanned + skipped <= len(encode_column(values, SIZE))
+
+    def test_keep_null_in_every_encoding(self):
+        # random examples seldom fill a 16-row chunk with few enough
+        # values to dictionary- or run-length-encode it, so pin one chunk
+        # of each encoding, each holding NULLs, under the attribute Filter
+        values = ([None] * 8 + [1] * 8            # rle
+                  + [None, 1, 2, 1] * 4           # dict
+                  + [None] + list(range(2, 17)))  # plain
+        assert [chunk.encoding for chunk in encode_column(values, SIZE)] \
+            == ["rle", "dict", "plain"]
+        for rows in (None, list(range(0, len(values), 3))):
+            for wanted in ({None, 1}, {None}, {1, 5}):
+                out, _, _ = run_filter(
+                    integer, values, rows,
+                    attr=AttrKey("F", "V", EMPTY_PATH), values=tuple(wanted))
+                assert out == [r for r in (rows or range(len(values)))
+                               if values[r] in wanted]
 
     @given(values=numeric_values, data=st.data(),
            low=st.integers(-60, 60), span=st.integers(0, 40),
@@ -125,9 +196,9 @@ class TestSelectionParity:
         high = low + span
         rows = (subset_of(data, len(values)) if use_subset
                 else list(range(len(values))))
-        chunks = encode_column(values, SIZE)
-        out, scanned, skipped = vector.select_range_chunks(
-            chunks, low, high, rows if use_subset else None, inclusive)
+        out, scanned, skipped = run_filter(
+            integer, values, rows if use_subset else None,
+            predicate=Between(Col("V"), low, high, inclusive))
 
         def match(v):
             if v is None:
@@ -135,16 +206,19 @@ class TestSelectionParity:
             return low <= v <= high if inclusive else low <= v < high
 
         assert out == [r for r in rows if match(values[r])]
-        assert scanned + skipped <= len(chunks)
+        assert scanned + skipped <= len(encode_column(values, SIZE))
 
     def test_zone_maps_skip_clustered_range(self):
         values = sorted(v // 10 for v in range(400))
-        chunks = encode_column(values, SIZE)
-        out, scanned, skipped = vector.select_range_chunks(
-            chunks, 3, 5)
+        out, scanned, skipped = run_filter(
+            integer, values, predicate=Between(Col("V"), 3, 5))
         assert out == [r for r in range(400) if 3 <= values[r] < 5]
         assert skipped > 0
         assert out    # the window is non-empty, so skipping lost nothing
+        # the attribute Filter's value set skips by the same zone maps
+        assert run_filter(integer, values,
+                          attr=AttrKey("F", "V", EMPTY_PATH),
+                          values=(3, 4)) == (out, scanned, skipped)
 
 
 # ----------------------------------------------------------------------
@@ -153,16 +227,20 @@ class TestSelectionParity:
 class TestGroupingParity:
     @given(values=mixed_values, data=st.data(), use_subset=st.booleans())
     @settings(max_examples=80, deadline=None)
-    def test_group_rows_chunks_matches_plain(self, values, data,
-                                             use_subset):
+    def test_group_states_match_group_rows(self, values, data,
+                                           use_subset):
+        # the grouped kernel creates exactly group_rows' groups, in the
+        # same first-seen order, each counting its rows
         rows = (subset_of(data, len(values)) if use_subset
                 else list(range(len(values))))
         chunks = encode_column(values, SIZE)
-        groups, scanned = vector.group_rows_chunks(
-            chunks, rows if use_subset else None)
-        assert groups == vector.group_rows(values, rows)
-        for group_rows in groups.values():
-            assert group_rows == sorted(group_rows)
+        (states,) = chunked_group_states(
+            [chunks], [1] * len(values), "count",
+            rows if use_subset else None)
+        groups = vector.group_rows(values, rows)
+        assert list(states) == list(groups)
+        assert finalize_group_states("count", states) == {
+            value: len(ids) for value, ids in groups.items()}
 
     @given(keys=mixed_values, data=st.data(),
            aggregate=st.sampled_from(["sum", "count", "avg", "min",

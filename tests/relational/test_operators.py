@@ -1,5 +1,5 @@
-"""Relational operators, including hypothesis cross-checks against naive
-implementations."""
+"""Relational operators and the column kernels beneath them, including
+hypothesis cross-checks against naive implementations."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,13 +13,10 @@ from repro.relational import (
     aggregate_min,
     aggregate_sum,
     eq,
-    group_by_column,
-    hash_join,
     integer,
-    project,
-    select,
     semi_join,
     text,
+    vector,
 )
 
 
@@ -49,13 +46,13 @@ def customers():
 
 class TestSelect:
     def test_basic(self, orders):
-        assert select(orders, eq("CustomerId", 10)) == [0, 2]
+        assert eq("CustomerId", 10).select_batch(orders) == [0, 2]
 
     def test_refinement(self, orders):
-        assert select(orders, eq("CustomerId", 10), row_ids=[2, 3]) == [2]
+        assert eq("CustomerId", 10).select_batch(orders, [2, 3]) == [2]
 
     def test_empty(self, orders):
-        assert select(orders, eq("CustomerId", 99)) == []
+        assert eq("CustomerId", 99).select_batch(orders) == []
 
 
 class TestSemiJoin:
@@ -72,34 +69,20 @@ class TestSemiJoin:
         assert rows == [2]
 
 
-class TestHashJoin:
-    def test_pairs(self, orders, customers):
-        pairs = hash_join(orders, "CustomerId", customers, "Id")
-        assert set(pairs) == {(0, 0), (2, 0), (1, 1)}
-
-    def test_null_keys_dropped(self, customers):
-        t = Table("X", [integer("K")])
-        t.insert({"K": None})
-        assert hash_join(t, "K", customers, "Id") == []
-
-
 class TestProject:
     def test_tuples(self, orders):
-        assert project(orders, ["Id", "Amount"], [0, 1]) == [(1, 5), (2, 7)]
-
-    def test_distinct(self, orders):
-        rows = project(orders, ["CustomerId"], distinct=True)
-        assert rows == [(10,), (11,), (12,)]
+        stores = [orders.column_values(c) for c in ("Id", "Amount")]
+        assert vector.gather_tuples(stores, [0, 1]) == [(1, 5), (2, 7)]
 
 
 class TestGroupBy:
     def test_by_column(self, orders):
-        groups = group_by_column(orders, "CustomerId")
+        groups = vector.group_rows(orders.column_values("CustomerId"))
         assert groups == {10: [0, 2], 11: [1], 12: [3]}
 
     def test_null_keys_dropped(self, orders):
         orders.insert({"Id": 5, "CustomerId": None, "Amount": 1})
-        groups = group_by_column(orders, "CustomerId")
+        groups = vector.group_rows(orders.column_values("CustomerId"))
         assert None not in groups
 
 
@@ -146,30 +129,13 @@ def test_semi_join_matches_naive(child_keys, parent_keys):
     assert got == want
 
 
-@given(child_keys=keys, parent_keys=keys)
-@settings(max_examples=60, deadline=None)
-def test_hash_join_matches_naive(child_keys, parent_keys):
-    child = Table("C", [integer("K")])
-    child.insert_many({"K": k} for k in child_keys)
-    parent = Table("P", [integer("K")])
-    parent.insert_many({"K": k} for k in parent_keys)
-    got = set(hash_join(child, "K", parent, "K"))
-    want = {
-        (i, j)
-        for i, a in enumerate(child_keys)
-        for j, b in enumerate(parent_keys)
-        if a is not None and a == b
-    }
-    assert got == want
-
-
 @given(values=st.lists(st.one_of(st.integers(-5, 5), st.none()),
                        max_size=40))
 @settings(max_examples=60, deadline=None)
 def test_group_by_partitions_rows(values):
     t = Table("T", [integer("V")])
     t.insert_many({"V": v} for v in values)
-    groups = group_by_column(t, "V")
+    groups = vector.group_rows(t.column_values("V"))
     covered = sorted(rid for rows in groups.values() for rid in rows)
     want = [i for i, v in enumerate(values) if v is not None]
     assert covered == want

@@ -4,7 +4,7 @@ Covers the PR's acceptance surfaces: the structured event timeline on
 ``/v1/eventz``, tail-based trace sampling under ``--trace-dir`` (errored
 and deadline requests always persisted, healthy fast ones at the head
 rate), the Prometheus exposition on ``/v1/metricz`` (strict-parser
-round-trip against live output), the merged slow-query log on
+round-trip against live output), the slow outcome events on
 ``/v1/slowlogz``, SLO state in ``/v1/statz``, statz rollup correctness
 under concurrent workers (counters sum, histogram buckets merge, no
 double-count with the shared materialization tier), and the atomic
@@ -20,6 +20,8 @@ import time
 import pytest
 
 from repro.obs.promexport import parse_prometheus
+from repro.obs.tracer import current_tracer
+from repro.plan.backends import InMemoryBackend
 from repro.relational.errors import DeadlineExceeded
 from repro.service import KdapService, ServiceConfig
 
@@ -359,37 +361,96 @@ class TestStatzRollup:
             assert "slo" not in statz
             assert "events" not in statz
             assert "sampling" not in statz
+            assert "slowlog" not in statz
 
 
 class TestSlowlogz:
-    def test_slow_queries_surface_with_request_ids(self, ebiz,
-                                                   ebiz_index):
-        # threshold 0.0: every explore is "slow", so the log fills
-        # deterministically
-        with _service(ebiz, ebiz_index, workers=1,
-                      slow_query_ms=0.0) as service:
+    def test_slow_queries_surface_with_request_ids(self, ebiz, ebiz_index,
+                                                   tmp_path):
+        # trace_slow_ms=0.0: every request is slow, so the list fills
+        # deterministically and the tail sampler keeps every trace
+        with _service(ebiz, ebiz_index, workers=1, trace_slow_ms=0.0,
+                      trace_dir=str(tmp_path)) as service:
             client = ServiceClient(service.port)
-            status, body, _ = client.post("/v1/explore",
-                                          {"query": "Columbus"})
-            assert status == 200
+            request_ids = []
+            for query in ("Columbus", "Columbus LCD"):
+                status, body, _ = client.post("/v1/explore",
+                                              {"query": query})
+                assert status == 200
+                request_ids.append(body["request_id"])
             status, payload = client.get("/v1/slowlogz")
-            assert status == 200
-            assert payload["threshold_ms"] == 0.0
-            assert payload["recorded"] >= 1
-            record = payload["records"][-1]
-            assert record["request_id"] == body["request_id"]
+        assert status == 200
+        assert payload["threshold_ms"] == 0.0
+        assert payload["observed"] == payload["recorded"] == 2
+        assert payload["retained"] == 2
+        records = payload["records"]
+        assert [record["request_id"] for record in records] == request_ids
+        assert [record["query"] for record in records] == \
+            ["Columbus", "Columbus LCD"]
+        for record in records:
+            assert record["kind"] == "finished"
             assert record["elapsed_ms"] > 0
-            assert "span_tree" not in record
-            assert isinstance(record["has_span_tree"], bool)
+            assert record["trace"] == "slow"
+            trace = tmp_path / f"trace-{record['request_id']}.json"
+            assert trace.exists()
 
-    def test_slowlog_disabled(self, ebiz, ebiz_index):
-        with _service(ebiz, ebiz_index, slow_query_ms=None) as service:
+    def test_slow_records_live_as_long_as_the_ring(self, ebiz,
+                                                   ebiz_index):
+        # the slow list is a filter over the event ring, not a store:
+        # each explore emits admitted/started/finished, so a 6-event ring
+        # still holds the last two requests and the first has left it
+        with _service(ebiz, ebiz_index, workers=1, trace_slow_ms=0.0,
+                      event_capacity=6) as service:
+            client = ServiceClient(service.port)
+            request_ids = []
+            for _ in range(3):
+                status, body, _ = client.post("/v1/explore",
+                                              {"query": "Columbus"})
+                assert status == 200
+                request_ids.append(body["request_id"])
+            status, payload = client.get("/v1/slowlogz")
+            _, statz = client.get("/v1/statz")
+        assert status == 200
+        assert [record["request_id"] for record in payload["records"]] \
+            == request_ids[1:]
+        assert payload["recorded"] == 3      # the counter outlives the ring
+        assert payload["retained"] == statz["slowlog"]["retained"] == 2
+        assert "records" not in statz["slowlog"]
+
+    def test_fast_requests_stay_out(self, ebiz, ebiz_index):
+        with _service(ebiz, ebiz_index, trace_slow_ms=60_000.0) as service:
             client = ServiceClient(service.port)
             client.post("/v1/explore", {"query": "Columbus"})
             status, payload = client.get("/v1/slowlogz")
-            assert status == 200
-            assert payload["records"] == []
-            assert payload["threshold_ms"] is None
+        assert status == 200
+        assert payload["records"] == []
+        assert (payload["observed"], payload["recorded"]) == (1, 0)
+
+    def test_slowlog_disabled(self, ebiz, ebiz_index):
+        with _service(ebiz, ebiz_index, telemetry=False) as service:
+            client = ServiceClient(service.port)
+            client.post("/v1/explore", {"query": "Columbus"})
+            status, payload = client.get("/v1/slowlogz")
+        assert status == 404
+        assert payload["error"]["type"] == "telemetry_disabled"
+
+    def test_default_explore_runs_untraced(self, ebiz, ebiz_index,
+                                           monkeypatch):
+        # no trace_dir, no ambient tracer: nothing may build a span
+        # tree that no endpoint returns
+        enabled = []
+        materialize = InMemoryBackend.materialize
+
+        def spy(backend, plan):
+            enabled.append(current_tracer().enabled)
+            return materialize(backend, plan)
+
+        monkeypatch.setattr(InMemoryBackend, "materialize", spy)
+        with KdapService(ebiz, ServiceConfig(), index=ebiz_index) as service:
+            status, _, _ = ServiceClient(service.port).post(
+                "/v1/explore", {"query": "Columbus"})
+        assert status == 200
+        assert enabled and not any(enabled)
 
 
 class TestSloIntegration:

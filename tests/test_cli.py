@@ -222,23 +222,6 @@ class TestStatsJson:
         assert payload["backend"] == "memory"
 
 
-class TestSlowQueryFlag:
-    def test_slow_queries_reported_on_stderr(self, capsys):
-        code = main([*SMALL, "--slow-query-ms", "0", "explore",
-                     "Road Bikes"])
-        captured = capsys.readouterr()
-        assert code == 0
-        assert "slow quer" in captured.err
-        assert "Road Bikes" in captured.err
-
-    def test_high_threshold_stays_silent(self, capsys):
-        code = main([*SMALL, "--slow-query-ms", "1000000", "explore",
-                     "Road Bikes"])
-        captured = capsys.readouterr()
-        assert code == 0
-        assert "slow quer" not in captured.err
-
-
 class TestSql:
     def test_sql_output(self, capsys):
         code = main([*SMALL, "sql", "Road Bikes"])

@@ -77,11 +77,12 @@ def _build_parser() -> argparse.ArgumentParser:
                              "on in-memory row-id chains or a sqlite3 "
                              "mirror)")
     parser.add_argument("--no-materialize", action="store_true",
-                        help="disable the materialized sub-cube tier "
+                        help="disable the materialization tier "
                              "(sessions enable it by default: recurring "
-                             "facet/roll-up aggregates are answered from "
-                             "materialized states instead of re-scanning "
-                             "fact rows)")
+                             "full-space aggregates, such as a single-"
+                             "dimension query's roll-up facets, are "
+                             "answered from materialized states instead "
+                             "of re-scanning fact rows)")
     parser.add_argument("--resilient", action="store_true",
                         help="wrap the backend in retry-with-backoff and "
                              "automatic failover to the in-memory "
@@ -176,14 +177,6 @@ def _build_parser() -> argparse.ArgumentParser:
     generate.add_argument("--out", required=True, metavar="PATH",
                           help="sqlite file to write (replaced if "
                                "present)")
-    generate.add_argument("--materialize-views", action="store_true",
-                          help="also precompute the default full-space "
-                               "materialized views and store them in the "
-                               "same file, so warm starts answer facet "
-                               "roll-ups without recomputation")
-    generate.add_argument("--measure", default="revenue",
-                          help="measure to precompute views for "
-                               "(with --materialize-views)")
     generate.add_argument("--synonyms", metavar="PATH", default=None,
                           help="also dump the schema's synonym registry "
                                "(business term -> attribute/measure, for "
@@ -342,13 +335,6 @@ def _stats_payload(session) -> dict:
     tier = getattr(engine, "tier", None)
     if tier is not None:
         payload["materialize"] = tier.snapshot()
-    fusion = getattr(engine, "fusion", None)
-    if fusion is not None:
-        payload["fusion"] = {
-            "fused_queries": fusion.fused_queries,
-            "attributes_fused": fusion.attributes_fused,
-            "scans_saved": fusion.scans_saved,
-        }
     resilience = getattr(engine.backend, "resilience", None)
     if resilience is not None:
         payload["resilience"] = resilience.as_dict()
@@ -494,7 +480,6 @@ def _cmd_warehouse(args) -> int:
     import os
 
     from .relational.persistence import dump_database
-    from .warehouse import MaterializationTier
 
     schema = build_scale(num_facts=args.scale, seed=args.seed,
                          num_products=args.products, num_days=args.days)
@@ -503,11 +488,6 @@ def _cmd_warehouse(args) -> int:
     dump_database(schema.database, args.out)
     message = (f"wrote {schema.num_fact_rows:,} fact rows "
                f"(seed {args.seed}) to {args.out}")
-    if args.materialize_views:
-        tier = MaterializationTier(schema)
-        built = tier.precompute(args.measure)
-        tier.save(args.out)
-        message += f"; materialized {built} full-space views"
     if args.synonyms is not None:
         from .core import SynonymRegistry
 

@@ -106,14 +106,17 @@ class KdapSession:
         ``repro.obs.metrics.DEFAULT_REGISTRY`` to aggregate
         process-wide instead.
     materialize:
-        Materialized sub-cube tier (default True): facet and roll-up
-        aggregates are answered from materialized mergeable states —
-        exact views, or lattice roll-ups of finer-grained ones — with
-        incremental maintenance on fact appends, instead of re-scanning
-        fact rows.  ``kdap.materialize.*`` counters land in
-        :attr:`metrics`.  False disables the tier; passing a
+        Materialization tier (default True): partition aggregates over
+        the whole dataspace — the roll-up space of every
+        single-dimension query — are answered from materialized
+        mergeable states (exact views, or lattice roll-ups of
+        finer-grained ones) with incremental maintenance on fact
+        appends, instead of re-scanning fact rows.  Aggregates over
+        keyword-selected subspaces always run on the backend.
+        ``kdap.materialize.*`` counters land in :attr:`metrics`.  False
+        disables the tier; passing a
         :class:`~repro.warehouse.materialize.MaterializationTier`
-        shares one (e.g. warm-started from a persisted warehouse).
+        shares one (as the service does across its workers).
 
     **Threading**: a session is a single-caller object — its ray cache
     and last-match bookkeeping are not synchronised for
@@ -151,8 +154,8 @@ class KdapSession:
         self.chain = MatcherChain(schema, index, synonyms)
         self.last_match_report: MatchReport | None = None
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        # sessions default the materialization tier ON (facet roll-ups
-        # over recurring subspaces are exactly its workload); pass False
+        # sessions default the materialization tier ON (full-space
+        # roll-up facets recur across queries); pass False
         # for raw execution or a shared MaterializationTier instance to
         # pool admission history across sessions
         self.engine = QueryEngine(schema, backend=backend,

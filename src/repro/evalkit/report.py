@@ -107,13 +107,6 @@ def render_counters(engine, metrics=None) -> str:
             f"({snap['refreshed_rows']} delta rows), "
             f"{snap['rebuilds']} rebuilds"
         )
-    fusion = getattr(engine, "fusion", None)
-    if fusion is not None and fusion.fused_queries:
-        lines.append(
-            f"fusion: {fusion.attributes_fused} group-bys in "
-            f"{fusion.fused_queries} fused queries "
-            f"({fusion.scans_saved} scans saved)"
-        )
     resilience = getattr(engine.backend, "resilience", None)
     if resilience is not None:
         lines.append(

@@ -21,7 +21,7 @@ Public surface::
         BACKENDS, create_backend,
         PlanNode, Scan, RowSet, SemiJoin, Filter, Partition,
         GroupAggregate, MultiGroupAggregate, AttrKey,
-        PlanCache, CacheStats, PlanCounters, OpStats, FusionStats,
+        PlanCache, CacheStats, PlanCounters, OpStats,
         compile_plan, compile_multi_plan,
     )
 """
@@ -46,7 +46,7 @@ from .builders import (
 from .cache import CacheStats, PlanCache
 from .compile import compile_multi_plan, compile_plan
 from .counters import OpStats, PlanCounters
-from .engine import FusionStats, QueryEngine
+from .engine import QueryEngine
 from .nodes import (
     AttrKey,
     Filter,
@@ -66,7 +66,6 @@ __all__ = [
     "CacheStats",
     "ExecutionBackend",
     "Filter",
-    "FusionStats",
     "GroupAggregate",
     "InMemoryBackend",
     "MultiGroupAggregate",

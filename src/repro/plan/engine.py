@@ -16,8 +16,6 @@ hits instead of recomputing, on either backend.
 
 from __future__ import annotations
 
-import threading
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from ..obs.metrics import current_registry
@@ -40,27 +38,6 @@ from .nodes import Filter, GroupAggregate, PlanNode, Scan, SemiJoin
 _MISS = object()
 
 
-@dataclass
-class FusionStats:
-    """How much work multi-aggregate fusion saved.
-
-    ``scans_saved`` is the headline number: each fused query answers
-    ``attributes_fused`` group-bys in one pass where the unfused path
-    would have run one scan (or one SQL round-trip) per attribute.
-    """
-
-    fused_queries: int = 0
-    attributes_fused: int = 0
-
-    def record(self, attributes: int) -> None:
-        self.fused_queries += 1
-        self.attributes_fused += attributes
-
-    @property
-    def scans_saved(self) -> int:
-        return self.attributes_fused - self.fused_queries
-
-
 class QueryEngine:
     """Evaluate logical plans with caching over a pluggable backend.
 
@@ -75,12 +52,11 @@ class QueryEngine:
         self.schema = schema
         self.backend = create_backend(schema, backend)
         self.cache = PlanCache(max_entries=max_cache_entries)
-        self.fusion = FusionStats()
-        self._fusion_lock = threading.Lock()
-        # the materialization tier answers partition aggregates from
-        # mergeable states (exact views or lattice roll-ups) before the
-        # backend is consulted; off by default at this level — sessions
-        # opt in — so counter-sensitive consumers see raw execution.
+        # the materialization tier answers full-space partition
+        # aggregates from mergeable states (exact views or lattice
+        # roll-ups) before the backend is consulted; off by default at
+        # this level — sessions opt in — so counter-sensitive consumers
+        # see raw execution.
         # Pass a MaterializationTier instance to share one tier (and its
         # admission history) across engines.
         if materialize is True:
@@ -160,14 +136,18 @@ class QueryEngine:
         cached = self.cache.get(key, _MISS)
         if cached is _MISS:
             self._note_cache(plan, hit=False, kind="execute")
-            check_deadline("execute")
-            with current_tracer().span("plan.execute",
-                                       **self._request_tag()):
-                cached = self.backend.execute(plan)
-            self.cache.put(key, cached)
+            cached = self._execute_miss(plan, key)
         else:
             self._note_cache(plan, hit=True, kind="execute")
         return dict(cached) if isinstance(cached, dict) else cached
+
+    def _execute_miss(self, plan: GroupAggregate, key):
+        """Run a plan the cache missed (already counted) and cache it."""
+        check_deadline("execute")
+        with current_tracer().span("plan.execute", **self._request_tag()):
+            result = self.backend.execute(plan)
+        self.cache.put(key, result)
+        return result
 
     @staticmethod
     def _request_tag() -> dict:
@@ -248,6 +228,14 @@ class QueryEngine:
     # ------------------------------------------------------------------
     # subspace aggregation
     # ------------------------------------------------------------------
+    def _tier_covers(self, subspace: Subspace) -> bool:
+        """Whether the tier may answer over ``subspace``: it holds
+        full-space views only, and an engine subspace's rows are sorted
+        distinct fact-row ids, so a full-length row set IS the whole
+        dataspace."""
+        return (self.tier is not None
+                and len(subspace.fact_rows) == self.schema.num_fact_rows)
+
     def subspace_aggregate(self, subspace: Subspace, measure_name: str):
         """G(DS') — the measure aggregated over a subspace."""
         measure = self.schema.measures[measure_name]
@@ -276,21 +264,23 @@ class QueryEngine:
             return {value: fill for value in domain_key}
         plan = subspace_partition_plan(self.schema, subspace.fact_rows,
                                        gb, measure, domain=domain_key)
-        if self.tier is None:
+        if not self._tier_covers(subspace):
             return self.execute(plan)
-        key = self.cache_key(plan.fingerprint())
-        if key in self.cache:  # execute() counts the hit
-            return self.execute(plan)
-        answer = self.tier.answer(subspace.fact_rows, gb, measure_name,
-                                  domain=domain_key)
+        fingerprint = plan.fingerprint()
+        key = self.cache_key(fingerprint)
+        cached = self.cache.get(key, _MISS)
+        if cached is not _MISS:
+            self._note_cache(plan, hit=True, kind="execute")
+            return dict(cached)
+        answer = self.tier.answer(gb, measure_name, domain=domain_key)
         if answer is not None:
             self._note_materialized(plan)
             self.cache.put(key, answer)
             return dict(answer)
-        result = self.execute(plan)
-        self.tier.note_miss(subspace.fact_rows, gb, measure_name,
-                            plan.fingerprint())
-        return result
+        self._note_cache(plan, hit=False, kind="execute")
+        result = self._execute_miss(plan, key)
+        self.tier.note_miss(gb, measure_name, fingerprint)
+        return dict(result)
 
     def multi_partition_aggregates(
         self,
@@ -325,8 +315,10 @@ class QueryEngine:
                 for dk in domain_keys
             ]
         results: list[dict | None] = [None] * len(gbs)
-        # key fingerprint -> (gb, domain, single fp, result slots);
-        # duplicates of the same attribute share a branch when domains agree
+        tier = self.tier if self._tier_covers(subspace) else None
+        # key fingerprint -> (gb, domain, single plan, single fp, result
+        # slots); duplicates of the same attribute share a branch when
+        # domains agree
         fused: dict[tuple, tuple] = {}
         singles: list[int] = []
         for index, (gb, dk) in enumerate(zip(gbs, domain_keys)):
@@ -357,44 +349,43 @@ class QueryEngine:
                     self._count_lookup(hit=True)
                     results[index] = dict(cached)
                     continue
-                if self.tier is not None:
-                    answer = self.tier.answer(subspace.fact_rows, gb,
-                                              measure_name, domain=dk)
+                if tier is not None:
+                    answer = tier.answer(gb, measure_name, domain=dk)
                     if answer is not None:
                         self._note_materialized(single)
                         self.cache.put(single_key, answer)
                         results[index] = dict(answer)
                         continue
-                fused[fingerprint] = (gb, dk, single_fp, [index])
+                fused[fingerprint] = (gb, dk, single, single_fp, [index])
             elif entry[1] == dk:
-                entry[3].append(index)
+                entry[4].append(index)
             else:  # same attribute, different domain: separate query
                 singles.append(index)
         if len(fused) == 1:
-            # a lone branch is just a single partition query; routing it
-            # through the single-key path shares that cache entry
-            (gb, dk, _, slots), = fused.values()
-            groups = self.subspace_partition_aggregates(
-                subspace, gb, measure_name, domain=dk)
+            # a lone branch is just a single partition query, already
+            # missed in the cache and the tier above: execute it under
+            # its single-plan key so that cache entry is shared
+            (gb, dk, single, single_fp, slots), = fused.values()
+            self._note_cache(single, hit=False, kind="execute")
+            groups = self._execute_miss(single, self.cache_key(single_fp))
+            if tier is not None:
+                tier.note_miss(gb, measure_name, single_fp)
             for slot in slots:
                 results[slot] = dict(groups)
         elif fused:
             plan_items = list(fused.values())
             plan = multi_partition_plan(
                 self.schema, subspace.fact_rows,
-                [gb for gb, _, _, _ in plan_items], measure,
-                domains=[dk for _, dk, _, _ in plan_items])
+                [item[0] for item in plan_items], measure,
+                domains=[item[1] for item in plan_items])
             executed = self.execute(plan)
-            with self._fusion_lock:
-                self.fusion.record(len(plan_items))
-            for fingerprint, (gb, dk, single_fp, slots) in fused.items():
+            for fingerprint, (gb, _, _, single_fp, slots) in fused.items():
                 groups = executed[fingerprint]
                 # seed the equivalent single-plan entry so later
                 # single-key (or partially-overlapping fused) calls hit
                 self.cache.put(self.cache_key(single_fp), groups)
-                if self.tier is not None:
-                    self.tier.note_miss(subspace.fact_rows, gb,
-                                        measure_name, single_fp)
+                if tier is not None:
+                    tier.note_miss(gb, measure_name, single_fp)
                 for slot in slots:
                     # inner dicts belong to the cache entry: copy out
                     results[slot] = dict(groups)

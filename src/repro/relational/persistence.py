@@ -18,7 +18,6 @@ from .table import Table
 from .types import Column, ColumnType
 
 _META_TABLE = "_repro_meta"
-_VIEWS_TABLE = "_repro_materialized"
 
 
 def _schema_payload(database: Database) -> dict:
@@ -108,45 +107,3 @@ def _from_sqlite(value, column: Column):
         return bool(value)
     return value
 
-
-def save_materialized(path: str, payload: dict) -> None:
-    """Write a materialization-tier snapshot into a warehouse file.
-
-    The payload (see ``MaterializationTier.to_payload``) rides in a
-    ``_repro_materialized`` side table next to the schema metadata, so
-    one sqlite file carries both the data and its hot aggregates.
-    Replaces any previous snapshot in the file.
-    """
-    connection = sqlite3.connect(path)
-    try:
-        connection.execute(
-            f'CREATE TABLE IF NOT EXISTS "{_VIEWS_TABLE}" '
-            '(payload TEXT)')
-        connection.execute(f'DELETE FROM "{_VIEWS_TABLE}"')
-        connection.execute(
-            f'INSERT INTO "{_VIEWS_TABLE}" VALUES (?)',
-            (json.dumps(payload),),
-        )
-        connection.commit()
-    finally:
-        connection.close()
-
-
-def load_materialized(path: str) -> dict | None:
-    """Read a materialization snapshot written by
-    :func:`save_materialized`; None when the file has none (warehouses
-    dumped before the tier existed stay loadable)."""
-    connection = sqlite3.connect(path)
-    try:
-        present = connection.execute(
-            "SELECT name FROM sqlite_master WHERE type='table' "
-            "AND name=?", (_VIEWS_TABLE,)).fetchone()
-        if present is None:
-            return None
-        rows = connection.execute(
-            f'SELECT payload FROM "{_VIEWS_TABLE}"').fetchall()
-        if not rows:
-            return None
-        return json.loads(rows[0][0])
-    finally:
-        connection.close()

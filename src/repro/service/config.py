@@ -71,9 +71,9 @@ class ServiceConfig:
     materialize:
         Share one
         :class:`~repro.warehouse.materialize.MaterializationTier`
-        across every worker session (default True): a view admitted or
-        rolled up by one worker answers all of them, and the pooled
-        ``kdap.materialize.*`` counters surface in ``/v1/statz``.
+        across every worker session (default True): a full-space view
+        admitted or rolled up by one worker answers all of them, and the
+        pooled ``kdap.materialize.*`` counters surface in ``/v1/statz``.
         False runs workers without the tier.
     trace_dir:
         When set, each request runs under its own tracer; whether the

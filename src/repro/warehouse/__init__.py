@@ -19,7 +19,6 @@ from .graph import (
 )
 from .describe import describe_schema, schema_statistics
 from .materialize import (
-    FULL_SCOPE,
     MaterializationTier,
     MaterializedView,
     MaterializeStats,
@@ -43,7 +42,6 @@ __all__ = [
     "AttributeRef",
     "Dimension",
     "EMPTY_PATH",
-    "FULL_SCOPE",
     "GroupByAttribute",
     "Hierarchy",
     "JoinPath",

@@ -1,13 +1,16 @@
-"""Materialized sub-cube tier: lattice answering + incremental upkeep.
+"""Materialized full-space aggregates: lattice answering + append upkeep.
 
 The paper's §7 names aggregation over keyword-selected sub-dataspaces as
 the dominant cost and calls for "new specialized techniques optimized
-for KDAP".  :class:`MaterializationTier` is that tier for this engine —
-the classic OLAP materialized-view move, adapted to the append-only
-warehouse and the canonical-fingerprint plan layer:
+for KDAP".  :class:`MaterializationTier` is the classic OLAP
+materialized-view move for the one space every explore revisits: the
+whole dataspace, which is the roll-up space of every single-dimension
+query.  Keyword-selected subspaces are rarely asked twice, so the tier
+holds no views over them; :class:`~repro.plan.engine.QueryEngine`
+consults it only for full-space lookups.
 
-* **exact hits** — a materialized ``(scope, group-by, measure)`` view
-  answers the identical aggregate from its mergeable states, no scan;
+* **exact hits** — a materialized ``(group-by, measure)`` view answers
+  the identical aggregate from its mergeable states, no scan;
 * **lattice roll-up answering** — a miss at a coarser hierarchy level is
   answered by re-aggregating a *finer* materialized view (per-Product
   sums merge into per-Category sums) through the dimension hierarchy's
@@ -21,10 +24,8 @@ warehouse and the canonical-fingerprint plan layer:
 * **cost-based admission** — views are not built eagerly: after
   ``admit_after`` fingerprint-distinct misses that share a finer
   ancestor, that ancestor is materialized (one view then serves its
-  whole hierarchy upward);
-* **persistence** — full-space views serialize through the sqlite side
-  table of :mod:`repro.relational.persistence`, keyed by attribute
-  fingerprint, so a warm start skips recomputation.
+  whole hierarchy upward).  Views are bounded by group-by attributes ×
+  measures, so there is no eviction.
 
 Maintenance work (builds, delta folds, rebuilds) deliberately does not
 charge the ambient row :class:`~repro.resilience.budget.Budget` — budget
@@ -36,9 +37,8 @@ aborts the build into fresh state dicts, leaving existing views intact.
 from __future__ import annotations
 
 import threading
-from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from ..obs.metrics import current_registry
 from ..plan.builders import attr_key
@@ -53,14 +53,10 @@ from ..resilience.budget import check_deadline
 from .schema import GroupByAttribute, Hierarchy, StarSchema
 
 __all__ = [
-    "FULL_SCOPE",
     "MaterializationTier",
     "MaterializeStats",
     "MaterializedView",
 ]
-
-FULL_SCOPE = ("full",)
-"""Scope key of the whole dataspace (the only scope that grows)."""
 
 _NULLS_UNKNOWN = -1
 """Sentinel ``null_rows``: a derived view that dropped unmapped children
@@ -79,8 +75,6 @@ class MaterializeStats:
     refreshes: int = 0
     refreshed_rows: int = 0
     rebuilds: int = 0
-    evicted: int = 0
-    restored: int = 0
 
     @property
     def hit_rate(self) -> float:
@@ -97,58 +91,49 @@ class MaterializeStats:
             "refreshes": self.refreshes,
             "refreshed_rows": self.refreshed_rows,
             "rebuilds": self.rebuilds,
-            "evicted": self.evicted,
-            "restored": self.restored,
         }
 
 
 @dataclass
 class MaterializedView:
-    """One materialized group-by partition with mergeable states.
+    """One materialized full-space group-by partition with mergeable
+    states.
 
     ``states`` maps each group value to the aggregate's decomposable
     state (see :data:`~repro.relational.operators.AGGREGATE_STATES`;
     avg stores ``[sum, count]``), so views merge upward through the
     lattice and fold append deltas without touching finalized numbers.
     ``hwm_rows`` is the fact-row high-water mark already folded in;
-    ``null_rows`` counts in-scope rows whose group key resolved to NULL
-    (only a view with zero may seed a roll-up).  ``rows`` pins the frozen
-    row set of a non-full scope (None for the full dataspace).
+    ``null_rows`` counts rows whose group key resolved to NULL (only a
+    view with zero may seed a roll-up).
     """
 
     gb: GroupByAttribute
     measure_name: str
     aggregate: str
-    scope: tuple
     states: dict
     hwm_rows: int
     null_rows: int
     dim_versions: tuple
-    rows: tuple | None
-    refreshes: int = 0
-    rebuilds: int = 0
 
 
 class MaterializationTier:
-    """Lattice-aware materialized aggregates over one star schema.
+    """Lattice-aware materialized full-space aggregates over one star
+    schema.
 
     Thread-safe: one lock covers lookup, roll-up derivation, admission,
-    and maintenance, matching the per-worker-session deployment in the
-    service layer (cheap relative to the scans it avoids).
+    and maintenance, so the service can share one tier across its
+    worker sessions (cheap relative to the scans it avoids).
     """
 
-    def __init__(self, schema: StarSchema, admit_after: int = 2,
-                 max_views: int = 256):
+    def __init__(self, schema: StarSchema, admit_after: int = 2):
         if admit_after < 1:
             raise ValueError("admit_after must be positive")
-        if max_views < 1:
-            raise ValueError("max_views must be positive")
         self.schema = schema
         self.admit_after = admit_after
-        self.max_views = max_views
         self.stats = MaterializeStats()
         self._lock = threading.RLock()
-        self._views: OrderedDict[tuple, MaterializedView] = OrderedDict()
+        self._views: dict[tuple, MaterializedView] = {}
         # admission log: anchor view key -> distinct missed fingerprints
         self._miss_log: dict[tuple, set] = {}
 
@@ -162,10 +147,10 @@ class MaterializationTier:
     # ------------------------------------------------------------------
     # answering
     # ------------------------------------------------------------------
-    def answer(self, rows: Sequence[int], gb: GroupByAttribute,
-               measure_name: str,
+    def answer(self, gb: GroupByAttribute, measure_name: str,
                domain: Iterable | None = None) -> dict | None:
-        """value → aggregate for ``(rows, gb, measure)``, or None.
+        """value → aggregate for ``(gb, measure)`` over the whole
+        dataspace, or None.
 
         Served from an exact view when one exists (after folding any
         append delta), else derived by lattice roll-up from a finer view
@@ -176,12 +161,10 @@ class MaterializationTier:
             return None
         domain_key = None if domain is None else tuple(domain)
         with self._lock:
-            scope = self._scope(rows)
-            key = self._view_key(scope, gb, measure_name)
-            view = self._get_fresh(key)
+            view = self._get_fresh(self._view_key(gb, measure_name))
             rolled = False
             if view is None:
-                view = self._rollup(scope, gb, measure_name)
+                view = self._rollup(gb, measure_name)
                 if view is None:
                     return None
                 rolled = True
@@ -194,9 +177,10 @@ class MaterializationTier:
             return finalize_group_states(view.aggregate, view.states,
                                          domain=domain_key)
 
-    def note_miss(self, rows: Sequence[int], gb: GroupByAttribute,
-                  measure_name: str, fingerprint) -> None:
-        """Admission accounting for a query the tier could not answer.
+    def note_miss(self, gb: GroupByAttribute, measure_name: str,
+                  fingerprint) -> None:
+        """Admission accounting for a full-space query the tier could
+        not answer.
 
         After :attr:`admit_after` fingerprint-distinct misses that share
         a finer ancestor — the finest hierarchy level reachable from the
@@ -209,162 +193,50 @@ class MaterializationTier:
             current_registry().counter("kdap.materialize.miss").inc()
             if self._supported(measure_name) is None:
                 return
-            scope = self._scope(rows)
             anchor = self._finest_ancestor(gb)
-            akey = self._view_key(scope, anchor, measure_name)
+            akey = self._view_key(anchor, measure_name)
             if akey in self._views and anchor is not gb:
                 # the ancestor exists yet could not answer (NULL child
                 # keys, non-functional suffix): admit the attribute itself
                 anchor = gb
-                akey = self._view_key(scope, anchor, measure_name)
+                akey = self._view_key(anchor, measure_name)
             if akey in self._views:
                 return
             log = self._miss_log.setdefault(akey, set())
             log.add(fingerprint)
             if len(log) < self.admit_after:
                 return
-            stored = None if scope == FULL_SCOPE else tuple(rows)
             try:
-                view = self._build_view(anchor, measure_name, scope,
-                                        stored)
+                view = self._build_view(anchor, measure_name)
             except ResourceExhausted:
                 return  # deadline pressure: retry on a later miss
             self._miss_log.pop(akey, None)
-            self._admit(akey, view)
+            self._views[akey] = view
             self.stats.admitted += 1
             current_registry().counter("kdap.materialize.admitted").inc()
 
-    # ------------------------------------------------------------------
-    # precomputation (warehouse generate / warm start)
-    # ------------------------------------------------------------------
     def precompute(self, measure_name: str,
-                   attributes: Iterable[GroupByAttribute] | None = None
-                   ) -> int:
+                   attributes: Iterable[GroupByAttribute]) -> int:
         """Materialize full-space views eagerly; returns views built."""
         if self._supported(measure_name) is None:
             raise SchemaError(
                 f"measure {measure_name!r} has no mergeable aggregate "
                 "states; cannot materialize")
-        if attributes is None:
-            attributes = self.default_attributes()
         count = 0
         with self._lock:
             for gb in attributes:
-                key = self._view_key(FULL_SCOPE, gb, measure_name)
+                key = self._view_key(gb, measure_name)
                 if self._get_fresh(key) is not None:
                     continue
-                view = self._build_view(gb, measure_name, FULL_SCOPE,
-                                        None)
-                self._admit(key, view)
+                self._views[key] = self._build_view(gb, measure_name)
                 self.stats.admitted += 1
                 count += 1
         return count
-
-    def default_attributes(self) -> list[GroupByAttribute]:
-        """Candidates worth precomputing: for every categorical group-by
-        its finest functional ancestor (one finest view answers the whole
-        hierarchy above it), deduplicated."""
-        chosen: dict = {}
-        for dim in self.schema.dimensions:
-            for gb in dim.groupbys:
-                if gb.is_numerical:
-                    continue
-                anchor = self._finest_ancestor(gb)
-                chosen.setdefault(attr_key(anchor).fingerprint(), anchor)
-        return list(chosen.values())
 
     def snapshot(self) -> dict:
         """Stats plus view count, for ``--stats`` / ``/v1/statz``."""
         with self._lock:
             return {"views": len(self._views), **self.stats.as_dict()}
-
-    # ------------------------------------------------------------------
-    # persistence
-    # ------------------------------------------------------------------
-    def to_payload(self) -> dict:
-        """Serializable snapshot of the hot full-space views.
-
-        Rowset-scoped views are session artifacts — their frozen row
-        sets only mean something against a live subspace — so only
-        full-space partitions persist, keyed by attribute fingerprint.
-        """
-        views = []
-        with self._lock:
-            for key, view in self._views.items():
-                if view.scope != FULL_SCOPE:
-                    continue
-                views.append({
-                    "fingerprint": repr(key[1]),
-                    "table": view.gb.ref.table,
-                    "column": view.gb.ref.column,
-                    "path": list(view.gb.path_from_fact.fk_names),
-                    "measure": view.measure_name,
-                    "aggregate": view.aggregate,
-                    "hwm_rows": view.hwm_rows,
-                    "null_rows": view.null_rows,
-                    "groups": [[value, state]
-                               for value, state in view.states.items()],
-                })
-        return {"format": 1, "views": views}
-
-    def restore(self, payload: dict) -> int:
-        """Load persisted full-space views (warm start); returns count.
-
-        Views whose group-by or measure no longer resolves, or whose
-        high-water mark exceeds the live fact table, are skipped.
-        Restored views adopt the live dimension versions — a dump is
-        only meaningful against the database it was written with — and
-        fold any fact-append delta lazily on first use.
-        """
-        restored = 0
-        n = self.schema.num_fact_rows
-        with self._lock:
-            for spec in payload.get("views", ()):
-                try:
-                    gb = self.schema.groupby_attribute(spec["table"],
-                                                       spec["column"])
-                except SchemaError:
-                    continue
-                if tuple(spec["path"]) != gb.path_from_fact.fk_names:
-                    continue
-                measure = self.schema.measures.get(spec["measure"])
-                if (measure is None
-                        or measure.aggregate != spec["aggregate"]
-                        or spec["aggregate"] not in AGGREGATE_STATES):
-                    continue
-                if spec["hwm_rows"] > n:
-                    continue
-                states = {value: list(state)
-                          for value, state in spec["groups"]}
-                view = MaterializedView(
-                    gb=gb, measure_name=spec["measure"],
-                    aggregate=spec["aggregate"], scope=FULL_SCOPE,
-                    states=states, hwm_rows=spec["hwm_rows"],
-                    null_rows=spec["null_rows"],
-                    dim_versions=self._dim_versions(gb), rows=None,
-                )
-                self._admit(self._view_key(FULL_SCOPE, gb,
-                                           spec["measure"]), view)
-                restored += 1
-            self.stats.restored += restored
-        return restored
-
-    def save(self, path: str) -> int:
-        """Persist full-space views into the warehouse's sqlite file."""
-        from ..relational.persistence import save_materialized
-
-        payload = self.to_payload()
-        save_materialized(path, payload)
-        return len(payload["views"])
-
-    def load(self, path: str) -> int:
-        """Warm-start from a sqlite file written by :meth:`save`."""
-        from ..relational.persistence import load_materialized
-
-        payload = load_materialized(path)
-        if payload is None:
-            return 0
-        return self.restore(payload)
 
     # ------------------------------------------------------------------
     # internals
@@ -375,18 +247,9 @@ class MaterializationTier:
             return None
         return measure
 
-    def _scope(self, rows: Sequence[int]) -> tuple:
-        # subspace rows are sorted distinct ids below num_fact_rows, so
-        # a full-length row set IS the full dataspace — checked first to
-        # keep the common full-space path free of O(n) tuple hashing
-        if len(rows) == self.schema.num_fact_rows:
-            return FULL_SCOPE
-        return ("rowset", len(rows), hash(tuple(rows)))
-
     @staticmethod
-    def _view_key(scope: tuple, gb: GroupByAttribute,
-                  measure_name: str) -> tuple:
-        return (scope, attr_key(gb).fingerprint(), measure_name)
+    def _view_key(gb: GroupByAttribute, measure_name: str) -> tuple:
+        return (attr_key(gb).fingerprint(), measure_name)
 
     def _dim_versions(self, gb: GroupByAttribute) -> tuple:
         return self.schema._path_versions(gb.path_from_fact)
@@ -402,7 +265,6 @@ class MaterializationTier:
             # into fresh dicts); report a miss and let the query path
             # surface the deadline itself
             return None
-        self._views.move_to_end(key)
         return view
 
     def _freshen(self, view: MaterializedView) -> None:
@@ -415,10 +277,9 @@ class MaterializationTier:
         if view.dim_versions != self._dim_versions(view.gb):
             self._rebuild(view)
             return
-        if view.scope == FULL_SCOPE:
-            n = self.schema.num_fact_rows
-            if n > view.hwm_rows:
-                self._fold_delta(view, n)
+        n = self.schema.num_fact_rows
+        if n > view.hwm_rows:
+            self._fold_delta(view, n)
 
     def _fold_delta(self, view: MaterializedView, n: int) -> None:
         gb = view.gb
@@ -437,61 +298,43 @@ class MaterializationTier:
         if view.null_rows != _NULLS_UNKNOWN:
             view.null_rows += nulls
         view.hwm_rows = n
-        view.refreshes += 1
         self.stats.refreshes += 1
         self.stats.refreshed_rows += len(delta)
         current_registry().counter("kdap.materialize.refresh").inc()
 
     def _rebuild(self, view: MaterializedView) -> None:
-        states, nulls = self._compute(view.gb, view.measure_name,
-                                      view.rows)
-        view.states = states
-        view.null_rows = nulls
+        view.states, view.null_rows = self._compute(view.gb,
+                                                    view.measure_name)
         view.hwm_rows = self.schema.num_fact_rows
         view.dim_versions = self._dim_versions(view.gb)
-        view.rebuilds += 1
         self.stats.rebuilds += 1
         current_registry().counter("kdap.materialize.rebuild").inc()
 
-    def _compute(self, gb: GroupByAttribute, measure_name: str,
-                 rows: tuple | None) -> tuple[dict, int]:
+    def _compute(self, gb: GroupByAttribute,
+                 measure_name: str) -> tuple[dict, int]:
         measure = self.schema.measures[measure_name]
         chunks = self.schema.fact_chunks(gb.path_from_fact, gb.ref.column)
         mvec = self.schema.measure_vector(measure_name)
         states = chunked_group_states(
-            [chunks], mvec, measure.aggregate, row_ids=rows,
+            [chunks], mvec, measure.aggregate,
             on_chunk=lambda _rows: check_deadline("materialize.build"),
         )[0]
-        if rows is None:
-            nulls = sum(c.zone.null_count for c in chunks)
-        else:
-            vector = self.schema.fact_vector(gb.path_from_fact,
-                                             gb.ref.column)
-            nulls = sum(1 for r in rows if vector[r] is None)
-        return states, nulls
+        return states, sum(c.zone.null_count for c in chunks)
 
-    def _build_view(self, gb: GroupByAttribute, measure_name: str,
-                    scope: tuple, rows: tuple | None) -> MaterializedView:
-        measure = self.schema.measures[measure_name]
-        states, nulls = self._compute(gb, measure_name, rows)
+    def _build_view(self, gb: GroupByAttribute,
+                    measure_name: str) -> MaterializedView:
+        states, nulls = self._compute(gb, measure_name)
         return MaterializedView(
             gb=gb, measure_name=measure_name,
-            aggregate=measure.aggregate, scope=scope, states=states,
-            hwm_rows=self.schema.num_fact_rows, null_rows=nulls,
-            dim_versions=self._dim_versions(gb), rows=rows,
+            aggregate=self.schema.measures[measure_name].aggregate,
+            states=states, hwm_rows=self.schema.num_fact_rows,
+            null_rows=nulls, dim_versions=self._dim_versions(gb),
         )
-
-    def _admit(self, key: tuple, view: MaterializedView) -> None:
-        self._views[key] = view
-        self._views.move_to_end(key)
-        while len(self._views) > self.max_views:
-            self._views.popitem(last=False)
-            self.stats.evicted += 1
 
     # ------------------------------------------------------------------
     # lattice
     # ------------------------------------------------------------------
-    def _rollup(self, scope: tuple, gb: GroupByAttribute,
+    def _rollup(self, gb: GroupByAttribute,
                 measure_name: str) -> MaterializedView | None:
         """Derive ``gb``'s view from a finer materialized one, merging
         its states through the hierarchy's child→parent value maps.
@@ -512,7 +355,7 @@ class MaterializationTier:
             if child_gb is None:
                 continue
             child_view = self._get_fresh(
-                self._view_key(scope, child_gb, measure_name))
+                self._view_key(child_gb, measure_name))
             if child_view is None or child_view.null_rows != 0:
                 continue
             mapping = self._composed_map(hierarchy, level, idx)
@@ -533,13 +376,12 @@ class MaterializationTier:
                     acc.merge(target, state)
             view = MaterializedView(
                 gb=gb, measure_name=measure_name,
-                aggregate=child_view.aggregate, scope=scope,
-                states=states, hwm_rows=child_view.hwm_rows,
+                aggregate=child_view.aggregate, states=states,
+                hwm_rows=child_view.hwm_rows,
                 null_rows=(_NULLS_UNKNOWN if dropped else 0),
                 dim_versions=self._dim_versions(gb),
-                rows=child_view.rows,
             )
-            self._admit(self._view_key(scope, gb, measure_name), view)
+            self._views[self._view_key(gb, measure_name)] = view
             return view
         return None
 

@@ -217,8 +217,11 @@ def test_numeric_candidates_ride_the_fused_query(aw_online):
     ranked = rank_groupby_attributes(sub, [roll], customer.groupbys,
                                      "revenue", SURPRISE)
     assert {r.attribute for r in ranked} == set(customer.groupbys)
-    assert engine.fusion.fused_queries == 2  # DS' + the roll-up
-    assert engine.fusion.attributes_fused == 2 * len(customer.groupbys)
+    # one fused statement per space (DS' + the roll-up) and no
+    # single-key partition: every candidate rode a fused query
+    ops = engine.counters.ops
+    assert ops["MultiGroupAggregate"].calls == 2
+    assert "Partition" not in ops and "GroupAggregate" not in ops
     calls = engine.counters.total_calls
     hits = engine.cache_stats.hits
     numerical_series(sub, roll, income, "revenue")

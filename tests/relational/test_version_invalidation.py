@@ -171,8 +171,7 @@ def test_dim_mutation_invalidates_non_incremental_view():
         {"ProductKey": 900 + i, "ProductName": f"New {i}",
          "Color": "Blue", "CategoryName": "Bikes",
          "ListPrice": round(rng.uniform(1, 9), 2)} for i in range(3)])
-    answer = tier.answer(tuple(range(schema.num_fact_rows)), gb,
-                         "revenue")
+    answer = tier.answer(gb, "revenue")
     direct = Subspace.full(schema, engine=LocalKernel(schema)) \
         .partition_aggregates(gb, "revenue")
     assert answer == direct

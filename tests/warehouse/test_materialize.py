@@ -3,27 +3,27 @@
 The tier's contract is *indistinguishability*: any aggregate it answers
 — from an exact view, a lattice roll-up, or after incremental append
 maintenance — must equal the direct fact-scan answer (floats to
-re-association tolerance).  Parity is checked here property-style across
-row subsets, append batches, backends, and budget truncation.
+re-association tolerance).  Parity is checked here across append
+batches, backends, and budget truncation.  The tier holds full-space
+views only: the engine never consults it for a keyword-selected
+subspace.
 """
 
+import json
 import math
 import random
+import sqlite3
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from repro.datasets.scale import build_scale
+from repro.core import KdapSession, rollup_subspaces
+from repro.datasets.scale import build_scale, load_scale
 from repro.plan.engine import QueryEngine
-from repro.relational.persistence import (
-    load_materialized,
-    save_materialized,
-)
+from repro.relational.persistence import dump_database
 from repro.resilience import Budget
 from repro.resilience.budget import budget_scope
 from repro.warehouse import MaterializationTier, Subspace
-
-SUPPRESS = [HealthCheck.function_scoped_fixture]
 
 N_FACTS = 4000
 
@@ -50,10 +50,6 @@ def fresh_scale():
     return build_scale(num_facts=N_FACTS, seed=11)
 
 
-def full_rows(schema):
-    return tuple(range(schema.num_fact_rows))
-
-
 # ---------------------------------------------------------------------------
 # answering: exact hits and lattice roll-ups
 # ---------------------------------------------------------------------------
@@ -61,7 +57,7 @@ def test_exact_hit_matches_direct_scan(scale):
     tier = MaterializationTier(scale)
     gb = scale.groupby_attribute("DimProduct", "ProductName")
     tier.precompute("revenue", [gb])
-    answer = tier.answer(full_rows(scale), gb, "revenue")
+    answer = tier.answer(gb, "revenue")
     direct = scanned(scale).partition_aggregates(gb, "revenue")
     assert approx_equal(answer, direct)
     assert tier.stats.hits == 1 and tier.stats.rollup_hits == 0
@@ -72,12 +68,12 @@ def test_rollup_answers_coarser_level_from_finer_view(scale):
     fine = scale.groupby_attribute("DimProduct", "ProductName")
     coarse = scale.groupby_attribute("DimProduct", "CategoryName")
     tier.precompute("revenue", [fine])
-    rolled = tier.answer(full_rows(scale), coarse, "revenue")
+    rolled = tier.answer(coarse, "revenue")
     direct = scanned(scale).partition_aggregates(coarse, "revenue")
     assert rolled is not None and approx_equal(rolled, direct)
     assert tier.stats.rollup_hits == 1
     # the derived view is registered: the next ask is an exact hit
-    tier.answer(full_rows(scale), coarse, "revenue")
+    tier.answer(coarse, "revenue")
     assert tier.stats.hits == 2 and tier.stats.rollup_hits == 1
 
 
@@ -88,12 +84,11 @@ def test_rollup_refused_across_non_functional_step(scale):
     month = scale.groupby_attribute("DimDate", "MonthName")
     year = scale.groupby_attribute("DimDate", "CalendarYearName")
     tier.precompute("revenue", [month])
-    assert tier.answer(full_rows(scale), year, "revenue") is None
+    assert tier.answer(year, "revenue") is None
     # materialized directly, the coarse level answers fine
     tier.precompute("revenue", [year])
     direct = scanned(scale).partition_aggregates(year, "revenue")
-    assert approx_equal(tier.answer(full_rows(scale), year, "revenue"),
-                        direct)
+    assert approx_equal(tier.answer(year, "revenue"), direct)
 
 
 def test_rollup_respects_domain_restriction_and_fill(scale):
@@ -102,33 +97,11 @@ def test_rollup_respects_domain_restriction_and_fill(scale):
     coarse = scale.groupby_attribute("DimProduct", "CategoryName")
     tier.precompute("revenue", [fine])
     domain = ("Bikes", "NoSuchCategory")
-    rolled = tier.answer(full_rows(scale), coarse, "revenue",
-                         domain=domain)
+    rolled = tier.answer(coarse, "revenue", domain=domain)
     direct = scanned(scale).partition_aggregates(
         coarse, "revenue", domain=domain)
     assert approx_equal(rolled, direct)
     assert rolled["NoSuchCategory"] == direct["NoSuchCategory"]
-
-
-@given(rows=st.sets(st.integers(0, N_FACTS - 1), min_size=1,
-                    max_size=400))
-@settings(max_examples=25, deadline=None, suppress_health_check=SUPPRESS)
-def test_rowset_scope_parity(scale, rows):
-    """Views over arbitrary (subspace-shaped) row sets answer exactly
-    like a direct scan of those rows, including derived roll-ups."""
-    row_tuple = tuple(sorted(rows))
-    tier = MaterializationTier(scale, admit_after=1)
-    fine = scale.groupby_attribute("DimProduct", "ProductName")
-    coarse = scale.groupby_attribute("DimProduct", "CategoryName")
-    tier.note_miss(row_tuple, fine, "revenue", "fp")
-    subspace = Subspace(scale, row_tuple, "sample",
-                        engine=QueryEngine(scale))
-    assert approx_equal(
-        tier.answer(row_tuple, fine, "revenue"),
-        subspace.partition_aggregates(fine, "revenue"))
-    assert approx_equal(
-        tier.answer(row_tuple, coarse, "revenue"),
-        subspace.partition_aggregates(coarse, "revenue"))
 
 
 # ---------------------------------------------------------------------------
@@ -159,7 +132,7 @@ def test_incremental_refresh_equals_from_scratch(batches, seed):
     tier.precompute("revenue", [gb])
     for count in batches:
         append_facts(schema, rng, count)
-        answer = tier.answer(full_rows(schema), gb, "revenue")
+        answer = tier.answer(gb, "revenue")
         direct = scanned(schema).partition_aggregates(gb, "revenue")
         assert approx_equal(answer, direct)
     assert tier.stats.refreshes == len(batches)
@@ -173,7 +146,7 @@ def test_refresh_cost_is_delta_rows_not_total(fresh_scale):
     gb = schema.groupby_attribute("DimProduct", "ProductName")
     tier.precompute("revenue", [gb])
     append_facts(schema, random.Random(3), 37)
-    tier.answer(full_rows(schema), gb, "revenue")
+    tier.answer(gb, "revenue")
     assert tier.stats.refreshed_rows == 37  # not N_FACTS + 37
 
 
@@ -188,25 +161,10 @@ def test_dimension_mutation_triggers_full_rebuild(fresh_scale):
         "ProductKey": 999, "ProductName": "Late Product",
         "Color": "Black", "CategoryName": "Bikes", "ListPrice": 9.99,
     })
-    answer = tier.answer(full_rows(schema), gb, "revenue")
+    answer = tier.answer(gb, "revenue")
     direct = scanned(schema).partition_aggregates(gb, "revenue")
     assert approx_equal(answer, direct)
     assert tier.stats.rebuilds == 1
-
-
-def test_rowset_views_survive_unrelated_appends(fresh_scale):
-    """A frozen row set never includes appended rows, so fact appends
-    must not invalidate (or refresh) a rowset-scoped view."""
-    schema = fresh_scale
-    rows = tuple(range(0, schema.num_fact_rows, 3))
-    tier = MaterializationTier(schema, admit_after=1)
-    gb = schema.groupby_attribute("DimProduct", "ProductName")
-    tier.note_miss(rows, gb, "revenue", "fp")
-    before = tier.answer(rows, gb, "revenue")
-    append_facts(schema, random.Random(5), 50)
-    after = tier.answer(rows, gb, "revenue")
-    assert approx_equal(before, after)
-    assert tier.stats.refreshes == 0 and tier.stats.rebuilds == 0
 
 
 # ---------------------------------------------------------------------------
@@ -215,13 +173,12 @@ def test_rowset_views_survive_unrelated_appends(fresh_scale):
 def test_admission_after_k_distinct_fingerprints(scale):
     tier = MaterializationTier(scale, admit_after=2)
     gb = scale.groupby_attribute("DimDate", "CalendarYearName")
-    rows = full_rows(scale)
-    tier.note_miss(rows, gb, "revenue", "fp-a")
-    tier.note_miss(rows, gb, "revenue", "fp-a")  # repeat: not distinct
+    tier.note_miss(gb, "revenue", "fp-a")
+    tier.note_miss(gb, "revenue", "fp-a")  # repeat: not distinct
     assert len(tier) == 0
-    tier.note_miss(rows, gb, "revenue", "fp-b")
+    tier.note_miss(gb, "revenue", "fp-b")
     assert len(tier) == 1
-    assert tier.answer(rows, gb, "revenue") is not None
+    assert tier.answer(gb, "revenue") is not None
 
 
 def test_admission_builds_finest_functional_ancestor(scale):
@@ -230,22 +187,11 @@ def test_admission_builds_finest_functional_ancestor(scale):
     tier = MaterializationTier(scale, admit_after=1)
     fine = scale.groupby_attribute("DimProduct", "ProductName")
     coarse = scale.groupby_attribute("DimProduct", "CategoryName")
-    tier.note_miss(full_rows(scale), coarse, "revenue", "fp")
+    tier.note_miss(coarse, "revenue", "fp")
     assert len(tier) == 1
     # the *fine* level answers as an exact hit — its view was built
-    assert tier.answer(full_rows(scale), fine, "revenue") is not None
+    assert tier.answer(fine, "revenue") is not None
     assert tier.stats.rollup_hits == 0
-
-
-def test_lru_eviction_bounds_views(scale):
-    tier = MaterializationTier(scale, admit_after=1, max_views=2)
-    gbs = [scale.groupby_attribute("DimProduct", "ProductName"),
-           scale.groupby_attribute("DimProduct", "Color"),
-           scale.groupby_attribute("DimDate", "MonthName")]
-    for gb in gbs:
-        tier.note_miss(full_rows(scale), gb, "revenue", "fp")
-    assert len(tier) == 2
-    assert tier.stats.evicted == 1
 
 
 # ---------------------------------------------------------------------------
@@ -263,25 +209,21 @@ def test_tier_answers_are_untruncated_under_row_budget(scale):
         coarse, "revenue")
     with budget_scope(Budget(max_rows=10)):
         tier.precompute("revenue", [gb])
-        assert approx_equal(tier.answer(full_rows(scale), gb, "revenue"),
-                            direct)
-        assert approx_equal(
-            tier.answer(full_rows(scale), coarse, "revenue"),
-            direct_coarse)
+        assert approx_equal(tier.answer(gb, "revenue"), direct)
+        assert approx_equal(tier.answer(coarse, "revenue"), direct_coarse)
 
 
 def test_expired_deadline_skips_admission_without_corruption(scale):
     tier = MaterializationTier(scale, admit_after=1)
     gb = scale.groupby_attribute("DimProduct", "ProductName")
     with budget_scope(Budget(deadline_ms=0.0)):
-        tier.note_miss(full_rows(scale), gb, "revenue", "fp")
+        tier.note_miss(gb, "revenue", "fp")
     assert len(tier) == 0  # build aborted cleanly, no half view
     # a later unconstrained miss retries and succeeds
-    tier.note_miss(full_rows(scale), gb, "revenue", "fp-2")
+    tier.note_miss(gb, "revenue", "fp-2")
     assert len(tier) == 1
-    assert approx_equal(
-        tier.answer(full_rows(scale), gb, "revenue"),
-        scanned(scale).partition_aggregates(gb, "revenue"))
+    assert approx_equal(tier.answer(gb, "revenue"),
+                        scanned(scale).partition_aggregates(gb, "revenue"))
 
 
 # ---------------------------------------------------------------------------
@@ -372,43 +314,78 @@ def test_fused_path_reports_misses_and_hits_tier(scale):
         assert approx_equal(got, want)
 
 
+def test_tier_answers_full_space_roll_ups_only(scale, monkeypatch):
+    """Facet pages over a keyword-selected subspace never reach the
+    tier (no lookup, no view built, however many distinct pages); the
+    roll-up space of a single-dimension query is the whole dataspace,
+    and that one the tier answers, equal to a tier-less engine."""
+    net = KdapSession(scale, materialize=False).differentiate(
+        "Red", limit=1)[0].star_net
+    assert len(net.hitted_dimensions) == 1
+    tiered = QueryEngine(
+        scale, materialize=MaterializationTier(scale, admit_after=1))
+    plain = QueryEngine(scale)
+    asked = []
+    answer = tiered.tier.answer
+    monkeypatch.setattr(tiered.tier, "answer",
+                        lambda *a, **k: asked.append(a) or answer(*a, **k))
+    product = next(d for d in scale.dimensions if d.name == "Product")
+    gbs = [gb for gb in product.groupbys if not gb.is_numerical]
+    names = sorted(Subspace.full(scale, engine=plain).partition_aggregates(
+        gbs[0], "revenue"))
+
+    sub = tiered.evaluate(net)
+    assert 0 < len(sub.fact_rows) < scale.num_fact_rows
+    for page in range(3):
+        domain = None if page == 0 else tuple(names[:page])
+        tiered.multi_partition_aggregates(sub, gbs, "revenue")
+        tiered.subspace_partition_aggregates(sub, gbs[0], "revenue",
+                                             domain=domain)
+        tiered.cache.clear()
+    assert asked == [] and len(tiered.tier) == 0
+    assert tiered.tier.stats.misses == 0
+
+    rup, = rollup_subspaces(scale, net, tiered)
+    assert len(rup.fact_rows) == scale.num_fact_rows
+    tiered.multi_partition_aggregates(rup, gbs, "revenue")  # admits
+    tiered.cache.clear()
+    got = tiered.multi_partition_aggregates(rup, gbs, "revenue")
+    assert len(asked) == 2 * len(gbs)
+    assert tiered.tier.stats.hits == len(gbs)
+    want = plain.multi_partition_aggregates(
+        Subspace.full(scale, engine=plain), gbs, "revenue")
+    for mine, theirs in zip(got, want):
+        assert approx_equal(mine, theirs)
+
+
 # ---------------------------------------------------------------------------
-# persistence
+# files from earlier releases
 # ---------------------------------------------------------------------------
-def test_persistence_round_trip(scale, tmp_path):
-    path = str(tmp_path / "views.db")
-    tier = MaterializationTier(scale)
-    built = tier.precompute("revenue")
-    assert tier.save(path) == built
-    warm = MaterializationTier(scale)
-    assert warm.load(path) == built
-    gb = scale.groupby_attribute("DimProduct", "ProductName")
+def test_legacy_views_side_table_still_loads(tmp_path):
+    """Warehouse files written by the retired ``--materialize-views``
+    flag carry a ``_repro_materialized`` side table; ``load_scale``
+    ignores it and reopens the data as before."""
+    schema = build_scale(num_facts=600, seed=11)
+    path = str(tmp_path / "legacy.db")
+    dump_database(schema.database, path)
+    connection = sqlite3.connect(path)
+    connection.execute(
+        'CREATE TABLE "_repro_materialized" (payload TEXT)')
+    connection.execute(
+        'INSERT INTO "_repro_materialized" VALUES (?)',
+        (json.dumps({"format": 1, "views": [{
+            "fingerprint": "x", "table": "DimProduct",
+            "column": "ProductName", "path": ["fk_scale_product"],
+            "measure": "revenue", "aggregate": "sum", "hwm_rows": 600,
+            "null_rows": 0, "groups": [["Scale Product 001", [1.0]]],
+        }]}),))
+    connection.commit()
+    connection.close()
+    loaded = load_scale(path)
+    assert loaded.num_fact_rows == schema.num_fact_rows
+    gb = schema.groupby_attribute("DimProduct", "ProductName")
     assert approx_equal(
-        warm.answer(full_rows(scale), gb, "revenue"),
-        scanned(scale).partition_aggregates(gb, "revenue"))
-    assert warm.stats.restored == built
-
-
-def test_persistence_skips_rowset_scopes_and_stale_views(scale, tmp_path):
-    path = str(tmp_path / "views.db")
-    tier = MaterializationTier(scale, admit_after=1)
-    rows = tuple(range(100))
-    gb = scale.groupby_attribute("DimProduct", "ProductName")
-    tier.note_miss(rows, gb, "revenue", "fp")  # rowset-scoped view
-    payload = tier.to_payload()
-    assert payload["views"] == []  # session artifacts do not persist
-    tier.precompute("revenue", [gb])
-    save_materialized(path, tier.to_payload())
-    # a view whose high-water mark exceeds the live table is skipped
-    smaller = build_scale(num_facts=100, seed=11)
-    cold = MaterializationTier(smaller)
-    assert cold.restore(load_materialized(path)) == 0
-
-
-def test_load_materialized_absent_table_returns_none(scale, tmp_path):
-    from repro.relational.persistence import dump_database
-
-    path = str(tmp_path / "plain.db")
-    dump_database(scale.database, path)
-    assert load_materialized(path) is None
-    assert MaterializationTier(scale).load(path) == 0
+        scanned(loaded).partition_aggregates(
+            loaded.groupby_attribute("DimProduct", "ProductName"),
+            "revenue"),
+        scanned(schema).partition_aggregates(gb, "revenue"))

@@ -200,7 +200,7 @@ class KdapSession:
         if facts is None:
             facts = frozenset(self.engine.semijoin_rows(
                 ray.hit_group.table, ray.hit_group.attribute,
-                ray.hit_group.values, ray.path_to_fact, ray.dimension))
+                ray.hit_group.values, ray.path_to_fact))
             self._ray_cache[key] = facts
         return facts
 
@@ -253,7 +253,7 @@ class KdapSession:
 
         With ``preview_sizes`` each returned candidate carries the number
         of fact rows its subspace would contain (computed with per-ray
-        caching, so the cost is one semi-join chain per distinct ray).
+        caching, so the cost is one attribute filter per distinct ray).
 
         Under a ``budget`` (explicit, or ambient via
         :func:`~repro.resilience.budget.budget_scope`) enumeration is

@@ -20,7 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..plan.compile import compile_plan
-from ..plan.nodes import Filter, PlanNode, Scan, SemiJoin
+from ..plan.builders import ray_filter
+from ..plan.nodes import Filter, PlanNode, Scan
 from ..relational.sql import JoinQuery, qualify_measure
 from ..warehouse.graph import JoinPath
 from ..warehouse.schema import StarSchema
@@ -101,19 +102,18 @@ class StarNet:
     # ------------------------------------------------------------------
     def to_plan(self, schema: StarSchema) -> PlanNode:
         """The row-producing logical plan this star net denotes: a scan of
-        the fact table narrowed by one semi-join per ray (carrying the
-        ray's dimension for alias merging) and one filter per measure
-        predicate."""
+        the fact table narrowed by one attribute filter per ray (the hit
+        attribute reached from the fact table, §4.2's star join) and one
+        predicate filter per measure predicate.
+
+        Raises ValueError for a ray whose values hold ``None`` (see
+        :func:`~repro.plan.builders.ray_filter`).
+        """
         node: PlanNode = Scan(self.fact_table)
         for ray in self.rays:
-            node = SemiJoin(
-                child=node,
-                source_table=ray.hit_group.table,
-                column=ray.hit_group.attribute,
-                values=tuple(ray.hit_group.values),
-                path=ray.path_to_fact,
-                dimension=ray.dimension,
-            )
+            hit = ray.hit_group
+            node = ray_filter(node, hit.table, hit.attribute, hit.values,
+                              ray.path_to_fact)
         if self.measure_predicates:
             from ..relational.expressions import Col, Compare, Const
 

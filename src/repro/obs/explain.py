@@ -71,10 +71,6 @@ def _describe(node) -> str:
         return node.table
     if kind == "RowSet":
         return f"{len(node.rows)} pinned rows of {node.table}"
-    if kind == "SemiJoin":
-        via = "->".join(node.path.fk_names) or "fact"
-        return (f"{node.source_table}.{node.column} IN "
-                f"[{len(node.values)} values] via {via}")
     if kind == "Filter":
         if node.predicate is not None:
             return str(node.predicate)

@@ -3,13 +3,13 @@
 This package is the evaluation seam of the engine.  KDAP consumers (star
 nets, subspaces, OLAP operators, facet building) describe their work as
 logical plans — small frozen trees of :class:`Scan` / :class:`RowSet` /
-:class:`SemiJoin` / :class:`Filter` / :class:`Partition` /
+:class:`Filter` / :class:`Partition` /
 :class:`GroupAggregate` nodes — and hand them to a :class:`QueryEngine`,
 which memoises results by canonical plan fingerprint and executes misses
 on a pluggable :class:`ExecutionBackend`:
 
-* ``memory`` — :class:`InMemoryBackend`, row-id operator chains over the
-  schema's fact-aligned vectors (the engine's native path);
+* ``memory`` — :class:`InMemoryBackend`, selection vectors narrowed over
+  the schema's encoded fact-aligned chunks (the engine's native path);
 * ``sqlite`` — :class:`SqliteBackend`, compiling plans to SQL and running
   them on a sqlite3 mirror of the warehouse (the paper's §7 direction of
   delegating KDAP aggregation to an existing engine).
@@ -19,7 +19,7 @@ Public surface::
     from repro.plan import (
         QueryEngine, ExecutionBackend, InMemoryBackend, SqliteBackend,
         BACKENDS, create_backend,
-        PlanNode, Scan, RowSet, SemiJoin, Filter, Partition,
+        PlanNode, Scan, RowSet, Filter, Partition,
         GroupAggregate, MultiGroupAggregate, AttrKey,
         PlanCache, CacheStats, PlanCounters, OpStats,
         compile_plan, compile_multi_plan,
@@ -56,7 +56,6 @@ from .nodes import (
     PlanNode,
     RowSet,
     Scan,
-    SemiJoin,
     row_source,
 )
 
@@ -77,7 +76,6 @@ __all__ = [
     "QueryEngine",
     "RowSet",
     "Scan",
-    "SemiJoin",
     "SqliteBackend",
     "aggregate_plan",
     "attr_key",

@@ -9,9 +9,8 @@ An :class:`ExecutionBackend` turns logical plans into results:
 
 Two engines conform:
 
-* :class:`InMemoryBackend` — the row-id operator chains (semi-joins over
-  fact-aligned vectors) that previously lived inline in the executor,
-  subspace, and OLAP-operator modules;
+* :class:`InMemoryBackend` — selection vectors narrowed chunk by
+  chunk over the schema's encoded fact-aligned columns;
 * :class:`SqliteBackend` — compiles plans to SQL via
   :mod:`repro.plan.compile` and runs them on a sqlite3 mirror of the
   warehouse, demonstrating the paper's §7 direction of delegating KDAP
@@ -41,8 +40,7 @@ from ..relational.sqlite_backend import SqliteBackend as SqliteMirror
 from ..relational.sqlite_backend import from_sqlite
 from ..relational.types import ColumnType
 from ..resilience.budget import charge_groups, charge_rows, check_deadline
-from ..warehouse.rollup import select_rows_by_values, slice_facts
-from ..warehouse.schema import AttributeRef, StarSchema
+from ..warehouse.schema import StarSchema
 from .compile import compile_multi_plan, compile_plan
 from .counters import PlanCounters
 from .nodes import (
@@ -53,7 +51,6 @@ from .nodes import (
     PlanNode,
     RowSet,
     Scan,
-    SemiJoin,
     row_source,
 )
 
@@ -78,7 +75,7 @@ class ExecutionBackend(Protocol):
 def _leaf(plan: PlanNode) -> PlanNode:
     """The Scan/RowSet leaf anchoring a plan."""
     node = row_source(plan)
-    while isinstance(node, (SemiJoin, Filter)):
+    while isinstance(node, Filter):
         node = node.child
     if not isinstance(node, (Scan, RowSet)):
         raise SchemaError(f"plan has no scan leaf: {node!r}")
@@ -136,7 +133,7 @@ class InMemoryBackend:
     Row-producing plans flow as *selection vectors* split at uniform
     chunk boundaries: each operator narrows its child's selection with
     one encoding-aware kernel per chunk (dictionary ``IN`` probes, RLE
-    run expansion, predicate ``select_batch``), and a chunk whose zone
+    run slicing, predicate ``select_batch``), and a chunk whose zone
     map proves no row can match is skipped without reading it.  Budgets
     are charged per chunk, so a row/deadline limit interrupts a scan at
     chunk — not whole-operator — granularity, and
@@ -178,8 +175,9 @@ class InMemoryBackend:
                         out[1] += 1
                     out[0] = n
                     # the full-row selection vector is immutable
-                    # downstream (filters build fresh lists), so repeat
-                    # scans of an unchanged table reuse one list
+                    # downstream (filters build fresh lists of its ints),
+                    # so repeat scans of an unchanged table reuse one
+                    # list and every cached selection shares its ints
                     cached = self._scan_rows.get(node.table)
                     if cached is not None and cached[0] == table._version:
                         rows = cached[1]
@@ -197,30 +195,6 @@ class InMemoryBackend:
                 osp.set_tag("rows", len(node.rows))
                 osp.set_tag("batches", 1)
             return list(node.rows)
-        if isinstance(node, SemiJoin):
-            with op_span(node) as osp:
-                child_rows = self._rows(node.child)
-                if not child_rows:
-                    osp.set_tag("rows", 0)
-                    return child_rows
-                check_deadline("SemiJoin")
-                with self.counters.timed("SemiJoin") as out:
-                    ref = AttributeRef(node.source_table, node.column)
-                    selected = select_rows_by_values(self.schema, ref,
-                                                     node.values)
-                    facts = slice_facts(self.schema, node.source_table,
-                                        selected, node.path)
-                    rows = []
-                    for batch in vector.batches(child_rows,
-                                                self.batch_size):
-                        kept = vector.refine_members(batch, facts)
-                        charge_rows(len(kept), "SemiJoin")
-                        rows.extend(kept)
-                        out[1] += 1
-                    out[0] = len(rows)
-                osp.set_tag("rows", out[0])
-                osp.set_tag("batches", out[1])
-            return rows
         if isinstance(node, Filter):
             with op_span(node) as osp:
                 child_rows = self._rows(node.child)
@@ -266,8 +240,7 @@ class InMemoryBackend:
             if not may_match(chunk):
                 out[3] += 1
                 continue
-            kept = select(chunk,
-                          None if len(sub) == len(chunk) else sub)
+            kept = select(chunk, sub)
             if charge:
                 charge_rows(len(kept), "Filter")
             rows.extend(kept)

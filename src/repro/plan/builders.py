@@ -17,6 +17,7 @@ from typing import Iterable, Sequence
 
 from .nodes import (
     AttrKey,
+    Filter,
     GroupAggregate,
     MultiGroupAggregate,
     Partition,
@@ -28,6 +29,23 @@ from .nodes import (
 def attr_key(gb) -> AttrKey:
     """The plan-layer key of a group-by attribute."""
     return AttrKey(gb.ref.table, gb.ref.column, gb.path_from_fact)
+
+
+def ray_filter(child: PlanNode, table: str, column: str, values: Iterable,
+               path_to_fact) -> Filter:
+    """One star-net ray as an attribute filter on ``child``: keep the facts
+    whose ``table.column``, reached along ``path_to_fact`` reversed, is in
+    ``values`` (every ray path is many-to-one from the fact side).
+
+    ``None`` is refused: an attribute filter keeps facts whose attribute
+    resolves to NULL, dangling foreign keys included, and the star join a
+    ray stands for reaches none of them.
+    """
+    values = tuple(values)
+    if None in values:
+        raise ValueError(f"a ray cannot select NULL ({table}.{column})")
+    return Filter(child, attr=AttrKey(table, column, path_to_fact.reversed()),
+                  values=values)
 
 
 def rowset(schema, rows: Iterable[int]) -> RowSet:

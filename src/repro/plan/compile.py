@@ -6,12 +6,16 @@ as a fact-rooted join query, which :mod:`repro.relational.sql` turns into
 SQL text for any SQL engine (the bundled sqlite backend, or external
 tooling).
 
-Alias assignment implements the paper's merge semantics: walking each
-semi-join's path fact → hit table, a step reuses an existing alias when a
-semi-join of the *same dimension* already took the identical step from
-the same alias; otherwise it mints a fresh alias.  Group-by / filter
-attribute paths get their own alias group and LEFT JOINs, so rows with
-dangling foreign keys surface as NULL keys instead of disappearing.
+Alias assignment implements the paper's merge semantics: walking an
+attribute's path fact → table, a step reuses an existing alias when an
+earlier attribute already took the identical FK step from the same
+alias; otherwise it mints a fresh alias.  Every dimension enters the
+fact table through its own FK, so two rays of one dimension share their
+common path prefix (intersection semantics) while the same physical
+table reached through two dimensions gets two aliases.  Edges are LEFT
+JOINs, so rows with dangling foreign keys surface as NULL keys instead
+of disappearing (a ray's ``IN`` filter then drops them, as the star
+join would).
 """
 
 from __future__ import annotations
@@ -37,11 +41,7 @@ from .nodes import (
     PlanNode,
     RowSet,
     Scan,
-    SemiJoin,
 )
-
-_ATTR_GROUP = "__attr__"
-"""Alias-merge group for attribute paths (distinct from every dimension)."""
 
 
 def adapt_value(value, column_type: ColumnType):
@@ -58,7 +58,7 @@ class _Compiler:
     def __init__(self, database: Database):
         self.database = database
         self.query: JoinQuery | None = None
-        # (group, alias_of_source, fk_name, towards_parent) -> alias
+        # (alias_of_source, fk_name, towards_parent) -> alias
         self._step_alias: dict[tuple, str] = {}
         self._alias_count = 0
 
@@ -110,19 +110,6 @@ class _Compiler:
             if predicate is not None:
                 self.query.filters.append(AliasFilter("f", predicate))
             return
-        if isinstance(node, SemiJoin):
-            self._rows(node.child)
-            alias = "f"
-            group = (node.dimension
-                     if node.dimension is not None else _ATTR_GROUP)
-            for step in node.path.reversed().steps:
-                alias = self._edge_alias(group, alias, step, left=False)
-            self.query.filters.append(AliasFilter(
-                alias,
-                self._adapted_isin(node.source_table, node.column,
-                                   node.values),
-            ))
-            return
         if isinstance(node, Filter):
             self._rows(node.child)
             if node.predicate is not None:
@@ -147,9 +134,8 @@ class _Compiler:
     # ------------------------------------------------------------------
     # aliases and edges
     # ------------------------------------------------------------------
-    def _edge_alias(self, group: str, alias: str, step,
-                    left: bool) -> str:
-        key = (group, alias, step.fk.name, step.towards_parent)
+    def _edge_alias(self, alias: str, step) -> str:
+        key = (alias, step.fk.name, step.towards_parent)
         existing = self._step_alias.get(key)
         if existing is not None:
             return existing
@@ -161,7 +147,7 @@ class _Compiler:
             right_table=step.target,
             right_alias=new_alias,
             right_column=step.target_column,
-            left=left,
+            left=True,
         ))
         self._step_alias[key] = new_alias
         return new_alias
@@ -171,7 +157,7 @@ class _Compiler:
         along its path (fact-table attributes stay on alias ``f``)."""
         alias = "f"
         for step in attr.path.steps:
-            alias = self._edge_alias(_ATTR_GROUP, alias, step, left=True)
+            alias = self._edge_alias(alias, step)
         return alias
 
     def _adapted_isin(self, table: str, column: str, values) -> In:
@@ -220,7 +206,7 @@ def compile_multi_plan(plan: MultiGroupAggregate,
     base = _Compiler(database).compile(plan.child)
     select_rows = f"{base.fact_alias}.*"
     if base.edges:
-        # semi-join edges are many-to-one fact → dimension, but DISTINCT
+        # attribute edges are many-to-one fact → dimension, but DISTINCT
         # keeps the CTE a row *set* even for unexpected join shapes
         select_rows = "DISTINCT " + select_rows
     cte_sql = base.render_sql([select_rows])

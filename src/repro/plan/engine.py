@@ -28,12 +28,13 @@ from .builders import (
     attr_key,
     multi_partition_plan,
     pivot_plan,
+    ray_filter,
     rowset,
     subspace_aggregate_plan,
     subspace_partition_plan,
 )
 from .cache import CacheStats, PlanCache
-from .nodes import Filter, GroupAggregate, PlanNode, Scan, SemiJoin
+from .nodes import Filter, GroupAggregate, PlanNode, Scan
 
 _MISS = object()
 
@@ -203,20 +204,14 @@ class QueryEngine:
         return Subspace(self.schema, rows, label=str(star_net), engine=self)
 
     def semijoin_rows(self, source_table: str, column: str,
-                      values: Iterable, path,
-                      dimension: str | None = None) -> tuple[int, ...]:
-        """Fact rows reached by one semi-join ray (cached — the same ray
-        inside a full star-net plan shares the per-ray entry's work only
-        indirectly, but repeated previews of a ray are free)."""
-        plan = SemiJoin(
-            child=Scan(self.schema.fact_table),
-            source_table=source_table,
-            column=column,
-            values=tuple(values),
-            path=path,
-            dimension=dimension,
-        )
-        return self.materialize(plan)
+                      values: Iterable, path) -> tuple[int, ...]:
+        """Fact rows selected by one ray (``path`` oriented
+        ``source_table`` → fact): the ray's attribute filter over the
+        whole fact table, cached, so repeated previews of a ray are
+        free."""
+        return self.materialize(ray_filter(Scan(self.schema.fact_table),
+                                           source_table, column, values,
+                                           path))
 
     def bind(self, subspace: Subspace) -> Subspace:
         """The same subspace with aggregation bound to this engine."""

@@ -7,10 +7,8 @@ a partition — is expressed as a small tree of logical nodes:
 * :class:`Scan` — every row of a base table (normally the fact table);
 * :class:`RowSet` — a literal, already-materialised set of fact rows
   (a bound subspace re-entering the plan layer);
-* :class:`SemiJoin` — restrict the child's rows to those reachable from a
-  selected dimension-table row set (one star-net ray);
 * :class:`Filter` — restrict by a fact-level predicate or by a
-  fact-aligned attribute value set (slice / dice);
+  fact-aligned attribute value set (a star-net ray, slice / dice);
 * :class:`Partition` — group the child's rows by one or more fact-aligned
   attributes (NULL keys dropped);
 * :class:`GroupAggregate` — fold a measure over the child (scalar when the
@@ -101,33 +99,6 @@ class RowSet(PlanNode):
 
 
 @dataclass(frozen=True)
-class SemiJoin(PlanNode):
-    """Child rows reachable from selected rows of ``source_table``.
-
-    ``source_table.column IN values`` selects dimension rows; ``path``
-    (oriented ``source_table`` → fact) pushes the selection down to the
-    fact table as a chain of semi-joins.  ``dimension`` tags which
-    dimension the path runs through (None for fact-table selections);
-    SQL compilation merges join aliases of same-dimension semi-joins that
-    share path prefixes (the paper's intersection semantics).
-    """
-
-    child: PlanNode
-    source_table: str
-    column: str
-    values: tuple
-    path: JoinPath
-    dimension: str | None = None
-
-    def fingerprint(self) -> Fingerprint:
-        return (
-            "semijoin", self.child.fingerprint(), self.source_table,
-            self.column, tuple(sorted(self.values, key=repr)),
-            self.path.fk_names, self.dimension,
-        )
-
-
-@dataclass(frozen=True)
 class Filter(PlanNode):
     """Row restriction.
 
@@ -136,8 +107,9 @@ class Filter(PlanNode):
     * ``predicate`` set — a row-level predicate over the base table's own
       columns (measure filters like ``revenue > 5000``);
     * ``attr`` + ``values`` set — keep rows whose fact-aligned ``attr``
-      value is in ``values`` (the slice / dice operators).  ``None`` in
-      ``values`` keeps rows whose attribute resolves to NULL.
+      value is in ``values`` (a star-net ray, the slice / dice
+      operators).  ``None`` in ``values`` keeps rows whose attribute
+      resolves to NULL, dangling foreign keys included.
     """
 
     child: PlanNode

@@ -6,7 +6,6 @@ Public surface::
         Database, Table, Column, ColumnType, ForeignKey,
         integer, float_, text, date, boolean,
         Col, Const, Compare, In, Between, And, Or, Not, eq, isin,
-        semi_join,
         JoinQuery, JoinEdge, AliasFilter, SqliteBackend,
     )
 """
@@ -53,7 +52,6 @@ from .operators import (
     aggregate_max,
     aggregate_min,
     aggregate_sum,
-    semi_join,
 )
 from .sql import AliasFilter, JoinEdge, JoinQuery
 from .sqlite_backend import SqliteBackend
@@ -121,6 +119,5 @@ __all__ = [
     "integer",
     "isin",
     "load_database",
-    "semi_join",
     "text",
 ]

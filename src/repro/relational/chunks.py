@@ -22,9 +22,11 @@ Chunk kernels mirror the plain-array kernels of
 :mod:`repro.relational.vector` — same arguments, same results, same
 NULL semantics — but exploit the encoding: a dictionary ``IN`` probes
 the (tiny) dictionary once instead of every row; an RLE selection
-expands matching runs with ``range`` instead of testing row by row.
-Selection vectors are **global** row ids and must be ascending, exactly
-as everywhere else in the engine.
+over a whole chunk slices matching runs out of the selection instead of
+testing row by row.  Selection vectors are **global** row ids and must
+be ascending, exactly as everywhere else in the engine.  Kernels return
+the selection's own int objects and never build new ones, so every
+cached selection over a table shares the ints of its one full scan.
 
 All chunk boundaries are uniform (``chunk i`` covers rows
 ``[i * size, (i + 1) * size)``), so chunk lists of different columns of
@@ -42,8 +44,9 @@ chunk is one unit of budget charging, zone-map pruning, and deadline
 checking)."""
 
 DICT_MAX_CARD = 256
-"""A chunk is dictionary-encoded only below this distinct-value count
-(past it, the dictionary stops paying for itself)."""
+"""A chunk is dictionary-encoded only up to this distinct-value count
+(past it, the dictionary stops paying for itself).  It must stay at most
+256: codes are stored one byte per row."""
 
 
 class ZoneMap:
@@ -136,16 +139,17 @@ class ColumnChunk:
         """Values at the given (ascending, in-chunk) global row ids."""
         raise NotImplementedError
 
-    def select_in(self, wanted, keep_null: bool,
-                  row_ids: Sequence[int] | None = None) -> list[int]:
-        """Global ids of in-chunk rows whose value is in ``wanted``
-        (same NULL semantics as :func:`repro.relational.vector.select_in`);
-        ``row_ids=None`` means the whole chunk."""
+    def select_in(self, wanted, keep_null: bool, row_ids: Sequence[int]) -> list[int]:
+        """The ids of ``row_ids`` (the chunk's ascending sub-selection)
+        whose value is in ``wanted``, with the NULL semantics of
+        :func:`repro.relational.vector.select_in`.  The result holds the
+        selection's own int objects, never fresh ones."""
         raise NotImplementedError
 
-    def select_range(self, low, high, inclusive_high: bool,
-                     row_ids: Sequence[int] | None = None) -> list[int]:
-        """Global ids of in-chunk rows with ``low <= value < high`` (or
+    def select_range(
+        self, low, high, inclusive_high: bool, row_ids: Sequence[int]
+    ) -> list[int]:
+        """The ids of ``row_ids`` with ``low <= value < high`` (or
         ``<= high``); NULLs never match."""
         raise NotImplementedError
 
@@ -172,22 +176,18 @@ class PlainChunk(ColumnChunk):
         base = self.base
         return [base[r] for r in row_ids]
 
-    def select_in(self, wanted, keep_null: bool,
-                  row_ids: Sequence[int] | None = None) -> list[int]:
+    def select_in(self, wanted, keep_null: bool, row_ids: Sequence[int]) -> list[int]:
         base = self.base
-        if row_ids is None:
-            row_ids = range(self.start, self.stop)
         if keep_null:
             return [r for r in row_ids if base[r] in wanted]
         return [
             r for r in row_ids if base[r] is not None and base[r] in wanted
         ]
 
-    def select_range(self, low, high, inclusive_high: bool,
-                     row_ids: Sequence[int] | None = None) -> list[int]:
+    def select_range(
+        self, low, high, inclusive_high: bool, row_ids: Sequence[int]
+    ) -> list[int]:
         base = self.base
-        if row_ids is None:
-            row_ids = range(self.start, self.stop)
         if inclusive_high:
             return [
                 r
@@ -200,15 +200,16 @@ class PlainChunk(ColumnChunk):
 
 
 class DictChunk(ColumnChunk):
-    """Dictionary encoding: per-row small-integer codes into a chunk-local
+    """Dictionary encoding: per-row one-byte codes into a chunk-local
     value dictionary (built in first-seen order; NULL gets its own code
-    when present)."""
+    when present).  A ``bytes`` code string costs one byte per row where
+    a list of ints costs eight."""
 
     __slots__ = ("codes", "dictionary")
 
     encoding = "dict"
 
-    def __init__(self, codes: list[int], dictionary: list,
+    def __init__(self, codes: bytes, dictionary: list,
                  start: int, stop: int, zone: ZoneMap):
         super().__init__(start, stop, zone)
         self.codes = codes
@@ -232,18 +233,22 @@ class DictChunk(ColumnChunk):
                 out.add(code)
         return out
 
-    def select_in(self, wanted, keep_null: bool,
-                  row_ids: Sequence[int] | None = None) -> list[int]:
-        hits = self._wanted_codes(wanted, keep_null)
+    def _select_codes(self, hits: set[int], row_ids: Sequence[int]) -> list[int]:
         if not hits:
             return []
-        codes, start = self.codes, self.start
-        if row_ids is None:
-            return [start + i for i, c in enumerate(codes) if c in hits]
+        codes = self.codes
+        if len(row_ids) == len(codes):
+            # the whole chunk: the selection aligns with the codes
+            return [r for r, c in zip(row_ids, codes) if c in hits]
+        start = self.start
         return [r for r in row_ids if codes[r - start] in hits]
 
-    def select_range(self, low, high, inclusive_high: bool,
-                     row_ids: Sequence[int] | None = None) -> list[int]:
+    def select_in(self, wanted, keep_null: bool, row_ids: Sequence[int]) -> list[int]:
+        return self._select_codes(self._wanted_codes(wanted, keep_null), row_ids)
+
+    def select_range(
+        self, low, high, inclusive_high: bool, row_ids: Sequence[int]
+    ) -> list[int]:
         if inclusive_high:
             hits = {
                 code
@@ -256,12 +261,7 @@ class DictChunk(ColumnChunk):
                 for code, v in enumerate(self.dictionary)
                 if v is not None and low <= v < high
             }
-        if not hits:
-            return []
-        codes, start = self.codes, self.start
-        if row_ids is None:
-            return [start + i for i, c in enumerate(codes) if c in hits]
-        return [r for r in row_ids if codes[r - start] in hits]
+        return self._select_codes(hits, row_ids)
 
 
 class RLEChunk(ColumnChunk):
@@ -304,15 +304,15 @@ class RLEChunk(ColumnChunk):
             out.append(values[idx])
         return out
 
-    def _select_runs(self, match, row_ids: Sequence[int] | None) -> list[int]:
+    def _select_runs(self, match, row_ids: Sequence[int]) -> list[int]:
         out: list[int] = []
-        start = self.start
-        if row_ids is None:
+        if len(row_ids) == len(self):
+            # the whole chunk: a matching run is a slice of the selection
             for value, lo, hi in self._runs():
                 if match(value):
-                    out.extend(range(start + lo, start + hi))
+                    out.extend(row_ids[lo:hi])
             return out
-        ends, values = self.run_ends, self.run_values
+        ends, values, start = self.run_ends, self.run_values, self.start
         idx = 0
         for r in row_ids:
             local = r - start
@@ -322,16 +322,16 @@ class RLEChunk(ColumnChunk):
                 out.append(r)
         return out
 
-    def select_in(self, wanted, keep_null: bool,
-                  row_ids: Sequence[int] | None = None) -> list[int]:
+    def select_in(self, wanted, keep_null: bool, row_ids: Sequence[int]) -> list[int]:
         if keep_null:
             return self._select_runs(lambda v: v in wanted, row_ids)
         return self._select_runs(
             lambda v: v is not None and v in wanted, row_ids
         )
 
-    def select_range(self, low, high, inclusive_high: bool,
-                     row_ids: Sequence[int] | None = None) -> list[int]:
+    def select_range(
+        self, low, high, inclusive_high: bool, row_ids: Sequence[int]
+    ) -> list[int]:
         if inclusive_high:
             return self._select_runs(
                 lambda v: v is not None and low <= v <= high, row_ids
@@ -395,7 +395,7 @@ def encode_chunk(base: Sequence, start: int, stop: int) -> ColumnChunk:
     zone = ZoneMap(lo, hi, null_count, distinct_hint)
     if not distinct_overflow and len(distinct) * 4 <= n:
         encoding = {value: code for code, value in enumerate(distinct)}
-        codes = [encoding[value] for value in span]
+        codes = bytes(map(encoding.__getitem__, span))
         return DictChunk(codes, list(distinct), start, start + n, zone)
     return PlainChunk(base, start, start + n, zone)
 

@@ -1,14 +1,12 @@
 """Relational operators over columnar tables.
 
 Operators work on *sets of row ids* rather than materialised intermediate
-tables.  That is precisely the shape KDAP needs — a subspace is a set of fact
-rows, and star joins are chains of semi-joins from dimension selections down
-to the fact table.
+tables.  That is precisely the shape KDAP needs — a subspace is a set of
+fact rows.
 
-Execution is columnar: :func:`semi_join` probes a whole key column
-through the batch kernels of :mod:`repro.relational.vector`, and the
-grouped aggregates fold encoded chunks into mergeable states
-(:func:`chunked_group_states`), so no operator dispatches per row.
+Execution is columnar: the grouped aggregates fold encoded chunks into
+mergeable states (:func:`chunked_group_states`), so no operator
+dispatches per row.
 """
 
 from __future__ import annotations
@@ -17,31 +15,6 @@ from typing import Callable, Iterable, Sequence
 
 from . import vector
 from .chunks import ColumnChunk, DictChunk, RLEChunk
-from .table import Table
-
-
-def semi_join(
-    child: Table,
-    child_key: str,
-    parent_row_ids: Iterable[int],
-    parent: Table,
-    parent_key: str,
-    child_row_ids: Iterable[int] | None = None,
-) -> list[int]:
-    """Rows of ``child`` whose ``child_key`` matches ``parent_key`` of any
-    row in ``parent_row_ids`` — i.e. ``child SEMIJOIN parent``.
-
-    This is the primitive used to push a dimension selection towards the
-    fact table along one foreign-key edge; the probe side is one
-    vectorized set-membership pass over the child's key column.
-    """
-    parent_values = parent.column_values(parent_key)
-    keys = {parent_values[rid] for rid in parent_row_ids}
-    keys.discard(None)
-    if not keys:
-        return []
-    return vector.select_in(child.column_values(child_key), keys,
-                            child_row_ids)
 
 
 def aggregate_sum(values: Iterable[float]) -> float:

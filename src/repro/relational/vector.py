@@ -99,16 +99,6 @@ def select_in(
     return [r for r in row_ids if values[r] is not None and values[r] in wanted]
 
 
-def refine_members(row_ids: Iterable[int], members) -> list[int]:
-    """Narrow a selection vector to the rows present in ``members``.
-
-    The semi-join probe: ``members`` is the (already materialised) set of
-    qualifying row ids and the batch is filtered by one membership test
-    per row.
-    """
-    return [r for r in row_ids if r in members]
-
-
 def select_range(
     values: Sequence,
     low,

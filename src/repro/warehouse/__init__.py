@@ -6,7 +6,7 @@ Public surface::
         AttributeKind, AttributeRef, Dimension, GroupByAttribute,
         Hierarchy, Measure, StarSchema,
         SchemaGraph, JoinPath, PathStep, EMPTY_PATH,
-        Subspace, slice_facts, select_rows_by_values, generalize_values,
+        Subspace, generalize_values,
     )
 """
 
@@ -25,7 +25,7 @@ from .materialize import (
 )
 from .validate import validate_schema
 from .operations import PivotTable, dice, drill_down, pivot, roll_up, slice_
-from .rollup import generalize_values, select_rows_by_values, slice_facts
+from .rollup import generalize_values
 from .schema import (
     AttributeKind,
     AttributeRef,
@@ -62,8 +62,6 @@ __all__ = [
     "pivot",
     "roll_up",
     "schema_statistics",
-    "select_rows_by_values",
     "slice_",
-    "slice_facts",
     "validate_schema",
 ]

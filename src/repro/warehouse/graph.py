@@ -9,7 +9,8 @@ and ``SellerKey``, and those are semantically different join paths
 A :class:`JoinPath` is an oriented sequence of :class:`PathStep`; each step
 records the FK and the direction of travel.  Star-net generation enumerates
 all simple paths from a hit table to the fact table (Algorithm 1, line 6);
-subspace evaluation walks the same steps as semi-joins.
+subspace evaluation resolves the hit attribute along the same steps,
+reversed, to the fact grain.
 """
 
 from __future__ import annotations

@@ -1,77 +1,17 @@
-"""Roll-up primitives and star-join evaluation.
+"""Roll-up primitives.
 
-Two pieces live here:
-
-* :func:`slice_facts` — push a selection on a dimension table down a join
-  path to the fact table (a chain of semi-joins).  This is how a star net
-  ray turns keywords into fact rows.
-* :func:`generalize_values` — map attribute values one level up their
-  aggregation hierarchy.  This is the data half of the paper's RUP
-  operator (§5.2.1): enlarging DS' by generalising a hit group's selection
-  to the parent level.
+:func:`generalize_values` maps attribute values one level up their
+aggregation hierarchy.  This is the data half of the paper's RUP operator
+(§5.2.1): enlarging DS' by generalising a hit group's selection to the
+parent level.  (A star-net ray turns into fact rows as an attribute
+filter; see :meth:`repro.core.starnet.StarNet.to_plan`.)
 """
 
 from __future__ import annotations
 
 from typing import Iterable
 
-from ..relational import vector
-from ..relational.operators import semi_join
-from .graph import JoinPath
 from .schema import AttributeRef, StarSchema
-
-
-def slice_facts(
-    schema: StarSchema,
-    source_table: str,
-    source_rows: Iterable[int],
-    path_to_fact: JoinPath,
-) -> set[int]:
-    """Fact rows reachable from ``source_rows`` along ``path_to_fact``.
-
-    ``path_to_fact`` must start at ``source_table`` and end at the fact
-    table.  Each step is evaluated as a semi-join, so complexity is linear
-    in the visited tables.
-    """
-    if path_to_fact.steps:
-        if path_to_fact.source != source_table:
-            raise ValueError(
-                f"path starts at {path_to_fact.source!r}, "
-                f"expected {source_table!r}"
-            )
-        if path_to_fact.target != schema.fact_table:
-            raise ValueError(
-                f"path ends at {path_to_fact.target!r}, "
-                f"expected fact table {schema.fact_table!r}"
-            )
-    elif source_table != schema.fact_table:
-        raise ValueError("empty path is only valid from the fact table")
-
-    current_rows = list(source_rows)
-    current_table = schema.database.table(source_table)
-    for step in path_to_fact.steps:
-        next_table = schema.database.table(step.target)
-        current_rows = semi_join(
-            child=next_table,
-            child_key=step.target_column,
-            parent_row_ids=current_rows,
-            parent=current_table,
-            parent_key=step.source_column,
-        )
-        current_table = next_table
-        if not current_rows:
-            break
-    return set(current_rows)
-
-
-def select_rows_by_values(
-    schema: StarSchema, ref: AttributeRef, values: Iterable
-) -> list[int]:
-    """Row ids of ``ref.table`` whose ``ref.column`` is in ``values``
-    (one vectorized IN probe over the whole column)."""
-    table = schema.database.table(ref.table)
-    return vector.select_in(table.column_values(ref.column), values,
-                            keep_null=True)
 
 
 def generalize_values(

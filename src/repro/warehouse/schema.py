@@ -30,6 +30,7 @@ from ..relational.catalog import Database
 from ..relational.chunks import (
     CHUNK_SIZE,
     ColumnChunk,
+    PlainChunk,
     encode_chunk,
     encode_column,
 )
@@ -358,17 +359,25 @@ class StarSchema:
         them in lockstep and skip chunks via zone maps.  On fact appends
         only the tail is re-encoded: full chunks are immutable, so the
         old list is reused up to the last chunk boundary.
+
+        A first encoding keeps the fact-aligned vector it encodes from in
+        the :meth:`fact_vector` cache only when a plain chunk views it
+        (it is kept alive then anyway): an attribute that only filters
+        and groups touch, such as a star-net ray's, keeps just its
+        encoded chunks.  An append goes through :meth:`fact_vector`,
+        which resolves only the new rows from then on.
         """
         key = (path.fk_names, column)
         n = self.num_fact_rows
         dims = self._path_versions(path)
         with self._cache_lock:
             entry = self._fact_chunks.get(key)
+            vector = self._fact_vectors.get(key)
         if entry is not None and entry[0] == dims and entry[1] == n:
             return entry[2]
-        base = self.fact_vector(path, column)
         if (entry is not None and entry[0] == dims and entry[1] < n
                 and entry[2]):
+            base = self.fact_vector(path, column)
             chunks = list(entry[2])
             if chunks[-1].stop - chunks[-1].start < CHUNK_SIZE:
                 chunks.pop()    # partial tail chunk: re-encode it
@@ -377,8 +386,14 @@ class StarSchema:
                 stop = min(start + CHUNK_SIZE, n)
                 chunks.append(encode_chunk(base, start, stop))
                 start = stop
+        elif vector is not None and vector[0] == dims and vector[1] == n:
+            chunks = encode_column(vector[2])
         else:
+            base = self.resolve_column(self.fact_table, path, column)
             chunks = encode_column(base)
+            if any(isinstance(chunk, PlainChunk) for chunk in chunks):
+                with self._cache_lock:
+                    self._fact_vectors[key] = (dims, n, base)
         with self._cache_lock:
             self._fact_chunks[key] = (dims, n, chunks)
         return chunks

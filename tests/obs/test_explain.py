@@ -22,8 +22,8 @@ class TestExplainMemory:
         assert result is not None
         assert result.backend == "memory"
         assert "Road" in result.interpretation
-        # the subspace plan bottoms out at a fact-table scan, and every
-        # node on the spine actually ran
+        # the subspace plan is the rays' attribute filters over a
+        # fact-table scan, and every node on the spine actually ran
         node, kinds = result.plan, []
         while True:
             kinds.append(node.kind)
@@ -32,7 +32,7 @@ class TestExplainMemory:
             if not node.children:
                 break
             (node,) = node.children
-        assert kinds[0] == "SemiJoin" and kinds[-1] == "Scan"
+        assert kinds[0] == "Filter" and kinds[-1] == "Scan"
         assert node.profile.rows > 0
 
     def test_total_aggregate_plan_present(self, schema):

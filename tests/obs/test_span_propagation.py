@@ -50,7 +50,7 @@ class TestPreviewSpans:
         assert [root["name"] for root in tree] == ["differentiate"]
         assert len(_find_all(tree, "preview.sizes")) == 1
         # sizing evaluates each distinct ray on the caller's thread
-        assert {span["thread"] for span in _find_all(tree, "op.SemiJoin")} \
+        assert {span["thread"] for span in _find_all(tree, "op.Filter")} \
             == {tree[0]["thread"]}
 
     def test_ray_evaluation_nests_under_preview_sizes(self):

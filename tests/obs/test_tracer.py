@@ -12,7 +12,7 @@ from repro.obs.tracer import (
     plan_digest,
     tracing_scope,
 )
-from repro.plan.nodes import Scan, SemiJoin
+from repro.plan.nodes import AttrKey, Filter, Scan
 from repro.warehouse.graph import EMPTY_PATH
 
 
@@ -117,8 +117,9 @@ class TestPlanDigest:
 
     def test_digest_distinguishes_nodes(self):
         scan = Scan("FactInternetSales")
-        semi = SemiJoin(scan, "DimProduct", "Color", ("Red",), EMPTY_PATH)
-        assert plan_digest(scan) != plan_digest(semi)
+        ray = Filter(scan, attr=AttrKey("DimProduct", "Color", EMPTY_PATH),
+                     values=("Red",))
+        assert plan_digest(scan) != plan_digest(ray)
 
 
 class TestChromeExport:

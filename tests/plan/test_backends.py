@@ -11,6 +11,8 @@ import pytest
 from repro.core import (
     SURPRISE,
     ExploreConfig,
+    HitGroup,
+    Ray,
     StarNet,
     attribute_score,
     build_facets,
@@ -26,7 +28,6 @@ from repro.plan import (
     QueryEngine,
     RowSet,
     Scan,
-    SemiJoin,
     SqliteBackend,
     create_backend,
 )
@@ -39,18 +40,24 @@ from repro.relational import (
     integer,
     text,
 )
+from repro.relational.errors import SchemaError
 from repro.relational.expressions import Col
 from repro.resilience import Budget, Diagnostics, budget_scope
+from repro.textindex.index import SearchHit
 from repro.warehouse import (
     AttributeKind,
     AttributeRef,
     Dimension,
     GroupByAttribute,
+    JoinPath,
     Measure,
+    PathStep,
     StarSchema,
     Subspace,
     path_from_fk_names,
 )
+
+from ..warehouse.subspace_oracle import ray_rows
 
 
 @pytest.fixture(scope="module")
@@ -140,17 +147,17 @@ class TestMaterialize:
             == (0, 1, 2, 3, 4)
 
     def test_semijoin(self, tiny, backends):
+        """A one-ray star net is the ray's attribute filter over the fact
+        scan."""
         mem, sq = backends
-        path = tiny.groupby_attribute("Dim", "Name").path_from_fact
-        plan = SemiJoin(Scan("Fact"), "Dim", "Name", ("a",),
-                        path.reversed(), "D")
+        plan = _one_ray_net(tiny, "Name", ("a",)).to_plan(tiny)
+        assert plan == Filter(Scan("Fact"), attr=_attr(tiny, "Name"),
+                              values=("a",))
         assert mem.materialize(plan) == sq.materialize(plan) == (0, 1)
 
     def test_semijoin_on_boolean(self, tiny, backends):
         mem, sq = backends
-        path = tiny.groupby_attribute("Dim", "Flag").path_from_fact
-        plan = SemiJoin(Scan("Fact"), "Dim", "Flag", (False,),
-                        path.reversed(), "D")
+        plan = _one_ray_net(tiny, "Flag", (False,)).to_plan(tiny)
         assert mem.materialize(plan) == sq.materialize(plan) == (2,)
 
     def test_attr_filter_with_null(self, tiny, backends):
@@ -170,6 +177,58 @@ class TestMaterialize:
         mem, sq = backends
         plan = RowSet("Fact", ())
         assert mem.materialize(plan) == sq.materialize(plan) == ()
+
+
+def _one_ray_net(tiny, column, values) -> StarNet:
+    """A star net of one ray on ``Dim.column IN values``."""
+    hits = tuple(SearchHit("Dim", column, v, 1.0) for v in values)
+    path = tiny.groupby_attribute("Dim", column).path_from_fact
+    ray = Ray(HitGroup("Dim", column, hits, ("k",)), path.reversed(), "D")
+    return StarNet("Fact", (ray,))
+
+
+class TestRayLowering:
+    """Rays lower to attribute filters; the tiny fixture's NULL-named
+    dimension row (fact 3) and dangling foreign key (fact 4) pin that
+    the lowering selects what the star join would."""
+
+    def test_null_value_is_refused(self, tiny, backends):
+        # the star join of Name IS NULL reaches fact 3 only, but the
+        # attribute filter would also keep the dangling fact 4
+        mem, sq = backends
+        net = _one_ray_net(tiny, "Name", (None,))
+        assert ray_rows(tiny, net.rays[0]) == {3}
+        plan = Filter(Scan("Fact"), attr=_attr(tiny, "Name"),
+                      values=(None,))
+        assert mem.materialize(plan) == sq.materialize(plan) == (3, 4)
+        with pytest.raises(ValueError, match="cannot select NULL"):
+            net.to_plan(tiny)
+        with pytest.raises(ValueError, match="cannot select NULL"):
+            _one_ray_net(tiny, "Name", ("b", None)).to_plan(tiny)
+
+    def test_dangling_fact_is_in_no_ray(self, tiny, backends):
+        mem, sq = backends
+        dim = tiny.database.table("Dim")
+        for column in ("Name", "Flag", "Day", "DimKey"):
+            for value in dim.column_values(column):
+                if value is None:
+                    continue
+                plan = _one_ray_net(tiny, column, (value,)).to_plan(tiny)
+                rows = mem.materialize(plan)
+                assert rows == sq.materialize(plan)
+                assert rows and 4 not in rows
+
+    def test_one_to_many_ray_path_fails_loudly(self, tiny, backends):
+        mem, _ = backends
+        fk = tiny.database.foreign_keys[0]
+        # Fact -> Dim -> Fact: the second step fans out from the fact side
+        round_trip = JoinPath((PathStep(fk, True), PathStep(fk, False)))
+        hits = (SearchHit("Fact", "Amount", 1.0, 1.0),)
+        ray = Ray(HitGroup("Fact", "Amount", hits, ("k",)), round_trip,
+                  None)
+        plan = StarNet("Fact", (ray,)).to_plan(tiny)
+        with pytest.raises(SchemaError, match="one-to-many"):
+            mem.materialize(plan)
 
 
 class TestAggregates:

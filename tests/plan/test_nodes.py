@@ -9,9 +9,9 @@ from repro.plan import (
     Partition,
     RowSet,
     Scan,
-    SemiJoin,
     row_source,
 )
+from repro.plan.builders import ray_filter
 from repro.relational.expressions import Col, Compare, Const
 from repro.warehouse import EMPTY_PATH, path_from_fk_names
 
@@ -27,35 +27,36 @@ def paths(ebiz):
     return product, store
 
 
-def semijoin(path, values=("LCD TVs",), dimension="Product"):
-    return SemiJoin(Scan("TRANSITEM"), "PGROUP", "GroupName",
-                    tuple(values), path.reversed(), dimension)
+def ray(path, values=("LCD TVs",)):
+    """A star-net ray on PGROUP.GroupName, lowered to its filter."""
+    return ray_filter(Scan("TRANSITEM"), "PGROUP", "GroupName", values,
+                      path.reversed())
 
 
 class TestFingerprints:
     def test_hashable_and_stable(self, paths):
         product, _ = paths
-        plan = semijoin(product)
+        plan = ray(product)
         assert plan.fingerprint() == plan.fingerprint()
         hash(plan.fingerprint())
 
     def test_value_order_is_canonical(self, paths):
         product, _ = paths
-        a = semijoin(product, ("LCD TVs", "VCR"))
-        b = semijoin(product, ("VCR", "LCD TVs"))
+        a = ray(product, ("LCD TVs", "VCR"))
+        b = ray(product, ("VCR", "LCD TVs"))
         assert a.fingerprint() == b.fingerprint()
 
     def test_different_values_differ(self, paths):
         product, _ = paths
-        assert (semijoin(product, ("VCR",)).fingerprint()
-                != semijoin(product, ("LCD TVs",)).fingerprint())
+        assert (ray(product, ("VCR",)).fingerprint()
+                != ray(product, ("LCD TVs",)).fingerprint())
 
     def test_different_paths_differ(self, paths):
         product, store = paths
-        a = SemiJoin(Scan("TRANSITEM"), "LOCATION", "City", ("Seattle",),
-                     store.reversed(), "Store")
-        b = SemiJoin(Scan("TRANSITEM"), "LOCATION", "City", ("Seattle",),
-                     product.reversed(), "Store")
+        a = ray_filter(Scan("TRANSITEM"), "LOCATION", "City", ("Seattle",),
+                       store.reversed())
+        b = ray_filter(Scan("TRANSITEM"), "LOCATION", "City", ("Seattle",),
+                       product.reversed())
         assert a.fingerprint() != b.fingerprint()
 
     def test_node_kinds_do_not_collide(self, paths):
@@ -64,7 +65,7 @@ class TestFingerprints:
         nodes = [
             scan,
             RowSet("TRANSITEM", (1, 2, 3)),
-            semijoin(product),
+            ray(product),
             Filter(scan, predicate=Compare(">", Col("Quantity"),
                                            Const(2))),
             GroupAggregate(scan, "sum", "(UnitPrice * Quantity)"),

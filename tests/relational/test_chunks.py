@@ -221,6 +221,39 @@ class TestSelectionParity:
                           values=(3, 4)) == (out, scanned, skipped)
 
 
+class TestSharedRowIds:
+    def test_filter_returns_the_scan_lists_ints(self):
+        # a kept row id is the very int object of the backend's cached
+        # full scan, in every encoding: cached selections then cost one
+        # pointer per row, not one int each (ids past 256 are not interned)
+        size = 512
+        values = ([i // 128 for i in range(size)]                  # rle
+                  + [10 + (i * 7) % 5 for i in range(size)]        # dict
+                  + [1000 + i for i in range(size)])               # plain
+        database = Database("shared")
+        table = Table("F", [integer("V")])
+        table.load_columns({"V": values})
+        database.add_table(table)
+        schema = StarSchema(database, "F", (), (), {})
+        backend = InMemoryBackend(schema)
+        small = partial(encode_column, chunk_size=size)
+        wanted = (1, 3, 12, 14, 1100, 1400)
+        with mock.patch("repro.relational.table.encode_column", small), \
+                mock.patch("repro.warehouse.schema.encode_column", small):
+            assert [c.encoding for c in schema.fact_chunks(EMPTY_PATH, "V")] \
+                == ["rle", "dict", "plain"]
+            for plan in (
+                    Filter(Scan("F"), attr=AttrKey("F", "V", EMPTY_PATH),
+                           values=wanted),
+                    Filter(Scan("F"), predicate=In.of(Col("V"), wanted))):
+                kept = backend.materialize(plan)
+                scan = backend._scan_rows["F"][1]
+                assert list(kept) == [r for r in range(len(values))
+                                      if values[r] in wanted]
+                assert {r // size for r in kept} == {0, 1, 2}
+                assert all(r is scan[r] for r in kept)
+
+
 # ----------------------------------------------------------------------
 # grouping and aggregate states
 # ----------------------------------------------------------------------

@@ -72,9 +72,9 @@ class TestCharges:
         budget = Budget(max_rows=10)
         budget.charge_rows(8)
         with pytest.raises(BudgetExceeded) as err:
-            budget.charge_rows(3, "SemiJoin")
+            budget.charge_rows(3, "Filter")
         assert err.value.reason == "rows"
-        assert err.value.stage == "SemiJoin"
+        assert err.value.stage == "Filter"
 
     def test_groups_over_budget_raises(self):
         budget = Budget(max_groups=2)

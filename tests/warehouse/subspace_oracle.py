@@ -8,10 +8,10 @@ the engine is compared against.  It never touches a plan, the plan cache,
 the materialization tier or a backend:
 
 * a star net's rows are the intersection of its rays' fact rows, each ray
-  selected by value and pushed down its join path
-  (:func:`~repro.warehouse.rollup.select_rows_by_values` +
-  :func:`~repro.warehouse.rollup.slice_facts`), narrowed by any measure
-  predicates;
+  selected by value on its own table and pushed down its join path as a
+  chain of semi-joins (:func:`select_rows_by_values` + :func:`slice_facts`
+  + :func:`semi_join`, the route ``src/`` ran before rays became attribute
+  filters over the fact chunks), narrowed by any measure predicates;
 * G(DS') folds the schema's cached measure vector;
 * partition aggregates run the grouped kernel
   (:func:`~repro.relational.operators.chunked_group_states`) over the
@@ -36,9 +36,55 @@ from repro.relational.operators import (
     chunked_group_states,
     finalize_group_states,
 )
-from repro.warehouse.rollup import select_rows_by_values, slice_facts
 from repro.warehouse.schema import AttributeRef
 from repro.warehouse.subspace import Subspace
+
+
+def semi_join(child, child_key: str, parent_row_ids, parent,
+              parent_key: str) -> list[int]:
+    """Rows of table ``child`` whose ``child_key`` matches ``parent_key``
+    of any row in ``parent_row_ids`` (``child SEMIJOIN parent``)."""
+    parent_values = parent.column_values(parent_key)
+    keys = {parent_values[rid] for rid in parent_row_ids}
+    keys.discard(None)
+    if not keys:
+        return []
+    return vector.select_in(child.column_values(child_key), keys)
+
+
+def slice_facts(schema, source_table: str, source_rows,
+                path_to_fact) -> set[int]:
+    """Fact rows reachable from ``source_rows`` of ``source_table`` along
+    ``path_to_fact`` (source → fact), one semi-join per step."""
+    if path_to_fact.steps:
+        if path_to_fact.source != source_table:
+            raise ValueError(
+                f"path starts at {path_to_fact.source!r}, "
+                f"expected {source_table!r}")
+        if path_to_fact.target != schema.fact_table:
+            raise ValueError(
+                f"path ends at {path_to_fact.target!r}, "
+                f"expected fact table {schema.fact_table!r}")
+    elif source_table != schema.fact_table:
+        raise ValueError("empty path is only valid from the fact table")
+    current_rows = list(source_rows)
+    current_table = schema.database.table(source_table)
+    for step in path_to_fact.steps:
+        next_table = schema.database.table(step.target)
+        current_rows = semi_join(next_table, step.target_column,
+                                 current_rows, current_table,
+                                 step.source_column)
+        current_table = next_table
+        if not current_rows:
+            break
+    return set(current_rows)
+
+
+def select_rows_by_values(schema, ref: AttributeRef, values) -> list[int]:
+    """Row ids of ``ref.table`` whose ``ref.column`` is in ``values``."""
+    table = schema.database.table(ref.table)
+    return vector.select_in(table.column_values(ref.column), values,
+                            keep_null=True)
 
 
 def ray_rows(schema, ray) -> set[int]:

@@ -259,7 +259,7 @@ def test_engine_tier_parity_and_admission(scale, backend):
 
 
 def test_engine_epoch_keys_prevent_stale_results_after_append():
-    """Scan/SemiJoin fingerprints do not change when tables grow; the
+    """Scan/Filter fingerprints do not change when tables grow; the
     epoch-qualified cache keys must stop appends serving stale entries."""
     schema = build_scale(num_facts=1000, seed=11)
     engine = QueryEngine(schema)

@@ -1,13 +1,11 @@
-"""Star-join evaluation primitives and hierarchy generalisation."""
+"""Hierarchy generalisation, and the reference oracle's star-join
+primitives (the semi-join chain ``src/`` no longer runs)."""
 
 import pytest
 
-from repro.warehouse import (
-    AttributeRef,
-    generalize_values,
-    select_rows_by_values,
-    slice_facts,
-)
+from repro.warehouse import AttributeRef, generalize_values
+
+from .subspace_oracle import select_rows_by_values, slice_facts
 
 
 class TestSelectRows:

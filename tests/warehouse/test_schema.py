@@ -2,8 +2,10 @@
 
 import pytest
 
+from repro.datasets.scale import build_scale
+from repro.relational.chunks import CHUNK_SIZE
 from repro.relational.errors import SchemaError
-from repro.warehouse import AttributeRef
+from repro.warehouse import EMPTY_PATH, AttributeRef
 
 
 class TestLookups:
@@ -91,6 +93,22 @@ class TestResolution:
     def test_fact_vector_cached(self, aw_online):
         gb = aw_online.groupby_attribute("DimProduct", "Color")
         assert aw_online.groupby_vector(gb) is aw_online.groupby_vector(gb)
+
+    def test_fact_chunks_keep_a_vector_only_for_plain_chunks(self):
+        # an attribute only filters and groups read (a star-net ray's)
+        # keeps just its one-byte dictionary codes; a plain chunk views
+        # its vector, which fact_vector then shares instead of copying
+        schema = build_scale(num_facts=CHUNK_SIZE + 50, seed=3)
+        gb = schema.groupby_attribute("DimProduct", "CategoryName")
+        chunks = schema.fact_chunks(gb.path_from_fact, gb.ref.column)
+        assert [c.encoding for c in chunks] == ["dict", "dict"]
+        assert all(isinstance(c.codes, bytes) for c in chunks)
+        assert not schema._fact_vectors
+        assert schema.groupby_vector(gb) == [
+            value for chunk in chunks for value in chunk.values()]
+        plain = schema.fact_chunks(EMPTY_PATH, "OrderKey")
+        assert plain[0].encoding == "plain"
+        assert schema.fact_vector(EMPTY_PATH, "OrderKey") is plain[0].base
 
     def test_measure_vector(self, aw_online):
         vector = aw_online.measure_vector("revenue")

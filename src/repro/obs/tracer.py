@@ -37,7 +37,12 @@ def plan_digest(node) -> str:
     Used to tag per-operator spans so EXPLAIN ANALYZE can join span data
     back to plan-tree nodes (stable across processes, unlike ``hash()``).
     """
-    payload = repr(node.fingerprint()).encode("utf-8", "backslashreplace")
+    return fingerprint_digest(node.fingerprint())
+
+
+def fingerprint_digest(fingerprint) -> str:
+    """:func:`plan_digest` of an already computed fingerprint."""
+    payload = repr(fingerprint).encode("utf-8", "backslashreplace")
     return hashlib.sha1(payload).hexdigest()[:12]
 
 

@@ -3,8 +3,9 @@
 This package is the evaluation seam of the engine.  KDAP consumers (star
 nets, subspaces, OLAP operators, facet building) describe their work as
 logical plans — small frozen trees of :class:`Scan` / :class:`RowSet` /
-:class:`Filter` / :class:`Partition` /
-:class:`GroupAggregate` nodes — and hand them to a :class:`QueryEngine`,
+:class:`Filter` / :class:`MultiGroupAggregate` nodes (with
+:class:`GroupAggregate` for scalar totals and, over a two-key
+:class:`Partition`, pivots) — and hand them to a :class:`QueryEngine`,
 which memoises results by canonical plan fingerprint and executes misses
 on a pluggable :class:`ExecutionBackend`:
 
@@ -34,14 +35,11 @@ from .backends import (
     create_backend,
 )
 from .builders import (
-    aggregate_plan,
     attr_key,
     multi_partition_plan,
-    partition_plan,
     pivot_plan,
     rowset,
     subspace_aggregate_plan,
-    subspace_partition_plan,
 )
 from .cache import CacheStats, PlanCache
 from .compile import compile_multi_plan, compile_plan
@@ -77,16 +75,13 @@ __all__ = [
     "RowSet",
     "Scan",
     "SqliteBackend",
-    "aggregate_plan",
     "attr_key",
     "compile_multi_plan",
     "compile_plan",
     "create_backend",
     "multi_partition_plan",
-    "partition_plan",
     "pivot_plan",
     "row_source",
     "rowset",
     "subspace_aggregate_plan",
-    "subspace_partition_plan",
 ]

@@ -4,8 +4,10 @@ An :class:`ExecutionBackend` turns logical plans into results:
 
 * :meth:`~ExecutionBackend.materialize` runs a row-producing plan and
   returns the sorted fact-row ids it selects;
-* :meth:`~ExecutionBackend.execute` runs a :class:`GroupAggregate` and
-  returns a scalar (ungrouped) or a ``key → aggregate`` mapping.
+* :meth:`~ExecutionBackend.execute` runs an aggregate plan: a
+  :class:`MultiGroupAggregate` returns one ``value → aggregate`` dict
+  per branch, a :class:`GroupAggregate` a scalar (or, over a pivot's
+  two-key :class:`Partition`, a ``key tuple → aggregate`` mapping).
 
 Two engines conform:
 
@@ -65,8 +67,8 @@ class ExecutionBackend(Protocol):
     def materialize(self, plan: PlanNode) -> tuple[int, ...]:
         """Sorted row ids selected by a row-producing plan."""
 
-    def execute(self, plan: GroupAggregate) -> object:
-        """Scalar aggregate, or ``key → aggregate`` for grouped plans."""
+    def execute(self, plan: GroupAggregate | MultiGroupAggregate) -> object:
+        """Per-branch group dicts, a scalar, or pivot cells."""
 
     def close(self) -> None:
         """Release any resources (idempotent)."""
@@ -84,17 +86,12 @@ def _leaf(plan: PlanNode) -> PlanNode:
 
 def _empty_result(plan: GroupAggregate):
     """The result of aggregating zero rows (shared by both backends)."""
-    if plan.grouped:
-        if plan.domain is not None:
-            fill = AGGREGATES[plan.aggregate](())
-            return {value: fill for value in plan.domain}
-        return {}
-    return AGGREGATES[plan.aggregate](())
+    return {} if plan.grouped else AGGREGATES[plan.aggregate](())
 
 
 def _empty_multi_result(plan: MultiGroupAggregate) -> dict:
-    """A fused aggregate over zero rows: every key's dict is its domain
-    fill (identical to the single-key empty result, per key)."""
+    """A keyed aggregate over zero rows: every key's dict is its domain
+    fill (empty when unrestricted)."""
     fill = AGGREGATES[plan.aggregate](())
     return {
         key.fingerprint(): ({} if domain is None
@@ -104,7 +101,8 @@ def _empty_multi_result(plan: MultiGroupAggregate) -> dict:
 
 
 def _fill_domains(plan: MultiGroupAggregate, results: dict) -> dict:
-    """Apply each key's domain restriction/fill to its raw group dict."""
+    """Apply each key's domain restriction/fill to its raw group dict
+    (the memory kernel finalizes only the domain values instead)."""
     fill = AGGREGATES[plan.aggregate](())
     out: dict = {}
     for key, domain in plan.branches():
@@ -140,7 +138,8 @@ class InMemoryBackend:
     :class:`~repro.plan.counters.PlanCounters` records how many chunks
     each operator scanned vs skipped.
 
-    Grouped aggregates have one kernel at every row count:
+    Keyed aggregates (:class:`MultiGroupAggregate`, one branch or many)
+    have one kernel at every row count:
     :func:`~repro.relational.operators.chunked_group_states` walks the
     grouping keys' encoded fact chunks in one serial pass, accumulating
     mergeable per-group states (the same states the materialization tier
@@ -308,11 +307,11 @@ class InMemoryBackend:
         return rows
 
     # -- aggregates ----------------------------------------------------
-    def execute(self, plan: GroupAggregate):
+    def execute(self, plan: GroupAggregate | MultiGroupAggregate):
         if isinstance(plan, MultiGroupAggregate):
             return self._execute_multi(plan)
         if not isinstance(plan, GroupAggregate):
-            raise SchemaError("execute() takes a GroupAggregate plan")
+            raise SchemaError("execute() takes an aggregate plan")
         with op_span(plan) as osp:
             child = plan.child
             keys = ()
@@ -333,17 +332,6 @@ class InMemoryBackend:
                     osp.set_tag("rows", 1)
                     osp.set_tag("batches", 1)
                     return fn(vector.take(measure, rows))
-            if len(keys) == 1:
-                states = self._partition_states(plan.child, keys[0], rows,
-                                                measure, plan.aggregate)
-                charge_groups(len(states), "Partition")
-                with self.counters.timed("GroupAggregate") as out:
-                    out[0] = len(states)
-                    out[1] = 1
-                    osp.set_tag("rows", out[0])
-                    osp.set_tag("batches", 1)
-                    return finalize_group_states(plan.aggregate, states,
-                                                 plan.domain)
             groups = self._partition_packed(plan.child, keys, rows)
             charge_groups(len(groups), "Partition")
             with self.counters.timed("GroupAggregate") as out:
@@ -351,12 +339,6 @@ class InMemoryBackend:
                 out[1] = 1
                 osp.set_tag("rows", len(groups))
                 osp.set_tag("batches", 1)
-                if plan.domain is not None:
-                    return {
-                        value: fn(vector.take(measure,
-                                              groups.get(value, ())))
-                        for value in plan.domain
-                    }
                 return {
                     value: fn(vector.take(measure, group_rows))
                     for value, group_rows in groups.items()
@@ -390,22 +372,9 @@ class InMemoryBackend:
             osp.set_tag("batches", out[1])
         return groups
 
-    def _partition_states(self, node, key, rows: list[int], measure,
-                          aggregate: str) -> dict:
-        """One key's ``value → state`` dict, recorded as the
-        :class:`Partition` plan node's span and counters."""
-        check_deadline("Partition")
-        with op_span(node) as osp, self.counters.timed("Partition") as out:
-            states, = self._group_states([key], rows, measure, aggregate,
-                                         "Partition", out)
-            out[0] = len(states)
-            osp.set_tag("rows", out[0])
-            osp.set_tag("batches", out[1])
-        return states
-
     def _execute_multi(self, plan: MultiGroupAggregate) -> dict:
-        """The fused kernel: one pass over the child's rows updating one
-        state dict per key (instead of ``len(keys)`` passes)."""
+        """The keyed kernel: one pass over the child's rows updating one
+        state dict per branch key."""
         with op_span(plan) as osp:
             rows = self._rows(plan.child)
             if not rows:
@@ -413,21 +382,22 @@ class InMemoryBackend:
                 return _empty_multi_result(plan)
             check_deadline("MultiGroupAggregate")
             measure = _fact_measure(self.schema, plan)
-            keys = [key for key, _ in plan.branches()]
+            branches = plan.branches()
             with self.counters.timed("MultiGroupAggregate") as out:
-                states = self._group_states(keys, rows, measure,
-                                            plan.aggregate,
+                states = self._group_states([key for key, _ in branches],
+                                            rows, measure, plan.aggregate,
                                             "MultiGroupAggregate", out)
+                # a domain restricts what is finalized, not what is scanned
                 results = {
-                    key.fingerprint(): finalize_group_states(plan.aggregate,
-                                                             groups)
-                    for key, groups in zip(keys, states)
+                    key.fingerprint(): finalize_group_states(
+                        plan.aggregate, groups, domain)
+                    for (key, domain), groups in zip(branches, states)
                 }
                 out[0] = sum(len(groups) for groups in states)
             osp.set_tag("rows", out[0])
             osp.set_tag("batches", out[1])
             charge_groups(out[0], "MultiGroupAggregate")
-            return _fill_domains(plan, results)
+            return results
 
     def _group_states(self, keys, rows: list[int], measure, aggregate: str,
                       stage: str, out) -> list[dict]:
@@ -537,11 +507,11 @@ class SqliteBackend:
             node = getattr(node, "child", None)
 
     # -- aggregates ----------------------------------------------------
-    def execute(self, plan: GroupAggregate):
+    def execute(self, plan: GroupAggregate | MultiGroupAggregate):
         if isinstance(plan, MultiGroupAggregate):
             return self._execute_multi(plan)
         if not isinstance(plan, GroupAggregate):
-            raise SchemaError("execute() takes a GroupAggregate plan")
+            raise SchemaError("execute() takes an aggregate plan")
         leaf = _leaf(plan)
         if isinstance(leaf, RowSet) and not leaf.rows:
             return _empty_result(plan)
@@ -551,26 +521,19 @@ class SqliteBackend:
             result_rows = self._run(query.to_sql())
             osp.set_tag("rows", len(result_rows))
             osp.set_tag("batches", 1)
-            if plan.grouped:
-                charge_groups(len(result_rows), "GroupAggregate")
             if not plan.grouped:
                 value = result_rows[0][0]
                 return self._restore_aggregate(plan.aggregate, value)
-            num_keys = len(plan.child.keys)
-            result: dict = {}
-            for row in result_rows:
-                key = row[0] if num_keys == 1 else tuple(row[:num_keys])
-                result[key] = self._restore_aggregate(plan.aggregate,
-                                                      row[num_keys])
-            if plan.domain is not None:
-                fill = AGGREGATES[plan.aggregate](())
-                for value in plan.domain:
-                    result.setdefault(value, fill)
-            return result
+            charge_groups(len(result_rows), "GroupAggregate")
+            return {
+                tuple(row[:-1]): self._restore_aggregate(plan.aggregate,
+                                                         row[-1])
+                for row in result_rows
+            }
 
     def _execute_multi(self, plan: MultiGroupAggregate) -> dict:
         """One batched round-trip: a shared filtered CTE feeding one
-        grouped select per key (instead of ``len(keys)`` full queries,
+        grouped select per branch key (instead of one full query per key,
         each re-evaluating the row-set filter)."""
         leaf = _leaf(plan)
         if isinstance(leaf, RowSet) and not leaf.rows:

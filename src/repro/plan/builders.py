@@ -53,50 +53,30 @@ def rowset(schema, rows: Iterable[int]) -> RowSet:
     return RowSet(schema.fact_table, tuple(rows))
 
 
-def aggregate_plan(source: PlanNode, measure,
-                   domain: tuple | None = None) -> GroupAggregate:
-    """Aggregate ``measure`` over the rows of ``source``."""
+def _aggregate(source: PlanNode, measure) -> GroupAggregate:
+    """Aggregate ``measure`` over the rows (or pivot cells) of ``source``."""
     return GroupAggregate(
         child=source,
         aggregate=measure.aggregate,
         measure_sql=str(measure.expression),
         measure_expr=measure.expression,
-        domain=domain,
     )
-
-
-def partition_plan(source: PlanNode, keys: Sequence[AttrKey], measure,
-                   domain: tuple | None = None) -> GroupAggregate:
-    """Aggregate ``measure`` per group of ``keys`` over ``source``."""
-    return aggregate_plan(Partition(source, tuple(keys)), measure,
-                          domain=domain)
 
 
 def subspace_aggregate_plan(schema, rows: Iterable[int],
                             measure) -> GroupAggregate:
     """G(DS'): the measure over a subspace's rows."""
-    return aggregate_plan(rowset(schema, rows), measure)
+    return _aggregate(rowset(schema, rows), measure)
 
 
-def subspace_partition_plan(schema, rows: Iterable[int], gb, measure,
-                            domain: tuple | None = None) -> GroupAggregate:
-    """value → aggregate for one group-by attribute over a subspace."""
-    return partition_plan(rowset(schema, rows), (attr_key(gb),), measure,
-                          domain=domain)
-
-
-def multi_partition_plan(
-    schema,
-    rows: Iterable[int],
-    gbs: Sequence,
-    measure,
-    domains: Sequence[tuple | None] | None = None,
-) -> MultiGroupAggregate:
-    """One fused plan computing ``value → aggregate`` for *every* given
-    group-by attribute over the same subspace rows (one scan instead of
-    ``len(gbs)`` :func:`subspace_partition_plan` evaluations)."""
+def keyed_aggregate(source: PlanNode, gbs: Sequence, measure,
+                    domains: Sequence[tuple | None] | None = None,
+                    ) -> MultiGroupAggregate:
+    """``value → aggregate`` for every given group-by attribute over the
+    rows of ``source``, in one plan (one scan, one SQL statement); a
+    single attribute is a one-branch plan."""
     return MultiGroupAggregate(
-        child=rowset(schema, rows),
+        child=source,
         keys=tuple(attr_key(gb) for gb in gbs),
         aggregate=measure.aggregate,
         measure_sql=str(measure.expression),
@@ -107,8 +87,20 @@ def multi_partition_plan(
     )
 
 
+def multi_partition_plan(
+    schema,
+    rows: Iterable[int],
+    gbs: Sequence,
+    measure,
+    domains: Sequence[tuple | None] | None = None,
+) -> MultiGroupAggregate:
+    """:func:`keyed_aggregate` over a subspace's rows."""
+    return keyed_aggregate(rowset(schema, rows), gbs, measure, domains)
+
+
 def pivot_plan(schema, rows: Iterable[int], rows_gb, cols_gb,
                measure) -> GroupAggregate:
     """(row value, column value) → aggregate over a subspace."""
-    return partition_plan(rowset(schema, rows),
-                          (attr_key(rows_gb), attr_key(cols_gb)), measure)
+    return _aggregate(Partition(rowset(schema, rows),
+                                (attr_key(rows_gb), attr_key(cols_gb))),
+                      measure)

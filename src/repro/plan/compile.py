@@ -77,24 +77,19 @@ class _Compiler:
             self.query.measure_sql = qualify_measure(plan.measure_sql, "f")
             self.query.measure_expr = plan.measure_expr
             for key in keys:
-                alias = self._attr_alias(key)
-                self.query.filters.append(
-                    AliasFilter(alias, Not(IsNull(Col(key.column)))))
-                self.query.group_by.append((alias, key.column))
-            if plan.domain is not None:
-                if len(keys) != 1:
-                    raise SchemaError(
-                        "domain restriction requires exactly one "
-                        "partition key")
-                key = keys[0]
-                alias = self.query.group_by[0][0]
-                self.query.filters.append(AliasFilter(
-                    alias,
-                    self._adapted_isin(key.table, key.column, plan.domain),
-                ))
+                self._group_by(key)
         else:
             self._rows(plan)
         return self.query
+
+    def _group_by(self, key: AttrKey) -> str:
+        """Group by ``key``, dropping rows where it is NULL; returns the
+        alias of the table holding it."""
+        alias = self._attr_alias(key)
+        self.query.filters.append(
+            AliasFilter(alias, Not(IsNull(Col(key.column)))))
+        self.query.group_by.append((alias, key.column))
+        return alias
 
     # ------------------------------------------------------------------
     # row-producing nodes
@@ -210,20 +205,19 @@ def compile_multi_plan(plan: MultiGroupAggregate,
         # keeps the CTE a row *set* even for unexpected join shapes
         select_rows = "DISTINCT " + select_rows
     cte_sql = base.render_sql([select_rows])
+    measure_sql = qualify_measure(plan.measure_sql, "f")
     branches: list[str] = []
     for index, (key, domain) in enumerate(plan.branches()):
-        single = GroupAggregate(
-            child=Partition(Scan(_BASE_CTE), (key,)),
-            aggregate=plan.aggregate,
-            measure_sql=plan.measure_sql,
-            measure_expr=plan.measure_expr,
-            domain=domain,
-        )
-        query = _Compiler(database).compile(single)
-        alias, column = query.group_by[0]
-        branches.append(query.render_sql(
-            [f"{index} AS branch", f"{alias}.{column} AS key",
-             f"{query.aggregate.upper()}({query.measure_sql}) AS agg"],
-            [f"{alias}.{column}"],
+        compiler = _Compiler(database)
+        compiler._rows(Scan(_BASE_CTE))
+        alias = compiler._group_by(key)
+        if domain is not None:
+            compiler.query.filters.append(AliasFilter(
+                alias, compiler._adapted_isin(key.table, key.column, domain)))
+        column = f"{alias}.{key.column}"
+        branches.append(compiler.query.render_sql(
+            [f"{index} AS branch", f"{column} AS key",
+             f"{plan.aggregate.upper()}({measure_sql}) AS agg"],
+            [column],
         ))
     return render_batched_sql(_BASE_CTE, cte_sql, branches)

@@ -19,22 +19,25 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 from ..obs.metrics import current_registry
-from ..obs.tracer import current_request_id, current_tracer, plan_digest
+from ..obs.tracer import (
+    current_request_id,
+    current_tracer,
+    fingerprint_digest,
+)
 from ..relational.operators import AGGREGATES
 from ..resilience.budget import check_deadline
 from ..warehouse.subspace import Subspace
 from .backends import ExecutionBackend, create_backend
 from .builders import (
     attr_key,
-    multi_partition_plan,
+    keyed_aggregate,
     pivot_plan,
     ray_filter,
     rowset,
     subspace_aggregate_plan,
-    subspace_partition_plan,
 )
 from .cache import CacheStats, PlanCache
-from .nodes import Filter, GroupAggregate, PlanNode, Scan
+from .nodes import Filter, GroupAggregate, MultiGroupAggregate, PlanNode, Scan
 
 _MISS = object()
 
@@ -42,9 +45,11 @@ _MISS = object()
 class QueryEngine:
     """Evaluate logical plans with caching over a pluggable backend.
 
-    :meth:`multi_partition_aggregates` always fuses: N group-bys over one
-    subspace become a single ``MultiGroupAggregate`` plan (one scan in
-    memory, one batched statement on sqlite).
+    Partition aggregates have one route: every (attribute, domain)
+    branch is cached under its own one-branch ``MultiGroupAggregate``
+    fingerprint, and the branches a call misses run as one
+    ``MultiGroupAggregate`` plan (one scan in memory, one batched
+    statement on sqlite), whether one branch missed or many.
     """
 
     def __init__(self, schema, backend: str | ExecutionBackend = "memory",
@@ -114,12 +119,13 @@ class QueryEngine:
 
     def materialize(self, plan: PlanNode) -> tuple[int, ...]:
         """Row ids selected by a row-producing plan (cached)."""
-        key = self.cache_key(plan.fingerprint())
+        fingerprint = plan.fingerprint()
+        key = self.cache_key(fingerprint)
         cached = self.cache.get(key, _MISS)
         if cached is not _MISS:
-            self._note_cache(plan, hit=True, kind="materialize")
+            self._note_hit(fingerprint, kind="materialize")
             return cached
-        self._note_cache(plan, hit=False, kind="materialize")
+        self._count_lookup(hit=False)
         check_deadline("materialize")
         # a failing backend call leaves the cache untouched: partial or
         # poisoned entries must never be served to later callers
@@ -130,25 +136,28 @@ class QueryEngine:
         self.cache.put(key, rows)
         return rows
 
-    def execute(self, plan: GroupAggregate):
-        """Aggregate result of a plan (cached; dicts are copied on the
-        way out so callers cannot corrupt cache entries)."""
-        key = self.cache_key(plan.fingerprint())
+    def execute(self, plan: GroupAggregate | MultiGroupAggregate):
+        """Aggregate result of a plan (cached; dicts, and a keyed
+        aggregate's per-branch dicts, are copied on the way out so
+        callers cannot corrupt cache entries)."""
+        fingerprint = plan.fingerprint()
+        key = self.cache_key(fingerprint)
         cached = self.cache.get(key, _MISS)
         if cached is _MISS:
-            self._note_cache(plan, hit=False, kind="execute")
-            cached = self._execute_miss(plan, key)
+            self._count_lookup(hit=False)
+            cached = self._run(plan)
+            self.cache.put(key, cached)
         else:
-            self._note_cache(plan, hit=True, kind="execute")
+            self._note_hit(fingerprint, kind="execute")
+        if isinstance(plan, MultiGroupAggregate):
+            return {fp: dict(groups) for fp, groups in cached.items()}
         return dict(cached) if isinstance(cached, dict) else cached
 
-    def _execute_miss(self, plan: GroupAggregate, key):
-        """Run a plan the cache missed (already counted) and cache it."""
+    def _run(self, plan: GroupAggregate | MultiGroupAggregate):
+        """Execute an aggregate plan on the backend (no cache access)."""
         check_deadline("execute")
         with current_tracer().span("plan.execute", **self._request_tag()):
-            result = self.backend.execute(plan)
-        self.cache.put(key, result)
-        return result
+            return self.backend.execute(plan)
 
     @staticmethod
     def _request_tag() -> dict:
@@ -170,26 +179,26 @@ class QueryEngine:
             "kdap.plan.cache.hits" if hit
             else "kdap.plan.cache.misses").inc()
 
-    def _note_cache(self, plan: PlanNode, hit: bool, kind: str) -> None:
-        """Count one plan-cache lookup and (when tracing) record a hit as
-        a zero-duration marker span so EXPLAIN can attribute cache hits
-        to plan nodes."""
-        self._count_lookup(hit)
+    def _note_hit(self, fingerprint, kind: str) -> None:
+        """Count one plan-cache hit and (when tracing) record it as a
+        zero-duration marker span so EXPLAIN can attribute cache hits to
+        plan nodes."""
+        self._count_lookup(hit=True)
         tracer = current_tracer()
-        if tracer.enabled and hit:
+        if tracer.enabled:
             with tracer.span(f"plan.{kind}", cached=True,
-                             fp=plan_digest(plan),
+                             fp=fingerprint_digest(fingerprint),
                              **self._request_tag()):
                 pass
 
-    def _note_materialized(self, plan: PlanNode) -> None:
+    def _note_materialized(self, fingerprint) -> None:
         """Marker span for an aggregate answered by the materialization
         tier (no backend scan ran); EXPLAIN ANALYZE attributes it to the
         plan node like a cache hit, under its own ``materialized`` tag."""
         tracer = current_tracer()
         if tracer.enabled:
             with tracer.span("plan.execute", materialized=True,
-                             fp=plan_digest(plan),
+                             fp=fingerprint_digest(fingerprint),
                              **self._request_tag()):
                 pass
 
@@ -250,32 +259,9 @@ class QueryEngine:
         """value → aggregated measure per group (NULL keys dropped; with a
         ``domain``, exactly those categories, absent ones aggregating over
         zero rows)."""
-        measure = self.schema.measures[measure_name]
         domain_key = None if domain is None else tuple(domain)
-        if subspace.is_empty:
-            if domain_key is None:
-                return {}
-            fill = AGGREGATES[measure.aggregate](())
-            return {value: fill for value in domain_key}
-        plan = subspace_partition_plan(self.schema, subspace.fact_rows,
-                                       gb, measure, domain=domain_key)
-        if not self._tier_covers(subspace):
-            return self.execute(plan)
-        fingerprint = plan.fingerprint()
-        key = self.cache_key(fingerprint)
-        cached = self.cache.get(key, _MISS)
-        if cached is not _MISS:
-            self._note_cache(plan, hit=True, kind="execute")
-            return dict(cached)
-        answer = self.tier.answer(gb, measure_name, domain=domain_key)
-        if answer is not None:
-            self._note_materialized(plan)
-            self.cache.put(key, answer)
-            return dict(answer)
-        self._note_cache(plan, hit=False, kind="execute")
-        result = self._execute_miss(plan, key)
-        self.tier.note_miss(gb, measure_name, fingerprint)
-        return dict(result)
+        return self._partition_aggregates(subspace, [gb], measure_name,
+                                          [domain_key])[0]
 
     def multi_partition_aggregates(
         self,
@@ -287,11 +273,11 @@ class QueryEngine:
         """One value→aggregate dict per group-by, over one subspace.
 
         Semantically identical to calling
-        :meth:`subspace_partition_aggregates` once per ``gb``, but
-        executes a single ``MultiGroupAggregate`` plan: the subspace's
-        rows are scanned (memory) or shipped to SQL (sqlite) **once** for
-        all group-bys instead of once per group-by.  ``domains``, when
-        given, aligns with ``gbs`` (None entries meaning unrestricted).
+        :meth:`subspace_partition_aggregates` once per ``gb``, but the
+        branches the cache misses run as one plan: the subspace's rows
+        are scanned (memory) or shipped to SQL (sqlite) **once** for all
+        of them.  ``domains``, when given, aligns with ``gbs`` (None
+        entries meaning unrestricted).
         """
         gbs = list(gbs)
         if domains is None:
@@ -300,94 +286,76 @@ class QueryEngine:
             domain_keys = [None if d is None else tuple(d) for d in domains]
             if len(domain_keys) != len(gbs):
                 raise ValueError("domains must align one-to-one with gbs")
-        if not gbs:
-            return []
+        return self._partition_aggregates(subspace, gbs, measure_name,
+                                          domain_keys)
+
+    def _partition_aggregates(self, subspace: Subspace, gbs: list,
+                              measure_name: str,
+                              domain_keys: list[tuple | None]) -> list[dict]:
+        """The one body behind both partition-aggregate entry points.
+
+        Each (gb, domain) branch is looked up under its own one-branch
+        ``MultiGroupAggregate`` fingerprint (a hit counts one lookup),
+        then asked of the tier; the branches both miss run as one plan
+        per round of distinct attributes (each round counts one miss)
+        and are cached branch by branch.  The multi-branch plan itself
+        is never cached: no lookup would ever name it.
+        """
         measure = self.schema.measures[measure_name]
-        if subspace.is_empty:
-            fill = AGGREGATES[measure.aggregate](())
-            return [
-                {} if dk is None else {value: fill for value in dk}
-                for dk in domain_keys
-            ]
-        results: list[dict | None] = [None] * len(gbs)
+        fill = AGGREGATES[measure.aggregate](())
         tier = self.tier if self._tier_covers(subspace) else None
-        # key fingerprint -> (gb, domain, single plan, single fp, result
-        # slots); duplicates of the same attribute share a branch when
-        # domains agree
-        fused: dict[tuple, tuple] = {}
-        singles: list[int] = []
+        source = rowset(self.schema, subspace.fact_rows)
+        results: list[dict | None] = [None] * len(gbs)
+        # one-branch fingerprint -> (gb, domain, fingerprint, result slots)
+        pending: dict[tuple, tuple] = {}
         for index, (gb, dk) in enumerate(zip(gbs, domain_keys)):
-            if dk is not None and not dk:
-                # an empty domain aggregates over nothing; answering it
-                # here also keeps ``IN ()`` out of the SQL path
-                results[index] = {}
+            if subspace.is_empty or (dk is not None and not dk):
+                # nothing to aggregate: the domain fill, without a query
+                # (which also keeps ``IN ()`` out of the SQL path)
+                results[index] = ({} if dk is None
+                                  else {value: fill for value in dk})
                 continue
-            fingerprint = attr_key(gb).fingerprint()
-            entry = fused.get(fingerprint)
-            if entry is None:
-                # a branch already answered as a *single* partition plan
-                # (by an earlier single or fused call) is served from
-                # cache rather than re-fused: fusion never loses the
-                # cross-call sharing the single path would have had
-                single = subspace_partition_plan(
-                    self.schema, subspace.fact_rows, gb, measure,
-                    domain=dk)
-                single_fp = single.fingerprint()
-                single_key = self.cache_key(single_fp)
-                # a cached branch counts one hit; a missing one counts
-                # nothing here, because the fused execute counts its miss.
-                # No marker span: the single plan is not part of the fused
-                # plan EXPLAIN renders, and digesting its row set would
-                # cost more than the hit saves.
-                cached = self.cache.get(single_key, _MISS)
-                if cached is not _MISS:
-                    self._count_lookup(hit=True)
-                    results[index] = dict(cached)
-                    continue
-                if tier is not None:
-                    answer = tier.answer(gb, measure_name, domain=dk)
-                    if answer is not None:
-                        self._note_materialized(single)
-                        self.cache.put(single_key, answer)
-                        results[index] = dict(answer)
-                        continue
-                fused[fingerprint] = (gb, dk, single, single_fp, [index])
-            elif entry[1] == dk:
-                entry[4].append(index)
-            else:  # same attribute, different domain: separate query
-                singles.append(index)
-        if len(fused) == 1:
-            # a lone branch is just a single partition query, already
-            # missed in the cache and the tier above: execute it under
-            # its single-plan key so that cache entry is shared
-            (gb, dk, single, single_fp, slots), = fused.values()
-            self._note_cache(single, hit=False, kind="execute")
-            groups = self._execute_miss(single, self.cache_key(single_fp))
+            fingerprint = keyed_aggregate(source, [gb], measure,
+                                          [dk]).fingerprint()
+            entry = pending.get(fingerprint)
+            if entry is not None:
+                entry[3].append(index)
+                continue
+            key = self.cache_key(fingerprint)
+            cached = self.cache.get(key, _MISS)
+            if cached is not _MISS:
+                self._note_hit(fingerprint, kind="execute")
+                results[index] = dict(cached)
+                continue
             if tier is not None:
-                tier.note_miss(gb, measure_name, single_fp)
-            for slot in slots:
-                results[slot] = dict(groups)
-        elif fused:
-            plan_items = list(fused.values())
-            plan = multi_partition_plan(
-                self.schema, subspace.fact_rows,
-                [item[0] for item in plan_items], measure,
-                domains=[item[1] for item in plan_items])
-            executed = self.execute(plan)
-            for fingerprint, (gb, _, _, single_fp, slots) in fused.items():
-                groups = executed[fingerprint]
-                # seed the equivalent single-plan entry so later
-                # single-key (or partially-overlapping fused) calls hit
-                self.cache.put(self.cache_key(single_fp), groups)
+                answer = tier.answer(gb, measure_name, domain=dk)
+                if answer is not None:
+                    self._note_materialized(fingerprint)
+                    self.cache.put(key, answer)
+                    results[index] = dict(answer)
+                    continue
+            pending[fingerprint] = (gb, dk, fingerprint, [index])
+        while pending:
+            # a plan's branch keys are distinct, so an attribute asked
+            # for under a second domain waits for the next round
+            branches: dict[tuple, tuple] = {}
+            for fingerprint, (gb, *_) in list(pending.items()):
+                attr = attr_key(gb).fingerprint()
+                if attr not in branches:
+                    branches[attr] = pending.pop(fingerprint)
+            plan = keyed_aggregate(
+                source, [gb for gb, _, _, _ in branches.values()], measure,
+                [dk for _, dk, _, _ in branches.values()])
+            self._count_lookup(hit=False)
+            executed = self._run(plan)
+            for attr, (gb, _, fingerprint, slots) in branches.items():
+                groups = executed[attr]
+                self.cache.put(self.cache_key(fingerprint), groups)
                 if tier is not None:
-                    tier.note_miss(gb, measure_name, single_fp)
+                    tier.note_miss(gb, measure_name, fingerprint)
                 for slot in slots:
-                    # inner dicts belong to the cache entry: copy out
+                    # the groups dict is the cache entry's: copy it out
                     results[slot] = dict(groups)
-        for index in singles:
-            results[index] = self.subspace_partition_aggregates(
-                subspace, gbs[index], measure_name,
-                domain=domain_keys[index])
         return results
 
     def pivot_aggregates(self, subspace: Subspace, rows_gb, cols_gb,
@@ -404,11 +372,13 @@ class QueryEngine:
     # subspace filtering (slice / dice)
     # ------------------------------------------------------------------
     def filter_rows(self, subspace: Subspace,
-                    selections: Sequence[tuple] ) -> tuple[int, ...]:
-        """Rows of ``subspace`` matching every ``(gb, values)`` selection."""
-        if subspace.is_empty:
+                    selections: Sequence[tuple]) -> tuple[int, ...]:
+        """Rows of ``subspace`` matching every ``(gb, values)`` selection
+        (an empty value set selects nothing, answered without a query)."""
+        selections = [(gb, tuple(values)) for gb, values in selections]
+        if subspace.is_empty or any(not values for _, values in selections):
             return ()
         plan: PlanNode = rowset(self.schema, subspace.fact_rows)
         for gb, values in selections:
-            plan = Filter(plan, attr=attr_key(gb), values=tuple(values))
+            plan = Filter(plan, attr=attr_key(gb), values=values)
         return self.materialize(plan)

@@ -9,13 +9,13 @@ a partition — is expressed as a small tree of logical nodes:
   (a bound subspace re-entering the plan layer);
 * :class:`Filter` — restrict by a fact-level predicate or by a
   fact-aligned attribute value set (a star-net ray, slice / dice);
-* :class:`Partition` — group the child's rows by one or more fact-aligned
-  attributes (NULL keys dropped);
-* :class:`GroupAggregate` — fold a measure over the child (scalar when the
-  child produces rows, a per-group mapping when it is a partition);
-* :class:`MultiGroupAggregate` — fold a measure per group for several
-  group-by attributes over one shared child in a single scan (the fused
-  form of N single-key aggregations).
+* :class:`Partition` — group the child's rows by a composite key of two
+  or more fact-aligned attributes (NULL keys dropped), for pivots;
+* :class:`GroupAggregate` — fold a measure over the child (a scalar when
+  the child produces rows, a per-cell mapping over a pivot partition);
+* :class:`MultiGroupAggregate` — fold a measure per group for one or
+  more group-by attributes over one shared child in a single scan.  It
+  is the only keyed aggregate: one attribute is a one-branch plan.
 
 Plans are *logical*: they name tables, join paths, and predicates, but
 prescribe no execution strategy.  Backends (:mod:`repro.plan.backends`)
@@ -88,14 +88,19 @@ class RowSet(PlanNode):
 
     The fingerprint uses (length, structural hash) rather than the full
     row tuple so cache keys stay small; this matches the content-key
-    convention the aggregate cache has always used.
+    convention the aggregate cache has always used.  The hash is taken
+    once, here: a tuple does not cache its own, and one subspace's node
+    is fingerprinted once per aggregate branch over it.
     """
 
     table: str
     rows: tuple[int, ...]
 
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_rows_hash", hash(self.rows))
+
     def fingerprint(self) -> Fingerprint:
-        return ("rowset", self.table, len(self.rows), hash(self.rows))
+        return ("rowset", self.table, len(self.rows), self._rows_hash)
 
 
 @dataclass(frozen=True)
@@ -137,18 +142,21 @@ class Filter(PlanNode):
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class Partition(PlanNode):
-    """Group the child's rows by one or more fact-aligned attributes.
+    """Group the child's rows by a composite key of two or more
+    fact-aligned attributes (a pivot's cells).
 
-    Rows whose key resolves to NULL (any key, for multi-key partitions)
-    are dropped, matching ``PAR(DS', attr)`` semantics.
+    Rows where any key resolves to NULL are dropped, matching
+    ``PAR(DS', attr)`` semantics.  One key is a one-branch
+    :class:`MultiGroupAggregate`, never a partition.
     """
 
     child: PlanNode
     keys: tuple[AttrKey, ...]
 
     def __post_init__(self) -> None:
-        if not self.keys:
-            raise ValueError("Partition needs at least one key")
+        if len(self.keys) < 2:
+            raise ValueError("Partition needs at least two keys; one key "
+                             "is a one-branch MultiGroupAggregate")
 
     def fingerprint(self) -> Fingerprint:
         return (
@@ -162,12 +170,8 @@ class GroupAggregate(PlanNode):
     """Fold an aggregate of a measure expression over the child.
 
     * child produces rows → scalar result;
-    * child is a :class:`Partition` → mapping ``key value → aggregate``
-      (tuple-keyed for multi-key partitions).
-
-    ``domain`` (single-key partitions only) restricts the computed groups
-    to the given values; missing values aggregate over the empty set
-    (0 for sum/count, None for avg/min/max).
+    * child is a :class:`Partition` → mapping ``key tuple → aggregate``
+      (a pivot).
 
     ``measure_sql`` is the canonical rendering used by the fingerprint;
     ``measure_expr`` is the evaluable form used by in-memory execution
@@ -178,7 +182,6 @@ class GroupAggregate(PlanNode):
     aggregate: str
     measure_sql: str
     measure_expr: Expression | None = None
-    domain: tuple | None = None
 
     @property
     def grouped(self) -> bool:
@@ -188,15 +191,15 @@ class GroupAggregate(PlanNode):
     def fingerprint(self) -> Fingerprint:
         return (
             "groupagg", self.child.fingerprint(), self.aggregate,
-            self.measure_sql, self.domain,
+            self.measure_sql,
         )
 
 
 @dataclass(frozen=True)
 class MultiGroupAggregate(PlanNode):
-    """Fold one measure per group for *several* group-by attributes over
-    the same child rows — the fused form of N single-key
-    :class:`GroupAggregate` plans sharing one row source.
+    """Fold one measure per group for each of one or more group-by
+    attributes (*branches*) over the same child rows — the one keyed
+    aggregate: ``PAR(DS', attr)`` for one attribute is a one-branch plan.
 
     Backends evaluate the child **once**: the in-memory kernel walks the
     rows a single time while updating one accumulator dict per key; the
@@ -205,15 +208,13 @@ class MultiGroupAggregate(PlanNode):
     fingerprint to that key's ``value → aggregate`` dict.
 
     ``domains`` (optional, aligned with ``keys``) restricts each key's
-    computed groups exactly like :class:`GroupAggregate.domain`: listed
-    values that select no rows aggregate over the empty set (0 for
-    sum/count, None for avg/min/max).
+    computed groups to exactly the listed values: values that select no
+    rows aggregate over the empty set (0 for sum/count, None for
+    avg/min/max).
 
     The fingerprint is **order-insensitive** in the key set — two
     consumers asking for the same attributes in different orders share
-    one cache entry — and tagged distinctly from ``GroupAggregate`` so a
-    fused result can never be served for a single-key plan (or vice
-    versa).
+    one cache entry.
     """
 
     child: PlanNode
@@ -247,7 +248,7 @@ class MultiGroupAggregate(PlanNode):
 
 
 def row_source(plan: PlanNode) -> PlanNode:
-    """The row-producing subtree of a plan (skips a Partition wrapper)."""
+    """The row-producing subtree of a plan (skips a pivot's Partition)."""
     if isinstance(plan, (GroupAggregate, MultiGroupAggregate)):
         plan = plan.child
     if isinstance(plan, Partition):

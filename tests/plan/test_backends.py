@@ -30,6 +30,7 @@ from repro.plan import (
     Scan,
     SqliteBackend,
     create_backend,
+    multi_partition_plan,
 )
 from repro.relational import (
     Database,
@@ -129,14 +130,18 @@ def _attr(tiny, column) -> AttrKey:
     return AttrKey("Dim", column, gb.path_from_fact)
 
 
-def _partition(tiny, source, column, measure="amount", domain=None):
-    return GroupAggregate(
-        Partition(source, (_attr(tiny, column),)),
-        tiny.measures[measure].aggregate,
-        str(tiny.measures[measure].expression),
-        tiny.measures[measure].expression,
-        domain=domain,
-    )
+def _partition(tiny, rows, column, measure="amount", domain=None):
+    """PAR(rows, Dim.column) as a one-branch keyed aggregate."""
+    return multi_partition_plan(
+        tiny, rows, [tiny.groupby_attribute("Dim", column)],
+        tiny.measures[measure],
+        domains=None if domain is None else [domain])
+
+
+def _groups(backend, plan) -> dict:
+    """The value → aggregate dict of a one-branch plan's only branch."""
+    (groups,) = backend.execute(plan).values()
+    return groups
 
 
 class TestMaterialize:
@@ -243,60 +248,60 @@ class TestAggregates:
         """Group 'b' has only NULL amounts: both backends report 0 (the
         in-memory fold's identity), and NULL keys are dropped."""
         mem, sq = backends
-        plan = _partition(tiny, RowSet("Fact", (0, 1, 2, 3, 4)), "Name")
+        plan = _partition(tiny, (0, 1, 2, 3, 4), "Name")
         want = {"a": 3.0, "b": 0}
-        assert mem.execute(plan) == want
-        assert sq.execute(plan) == want
+        assert _groups(mem, plan) == want
+        assert _groups(sq, plan) == want
 
     def test_group_keys_keep_boolean_type(self, tiny, backends):
         mem, sq = backends
-        plan = _partition(tiny, RowSet("Fact", (0, 1, 2, 3, 4)), "Flag")
-        for result in (mem.execute(plan), sq.execute(plan)):
+        plan = _partition(tiny, (0, 1, 2, 3, 4), "Flag")
+        for result in (_groups(mem, plan), _groups(sq, plan)):
             assert result == {True: 3.0, False: 0}
             assert all(isinstance(k, bool) for k in result)
 
     def test_group_keys_keep_date_strings(self, tiny, backends):
         mem, sq = backends
-        plan = _partition(tiny, RowSet("Fact", (0, 1, 2, 3, 4)), "Day")
+        plan = _partition(tiny, (0, 1, 2, 3, 4), "Day")
         want = {"2020-01-01": 3.0, "2020-01-02": 0}
-        assert mem.execute(plan) == want
-        assert sq.execute(plan) == want
+        assert _groups(mem, plan) == want
+        assert _groups(sq, plan) == want
 
     def test_avg_of_all_null_group_is_none(self, tiny, backends):
         mem, sq = backends
-        plan = _partition(tiny, RowSet("Fact", (0, 1, 2, 3, 4)), "Name",
+        plan = _partition(tiny, (0, 1, 2, 3, 4), "Name",
                           measure="avg_amount")
         want = {"a": 1.5, "b": None}
-        assert mem.execute(plan) == want
-        assert sq.execute(plan) == want
+        assert _groups(mem, plan) == want
+        assert _groups(sq, plan) == want
 
     def test_count_measure(self, tiny, backends):
         mem, sq = backends
-        plan = _partition(tiny, RowSet("Fact", (0, 1, 2, 3, 4)), "Name",
+        plan = _partition(tiny, (0, 1, 2, 3, 4), "Name",
                           measure="n")
         want = {"a": 2, "b": 1}
-        assert mem.execute(plan) == want
-        assert sq.execute(plan) == want
+        assert _groups(mem, plan) == want
+        assert _groups(sq, plan) == want
 
     def test_domain_fills_missing_groups(self, tiny, backends):
         mem, sq = backends
-        plan = _partition(tiny, RowSet("Fact", (0, 1, 2, 3, 4)), "Name",
+        plan = _partition(tiny, (0, 1, 2, 3, 4), "Name",
                           domain=("a", "zzz"))
         want = {"a": 3.0, "zzz": 0}
-        assert mem.execute(plan) == want
-        assert sq.execute(plan) == want
+        assert _groups(mem, plan) == want
+        assert _groups(sq, plan) == want
 
     def test_empty_rowset_aggregates(self, tiny, backends):
         mem, sq = backends
         scalar = GroupAggregate(RowSet("Fact", ()), "sum", "Amount",
                                 Col("Amount"))
-        grouped = _partition(tiny, RowSet("Fact", ()), "Name")
-        filled = _partition(tiny, RowSet("Fact", ()), "Name",
+        grouped = _partition(tiny, (), "Name")
+        filled = _partition(tiny, (), "Name",
                             domain=("a", "b"))
         for backend in (mem, sq):
             assert backend.execute(scalar) == 0
-            assert backend.execute(grouped) == {}
-            assert backend.execute(filled) == {"a": 0, "b": 0}
+            assert _groups(backend, grouped) == {}
+            assert _groups(backend, filled) == {"a": 0, "b": 0}
 
     def test_multi_key_partition(self, tiny, backends):
         mem, sq = backends
@@ -381,16 +386,16 @@ class TestNumericFacetsHonourTheAggregate:
 class TestCounters:
     def test_memory_counters_record_ops(self, tiny):
         mem = InMemoryBackend(tiny)
-        plan = _partition(tiny, RowSet("Fact", (0, 1, 2)), "Name")
+        plan = _partition(tiny, (0, 1, 2), "Name")
         mem.execute(plan)
         ops = mem.counters.as_dict()
-        assert ops["Partition"]["calls"] == 1
-        assert ops["GroupAggregate"]["calls"] == 1
-        assert mem.counters.total_calls >= 3
+        assert ops["MultiGroupAggregate"]["calls"] == 1
+        assert "Partition" not in ops and "GroupAggregate" not in ops
+        assert mem.counters.total_calls >= 2
 
     def test_sqlite_counters_record_sql(self, tiny):
         with SqliteBackend(tiny) as sq:
-            plan = _partition(tiny, RowSet("Fact", (0, 1, 2)), "Name")
+            plan = _partition(tiny, (0, 1, 2), "Name")
             sq.execute(plan)
             ops = sq.counters.as_dict()
             assert ops["SqlExecute"]["calls"] == 1

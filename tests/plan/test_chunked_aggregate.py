@@ -1,7 +1,7 @@
 """The memory backend's one grouped-aggregate kernel: parity,
 determinism, budgets and concurrent callers.
 
-Every single-key and multi-key aggregate runs
+Every keyed aggregate, one branch or several, runs
 :func:`~repro.relational.operators.chunked_group_states` over the
 schema's encoded fact chunks, at any row count — so the tests need no
 size thresholds, and one large-star case checks the budget contract
@@ -15,11 +15,7 @@ import pytest
 
 from repro.datasets import build_scale
 from repro.plan.backends import InMemoryBackend, SqliteBackend
-from repro.plan.builders import (
-    attr_key,
-    multi_partition_plan,
-    partition_plan,
-)
+from repro.plan.builders import keyed_aggregate, multi_partition_plan
 from repro.plan.nodes import Filter, Scan
 from repro.relational.chunks import CHUNK_SIZE
 from repro.relational.errors import BudgetExceeded
@@ -39,8 +35,14 @@ def scale():
 
 def month_sum_plan(scale):
     gb = scale.groupby_attribute("DimDate", "MonthName")
-    return partition_plan(Scan(scale.fact_table), (attr_key(gb),),
-                          scale.measures["revenue"])
+    return multi_partition_plan(scale, range(scale.num_fact_rows), [gb],
+                                scale.measures["revenue"])
+
+
+def groups_of(result: dict) -> dict:
+    """The value → aggregate dict of a one-branch result."""
+    (groups,) = result.values()
+    return groups
 
 
 def two_key_plan(scale, rows):
@@ -57,21 +59,20 @@ def approx_equal(a: dict, b: dict) -> bool:
 class TestParity:
     def test_single_key_matches_sqlite(self, scale):
         plan = month_sum_plan(scale)
-        memory = InMemoryBackend(scale).execute(plan)
+        memory = groups_of(InMemoryBackend(scale).execute(plan))
         with SqliteBackend(scale) as sqlite:
-            assert approx_equal(sqlite.execute(plan), memory)
+            assert approx_equal(groups_of(sqlite.execute(plan)), memory)
 
     def test_filtered_scan_matches_sqlite(self, scale):
         gb = scale.groupby_attribute("DimProduct", "Color")
         source = Filter(Scan(scale.fact_table),
                         predicate=Between(Col("DateKey"),
                                           20030301, 20030501))
-        plan = partition_plan(source, (attr_key(gb),),
-                              scale.measures["revenue"])
-        memory = InMemoryBackend(scale).execute(plan)
+        plan = keyed_aggregate(source, [gb], scale.measures["revenue"])
+        memory = groups_of(InMemoryBackend(scale).execute(plan))
         assert memory, "the date window must select rows"
         with SqliteBackend(scale) as sqlite:
-            assert approx_equal(sqlite.execute(plan), memory)
+            assert approx_equal(groups_of(sqlite.execute(plan)), memory)
 
     def test_multi_aggregate_matches_sqlite(self, scale):
         # a strided selection: partial chunks take the per-row loop
@@ -98,16 +99,15 @@ class TestDeterminism:
                 # order on every run and every backend instance
                 assert again == first
                 assert list(again) == list(first)
-                if shape == "multi":
-                    for fingerprint, groups in first.items():
-                        assert list(again[fingerprint]) == list(groups)
+                for fingerprint, groups in first.items():
+                    assert list(again[fingerprint]) == list(groups)
 
 
 class TestCountersAndBudget:
     def test_aggregate_counts_chunks_as_batches(self, scale):
         backend = InMemoryBackend(scale)
         backend.execute(month_sum_plan(scale))
-        stats = backend.counters.as_dict()["Partition"]
+        stats = backend.counters.as_dict()["MultiGroupAggregate"]
         assert stats["batches"] == -(-FACTS // CHUNK_SIZE)  # one per chunk
         # scan counters stay with the row-producing operators
         assert stats["chunks_scanned"] == 0
@@ -118,10 +118,9 @@ class TestCountersAndBudget:
         source = Filter(Scan(scale.fact_table),
                         predicate=Between(Col("DateKey"),
                                           20030310, 20030320))
-        plan = partition_plan(source, (attr_key(gb),),
-                              scale.measures["revenue"])
+        plan = keyed_aggregate(source, [gb], scale.measures["revenue"])
         backend = InMemoryBackend(scale)
-        result = backend.execute(plan)
+        result = groups_of(backend.execute(plan))
         assert result, "the ten-day window must select rows"
         stats = backend.counters.as_dict()["Filter"]
         assert stats["chunks_skipped"] > 0
@@ -138,10 +137,10 @@ class TestCountersAndBudget:
     def test_group_budget_counts_groups_once(self, scale):
         plan = month_sum_plan(scale)
         backend = InMemoryBackend(scale)
-        groups = len(backend.execute(plan))
+        groups = len(groups_of(backend.execute(plan)))
         # a budget admitting the true group count passes; one fewer fails
         with budget_scope(Budget(max_groups=groups)):
-            assert len(backend.execute(plan)) == groups
+            assert len(groups_of(backend.execute(plan))) == groups
         with budget_scope(Budget(max_groups=groups - 1)):
             with pytest.raises(BudgetExceeded):
                 backend.execute(plan)

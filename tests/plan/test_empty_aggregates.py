@@ -5,11 +5,12 @@ selects *zero* rows must aggregate identically on the in-memory kernels
 and the sqlite mirror — 0 for sum/count (the fold identity), None for
 avg/min/max (SQL NULL).  Three empty-input shapes are covered:
 
-* a domain value present in no row (single-key ``GroupAggregate.domain``
-  fill);
-* the same through the fused ``MultiGroupAggregate.domains`` path
-  (``_fill_domains``);
-* an entirely empty child row set (``_empty_result``).
+* a domain value present in no row (a one-branch
+  ``MultiGroupAggregate.domains`` fill: ``finalize_group_states`` in
+  memory, ``_fill_domains`` on sqlite);
+* the same inside a two-branch plan, branch by branch;
+* an entirely empty child row set (``_empty_multi_result`` and, for the
+  scalar aggregate, ``_empty_result``).
 """
 
 import pytest
@@ -17,7 +18,6 @@ import pytest
 from repro.plan import (
     GroupAggregate,
     InMemoryBackend,
-    Partition,
     RowSet,
     SqliteBackend,
 )
@@ -73,6 +73,8 @@ def schema():
         groupbys=(
             GroupByAttribute(AttributeRef("Dim", "Name"),
                              AttributeKind.CATEGORICAL, path),
+            GroupByAttribute(AttributeRef("Dim", "DimKey"),
+                             AttributeKind.CATEGORICAL, path),
         ),
     )
     return StarSchema(
@@ -90,16 +92,18 @@ def backends(schema):
     sqlite.close()
 
 
-def _partition(schema, rows, aggregate, domain):
-    measure = schema.measures[f"amount_{aggregate}"]
-    gb = schema.groupby_attribute("Dim", "Name")
-    return GroupAggregate(
-        Partition(RowSet("Fact", rows), (attr_key(gb),)),
-        measure.aggregate,
-        str(measure.expression),
-        measure.expression,
-        domain=domain,
-    )
+def _partition(schema, rows, aggregate, domain, column="Name"):
+    """PAR(rows, Dim.column) restricted to ``domain``: a one-branch
+    keyed aggregate."""
+    gb = schema.groupby_attribute("Dim", column)
+    return multi_partition_plan(schema, rows, [gb],
+                                schema.measures[f"amount_{aggregate}"],
+                                domains=[domain])
+
+
+def _groups(backend, plan) -> dict:
+    (groups,) = backend.execute(plan).values()
+    return groups
 
 
 @pytest.mark.parametrize("aggregate", ALL_AGGREGATES)
@@ -108,25 +112,34 @@ def test_domain_filled_empty_group(schema, backends, aggregate):
     with the pinned empty-input value."""
     mem, sq = backends
     plan = _partition(schema, (0, 1), aggregate, domain=("a", "b"))
-    mem_result = mem.execute(plan)
-    assert mem_result == sq.execute(plan)
+    mem_result = _groups(mem, plan)
+    assert mem_result == _groups(sq, plan)
     assert mem_result["b"] == EMPTY_FILL[aggregate]
     assert mem_result["a"] is not None
 
 
 @pytest.mark.parametrize("aggregate", ALL_AGGREGATES)
 def test_domain_fill_through_fused_path(schema, backends, aggregate):
-    """The MultiGroupAggregate domains fill agrees with the single-key
-    fill on both backends."""
+    """Inside a two-branch plan each branch's domain fill agrees with
+    its one-branch plan, on both backends."""
     mem, sq = backends
-    gb = schema.groupby_attribute("Dim", "Name")
-    plan = multi_partition_plan(schema, (0, 1), [gb],
+    name = schema.groupby_attribute("Dim", "Name")
+    key = schema.groupby_attribute("Dim", "DimKey")
+    domains = [("a", "b"), (1, 2)]
+    plan = multi_partition_plan(schema, (0, 1), [name, key],
                                 schema.measures[f"amount_{aggregate}"],
-                                domains=[("a", "b")])
+                                domains=domains)
     mem_result = mem.execute(plan)
     assert mem_result == sq.execute(plan)
-    groups = mem_result[attr_key(gb).fingerprint()]
-    assert groups["b"] == EMPTY_FILL[aggregate]
+    assert mem_result[attr_key(name).fingerprint()]["b"] \
+        == EMPTY_FILL[aggregate]
+    assert mem_result[attr_key(key).fingerprint()][2] \
+        == EMPTY_FILL[aggregate]
+    for gb, domain in zip((name, key), domains):
+        single = _partition(schema, (0, 1), aggregate, domain,
+                            column=gb.ref.column)
+        assert mem_result[attr_key(gb).fingerprint()] \
+            == _groups(mem, single) == _groups(sq, single)
 
 
 @pytest.mark.parametrize("aggregate", ALL_AGGREGATES)
@@ -135,8 +148,8 @@ def test_empty_rowset_child(schema, backends, aggregate):
     mem, sq = backends
     plan = _partition(schema, (), aggregate, domain=("a", "b"))
     want = {"a": EMPTY_FILL[aggregate], "b": EMPTY_FILL[aggregate]}
-    assert mem.execute(plan) == want
-    assert sq.execute(plan) == want
+    assert _groups(mem, plan) == want
+    assert _groups(sq, plan) == want
 
 
 @pytest.mark.parametrize("aggregate", ALL_AGGREGATES)

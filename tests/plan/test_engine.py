@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.plan import QueryEngine
+from repro.plan import QueryEngine, attr_key, multi_partition_plan
 from repro.warehouse import Subspace, dice, pivot, slice_
 
 from ..warehouse.subspace_oracle import LocalKernel, star_net_rows
@@ -59,6 +59,15 @@ class TestCaching:
         key = next(iter(first))
         first[key] = -1.0
         assert bound.partition_aggregates(gb, "revenue")[key] != -1.0
+        # a keyed plan executed directly: its per-branch dicts are copies
+        plan = multi_partition_plan(
+            ebiz, lcd.fact_rows,
+            [gb, ebiz.groupby_attribute("PGROUP", "GroupName")],
+            ebiz.measures["revenue"])
+        fused = engine.execute(plan)
+        fp = attr_key(gb).fingerprint()
+        fused[fp][key] = -1.0
+        assert engine.execute(plan)[fp][key] != -1.0
 
 
 class TestParityWithLocalLoops:

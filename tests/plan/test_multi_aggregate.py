@@ -4,9 +4,9 @@ The contract under test: ``multi_partition_aggregates`` over N group-bys
 is *semantically identical* to N independent
 ``subspace_partition_aggregates`` calls — on the in-memory backend, the
 sqlite backend, a ResilientBackend-wrapped backend, and the pinned
-local kernel (``subspace_oracle``) — while executing as one fused plan.  The awkward
-aggregate semantics (empty-domain fills, all-NULL groups) must not
-diverge between the single and fused paths for any aggregate.
+local kernel (``subspace_oracle``) — while executing as one plan.  The
+awkward aggregate semantics (empty-domain fills, all-NULL groups) must
+not diverge between one-branch and multi-branch plans for any aggregate.
 """
 
 import pytest
@@ -19,7 +19,7 @@ from repro.plan import (
     RowSet,
     attr_key,
     multi_partition_plan,
-    subspace_partition_plan,
+    subspace_aggregate_plan,
 )
 from repro.relational import (
     Database,
@@ -191,6 +191,37 @@ class TestEmptyDomainFills:
 
 
 # ----------------------------------------------------------------------
+# one attribute under several domains in one call
+# ----------------------------------------------------------------------
+class TestRepeatedAttribute:
+    @pytest.mark.parametrize("backend", ["memory", "sqlite"])
+    def test_two_domains_and_a_repeat(self, agg_schema, backend):
+        """Name under two domains plus an exact repeat of one of them (and
+        Size beside them) answers like one call per attribute: each plan's
+        keys are distinct, so the second Name branch runs in a second
+        round."""
+        name, size = _gbs(agg_schema)
+        gbs = [name, size, name, name]
+        domains = [("a", "b"), None, ("b", "c", "__absent__"), ("a", "b")]
+        engine = QueryEngine(agg_schema, backend=backend)
+        sub = Subspace.full(agg_schema, engine=engine)
+        fused = engine.multi_partition_aggregates(sub, gbs, "m_sum",
+                                                  domains=domains)
+        assert engine.counters.ops["MultiGroupAggregate"].calls == 2
+        engine.close()
+        fresh = QueryEngine(agg_schema, backend=backend)
+        sub = Subspace.full(agg_schema, engine=fresh)
+        singles = [fresh.subspace_partition_aggregates(sub, gb, "m_sum",
+                                                       domain=domain)
+                   for gb, domain in zip(gbs, domains)]
+        fresh.close()
+        assert fused == singles
+        assert fused[0] == {"a": 5.5, "b": 0}
+        assert fused[2] == {"b": 0, "c": -2.0, "__absent__": 0}
+        assert fused[3] == fused[0] and fused[3] is not fused[0]
+
+
+# ----------------------------------------------------------------------
 # fingerprint stability
 # ----------------------------------------------------------------------
 class TestFingerprints:
@@ -218,19 +249,21 @@ class TestFingerprints:
         assert forward.fingerprint() != unrestricted.fingerprint()
 
     def test_never_collides_with_single_group_aggregate(self, agg_schema):
-        """A fused plan over one subspace must never share a cache slot
-        with any single-key plan — even for the same key set."""
+        """A multi-branch plan never shares a cache slot with one of its
+        one-branch plans (the engine caches each branch under its own),
+        and no keyed plan shares one with the scalar aggregate of the
+        same rows."""
         gbs = _gbs(agg_schema)
         measure = agg_schema.measures["m_sum"]
         rows = (0, 1, 2)
         multi = multi_partition_plan(agg_schema, rows, gbs, measure)
-        singles = [subspace_partition_plan(agg_schema, rows, gb, measure)
-                   for gb in gbs]
-        single_prints = {plan.fingerprint() for plan in singles}
-        assert multi.fingerprint() not in single_prints
-        # ... and a one-key fused plan differs from the one-key single
-        lone = multi_partition_plan(agg_schema, rows, gbs[:1], measure)
-        assert lone.fingerprint() not in single_prints
+        lones = [multi_partition_plan(agg_schema, rows, [gb], measure)
+                 for gb in gbs]
+        lone_prints = {plan.fingerprint() for plan in lones}
+        assert len(lone_prints) == len(gbs)
+        assert multi.fingerprint() not in lone_prints
+        scalar = subspace_aggregate_plan(agg_schema, rows, measure)
+        assert scalar.fingerprint() not in lone_prints | {multi.fingerprint()}
 
     def test_distinct_measures_distinct_fingerprints(self, agg_schema):
         gbs = _gbs(agg_schema)
@@ -248,10 +281,14 @@ class TestFingerprints:
         sub = Subspace.full(agg_schema, engine=engine)
         first = engine.multi_partition_aggregates(sub, gbs, "m_sum")
         misses = engine.cache_stats.misses
-        # reversed order canonicalises to the same fingerprint: pure hit
+        # every branch is cached under its own fingerprint: in any order
+        # a repeat is all hits, and the fused plan itself holds no entry
         second = engine.multi_partition_aggregates(sub, gbs[::-1], "m_sum")
         assert engine.cache_stats.misses == misses
         assert second == first[::-1]
+        assert engine.cache_key(multi_partition_plan(
+            agg_schema, sub.fact_rows, gbs,
+            agg_schema.measures["m_sum"]).fingerprint()) not in engine.cache
 
 
 # ----------------------------------------------------------------------

@@ -6,6 +6,7 @@ from repro.plan import (
     AttrKey,
     Filter,
     GroupAggregate,
+    MultiGroupAggregate,
     Partition,
     RowSet,
     Scan,
@@ -81,10 +82,10 @@ class TestFingerprints:
         assert a.fingerprint() != c.fingerprint()
 
     def test_domain_distinguishes_aggregates(self):
-        base = Partition(RowSet("TRANSITEM", (1, 2)),
-                         (AttrKey("PGROUP", "GroupName", EMPTY_PATH),))
-        a = GroupAggregate(base, "sum", "1")
-        b = GroupAggregate(base, "sum", "1", domain=("VCR",))
+        rows = RowSet("TRANSITEM", (1, 2))
+        keys = (AttrKey("PGROUP", "GroupName", EMPTY_PATH),)
+        a = MultiGroupAggregate(rows, keys, "sum", "1")
+        b = MultiGroupAggregate(rows, keys, "sum", "1", domains=(("VCR",),))
         assert a.fingerprint() != b.fingerprint()
 
 
@@ -103,10 +104,19 @@ class TestValidation:
         with pytest.raises(ValueError):
             Partition(Scan("TRANSITEM"), ())
 
+    def test_partition_refuses_one_key(self):
+        """One key is a one-branch MultiGroupAggregate, never a
+        partition."""
+        key = AttrKey("TRANSITEM", "Quantity", EMPTY_PATH)
+        with pytest.raises(ValueError, match="one-branch"):
+            Partition(Scan("TRANSITEM"), (key,))
+
     def test_row_source_unwraps(self):
         scan = Scan("TRANSITEM")
-        part = Partition(scan, (AttrKey("TRANSITEM", "Quantity",
-                                        EMPTY_PATH),))
-        agg = GroupAggregate(part, "sum", "1")
-        assert row_source(agg) is scan
+        keys = (AttrKey("TRANSITEM", "Quantity", EMPTY_PATH),
+                AttrKey("TRANSITEM", "UnitPrice", EMPTY_PATH))
+        pivot = GroupAggregate(Partition(scan, keys), "sum", "1")
+        keyed = MultiGroupAggregate(scan, keys[:1], "sum", "1")
+        assert row_source(pivot) is scan
+        assert row_source(keyed) is scan
         assert row_source(scan) is scan

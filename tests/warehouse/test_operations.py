@@ -57,6 +57,22 @@ class TestDice:
         nested = slice_(slice_(full, cat, "Bikes"), color, "Black")
         assert diced.fact_rows == nested.fact_rows
 
+    @pytest.mark.parametrize("backend", ["memory", "sqlite"])
+    def test_empty_value_set_selects_nothing(self, aw_online, backend):
+        """An attribute diced to no values selects no rows, answered
+        without a query, alike on every backend."""
+        engine = QueryEngine(aw_online, backend=backend)
+        full = Subspace.full(aw_online, engine=engine)
+        color = aw_online.groupby_attribute("DimProduct", "Color")
+        calls = engine.counters.total_calls
+        assert dice(full, {color: []}).is_empty
+        assert engine.filter_rows(full, [(color, ())]) == ()
+        cat = aw_online.groupby_attribute("DimProductCategory",
+                                          "ProductCategoryName")
+        assert dice(full, {cat: ["Bikes"], color: []}).is_empty
+        assert engine.counters.total_calls == calls
+        engine.close()
+
 
 class TestDrillDown:
     def test_descends_one_level(self, aw_online, full):

@@ -7,6 +7,8 @@ from repro.evalkit import (
     render_table,
 )
 
+from ..goldens import assert_golden, paper_tables
+
 
 class TestRenderTable:
     def test_alignment(self):
@@ -47,3 +49,10 @@ class TestRenderFacets:
         assert "Product Dimension" in out
         assert "Mountain Bikes" in out
         assert "promoted" in out
+
+
+class TestPaperTableGoldens:
+    def test_tables_1_and_2_match_goldens(self, aw_online):
+        # rendered as the full report renders them, byte for byte
+        for name, text in paper_tables(aw_online).items():
+            assert_golden(name, text)

@@ -13,6 +13,8 @@ from repro.relational.errors import (
     SchemaError,
 )
 
+from .goldens import FIGURES, assert_golden
+
 SMALL = ["--facts", "2000", "--warehouse", "online"]
 
 
@@ -231,20 +233,23 @@ class TestSql:
         assert "FROM FactInternetSales" in out
 
 
+def assert_figure_golden(capsys, name: str) -> None:
+    """The figure's full stdout is its committed golden, byte for byte."""
+    code = main(FIGURES[name])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert_golden(name, out)
+
+
 class TestExperiment:
+    def test_figure4_online_small(self, capsys):
+        assert_figure_golden(capsys, "figure4_online")
+
     def test_figure4_reseller_small(self, capsys):
-        code = main(["--facts", "2000", "--warehouse", "reseller",
-                     "experiment", "figure4"])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "top-x" in out
-        assert "standard" in out
+        assert_figure_golden(capsys, "figure4_reseller")
 
     def test_figure7_small(self, capsys):
-        code = main(["--facts", "3000", "experiment", "figure7"])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "iteration" in out
+        assert_figure_golden(capsys, "figure7")
 
 
 class TestWarehouses:
@@ -258,18 +263,10 @@ class TestWarehouses:
 
 class TestExperimentFigures:
     def test_figure5_small(self, capsys):
-        code = main(["--facts", "2000", "experiment", "figure5"])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "buckets" in out
-        assert "YearlyIncome" in out
+        assert_figure_golden(capsys, "figure5")
 
     def test_figure6_small(self, capsys):
-        code = main(["--facts", "2000", "--warehouse", "reseller",
-                     "experiment", "figure6"])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "AnnualSales" in out
+        assert_figure_golden(capsys, "figure6")
 
 
 SCALE = ["--facts", "3000", "--warehouse", "scale"]

@@ -20,13 +20,16 @@ cost becomes proportional to *relevant* chunks rather than table rows.
 
 Chunk kernels mirror the plain-array kernels of
 :mod:`repro.relational.vector` — same arguments, same results, same
-NULL semantics — but exploit the encoding: a dictionary ``IN`` probes
-the (tiny) dictionary once instead of every row; an RLE selection
-over a whole chunk slices matching runs out of the selection instead of
-testing row by row.  Selection vectors are **global** row ids and must
-be ascending, exactly as everywhere else in the engine.  Kernels return
-the selection's own int objects and never build new ones, so every
-cached selection over a table shares the ints of its one full scan.
+NULL semantics — but exploit the encoding: a dictionary selection
+probes the (tiny) dictionary once, translates the codes into a one-byte
+match mask in C and compresses the selection with it; an RLE selection
+(whole chunk or partial) walks only the runs it touches
+(:meth:`RLEChunk.runs`, run ends found by bisection) and keeps or drops
+each run's slice of the selection whole.  Selection vectors are
+**global** row ids and must be ascending, exactly as everywhere else in
+the engine.  Kernels return the selection's own int objects and never
+build new ones, so every cached selection over a table shares the ints
+of its one full scan.
 
 All chunk boundaries are uniform (``chunk i`` covers rows
 ``[i * size, (i + 1) * size)``), so chunk lists of different columns of
@@ -36,7 +39,9 @@ in lockstep.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from bisect import bisect_left, bisect_right
+from itertools import compress
+from typing import Iterable, Iterator, Sequence
 
 CHUNK_SIZE = 4096
 """Rows per encoded chunk (matches the executor's batch size, so one
@@ -107,9 +112,7 @@ class ColumnChunk:
             return True
         lo, hi = zone.lo, zone.hi
         try:
-            return any(
-                v is not None and lo <= v <= hi for v in wanted
-            )
+            return any(v is not None and lo <= v <= hi for v in wanted)
         except TypeError:
             return True
 
@@ -136,7 +139,8 @@ class ColumnChunk:
         raise NotImplementedError
 
     def gather(self, row_ids: Sequence[int]) -> list:
-        """Values at the given (ascending, in-chunk) global row ids."""
+        """Values at the given (ascending, in-chunk) global row ids (an
+        RLE chunk has none: its callers walk :meth:`RLEChunk.runs`)."""
         raise NotImplementedError
 
     def select_in(self, wanted, keep_null: bool, row_ids: Sequence[int]) -> list[int]:
@@ -180,9 +184,7 @@ class PlainChunk(ColumnChunk):
         base = self.base
         if keep_null:
             return [r for r in row_ids if base[r] in wanted]
-        return [
-            r for r in row_ids if base[r] is not None and base[r] in wanted
-        ]
+        return [r for r in row_ids if base[r] is not None and base[r] in wanted]
 
     def select_range(
         self, low, high, inclusive_high: bool, row_ids: Sequence[int]
@@ -190,13 +192,9 @@ class PlainChunk(ColumnChunk):
         base = self.base
         if inclusive_high:
             return [
-                r
-                for r in row_ids
-                if base[r] is not None and low <= base[r] <= high
+                r for r in row_ids if base[r] is not None and low <= base[r] <= high
             ]
-        return [
-            r for r in row_ids if base[r] is not None and low <= base[r] < high
-        ]
+        return [r for r in row_ids if base[r] is not None and low <= base[r] < high]
 
 
 class DictChunk(ColumnChunk):
@@ -209,8 +207,9 @@ class DictChunk(ColumnChunk):
 
     encoding = "dict"
 
-    def __init__(self, codes: bytes, dictionary: list,
-                 start: int, stop: int, zone: ZoneMap):
+    def __init__(
+        self, codes: bytes, dictionary: list, start: int, stop: int, zone: ZoneMap
+    ):
         super().__init__(start, stop, zone)
         self.codes = codes
         self.dictionary = dictionary
@@ -236,12 +235,15 @@ class DictChunk(ColumnChunk):
     def _select_codes(self, hits: set[int], row_ids: Sequence[int]) -> list[int]:
         if not hits:
             return []
-        codes = self.codes
-        if len(row_ids) == len(codes):
-            # the whole chunk: the selection aligns with the codes
-            return [r for r, c in zip(row_ids, codes) if c in hits]
+        table = bytearray(256)
+        for code in hits:
+            table[code] = 1
+        mask = self.codes.translate(table)  # one 0/1 byte per row, in C
+        if len(row_ids) == len(mask):
+            # the whole chunk: the selection aligns with the mask
+            return list(compress(row_ids, mask))
         start = self.start
-        return [r for r in row_ids if codes[r - start] in hits]
+        return [r for r in row_ids if mask[r - start]]
 
     def select_in(self, wanted, keep_null: bool, row_ids: Sequence[int]) -> list[int]:
         return self._select_codes(self._wanted_codes(wanted, keep_null), row_ids)
@@ -272,8 +274,14 @@ class RLEChunk(ColumnChunk):
 
     encoding = "rle"
 
-    def __init__(self, run_values: list, run_ends: list[int],
-                 start: int, stop: int, zone: ZoneMap):
+    def __init__(
+        self,
+        run_values: list,
+        run_ends: list[int],
+        start: int,
+        stop: int,
+        zone: ZoneMap,
+    ):
         super().__init__(start, stop, zone)
         self.run_values = run_values
         self.run_ends = run_ends
@@ -286,48 +294,33 @@ class RLEChunk(ColumnChunk):
             prev = end
         return out
 
-    def _runs(self):
-        """(value, local_start, local_end) triples."""
-        prev = 0
-        for value, end in zip(self.run_values, self.run_ends):
-            yield value, prev, end
-            prev = end
-
-    def gather(self, row_ids: Sequence[int]) -> list:
-        out: list = []
-        ends, values, start = self.run_ends, self.run_values, self.start
-        idx = 0
-        for r in row_ids:
-            local = r - start
-            while ends[idx] <= local:
-                idx += 1
-            out.append(values[idx])
-        return out
+    def runs(self, row_ids: Sequence[int] | None = None) -> Iterator[tuple]:
+        """``(value, rows)`` for each run the ascending in-chunk selection
+        ``row_ids`` touches, in row order: ``rows`` is the run's slice of
+        the selection, or a ``range`` of global ids when ``row_ids`` is
+        None (the whole chunk).  Run ends are found by bisection, so the
+        cost grows with the runs touched, not with rows."""
+        start, ends, values = self.start, self.run_ends, self.run_values
+        if row_ids is None:
+            row_ids = range(start, self.stop)
+        i, n, idx = 0, len(row_ids), 0
+        while i < n:
+            idx = bisect_right(ends, row_ids[i] - start, idx)
+            j = bisect_left(row_ids, start + ends[idx], i + 1)
+            yield values[idx], row_ids[i:j]
+            i = j
 
     def _select_runs(self, match, row_ids: Sequence[int]) -> list[int]:
         out: list[int] = []
-        if len(row_ids) == len(self):
-            # the whole chunk: a matching run is a slice of the selection
-            for value, lo, hi in self._runs():
-                if match(value):
-                    out.extend(row_ids[lo:hi])
-            return out
-        ends, values, start = self.run_ends, self.run_values, self.start
-        idx = 0
-        for r in row_ids:
-            local = r - start
-            while ends[idx] <= local:
-                idx += 1
-            if match(values[idx]):
-                out.append(r)
+        for value, rows in self.runs(row_ids):
+            if match(value):
+                out.extend(rows)
         return out
 
     def select_in(self, wanted, keep_null: bool, row_ids: Sequence[int]) -> list[int]:
         if keep_null:
             return self._select_runs(lambda v: v in wanted, row_ids)
-        return self._select_runs(
-            lambda v: v is not None and v in wanted, row_ids
-        )
+        return self._select_runs(lambda v: v is not None and v in wanted, row_ids)
 
     def select_range(
         self, low, high, inclusive_high: bool, row_ids: Sequence[int]
@@ -336,9 +329,7 @@ class RLEChunk(ColumnChunk):
             return self._select_runs(
                 lambda v: v is not None and low <= v <= high, row_ids
             )
-        return self._select_runs(
-            lambda v: v is not None and low <= v < high, row_ids
-        )
+        return self._select_runs(lambda v: v is not None and low <= v < high, row_ids)
 
 
 # ----------------------------------------------------------------------
@@ -390,8 +381,10 @@ def encode_chunk(base: Sequence, start: int, stop: int) -> ColumnChunk:
         lo, hi = _zone_bounds(v for v in run_values if v is not None)
         zone = ZoneMap(lo, hi, null_count, distinct_hint)
         return RLEChunk(run_values, run_ends, start, start + n, zone)
-    lo, hi = _zone_bounds(non_null) if not distinct_overflow else \
-        _zone_bounds(v for v in span if v is not None)
+    if distinct_overflow:
+        lo, hi = _zone_bounds(v for v in span if v is not None)
+    else:
+        lo, hi = _zone_bounds(non_null)
     zone = ZoneMap(lo, hi, null_count, distinct_hint)
     if not distinct_overflow and len(distinct) * 4 <= n:
         encoding = {value: code for code, value in enumerate(distinct)}
@@ -400,8 +393,7 @@ def encode_chunk(base: Sequence, start: int, stop: int) -> ColumnChunk:
     return PlainChunk(base, start, start + n, zone)
 
 
-def encode_column(base: Sequence,
-                  chunk_size: int = CHUNK_SIZE) -> list[ColumnChunk]:
+def encode_column(base: Sequence, chunk_size: int = CHUNK_SIZE) -> list[ColumnChunk]:
     """Encode a whole column into uniform-boundary chunks."""
     return [
         encode_chunk(base, start, min(start + chunk_size, len(base)))

@@ -11,6 +11,8 @@ dispatches per row.
 
 from __future__ import annotations
 
+from functools import reduce
+from operator import add, countOf
 from typing import Callable, Iterable, Sequence
 
 from . import vector
@@ -76,11 +78,13 @@ class AggregateStates:
 
     Each group's state is a small mutable list, so partial states (a
     materialized view and its append delta, or finer views rolled up)
-    merge afterwards.  The accumulation loops add measure values *in
-    ascending row order*, except that an RLE run is folded as one
-    C-level ``sum`` before it joins its group's state; every caller
-    shares these loops, so a scan and a materialized view agree bit for
-    bit.  Only :meth:`merge` re-associates additions.
+    merge afterwards.  One fold rule: every accumulation loop adds
+    measure values into the group's state one by one *in ascending row
+    order* (an RLE run is folded in one C-level pass that starts from
+    the state), so a group's aggregate never depends on which other
+    rows are selected, on the encoding, or on the Python version, and a
+    scan and a materialized view agree bit for bit.  Only :meth:`merge`
+    re-associates additions.
 
     Group-existence semantics match :func:`~repro.relational.vector.
     group_rows` + fold exactly: a group exists whenever its (non-NULL)
@@ -109,9 +113,10 @@ class AggregateStates:
         replace per-row hashing."""
         raise NotImplementedError
 
-    def add_rle(self, states: dict, chunk: RLEChunk,
+    def add_rle(self, states: dict, runs: Iterable[tuple],
                 measure: Sequence) -> None:
-        """Accumulate one full RLE chunk: one state lookup per run."""
+        """Accumulate the ``(value, rows)`` runs of an RLE chunk
+        (:meth:`RLEChunk.runs`): one state lookup per run."""
         raise NotImplementedError
 
     def merge(self, into: list, other: list) -> None:
@@ -162,22 +167,14 @@ class _SumStates(AggregateStates):
             if state is not None and m is not None:
                 state[0] += m
 
-    def add_rle(self, states, chunk, measure) -> None:
+    def add_rle(self, states, runs, measure) -> None:
         get = states.get
-        start = chunk.start
-        prev = 0
-        for value, end in zip(chunk.run_values, chunk.run_ends):
+        for value, rows in runs:
             if value is not None:
                 state = get(value)
                 if state is None:
                     state = states[value] = [0]
-                segment = measure[start + prev:start + end]
-                try:
-                    # run-level C fold: the whole point of RLE chunks
-                    state[0] += sum(segment)
-                except TypeError:   # a None in the run: per-row guard
-                    state[0] += sum(m for m in segment if m is not None)
-            prev = end
+                state[0] = _fold(state[0], measure, rows)[0]
 
     def merge(self, into, other) -> None:
         into[0] += other[0]
@@ -210,18 +207,15 @@ class _CountStates(AggregateStates):
             if state is not None and m is not None:
                 state[0] += 1
 
-    def add_rle(self, states, chunk, measure) -> None:
+    def add_rle(self, states, runs, measure) -> None:
         get = states.get
-        start = chunk.start
-        prev = 0
-        for value, end in zip(chunk.run_values, chunk.run_ends):
+        for value, rows in runs:
             if value is not None:
                 state = get(value)
                 if state is None:
                     state = states[value] = [0]
-                segment = measure[start + prev:start + end]
-                state[0] += len(segment) - segment.count(None)
-            prev = end
+                state[0] += len(rows) - countOf(
+                    _run_measures(measure, rows), None)
 
     def merge(self, into, other) -> None:
         into[0] += other[0]
@@ -257,26 +251,15 @@ class _AvgStates(AggregateStates):
                 state[0] += m
                 state[1] += 1
 
-    def add_rle(self, states, chunk, measure) -> None:
+    def add_rle(self, states, runs, measure) -> None:
         get = states.get
-        start = chunk.start
-        prev = 0
-        for value, end in zip(chunk.run_values, chunk.run_ends):
+        for value, rows in runs:
             if value is not None:
                 state = get(value)
                 if state is None:
                     state = states[value] = [0.0, 0]
-                segment = measure[start + prev:start + end]
-                try:
-                    total = sum(segment)    # run-level C fold
-                    count = len(segment)
-                except TypeError:   # a None in the run: filter first
-                    values = [m for m in segment if m is not None]
-                    total = sum(values)
-                    count = len(values)
-                state[0] += total
+                state[0], count = _fold(state[0], measure, rows)
                 state[1] += count
-            prev = end
 
     def merge(self, into, other) -> None:
         into[0] += other[0]
@@ -314,25 +297,21 @@ class _MinStates(AggregateStates):
                     and (state[0] is None or m < state[0])):
                 state[0] = m
 
-    def add_rle(self, states, chunk, measure) -> None:
+    def add_rle(self, states, runs, measure) -> None:
         get = states.get
-        start = chunk.start
-        prev = 0
-        for value, end in zip(chunk.run_values, chunk.run_ends):
+        for value, rows in runs:
             if value is not None:
                 state = get(value)
                 if state is None:
                     state = states[value] = [None]
-                segment = measure[start + prev:start + end]
                 try:
-                    low = min(segment)      # run-level C fold
+                    low = min(_run_measures(measure, rows))
                 except TypeError:   # a None in the run: filter first
-                    low = min((m for m in segment if m is not None),
-                              default=None)
+                    low = min((m for m in _run_measures(measure, rows)
+                               if m is not None), default=None)
                 if low is not None and (state[0] is None
                                         or low < state[0]):
                     state[0] = low
-            prev = end
 
     def merge(self, into, other) -> None:
         if other[0] is not None and (into[0] is None
@@ -369,25 +348,21 @@ class _MaxStates(AggregateStates):
                     and (state[0] is None or m > state[0])):
                 state[0] = m
 
-    def add_rle(self, states, chunk, measure) -> None:
+    def add_rle(self, states, runs, measure) -> None:
         get = states.get
-        start = chunk.start
-        prev = 0
-        for value, end in zip(chunk.run_values, chunk.run_ends):
+        for value, rows in runs:
             if value is not None:
                 state = get(value)
                 if state is None:
                     state = states[value] = [None]
-                segment = measure[start + prev:start + end]
                 try:
-                    high = max(segment)     # run-level C fold
+                    high = max(_run_measures(measure, rows))
                 except TypeError:   # a None in the run: filter first
-                    high = max((m for m in segment if m is not None),
-                               default=None)
+                    high = max((m for m in _run_measures(measure, rows)
+                                if m is not None), default=None)
                 if high is not None and (state[0] is None
                                          or high > state[0]):
                     state[0] = high
-            prev = end
 
     def merge(self, into, other) -> None:
         if other[0] is not None and (into[0] is None
@@ -396,6 +371,25 @@ class _MaxStates(AggregateStates):
 
     def final(self, state):
         return state[0]
+
+
+def _run_measures(measure: Sequence, rows: Sequence[int]) -> Iterable:
+    """The measures at one run's ``rows`` in row order: a slice for a
+    whole-chunk ``range``, else a lazy C-level gather."""
+    if type(rows) is range:
+        return measure[rows.start:rows.stop]
+    return map(measure.__getitem__, rows)
+
+
+def _fold(start, measure: Sequence, rows: Sequence[int]) -> tuple:
+    """``(start + m + m + ..., n)`` over the ``n`` non-NULL measures at
+    ``rows``, added one by one in row order in one C-level pass: a run
+    joins its group's state exactly as the per-row loop would add it."""
+    try:
+        return reduce(add, _run_measures(measure, rows), start), len(rows)
+    except TypeError:   # a None in the run: per-row guard
+        values = [m for m in _run_measures(measure, rows) if m is not None]
+        return reduce(add, values, start), len(values)
 
 
 AGGREGATE_STATES: dict[str, AggregateStates] = {
@@ -410,11 +404,11 @@ def accumulate_chunk(acc: AggregateStates, states: dict,
                      row_ids: Sequence[int] | None) -> None:
     """Accumulate one key chunk into ``states`` (``row_ids=None`` means
     the whole chunk), dispatching to the encoding's fast loop."""
-    if row_ids is None:
+    if isinstance(chunk, RLEChunk):
+        acc.add_rle(states, chunk.runs(row_ids), measure)
+    elif row_ids is None:
         if isinstance(chunk, DictChunk):
             acc.add_dict(states, chunk, measure)
-        elif isinstance(chunk, RLEChunk):
-            acc.add_rle(states, chunk, measure)
         else:
             acc.add_pairs(states, chunk.values(),
                           range(chunk.start, chunk.stop), measure)

@@ -2,13 +2,19 @@
 
 Randomized (hypothesis) checks that the chunk layer is a pure storage
 change: the memory backend's chunked ``Filter`` — ``IN`` / ``BETWEEN``
-predicates and attribute value sets — and the fused aggregate states must return exactly what a scalar
-reference loop over the plain values returns, for full scans and for
-arbitrary ascending sub-selections, and zone maps may only ever *skip*
-chunks that provably contain no match.
+predicates and attribute value sets — and the fused aggregate states
+must return exactly what a scalar reference loop over the plain values
+returns, for full scans and for arbitrary ascending sub-selections, and
+zone maps may only ever *skip* chunks that provably contain no match.
+Aggregates are compared exactly: every kernel adds a group's measures
+left to right in ascending row order, as the reference does.  Forced-
+encoding cases pin each encoding against the selection shapes random
+examples seldom reach (a whole chunk, mid-run cuts, NULL-keyed runs).
 """
 
-from functools import partial
+from functools import partial, reduce
+from itertools import groupby
+from operator import add
 from unittest import mock
 
 import pytest
@@ -30,9 +36,12 @@ from repro.relational.chunks import (
     DictChunk,
     PlainChunk,
     RLEChunk,
+    ZoneMap,
     encode_column,
 )
 from repro.relational.operators import (
+    AGGREGATE_STATES,
+    accumulate_chunk,
     chunked_group_states,
     finalize_group_states,
     merge_group_states,
@@ -292,8 +301,8 @@ class TestGroupingParity:
             [chunks], measure, aggregate,
             rows if use_subset else None)
         result = finalize_group_states(aggregate, states[0])
-        assert result == pytest.approx(self.reference(
-            keys, measure, rows, aggregate))
+        # exact: the kernels and the reference add in the same order
+        assert result == self.reference(keys, measure, rows, aggregate)
 
     @given(keys=mixed_values, data=st.data(),
            aggregate=st.sampled_from(["sum", "count", "avg", "min",
@@ -315,22 +324,163 @@ class TestGroupingParity:
         for partial in partials:
             merge_group_states(aggregate, merged, partial)
         result = finalize_group_states(aggregate, merged)
+        # approximate: merging partial states re-associates additions
         assert result == pytest.approx(self.reference(
             keys, measure, list(range(len(keys))), aggregate))
 
     @staticmethod
     def reference(keys, measure, rows, aggregate):
+        """Each group folded left to right in ascending row order (no
+        ``sum()``: it re-associates on Python 3.12)."""
         groups: dict = {}
         for r in rows:
             if keys[r] is not None:
                 groups.setdefault(keys[r], []).append(measure[r])
         folds = {
-            "sum": lambda ms: sum(ms),
+            "sum": lambda ms: reduce(add, ms, 0),
             "count": lambda ms: len(ms),
-            "avg": lambda ms: sum(ms) / len(ms) if ms else None,
+            "avg": lambda ms: reduce(add, ms, 0.0) / len(ms) if ms else None,
             "min": lambda ms: min(ms) if ms else None,
             "max": lambda ms: max(ms) if ms else None,
         }
         fold = folds[aggregate]
         return {value: fold([m for m in ms if m is not None])
                 for value, ms in groups.items()}
+
+
+class TestFoldOrder:
+    def test_rle_group_sum_ignores_other_groups_rows(self):
+        # one RLE chunk of four runs; dropping the last row (a 'b' row)
+        # must not move group 'a' by a single bit
+        keys = ["a"] * 8 + ["b"] * 8 + ["a"] * 8 + ["b"] * 8
+        measure = [0.1] * 8 + [0.7] * 8 + [0.3] * 8 + [0.7] * 8
+        chunks = encode_column(keys, chunk_size=32)
+        assert [chunk.encoding for chunk in chunks] == ["rle"]
+        for aggregate in ("sum", "avg"):
+            whole, cut = (
+                finalize_group_states(aggregate, chunked_group_states(
+                    [chunks], measure, aggregate, rows)[0])["a"]
+                for rows in (None, list(range(31))))
+            assert whole == cut
+
+    def test_rle_run_adds_in_row_order(self):
+        # sum() of forty 0.1s is 4.0 on Python 3.12 (compensated) but
+        # 4.000000000000002 added one by one; a run must give the latter
+        chunks = encode_column(["a"] * 40, chunk_size=40)
+        assert [chunk.encoding for chunk in chunks] == ["rle"]
+        (states,) = chunked_group_states([chunks], [0.1] * 40, "sum")
+        assert finalize_group_states("sum", states) == {
+            "a": reduce(add, [0.1] * 40, 0)}
+
+
+# ----------------------------------------------------------------------
+# forced encodings
+# ----------------------------------------------------------------------
+OFFSET = 64 * SIZE
+"""Forced chunks start here, so every row id is past the small-int
+cache and ``is`` tells the selection's own ints from fresh ones."""
+
+FORCED_KEYS = [v for v in (1, None, 2, 3, 3, 1, None, 2, 2, 5, 1, None)
+               for _ in range(4)]
+"""Three chunks of four-row runs: NULL-keyed runs, a run of 3s that
+crosses the first chunk boundary, and repeated values."""
+
+FORCED_MEASURE = [None if i % 7 == 3 else (0.1, 0.7, 0.3, 1.9)[i % 4]
+                  for i in range(len(FORCED_KEYS))]
+"""Float measures with a NULL inside several runs."""
+
+FORCED_SELECTIONS = {
+    "empty": [],
+    "one row": [5],
+    "whole chunk": list(range(SIZE, 2 * SIZE)),
+    "whole column": list(range(len(FORCED_KEYS))),
+    "crosses a boundary": list(range(SIZE - 3, SIZE + 4)),
+    "mid-run to mid-run": list(range(2, 11)),
+    "sparse": list(range(1, len(FORCED_KEYS), 3)),
+}
+"""Local positions; the tests shift them by ``OFFSET``."""
+
+
+def forced_chunks(values: list, encoding: str) -> list:
+    """``SIZE``-row chunks of ``values`` (placed at ``OFFSET``) all in
+    one ``encoding``, whatever :func:`encode_chunk` would pick."""
+    base = [None] * OFFSET + values
+    chunks = []
+    for start in range(OFFSET, len(base), SIZE):
+        stop = min(start + SIZE, len(base))
+        span = base[start:stop]
+        zone = ZoneMap(None, None, span.count(None), None)
+        if encoding == "plain":
+            chunks.append(PlainChunk(base, start, stop, zone))
+        elif encoding == "dict":
+            dictionary = list(dict.fromkeys(span))
+            codes = bytes(map(dictionary.index, span))
+            chunks.append(DictChunk(codes, dictionary, start, stop, zone))
+        else:
+            run_values, run_ends = [], []
+            for value, run in groupby(span):
+                run_values.append(value)
+                run_ends.append((run_ends[-1] if run_ends else 0)
+                                + len(list(run)))
+            chunks.append(RLEChunk(run_values, run_ends, start, stop, zone))
+    return chunks
+
+
+def walk(chunks: list, rows: list):
+    """``(chunk, sub)`` for each chunk the ascending selection hits."""
+    for chunk in chunks:
+        sub = [r for r in rows if chunk.start <= r < chunk.stop]
+        if sub:
+            yield chunk, sub
+
+
+ENCODINGS = ("dict", "rle", "plain")
+
+
+class TestForcedEncodings:
+    @pytest.mark.parametrize("encoding", ENCODINGS)
+    @pytest.mark.parametrize("selection", FORCED_SELECTIONS)
+    def test_selections_return_reference_rows(self, encoding, selection):
+        chunks = forced_chunks(FORCED_KEYS, encoding)
+        assert {chunk.encoding for chunk in chunks} == {encoding}
+        rows = [OFFSET + i for i in FORCED_SELECTIONS[selection]]
+        own = {id(r) for r in rows}
+        value = {r: FORCED_KEYS[r - OFFSET] for r in rows}
+
+        def check(select, match):
+            out = [r for chunk, sub in walk(chunks, rows)
+                   for r in select(chunk, sub)]
+            assert out == [r for r in rows if match(value[r])]
+            assert all(id(r) in own for r in out)
+
+        for wanted in ({1}, {None, 3}, {None}, {2, 5, 7}, set()):
+            for keep_null in (True, False):
+                check(lambda c, sub: c.select_in(wanted, keep_null, sub),
+                      lambda v: v in wanted
+                      and (keep_null or v is not None))
+        for low, high in ((1, 3), (2, 2), (3, 9)):
+            for inclusive in (True, False):
+                check(lambda c, sub: c.select_range(low, high, inclusive,
+                                                    sub),
+                      lambda v: v is not None and (
+                          low <= v <= high if inclusive
+                          else low <= v < high))
+
+    @pytest.mark.parametrize("encoding", ENCODINGS)
+    @pytest.mark.parametrize("selection", FORCED_SELECTIONS)
+    @pytest.mark.parametrize("aggregate", sorted(AGGREGATE_STATES))
+    def test_states_match_reference_exactly(self, encoding, selection,
+                                            aggregate):
+        keys = [None] * OFFSET + FORCED_KEYS
+        measure = [None] * OFFSET + FORCED_MEASURE
+        rows = [OFFSET + i for i in FORCED_SELECTIONS[selection]]
+        acc, states = AGGREGATE_STATES[aggregate], {}
+        for chunk, sub in walk(forced_chunks(FORCED_KEYS, encoding), rows):
+            # a chunk the selection covers whole takes the fast loop
+            accumulate_chunk(acc, states, chunk, measure,
+                             None if len(sub) == len(chunk) else sub)
+        result = finalize_group_states(aggregate, states)
+        expected = TestGroupingParity.reference(keys, measure, rows,
+                                                aggregate)
+        assert result == expected
+        assert list(result) == list(expected)   # first-seen group order

@@ -17,6 +17,7 @@ import pytest
 
 from repro.service import KdapService, ServiceConfig
 
+from ..goldens import assert_golden, statz_counts
 from .conftest import ServiceClient
 
 
@@ -246,6 +247,12 @@ class TestChaos:
             assert resilience["retries"] + resilience["failovers"] > 0
             backends = {w["backend"] for w in stats["workers"]}
             assert any(b.startswith("resilient(") for b in backends)
+
+    def test_statz_counts_golden(self, ebiz, ebiz_index):
+        """Per-worker plan-cache and resilience counts, the counter
+        roll-up and the resilience roll-up after a fixed request
+        sequence under seeded faults are pinned byte for byte."""
+        assert_golden("statz_chaos", statz_counts(ebiz, ebiz_index))
 
 
 class TestTracing:

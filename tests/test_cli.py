@@ -13,7 +13,7 @@ from repro.relational.errors import (
     SchemaError,
 )
 
-from .goldens import FIGURES, assert_golden
+from .goldens import FIGURES, STATS, assert_golden, stats_json
 
 SMALL = ["--facts", "2000", "--warehouse", "online"]
 
@@ -72,6 +72,12 @@ class TestBackend:
         assert "backend: sqlite" in out
         assert "plan cache" in out
         assert "SqlExecute" in out
+
+    @pytest.mark.parametrize("name", sorted(STATS))
+    def test_stats_json_golden(self, name):
+        """The ``--stats-json`` counts (timings dropped) on memory, sqlite
+        and the resilient wrapper are pinned byte for byte."""
+        assert_golden(name, stats_json(STATS[name]))
 
     def test_unknown_backend_rejected(self, capsys):
         with pytest.raises(SystemExit):

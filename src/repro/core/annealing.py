@@ -23,7 +23,7 @@ import random
 from dataclasses import dataclass
 from typing import Sequence
 
-from .interestingness import pearson_correlation
+from .interestingness import ordered_sum, pearson_correlation
 
 
 @dataclass(frozen=True)
@@ -79,7 +79,7 @@ def merge_series(series: Sequence[float], splits: Sequence[int]) -> list[float]:
     """
     boundaries = [0, *splits, len(series)]
     return [
-        sum(series[boundaries[i]: boundaries[i + 1]])
+        ordered_sum(series[boundaries[i]: boundaries[i + 1]])
         for i in range(len(boundaries) - 1)
     ]
 

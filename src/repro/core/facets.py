@@ -45,7 +45,7 @@ from .attribute_ranking import (
 from .bucketing import ADDITIVE_AGGREGATES, Interval
 from .hits import HitGroup
 from .instance_ranking import rank_instances_batch
-from .interestingness import InterestingnessMeasure, SURPRISE
+from .interestingness import SURPRISE, InterestingnessMeasure, ordered_sum
 from .starnet import Ray, StarNet
 
 
@@ -243,8 +243,8 @@ def _numerical_entries(
         splits = result.splits
     merged_x = merge_series(x, splits)
     merged_y = merge_series(y, splits)
-    total_x = sum(merged_x) or 1.0
-    total_y = sum(merged_y) or 1.0
+    total_x = ordered_sum(merged_x) or 1.0
+    total_y = ordered_sum(merged_y) or 1.0
     boundaries = [0, *splits, len(x)]
     entries = []
     for i in range(len(boundaries) - 1):

@@ -19,7 +19,16 @@ documented convention for degenerate (constant) series.
 from __future__ import annotations
 
 import math
-from typing import Protocol, Sequence
+from functools import reduce
+from operator import add
+from typing import Iterable, Protocol, Sequence
+
+
+def ordered_sum(values: Iterable[float]) -> float:
+    """``0 + v1 + v2 + ...``, added left to right.  The built-in
+    ``sum()`` compensates float rounding from Python 3.12 on, so scores
+    summed with it would depend on the Python version."""
+    return reduce(add, values, 0)
 
 
 def pearson_correlation(x: Sequence[float], y: Sequence[float]) -> float:
@@ -44,14 +53,14 @@ def pearson_correlation(x: Sequence[float], y: Sequence[float]) -> float:
     constant_y = min(y) == max(y)
     if constant_x or constant_y:
         return 1.0 if constant_x and constant_y else 0.0
-    mean_x = sum(x) / n
-    mean_y = sum(y) / n
-    var_x = sum((v - mean_x) ** 2 for v in x)
-    var_y = sum((v - mean_y) ** 2 for v in y)
+    mean_x = ordered_sum(x) / n
+    mean_y = ordered_sum(y) / n
+    var_x = ordered_sum((v - mean_x) ** 2 for v in x)
+    var_y = ordered_sum((v - mean_y) ** 2 for v in y)
     if var_x == 0.0 or var_y == 0.0:
         # not constant, but the squared deviations underflowed
         return 1.0 if var_x == var_y == 0.0 else 0.0
-    cov = sum((a - mean_x) * (b - mean_y) for a, b in zip(x, y))
+    cov = ordered_sum((a - mean_x) * (b - mean_y) for a, b in zip(x, y))
     # take the roots separately: var_x * var_y can underflow to 0.0 for
     # tiny variances even though both factors are positive
     denominator = math.sqrt(var_x) * math.sqrt(var_y)
@@ -118,8 +127,8 @@ class MaxShareDeviationMeasure:
             raise ValueError(f"series length mismatch: {len(x)} vs {len(y)}")
         if not x:
             return 0.0
-        total_x = sum(x)
-        total_y = sum(y)
+        total_x = ordered_sum(x)
+        total_y = ordered_sum(y)
         if total_x == 0.0 or total_y == 0.0:
             return 0.0
         return max(abs(a / total_x - b / total_y) for a, b in zip(x, y))

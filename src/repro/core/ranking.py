@@ -25,6 +25,7 @@ from __future__ import annotations
 import enum
 import math
 
+from .interestingness import ordered_sum
 from .starnet import StarNet
 
 
@@ -68,10 +69,10 @@ def score_star_net(star_net: StarNet,
         # scores averaged over all hits, ignoring the group structure and
         # the full-query rescoring entirely.
         all_hits = [h for g in star_net.hit_groups for h in g.hits]
-        return sum(h.raw_score for h in all_hits) / len(all_hits)
+        return ordered_sum(h.raw_score for h in all_hits) / len(all_hits)
 
     use_size_norm = method is not RankingMethod.NO_GROUP_SIZE_NORM
-    total = sum(
+    total = ordered_sum(
         _group_term(group.mean_score(), group.size, use_size_norm)
         for group in star_net.hit_groups
     )

@@ -11,8 +11,7 @@ timing, so what they pin is counts.  The tests compare full output with
 ``tests/golden/<name>.txt`` through :func:`assert_golden`.
 
 A change that means to move a golden refreshes them in a commit of its
-own, after checking that the new output is the intended one, under
-Python 3.11 and then 3.12::
+own, after checking that the new output is the intended one::
 
     PYTHONPATH=src python -m tests.goldens
 """
@@ -23,7 +22,6 @@ import contextlib
 import io
 import json
 import os
-import sys
 import tempfile
 import urllib.request
 from pathlib import Path
@@ -34,12 +32,6 @@ from repro.core.session import KdapSession
 from repro.evalkit.report import render_facets, render_star_nets
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
-
-VARIANT = ".py312" if sys.version_info >= (3, 12) else ""
-"""Python 3.12's ``sum()`` is compensated and the interestingness scores
-are summed with it, so a score that is zero in exact arithmetic can print
-as ``-0.0000`` there instead of ``+0.0000``: a golden whose 3.12 output
-differs keeps it in a ``<name>.py312.txt`` variant."""
 
 FIGURES = {
     "figure4_online": ["--facts", "2000", "experiment", "figure4"],
@@ -149,15 +141,9 @@ def statz_counts(schema, index) -> str:
     return json.dumps(counts, indent=1, sort_keys=True) + "\n"
 
 
-def golden_path(name: str) -> Path:
-    """The golden file ``name`` for the running Python version."""
-    variant = GOLDEN / f"{name}{VARIANT}.txt"
-    return variant if variant.exists() else GOLDEN / f"{name}.txt"
-
-
 def assert_golden(name: str, text: str) -> None:
     """``text`` must equal the committed golden ``name`` exactly."""
-    path = golden_path(name)
+    path = GOLDEN / f"{name}.txt"
     assert text == path.read_text(encoding="utf-8"), \
         f"output differs from tests/golden/{path.name}"
 
@@ -189,11 +175,7 @@ def refresh() -> None:
     outputs["statz_chaos"] = statz_counts(*_statz_warehouse())
     GOLDEN.mkdir(exist_ok=True)
     for name, text in outputs.items():
-        path = GOLDEN / f"{name}{VARIANT}.txt"
-        if VARIANT and text == (GOLDEN / f"{name}.txt").read_text(
-                encoding="utf-8"):
-            path.unlink(missing_ok=True)    # no 3.12 difference to keep
-            continue
+        path = GOLDEN / f"{name}.txt"
         path.write_text(text, encoding="utf-8")
         print(f"wrote tests/golden/{path.name}")
 

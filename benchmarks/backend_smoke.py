@@ -22,7 +22,7 @@ import time
 
 from repro.core import KdapSession
 from repro.datasets import build_aw_online
-from repro.plan import BACKENDS
+from repro.plan import BACKENDS, cache_stats
 
 QUERY = "California Mountain Bikes"
 
@@ -40,7 +40,7 @@ def run(backend: str, facts: int, seed: int = 42) -> dict:
         second = session.explore(net)  # warm plan-cache pass
         elapsed = time.perf_counter() - started
 
-        stats = session.engine.cache_stats
+        stats = cache_stats(session.metrics.snapshot()["counters"])
         return {
             "backend": session.engine.backend_name,
             "query": QUERY,
@@ -52,12 +52,8 @@ def run(backend: str, facts: int, seed: int = 42) -> dict:
             "facets": len(first.interface.facets),
             "results_identical":
                 first.total_aggregate == second.total_aggregate,
-            "plan_cache": {
-                "hits": stats.hits,
-                "misses": stats.misses,
-                "evictions": stats.evictions,
-                "hit_rate": round(stats.hit_rate, 4),
-            },
+            "plan_cache": {**stats,
+                           "hit_rate": round(stats["hit_rate"], 4)},
             "operators": session.engine.counters.as_dict(),
         }
     finally:

@@ -10,7 +10,7 @@ measures the warm plan-cache path, which should be backend-independent.
 import pytest
 
 from repro.core import KdapSession
-from repro.plan import BACKENDS
+from repro.plan import BACKENDS, cache_stats
 
 QUERY = "California Mountain Bikes"
 
@@ -64,4 +64,5 @@ def test_explore_warm_cache(benchmark, backend_session):
 
     result = benchmark(backend_session.explore, net)
     assert result.interface.facets
-    assert backend_session.engine.cache_stats.hits > 0
+    counters = backend_session.metrics.snapshot()["counters"]
+    assert cache_stats(counters)["hits"] > 0

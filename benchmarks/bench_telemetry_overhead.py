@@ -1,8 +1,8 @@
 """Telemetry overhead benchmark: the always-on tax must stay under 5%.
 
 Two identical :class:`repro.service.KdapService` deployments — one with
-the full telemetry stack (event log, tail sampler, SLO tracker, runtime
-poller), one with ``telemetry=False`` — serve the same mixed template
+the full telemetry stack (event log, tail sampler, SLO tracker), one
+with ``telemetry=False`` — serve the same mixed template
 workload over real sockets.  Both services are live *simultaneously*
 and repeats are tightly interleaved on/off per template, so machine
 drift cannot bias either side, and each request template's cost is

@@ -30,13 +30,14 @@ import time
 from repro.core import KdapSession
 from repro.datasets import AW_ONLINE_QUERIES, build_aw_online
 from repro.obs import Tracer, tracing_scope
-from repro.plan import InMemoryBackend, SqliteBackend
+from repro.plan import InMemoryBackend, SqliteBackend, cache_stats
 from repro.resilience import (
     Budget,
     FaultInjectingBackend,
     ResilientBackend,
     RetryPolicy,
     budget_scope,
+    resilience_stats,
 )
 
 #: Broadest query of the benchmark workload (largest subspace): the
@@ -46,14 +47,15 @@ LARGEST_QUERY = "Bikes"
 OUTCOMES = ("success", "retried_success", "failover_success", "partial")
 
 
-def classify(result, resilience, retries_before: int,
+def classify(result, resilience: dict, retries_before: int,
              failovers_before: int) -> str:
-    """Which clean ending a query reached."""
+    """Which clean ending a query reached (``resilience`` holds the
+    session's counts after it)."""
     if result is not None and result.is_partial:
         return "partial"
-    if resilience.failovers > failovers_before:
+    if resilience["failovers"] > failovers_before:
         return "failover_success"
-    if resilience.retries > retries_before:
+    if resilience["retries"] > retries_before:
         return "retried_success"
     return "success"
 
@@ -71,10 +73,13 @@ def run_seed(schema, queries, seed: int, error_rate: float,
     outcomes = {name: 0 for name in OUTCOMES}
     failures: list[dict] = []
     with KdapSession(schema, backend=backend) as session:
+        def resilience() -> dict:
+            return resilience_stats(session.metrics.snapshot()["counters"],
+                                    backend.last_error)
+
         for query in queries:
             budget = Budget(deadline_ms=deadline_ms)
-            retries = backend.resilience.retries
-            failovers = backend.resilience.failovers
+            before = resilience()
             try:
                 with budget_scope(budget):
                     ranked = session.differentiate(query.text, limit=1)
@@ -84,11 +89,12 @@ def run_seed(schema, queries, seed: int, error_rate: float,
                     if not result.diagnostics.truncations:
                         raise AssertionError(
                             "partial result without diagnostics")
-                outcomes[classify(result, backend.resilience, retries,
-                                  failovers)] += 1
+                outcomes[classify(result, resilience(), before["retries"],
+                                  before["failovers"])] += 1
             except Exception as exc:  # noqa: BLE001 — the contract under test
                 failures.append({"query": query.text,
                                  "error": f"{type(exc).__name__}: {exc}"})
+        cache = cache_stats(session.metrics.snapshot()["counters"])
         report = {
             "seed": seed,
             "error_rate": error_rate,
@@ -96,11 +102,9 @@ def run_seed(schema, queries, seed: int, error_rate: float,
             "outcomes": outcomes,
             "unhandled": failures,
             "faults_injected": faulty.faults_injected,
-            "resilience": backend.resilience.as_dict(),
-            "plan_cache": {
-                "hits": session.engine.cache_stats.hits,
-                "misses": session.engine.cache_stats.misses,
-            },
+            "resilience": resilience(),
+            "plan_cache": {"hits": cache["hits"],
+                           "misses": cache["misses"]},
         }
     return report
 

@@ -43,6 +43,7 @@ add_src_to_path()
 
 from repro.core.session import KdapSession  # noqa: E402
 from repro.datasets import build_scale  # noqa: E402
+from repro.plan import cache_stats  # noqa: E402
 from repro.service.protocol import explore_payload  # noqa: E402
 from repro.textindex.index import AttributeTextIndex  # noqa: E402
 
@@ -74,7 +75,8 @@ def run(facts: int) -> int:
         started = time.perf_counter()
         payloads.append(explore(unit))
         latencies.append((time.perf_counter() - started) * 1000)
-    after, stats = ops(), session.engine.cache_stats
+    after = ops()
+    stats = cache_stats(session.metrics.snapshot()["counters"])
     n = len(latencies)
     digest = digest_of(payloads)
     print(f"p50 {sorted(latencies)[n // 2]:.1f} ms  digest {digest}")
@@ -82,7 +84,7 @@ def run(facts: int) -> int:
         calls0, seconds0 = before.get(op, (0, 0.0))
         print(f"  {op:20s} calls/req {(calls - calls0) / n:5.2f}"
               f"  ms/req {(seconds - seconds0) * 1000 / n:6.2f}")
-    print(f"cache hits={stats.hits} misses={stats.misses}")
+    print(f"cache hits={stats['hits']} misses={stats['misses']}")
     print(f"peak RSS "
           f"{resource.getrusage(resource.RUSAGE_SELF).ru_maxrss // 1024} MiB")
 

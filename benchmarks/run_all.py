@@ -21,7 +21,7 @@ slowdown:
   shed rate and p95 bounded, overload answered with 429s (never 5xx or
   hangs), injected faults absorbed by retry/failover;
 * **telemetry overhead** — the always-on telemetry stack (event log,
-  tail sampler, SLO tracker, runtime poller) against an identical
+  tail sampler, SLO tracker) against an identical
   ``telemetry=False`` deployment (:mod:`bench_telemetry_overhead`):
   paired floor-latency p95 within 5%, every errored request's trace
   persisted, healthy traffic held to the head-sampling cadence, and

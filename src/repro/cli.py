@@ -26,7 +26,8 @@ from .relational.errors import (
     DeadlineExceeded,
     RelationalError,
 )
-from .resilience import Budget, create_resilient_backend
+from .plan import cache_stats
+from .resilience import Budget, create_resilient_backend, resilience_stats
 from .datasets import (
     AW_ONLINE_QUERIES,
     AW_RESELLER_QUERIES,
@@ -217,8 +218,8 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="base seed for per-worker fault schedules")
     serve.add_argument("--no-telemetry", action="store_true",
                        help="disable the always-on telemetry pipeline "
-                            "(event log, tail-based trace sampling, "
-                            "runtime-stats poller, SLO tracking); with "
+                            "(event log, tail-based trace sampling, SLO "
+                            "tracking); with "
                             "--trace-dir this also reverts to writing "
                             "every request's trace unconditionally")
     serve.add_argument("--event-log", metavar="PATH", default=None,
@@ -246,10 +247,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="SLO: burn-rate threshold that must be "
                             "exceeded in both the short and long "
                             "window to raise a slo.burn event")
-    serve.add_argument("--poll-interval-s", type=float, default=0.5,
-                       help="runtime-stats poller period (queue depth / "
-                            "in-flight / utilization / shed-rate "
-                            "gauges on /v1/metricz)")
 
     top = sub.add_parser(
         "top",
@@ -321,23 +318,21 @@ def _stats_payload(session) -> dict:
     """The machine-readable twin of ``render_counters`` plus the
     session's metrics snapshot (--stats-json)."""
     engine = session.engine
-    cache = engine.cache_stats
+    metrics = session.metrics.snapshot()
+    cache = cache_stats(metrics["counters"])
     payload = {
         "backend": engine.backend_name,
-        "plan_cache": {
-            "hits": cache.hits, "misses": cache.misses,
-            "hit_rate": round(cache.hit_rate, 4),
-            "evictions": cache.evictions,
-        },
+        "plan_cache": {**cache, "hit_rate": round(cache["hit_rate"], 4)},
         "operators": engine.counters.as_dict(),
-        "metrics": session.metrics.snapshot(),
+        "metrics": metrics,
     }
     tier = getattr(engine, "tier", None)
     if tier is not None:
         payload["materialize"] = tier.snapshot()
-    resilience = getattr(engine.backend, "resilience", None)
-    if resilience is not None:
-        payload["resilience"] = resilience.as_dict()
+    last_error = getattr(engine.backend, "last_error", None)
+    if last_error is not None:
+        payload["resilience"] = resilience_stats(metrics["counters"],
+                                                 last_error)
     return payload
 
 
@@ -535,7 +530,6 @@ def _serve_config(args):
         slo_target_p95_ms=args.slo_target_p95_ms,
         slo_error_budget=args.slo_error_budget,
         slo_burn_alert=args.slo_burn_alert,
-        poll_interval_s=args.poll_interval_s,
         **overrides,
     )
 

@@ -10,6 +10,8 @@ from typing import Mapping, Sequence
 
 from ..core.facets import FacetedInterface
 from ..core.interpret import ScoredInterpretation
+from ..plan.cache import cache_stats
+from ..resilience.resilient import resilience_stats
 
 
 def render_table(headers: Sequence[str],
@@ -73,29 +75,31 @@ def render_series(x_values: Sequence[object],
     return render_table(headers, rows)
 
 
-def render_counters(engine, metrics=None) -> str:
-    """Render a query engine's per-operator counters and cache stats.
+def render_counters(engine, metrics) -> str:
+    """Render a query engine's per-operator counters and the counts of
+    its session's metrics registry.
 
     ``engine`` is a :class:`~repro.plan.engine.QueryEngine` (anything with
-    ``backend_name``, ``counters`` and ``cache_stats`` duck-types).
-    ``metrics`` is an optional session metrics registry whose
-    ``kdap.match.*`` counters become a per-matcher ``match:`` line.
+    ``backend_name``, ``counters`` and ``backend`` duck-types).
+    ``metrics`` is the session's registry: its plan-cache and
+    resilience counters become the ``plan cache:`` and ``resilience:``
+    lines, its ``kdap.match.*`` counters a per-matcher ``match:`` line.
     """
-    stats = engine.cache_stats
+    counters = metrics.snapshot()["counters"]
+    stats = cache_stats(counters)
     lines = [
         f"backend: {engine.backend_name}",
-        f"plan cache: {stats.hits} hits / {stats.misses} misses "
-        f"({stats.hit_rate:.1%} hit rate), {stats.evictions} evictions",
+        f"plan cache: {stats['hits']} hits / {stats['misses']} misses "
+        f"({stats['hit_rate']:.1%} hit rate), "
+        f"{stats['evictions']} evictions",
     ]
-    if metrics is not None:
-        counters = metrics.snapshot().get("counters", {})
-        prefix = "kdap.match."
-        matched = {name[len(prefix):]: count
-                   for name, count in sorted(counters.items())
-                   if name.startswith(prefix)}
-        if matched:
-            lines.append("match: " + ", ".join(
-                f"{name}={count}" for name, count in matched.items()))
+    prefix = "kdap.match."
+    matched = {name[len(prefix):]: count
+               for name, count in sorted(counters.items())
+               if name.startswith(prefix)}
+    if matched:
+        lines.append("match: " + ", ".join(
+            f"{name}={count}" for name, count in matched.items()))
     tier = getattr(engine, "tier", None)
     if tier is not None:
         snap = tier.snapshot()
@@ -107,12 +111,12 @@ def render_counters(engine, metrics=None) -> str:
             f"({snap['refreshed_rows']} delta rows), "
             f"{snap['rebuilds']} rebuilds"
         )
-    resilience = getattr(engine.backend, "resilience", None)
-    if resilience is not None:
+    if hasattr(engine.backend, "last_error"):
+        resilience = resilience_stats(counters)
         lines.append(
-            f"resilience: {resilience.retries} retries, "
-            f"{resilience.failovers} failovers, "
-            f"{resilience.transient_errors} transient errors"
+            f"resilience: {resilience['retries']} retries, "
+            f"{resilience['failovers']} failovers, "
+            f"{resilience['transient_errors']} transient errors"
         )
     ops = engine.counters.as_dict()
     if ops:

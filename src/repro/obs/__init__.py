@@ -17,9 +17,9 @@ session) emits into it:
   events (JSONL sink optional), the machine-readable operator timeline;
 * :class:`TailSampler` — persist-or-drop decisions for full traces
   after a request ends (errored/truncated/slow/1-in-N head sample);
-* :func:`render_prometheus` / :func:`parse_prometheus` /
-  :class:`RuntimeStatsPoller` — Prometheus text exposition of merged
-  per-worker registries plus background runtime gauges;
+* :func:`render_prometheus` / :func:`parse_prometheus` — Prometheus
+  text exposition of merged per-worker registries, and its strict
+  reader;
 * :class:`SloTracker` — rolling-window latency/error objective with
   multi-window burn-rate alerting.
 
@@ -35,7 +35,7 @@ Public surface::
         Event, EventLog,
         SamplingPolicy, SamplingDecision, TailSampler,
         render_prometheus, parse_prometheus, metric_name,
-        merge_histogram_states, rollup_registries, RuntimeStatsPoller,
+        merge_histogram_states, rollup_registries,
         PROMETHEUS_CONTENT_TYPE,
         SloPolicy, SloTracker,
     )
@@ -78,7 +78,6 @@ from .events import Event, EventLog
 from .sampling import SamplingDecision, SamplingPolicy, TailSampler
 from .promexport import (
     PROMETHEUS_CONTENT_TYPE,
-    RuntimeStatsPoller,
     merge_histogram_states,
     metric_name,
     parse_prometheus,
@@ -102,7 +101,6 @@ __all__ = [
     "NOOP_SPAN",
     "OpProfile",
     "PROMETHEUS_CONTENT_TYPE",
-    "RuntimeStatsPoller",
     "SamplingDecision",
     "SamplingPolicy",
     "SloPolicy",

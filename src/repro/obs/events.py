@@ -84,8 +84,7 @@ class EventLog:
         self._clock = clock
         self._events: deque[Event] = deque(maxlen=capacity)
         self._lock = threading.Lock()
-        self._seq = 0
-        self.emitted = 0
+        self.emitted = 0  # also the last event's sequence number
         self._sink = None
         if sink_path is not None:
             # line-buffered: every event reaches the file as it is
@@ -102,9 +101,8 @@ class EventLog:
         service uses ``op`` for the request kind.
         """
         with self._lock:
-            self._seq += 1
             self.emitted += 1
-            event = Event(self._seq, self._clock(), kind, fields)
+            event = Event(self.emitted, self._clock(), kind, fields)
             self._events.append(event)
             if self._sink is not None:
                 try:

@@ -1,6 +1,6 @@
 """Prometheus text-format exposition over :mod:`repro.obs.metrics`.
 
-Three things live here, all stdlib-only:
+Two things live here, both stdlib-only:
 
 * :func:`render_prometheus` — the ``GET /v1/metricz`` body: every
   counter, gauge, and histogram from one *or several* registries in the
@@ -13,11 +13,6 @@ Three things live here, all stdlib-only:
   exists for the round-trip test (what we expose must be exactly
   re-readable) and for ``repro top``, which scrapes its own server the
   way Prometheus would.
-* :class:`RuntimeStatsPoller` — a background thread that periodically
-  publishes the service runtime's operational gauges (queue depth,
-  in-flight requests, worker utilization, interval shed rate) into the
-  server registry, so ``/v1/metricz`` carries load state even between
-  requests.
 
 Metric names translate mechanically: dotted instrument names become
 underscore-separated (``kdap.explore.seconds`` →
@@ -29,8 +24,6 @@ from __future__ import annotations
 
 import math
 import re
-import threading
-import time
 
 from .metrics import Counter, Gauge, Histogram, MetricsRegistry
 
@@ -237,93 +230,3 @@ def parse_prometheus(text: str) -> dict[str, dict]:
         value = _parse_value(match.group("value"), line_no)
         families[family]["samples"].append((sample_name, labels, value))
     return families
-
-
-# ----------------------------------------------------------------------
-# runtime stats poller
-# ----------------------------------------------------------------------
-class RuntimeStatsPoller:
-    """Publishes service runtime gauges on a background interval.
-
-    Request-path instruments only move when requests move; an idle or
-    saturated server is invisible between them.  The poller closes that
-    gap: every ``interval_s`` it reads the service's queue and pool and
-    sets four gauges in the server registry —
-
-    * ``kdap.runtime.queue_depth`` — admission queue occupancy;
-    * ``kdap.runtime.in_flight`` — requests executing right now;
-    * ``kdap.runtime.worker_utilization`` — in-flight / worker count;
-    * ``kdap.runtime.shed_rate`` — shed fraction of arrivals since the
-      previous poll (0.0 when nothing arrived).
-
-    ``poll_once`` is public so tests (and the service's statz handler)
-    can force a fresh sample without waiting out the interval.  The
-    thread is daemonised and joins on ``stop`` — a wedged poller must
-    never block a drain.
-    """
-
-    SHED_COUNTERS = ("kdap.service.shed.queue_full",
-                     "kdap.service.shed.queue_timeout")
-    ARRIVAL_COUNTERS = SHED_COUNTERS + ("kdap.service.admitted",
-                                        "kdap.service.rejected.draining")
-
-    def __init__(self, service, interval_s: float = 0.5):
-        if interval_s <= 0:
-            raise ValueError("interval_s must be positive")
-        self.service = service
-        self.interval_s = interval_s
-        self.polls = 0
-        self._last_arrivals = 0
-        self._last_shed = 0
-        self._stop = threading.Event()
-        self._thread: threading.Thread | None = None
-        self._lock = threading.Lock()
-
-    def _counter_total(self, names) -> int:
-        registry = self.service.registry
-        return sum(registry.counter(name).value for name in names)
-
-    def poll_once(self) -> dict:
-        """Take one sample and publish the gauges; returns the sample."""
-        service = self.service
-        registry = service.registry
-        with self._lock:
-            self.polls += 1
-            queue_depth = len(service.queue)
-            in_flight = service.pool.in_flight
-            workers = max(service.config.workers, 1)
-            arrivals = self._counter_total(self.ARRIVAL_COUNTERS)
-            shed = self._counter_total(self.SHED_COUNTERS)
-            delta_arrivals = arrivals - self._last_arrivals
-            delta_shed = shed - self._last_shed
-            self._last_arrivals, self._last_shed = arrivals, shed
-        sample = {
-            "queue_depth": float(queue_depth),
-            "in_flight": float(in_flight),
-            "worker_utilization": round(in_flight / workers, 4),
-            "shed_rate": (round(delta_shed / delta_arrivals, 4)
-                          if delta_arrivals > 0 else 0.0),
-        }
-        for name, value in sample.items():
-            registry.gauge(f"kdap.runtime.{name}").set(value)
-        registry.counter("kdap.runtime.polls").inc()
-        return sample
-
-    def _run(self) -> None:
-        while not self._stop.wait(self.interval_s):
-            self.poll_once()
-
-    def start(self) -> None:
-        if self._thread is not None:
-            return
-        self.poll_once()  # gauges exist from the first scrape onward
-        self._thread = threading.Thread(target=self._run,
-                                        name="kdap-runtime-poller",
-                                        daemon=True)
-        self._thread.start()
-
-    def stop(self) -> None:
-        self._stop.set()
-        if self._thread is not None:
-            self._thread.join(timeout=5.0)
-            self._thread = None

@@ -21,9 +21,9 @@ the request finished whether the full trace is worth persisting:
 
 Everything else is dropped, so ``--trace-dir`` stays usable under
 sustained load: disk grows with incidents and the head-sample rate, not
-with traffic.  Decisions are counted per reason (``kdap.trace.*`` when a
-registry is attached) so ``/v1/statz`` can prove the policy is actually
-dropping.
+with traffic.  Decisions are counted per reason, only in the sampler's
+metrics registry (``kdap.trace.*``), so ``/v1/statz`` can prove the
+policy is actually dropping.
 """
 
 from __future__ import annotations
@@ -65,7 +65,8 @@ class TailSampler:
     """Applies a :class:`SamplingPolicy` to finished requests.
 
     Thread-safe: workers finish requests concurrently and the head-sample
-    counter must tick exactly once per considered request.
+    sequence ``considered`` must tick exactly once per request; decisions
+    are counted in ``registry`` (a private one when none is given).
     """
 
     #: Persist reasons, in decision priority order.
@@ -74,11 +75,9 @@ class TailSampler:
     def __init__(self, policy: SamplingPolicy | None = None,
                  registry: MetricsRegistry | None = None):
         self.policy = policy or SamplingPolicy()
-        self.registry = registry
+        self.registry = MetricsRegistry() if registry is None else registry
         self._lock = threading.Lock()
         self.considered = 0
-        self.persisted = {reason: 0 for reason in self.REASONS}
-        self.dropped = 0
 
     def decide(self, *, status: int, elapsed_ms: float,
                truncated: bool = False) -> SamplingDecision:
@@ -98,26 +97,20 @@ class TailSampler:
                 reason = "head"
             else:
                 reason = None
-            if reason is None:
-                self.dropped += 1
-            else:
-                self.persisted[reason] += 1
-        if self.registry is not None:
-            if reason is None:
-                self.registry.counter("kdap.trace.dropped").inc()
-            else:
-                self.registry.counter(f"kdap.trace.sampled.{reason}").inc()
+        self.registry.counter("kdap.trace.dropped" if reason is None
+                              else f"kdap.trace.sampled.{reason}").inc()
         return SamplingDecision(reason is not None, reason)
 
     def snapshot(self) -> dict:
         """JSON-serialisable accounting for ``/v1/statz``."""
-        with self._lock:
-            persisted = dict(self.persisted)
-            return {
-                "policy": {"slow_ms": self.policy.slow_ms,
-                           "head_n": self.policy.head_n},
-                "considered": self.considered,
-                "persisted": persisted,
-                "persisted_total": sum(persisted.values()),
-                "dropped": self.dropped,
-            }
+        counters = self.registry.snapshot()["counters"]
+        persisted = {reason: counters.get(f"kdap.trace.sampled.{reason}", 0)
+                     for reason in self.REASONS}
+        return {
+            "policy": {"slow_ms": self.policy.slow_ms,
+                       "head_n": self.policy.head_n},
+            "considered": self.considered,
+            "persisted": persisted,
+            "persisted_total": sum(persisted.values()),
+            "dropped": counters.get("kdap.trace.dropped", 0),
+        }

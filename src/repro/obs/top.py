@@ -63,9 +63,22 @@ def _bar(fraction: float | None, width: int = 20) -> str:
     return "#" * filled + "." * (width - filled)
 
 
+SHED = ("kdap.service.shed.queue_full", "kdap.service.shed.queue_timeout")
+# a queue-timeout shed was admitted first, so it is no second arrival
+ARRIVALS = ("kdap.service.admitted", "kdap.service.shed.queue_full",
+            "kdap.service.rejected.draining")
+
+
+def _counters(statz: dict | None) -> dict:
+    return (statz or {}).get("service", {}).get("counters", {})
+
+
 def render_dashboard(statz: dict, metrics: dict,
-                     events: list | None = None) -> str:
-    """One dashboard frame from a statz snapshot + parsed metricz."""
+                     events: list | None = None,
+                     previous: dict | None = None) -> str:
+    """One dashboard frame from a statz snapshot + parsed metricz; the
+    shed rate covers the requests that arrived since ``previous`` (the
+    frame before's statz; server start when None)."""
     lines: list[str] = []
     state = statz.get("state", "?")
     uptime = statz.get("uptime_s")
@@ -77,25 +90,32 @@ def render_dashboard(statz: dict, metrics: dict,
     lines.append(f"kdap top — state={state} uptime={_fmt(uptime)}s "
                  f"workers={_fmt(workers)}")
 
-    queue_depth = _metric_value(metrics, "kdap_runtime_queue_depth")
-    in_flight = _metric_value(metrics, "kdap_runtime_in_flight")
-    utilization = _metric_value(metrics,
-                                "kdap_runtime_worker_utilization")
-    shed_rate = _metric_value(metrics, "kdap_runtime_shed_rate")
+    queue_depth = _metric_value(metrics, "kdap_service_queued")
+    in_flight = _metric_value(metrics, "kdap_service_in_flight")
+    utilization = (in_flight / workers
+                   if in_flight is not None and workers else None)
+    counters, before = _counters(statz), _counters(previous)
+
+    def growth(names) -> int:
+        return sum(counters.get(n, 0) - before.get(n, 0) for n in names)
+
+    shed_rate = None
+    if counters:
+        arrivals = growth(ARRIVALS)
+        shed_rate = (round(growth(SHED) / arrivals, 4) if arrivals > 0
+                     else 0.0)
     lines.append(f"  load   queue={_fmt(queue_depth)} "
                  f"in_flight={_fmt(in_flight)} "
                  f"util=[{_bar(utilization)}] {_fmt((utilization or 0) * 100)}% "
                  f"shed_rate={_fmt(shed_rate, 3)}")
 
-    counters = statz.get("service", {}).get("counters", {})
     if counters:
         def status_total(family: str) -> int:
             prefix = f"kdap.service.status.{family}"
             return sum(value for key, value in counters.items()
                        if key.startswith(prefix))
 
-        shed = (counters.get("kdap.service.shed.queue_full", 0)
-                + counters.get("kdap.service.shed.queue_timeout", 0))
+        shed = sum(counters.get(name, 0) for name in SHED)
         lines.append(f"  reqs   admitted="
                      f"{counters.get('kdap.service.admitted', 0)} "
                      f"ok={status_total('2')} 4xx={status_total('4')} "
@@ -164,12 +184,14 @@ def run_top(base_url: str, interval_s: float = 2.0,
     import sys
     out = out if out is not None else sys.stdout
     frame = 0
+    previous = None
     while iterations is None or frame < iterations:
         frame += 1
         try:
             sample = fetch(base_url)
             body = render_dashboard(sample["statz"], sample["metrics"],
-                                    sample.get("events"))
+                                    sample.get("events"), previous)
+            previous = sample["statz"]
         except (urllib.error.URLError, OSError, ValueError) as exc:
             body = f"kdap top — scrape failed: {exc}"
         out.write(CLEAR + body + "\n")

@@ -22,7 +22,7 @@ Public surface::
         BACKENDS, create_backend,
         PlanNode, Scan, RowSet, Filter, Partition,
         GroupAggregate, MultiGroupAggregate, AttrKey,
-        PlanCache, CacheStats, PlanCounters, OpStats,
+        PlanCache, cache_stats, PlanCounters, OpStats,
         compile_plan, compile_multi_plan,
     )
 """
@@ -41,7 +41,7 @@ from .builders import (
     rowset,
     subspace_aggregate_plan,
 )
-from .cache import CacheStats, PlanCache
+from .cache import PlanCache, cache_stats
 from .compile import compile_multi_plan, compile_plan
 from .counters import OpStats, PlanCounters
 from .engine import QueryEngine
@@ -60,7 +60,6 @@ from .nodes import (
 __all__ = [
     "AttrKey",
     "BACKENDS",
-    "CacheStats",
     "ExecutionBackend",
     "Filter",
     "GroupAggregate",
@@ -76,6 +75,7 @@ __all__ = [
     "Scan",
     "SqliteBackend",
     "attr_key",
+    "cache_stats",
     "compile_multi_plan",
     "compile_plan",
     "create_backend",

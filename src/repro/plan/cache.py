@@ -11,25 +11,21 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass
 
 
-@dataclass
-class CacheStats:
-    """Hit/miss/eviction counters."""
+HITS = "kdap.plan.cache.hits"
+MISSES = "kdap.plan.cache.misses"
+EVICTIONS = "kdap.plan.cache.evictions"
+"""The registry counters the engine keeps for its plan cache."""
 
-    hits: int = 0
-    misses: int = 0
-    evictions: int = 0
 
-    @property
-    def total(self) -> int:
-        return self.hits + self.misses
-
-    @property
-    def hit_rate(self) -> float:
-        """Fraction of lookups served from cache (0.0 when unused)."""
-        return self.hits / self.total if self.total else 0.0
+def cache_stats(counters) -> dict:
+    """Plan-cache hits, misses, evictions and hit rate (0.0 when
+    unused) from a registry snapshot's ``counters``."""
+    hits, misses = counters.get(HITS, 0), counters.get(MISSES, 0)
+    return {"hits": hits, "misses": misses,
+            "evictions": counters.get(EVICTIONS, 0),
+            "hit_rate": hits / (hits + misses) if hits + misses else 0.0}
 
 
 _MISSING = object()
@@ -39,10 +35,8 @@ class PlanCache:
     """An LRU mapping from plan fingerprints to execution results.
 
     ``max_entries`` is enforced strictly: inserting into a full cache
-    evicts the least-recently-used entry (and counts it in
-    :attr:`CacheStats.evictions`).  :meth:`get` counts nothing: the
-    engine counts each lookup through :meth:`record`, in the same place
-    it updates the metrics registry.
+    evicts the least-recently-used entry.  The cache counts nothing: the
+    engine counts lookups and evictions in the metrics registry.
     """
 
     def __init__(self, max_entries: int = 4096):
@@ -54,7 +48,6 @@ class PlanCache:
         # from concurrent callers must not interleave with each other or
         # with inserts
         self._lock = threading.Lock()
-        self.stats = CacheStats()
 
     def get(self, fingerprint, default=None):
         """The cached result, or ``default``; refreshes LRU order.  Pass a
@@ -67,28 +60,23 @@ class PlanCache:
             self._entries.move_to_end(fingerprint)
             return value
 
-    def record(self, hit: bool) -> None:
-        """Count one lookup as a hit or a miss."""
-        with self._lock:
-            if hit:
-                self.stats.hits += 1
-            else:
-                self.stats.misses += 1
-
-    def put(self, fingerprint, value) -> None:
-        """Store a result, evicting the LRU entry when full."""
+    def put(self, fingerprint, value) -> int:
+        """Store a result, evicting LRU entries when full; returns how
+        many were evicted."""
         with self._lock:
             if fingerprint in self._entries:
                 self._entries.move_to_end(fingerprint)
                 self._entries[fingerprint] = value
-                return
+                return 0
+            evicted = 0
             while len(self._entries) >= self.max_entries:
                 self._entries.popitem(last=False)
-                self.stats.evictions += 1
+                evicted += 1
             self._entries[fingerprint] = value
+            return evicted
 
     def clear(self) -> None:
-        """Drop every entry (statistics are kept)."""
+        """Drop every entry."""
         with self._lock:
             self._entries.clear()
 

@@ -36,7 +36,7 @@ from .builders import (
     rowset,
     subspace_aggregate_plan,
 )
-from .cache import CacheStats, PlanCache
+from .cache import EVICTIONS, HITS, MISSES, PlanCache
 from .nodes import Filter, GroupAggregate, MultiGroupAggregate, PlanNode, Scan
 
 _MISS = object()
@@ -84,10 +84,6 @@ class QueryEngine:
         return self.backend.name
 
     @property
-    def cache_stats(self) -> CacheStats:
-        return self.cache.stats
-
-    @property
     def counters(self):
         """The backend's per-operator execution counters."""
         return self.backend.counters
@@ -133,7 +129,7 @@ class QueryEngine:
                                    **self._request_tag()) as span:
             rows = self.backend.materialize(plan)
             span.set_tag("rows", len(rows))
-        self.cache.put(key, rows)
+        self._store(key, rows)
         return rows
 
     def execute(self, plan: GroupAggregate | MultiGroupAggregate):
@@ -146,7 +142,7 @@ class QueryEngine:
         if cached is _MISS:
             self._count_lookup(hit=False)
             cached = self._run(plan)
-            self.cache.put(key, cached)
+            self._store(key, cached)
         else:
             self._note_hit(fingerprint, kind="execute")
         if isinstance(plan, MultiGroupAggregate):
@@ -170,14 +166,16 @@ class QueryEngine:
         request_id = current_request_id()
         return {} if request_id is None else {"request": request_id}
 
-    def _count_lookup(self, hit: bool) -> None:
-        """Count one plan-cache lookup in :class:`CacheStats` and the
-        ambient metrics registry — the one place either counts, so the
-        two always agree."""
-        self.cache.record(hit)
-        current_registry().counter(
-            "kdap.plan.cache.hits" if hit
-            else "kdap.plan.cache.misses").inc()
+    @staticmethod
+    def _count_lookup(hit: bool) -> None:
+        """The one place a plan-cache lookup is counted."""
+        current_registry().counter(HITS if hit else MISSES).inc()
+
+    def _store(self, key, value) -> None:
+        """Cache one result, counting the entries it evicts."""
+        evicted = self.cache.put(key, value)
+        if evicted:
+            current_registry().counter(EVICTIONS).inc(evicted)
 
     def _note_hit(self, fingerprint, kind: str) -> None:
         """Count one plan-cache hit and (when tracing) record it as a
@@ -331,7 +329,7 @@ class QueryEngine:
                 answer = tier.answer(gb, measure_name, domain=dk)
                 if answer is not None:
                     self._note_materialized(fingerprint)
-                    self.cache.put(key, answer)
+                    self._store(key, answer)
                     results[index] = dict(answer)
                     continue
             pending[fingerprint] = (gb, dk, fingerprint, [index])
@@ -350,7 +348,7 @@ class QueryEngine:
             executed = self._run(plan)
             for attr, (gb, _, fingerprint, slots) in branches.items():
                 groups = executed[attr]
-                self.cache.put(self.cache_key(fingerprint), groups)
+                self._store(self.cache_key(fingerprint), groups)
                 if tier is not None:
                     tier.note_miss(gb, measure_name, fingerprint)
                 for slot in slots:

@@ -20,7 +20,7 @@ Public surface::
     from repro.resilience import (
         Budget, budget_scope, current_budget,
         Diagnostics, TruncationEvent,
-        ResilientBackend, RetryPolicy, ResilienceStats,
+        ResilientBackend, RetryPolicy, resilience_stats,
         create_resilient_backend,
         FaultInjectingBackend,
     )
@@ -38,10 +38,10 @@ from .diagnostics import Diagnostics, TruncationEvent
 from .faults import FaultInjectingBackend
 from .resilient import (
     DEFAULT_TRANSIENT,
-    ResilienceStats,
     ResilientBackend,
     RetryPolicy,
     create_resilient_backend,
+    resilience_stats,
 )
 
 __all__ = [
@@ -49,7 +49,6 @@ __all__ = [
     "DEFAULT_TRANSIENT",
     "Diagnostics",
     "FaultInjectingBackend",
-    "ResilienceStats",
     "ResilientBackend",
     "RetryPolicy",
     "TruncationEvent",
@@ -59,4 +58,5 @@ __all__ = [
     "check_deadline",
     "create_resilient_backend",
     "current_budget",
+    "resilience_stats",
 ]

@@ -8,10 +8,11 @@ fails over to a fallback backend (the ladder the CLI uses is
 ``sqlite → memory``: the in-memory interpreter evaluates the same
 logical plans over the same warehouse, so failover loses no fidelity).
 
-Every retry and failover is counted in :class:`ResilienceStats`, which
-``explore --stats`` and the chaos-mode smoke benchmark surface, so the
-resilience machinery is observable rather than silently papering over a
-misbehaving backend.
+Every retry, failover and transient error is counted in the ambient
+metrics registry (``kdap.resilience.*``, read back by
+:func:`resilience_stats`), which ``explore --stats``, ``/v1/statz`` and
+the chaos-mode smoke benchmark surface, so the resilience machinery is
+observable rather than silently papering over a misbehaving backend.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from __future__ import annotations
 import logging
 import sqlite3
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..obs.metrics import current_registry
 from ..obs.tracer import current_tracer
@@ -53,33 +54,18 @@ class RetryPolicy:
             delay *= self.multiplier
 
 
-@dataclass
-class ResilienceStats:
-    """Counters describing how hard the wrapper had to work."""
+ERRORS_BY_TYPE = "kdap.resilience.errors."  # + the exception type's name
 
-    retries: int = 0
-    failovers: int = 0
-    transient_errors: int = 0
-    last_error: str = ""
-    errors_by_type: dict[str, int] = field(default_factory=dict)
 
-    def note_error(self, exc: BaseException) -> None:
-        self.transient_errors += 1
-        self.last_error = f"{type(exc).__name__}: {exc}"
-        name = type(exc).__name__
-        self.errors_by_type[name] = self.errors_by_type.get(name, 0) + 1
-        current_registry().counter(
-            "kdap.resilience.transient_errors").inc()
-
-    def as_dict(self) -> dict:
-        """JSON-serialisable snapshot (chaos-mode CI artifact)."""
-        return {
-            "retries": self.retries,
-            "failovers": self.failovers,
-            "transient_errors": self.transient_errors,
-            "last_error": self.last_error,
-            "errors_by_type": dict(sorted(self.errors_by_type.items())),
-        }
+def resilience_stats(counters, last_error: str = "") -> dict:
+    """Retries, failovers and transient errors (in total and by type)
+    from a registry snapshot's ``counters``, plus ``last_error``."""
+    stats = {name: counters.get(f"kdap.resilience.{name}", 0)
+             for name in ("retries", "failovers", "transient_errors")}
+    return {**stats, "last_error": last_error, "errors_by_type": {
+        name[len(ERRORS_BY_TYPE):]: count
+        for name, count in sorted(counters.items())
+        if name.startswith(ERRORS_BY_TYPE)}}
 
 
 class ResilientBackend:
@@ -107,7 +93,8 @@ class ResilientBackend:
         self.primary = primary
         self._fallback_source = fallback
         self.policy = policy or RetryPolicy()
-        self.resilience = ResilienceStats()
+        #: the newest transient error, as ``"Type: message"``
+        self.last_error = ""
         self._sleep = sleep
         self.active = primary
         self._closed = False
@@ -171,18 +158,24 @@ class ResilientBackend:
                     return (getattr(backend, op)(plan),)
                 except self.policy.transient as exc:
                     span.set_error(exc)
-                    self.resilience.note_error(exc)
+                    self._note_error(exc)
                     last = exc
             if delay is None:
                 break
             if not self._deadline_allows(delay):
                 break
-            self.resilience.retries += 1
             current_registry().counter("kdap.resilience.retries").inc()
             logger.debug("retrying %s on %s after %s: %s",
                          op, backend.name, delay, last)
             self._sleep(delay)
         return last
+
+    def _note_error(self, exc: BaseException) -> None:
+        name = type(exc).__name__
+        self.last_error = f"{name}: {exc}"
+        registry = current_registry()
+        registry.counter("kdap.resilience.transient_errors").inc()
+        registry.counter(ERRORS_BY_TYPE + name).inc()
 
     def _deadline_allows(self, delay_s: float) -> bool:
         """False when backing off would sleep past the ambient deadline —
@@ -205,7 +198,6 @@ class ResilientBackend:
                                    from_backend=self.primary.name) as span:
             fallback = source() if callable(source) else source
             span.set_tag("to_backend", fallback.name)
-        self.resilience.failovers += 1
         current_registry().counter("kdap.resilience.failovers").inc()
         logger.warning("failing over from %s to %s",
                        self.primary.name, fallback.name)

@@ -253,4 +253,6 @@ class WorkerPool:
 
     @property
     def in_flight(self) -> float:
-        return self.registry.gauge("kdap.service.in_flight").value
+        """Requests executing now (reading creates no gauge)."""
+        gauge = self.registry.instruments().get("kdap.service.in_flight")
+        return gauge.value if gauge is not None else 0.0

@@ -80,13 +80,11 @@ class ServiceConfig:
         Chrome trace reaches ``<trace_dir>/trace-<request_id>.json`` is
         the tail sampler's call (see ``trace_slow_ms``/``trace_head_n``;
         with telemetry off every trace is written unconditionally).
-    retry_after_s:
-        The ``Retry-After`` hint (seconds) sent with 429/503 responses.
     telemetry:
         Master switch for the always-on pipeline: the structured event
-        log, tail-based trace sampling, the runtime-stats poller behind
-        ``/v1/metricz``, and SLO burn tracking.  False reverts to the
-        bare PR-7 service (no events, unconditional trace writes).
+        log, tail-based trace sampling, and SLO burn tracking.  False
+        reverts to the bare service (no events, unconditional trace
+        writes).
     event_capacity / event_path:
         Ring size of the in-memory event log and an optional JSONL file
         sink mirroring every event for external collectors.
@@ -97,15 +95,12 @@ class ServiceConfig:
         requests are always persisted regardless.  ``trace_slow_ms`` is
         also what "slow" means for ``/v1/slowlogz``: the outcome events
         over it that the ``event_capacity`` ring still holds.
-    slo_target_p95_ms / slo_error_budget / slo_burn_alert /
-    slo_short_window_s / slo_long_window_s:
+    slo_target_p95_ms / slo_error_budget / slo_burn_alert:
         The service objective: a request is *bad* when it errors or
         exceeds ``slo_target_p95_ms``; burn rate is the bad-fraction
-        over the window divided by ``slo_error_budget``, alerting when
-        it exceeds ``slo_burn_alert`` in both windows.
-    poll_interval_s:
-        Runtime-stats poller period (queue depth / in-flight /
-        utilization / shed-rate gauges).
+        over a window divided by ``slo_error_budget``, alerting when
+        it exceeds ``slo_burn_alert`` in both the 60 s and the 600 s
+        window (:class:`~repro.obs.slo.SloPolicy`'s defaults).
     """
 
     workers: int = 4
@@ -123,7 +118,6 @@ class ServiceConfig:
     chaos_seed: int = 0
     materialize: bool = True
     trace_dir: str | None = None
-    retry_after_s: float = 1.0
     telemetry: bool = True
     event_capacity: int = 512
     event_path: str | None = None
@@ -132,9 +126,6 @@ class ServiceConfig:
     slo_target_p95_ms: float = 1_000.0
     slo_error_budget: float = 0.01
     slo_burn_alert: float = 2.0
-    slo_short_window_s: float = 60.0
-    slo_long_window_s: float = 600.0
-    poll_interval_s: float = 0.5
 
     def __post_init__(self) -> None:
         if self.workers < 1:
@@ -151,8 +142,6 @@ class ServiceConfig:
             raise ValueError("event_capacity must be at least 1")
         if self.trace_head_n < 0:
             raise ValueError("trace_head_n must be non-negative")
-        if self.poll_interval_s <= 0:
-            raise ValueError("poll_interval_s must be positive")
 
     @property
     def chaotic(self) -> bool:

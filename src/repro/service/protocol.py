@@ -46,6 +46,7 @@ EXIT_TO_HTTP = {
 
 HTTP_SHED = 429  # queue full or enqueue deadline expired
 HTTP_DRAINING = 503  # server shutting down
+RETRY_AFTER_S = 1  # Retry-After hint (seconds) sent with 429 and 503
 
 
 class RequestError(Exception):

@@ -43,10 +43,9 @@ under ``--trace-dir``.
 With ``telemetry`` on (the default) the service also runs the always-on
 pipeline: every lifecycle transition lands in a bounded
 :class:`~repro.obs.events.EventLog`, full traces are kept only when the
-:class:`~repro.obs.sampling.TailSampler` says they matter, a
-:class:`~repro.obs.promexport.RuntimeStatsPoller` keeps load gauges
-fresh for ``/v1/metricz``, and a :class:`~repro.obs.slo.SloTracker`
-watches the latency/error objective and emits burn events.
+:class:`~repro.obs.sampling.TailSampler` says they matter, and a
+:class:`~repro.obs.slo.SloTracker` watches the latency/error objective
+and emits burn events.
 """
 
 from __future__ import annotations
@@ -66,7 +65,6 @@ from ..obs.events import EventLog
 from ..obs.metrics import MetricsRegistry
 from ..obs.promexport import (
     PROMETHEUS_CONTENT_TYPE,
-    RuntimeStatsPoller,
     render_prometheus,
     rollup_registries,
 )
@@ -75,6 +73,7 @@ from ..obs.slo import SloPolicy, SloTracker
 from ..obs.tracer import Tracer, current_tracer, request_scope, \
     tracing_scope
 from ..plan.backends import InMemoryBackend, create_backend
+from ..plan.cache import cache_stats
 from ..relational.errors import (
     BackendError,
     BudgetExceeded,
@@ -85,6 +84,7 @@ from ..resilience import (
     FaultInjectingBackend,
     ResilientBackend,
     create_resilient_backend,
+    resilience_stats,
 )
 from ..resilience.diagnostics import Diagnostics
 from ..textindex.index import AttributeTextIndex
@@ -93,6 +93,7 @@ from .config import ServiceConfig
 from .protocol import (
     HTTP_DRAINING,
     HTTP_SHED,
+    RETRY_AFTER_S,
     RequestError,
     differentiate_payload,
     error_payload,
@@ -138,8 +139,8 @@ class KdapService:
         else:
             self.tier = None
         # the always-on telemetry pipeline (config.telemetry=False
-        # reverts to the bare service: no events, no sampling, no
-        # poller, no SLO — and unconditional trace writes)
+        # reverts to the bare service: no events, no sampling, no SLO —
+        # and unconditional trace writes)
         if self.config.telemetry:
             self.events: EventLog | None = EventLog(
                 capacity=self.config.event_capacity,
@@ -154,17 +155,12 @@ class KdapService:
                 SloPolicy(
                     target_p95_ms=self.config.slo_target_p95_ms,
                     error_budget=self.config.slo_error_budget,
-                    short_window_s=self.config.slo_short_window_s,
-                    long_window_s=self.config.slo_long_window_s,
                     burn_alert=self.config.slo_burn_alert),
                 event_log=self.events)
-            self.poller: RuntimeStatsPoller | None = RuntimeStatsPoller(
-                self, interval_s=self.config.poll_interval_s)
         else:
             self.events = None
             self.sampler = None
             self.slo = None
-            self.poller = None
         self.queue = AdmissionQueue(self.config.queue_depth, self.registry)
         self.pool = WorkerPool(self.queue, self.config.workers,
                                self._build_session, self._execute,
@@ -196,8 +192,6 @@ class KdapService:
             target=self._httpd.serve_forever, kwargs={"poll_interval": 0.05},
             name="kdap-http", daemon=True)
         self._serve_thread.start()
-        if self.poller is not None:
-            self.poller.start()
         self.state = "serving"
         self._started_at = time.monotonic()
         bound = self._httpd.server_address
@@ -255,8 +249,6 @@ class KdapService:
                 return
             if self.state != "created":
                 self.drain()
-            if self.poller is not None:
-                self.poller.stop()
             self.pool.stop()
             if self._httpd is not None:
                 self._httpd.shutdown()
@@ -308,7 +300,7 @@ class KdapService:
         now = time.monotonic()
         job = Job(spec, request_id, now,
                   now + self.config.enqueue_deadline_ms / 1000.0)
-        retry_after = str(max(1, round(self.config.retry_after_s)))
+        retry_after = str(RETRY_AFTER_S)
         try:
             self.queue.submit(job)
         except Draining:
@@ -566,37 +558,29 @@ class KdapService:
         stats, a cross-session rollup, and the telemetry sections (SLO
         state, event-log accounting, trace-sampling accounting, slow-log
         counts) when telemetry is on."""
+        sessions = list(self.pool.sessions)
         workers = []
-        rollup: dict[str, int] = {}
-        registries = []
-        resilience_rollup = {"retries": 0, "failovers": 0,
-                             "transient_errors": 0}
-        for position, session in enumerate(list(self.pool.sessions)):
-            registries.append(session.metrics)
+        for position, session in enumerate(sessions):
             snapshot = session.metrics.snapshot()
-            cache = session.engine.cache_stats
+            counters = snapshot["counters"]
+            cache = cache_stats(counters)
             entry = {
                 "worker": position,
                 "backend": session.engine.backend_name,
-                "plan_cache": {"hits": cache.hits,
-                               "misses": cache.misses,
-                               "evictions": cache.evictions},
+                "plan_cache": {key: cache[key]
+                               for key in ("hits", "misses", "evictions")},
                 "metrics": snapshot,
             }
-            stats = getattr(session.engine.backend, "resilience", None)
-            if stats is not None:
-                entry["resilience"] = stats.as_dict()
-                resilience_rollup["retries"] += stats.retries
-                resilience_rollup["failovers"] += stats.failovers
-                resilience_rollup["transient_errors"] += \
-                    stats.transient_errors
-            for name, value in snapshot["counters"].items():
-                rollup[name] = rollup.get(name, 0) + value
+            last_error = getattr(session.engine.backend, "last_error", None)
+            if last_error is not None:
+                entry["resilience"] = resilience_stats(counters, last_error)
             workers.append(entry)
-        # merged per-worker histograms: buckets sum elementwise, so the
-        # rollup's count/sum/extremes are fleet-true, not per-worker
-        # (quantile summaries for the merged view ride /v1/metricz)
-        merged = rollup_registries(registries)
+        # the worker registries rolled up: counters sum, and histogram
+        # buckets sum elementwise, so the rollup's count/sum/extremes are
+        # fleet-true, not per-worker (quantile summaries for the merged
+        # view ride /v1/metricz)
+        merged = rollup_registries([session.metrics for session in sessions])
+        rollup = merged["counters"]
         histogram_rollup = {
             name: {"count": state["count"],
                    "sum": round(state["sum"], 6),
@@ -618,7 +602,10 @@ class KdapService:
             "workers": workers,
             "rollup": {"counters": dict(sorted(rollup.items())),
                        "histograms": histogram_rollup,
-                       "resilience": resilience_rollup,
+                       "resilience": {
+                           name: rollup.get(f"kdap.resilience.{name}", 0)
+                           for name in ("retries", "failovers",
+                                        "transient_errors")},
                        **({"materialize": self.tier.snapshot()}
                           if self.tier is not None else {})},
         }

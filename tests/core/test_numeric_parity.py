@@ -23,10 +23,12 @@ from repro.core import (
     rank_groupby_attributes,
 )
 from repro.datasets.scale import build_scale
+from repro.obs import MetricsRegistry, metrics_scope
 from repro.plan import InMemoryBackend, QueryEngine, SqliteBackend
 from repro.resilience import Budget, FaultInjectingBackend, ResilientBackend
 from repro.warehouse import MaterializationTier, Subspace
 
+from ..counts import cache_counts, resilience_counts
 from ..warehouse.subspace_oracle import LocalKernel
 from .numeric_oracle import oracle_numerical_series
 
@@ -90,6 +92,12 @@ def engines(warehouses):
         engine.close()
 
 
+@pytest.fixture(scope="module")
+def registries(engines):
+    """(warehouse, config) -> the metrics registry its engine counts in."""
+    return {key: MetricsRegistry() for key in engines}
+
+
 def _numeric_gbs(schema):
     return [gb for dim in schema.dimensions for gb in dim.groupbys
             if gb.is_numerical]
@@ -138,7 +146,7 @@ def _splits(x, y):
 @settings(max_examples=40, deadline=None, derandomize=True,
           suppress_health_check=SUPPRESS)
 def test_engine_series_equal_the_row_oracle(
-        warehouses, engines, warehouse, data, shape, seed, fraction,
+        warehouses, engines, registries, warehouse, data, shape, seed, fraction,
         rollup_kind, num_buckets, ground_truth):
     schema = warehouses[warehouse]
     gb = data.draw(st.sampled_from(_numeric_gbs(schema)))
@@ -159,36 +167,38 @@ def test_engine_series_equal_the_row_oracle(
         want = None  # DS' holds only NULL attribute values
     for config in [None, *CONFIGS]:  # None: the pinned local kernel
         engine = engines[warehouse, config] if config else local
-        if config and engine.tier is not None and seed % 2:
-            engine.cache.clear()  # let the tier, not the cache, answer
-        sub = Subspace(schema, rows, "DS'", engine=engine)
-        roll = Subspace(schema, rollup_rows, "RUP", engine=engine)
-        if want is None:
-            with pytest.raises(ValueError):
-                numerical_series(sub, roll, gb, "revenue", num_buckets,
-                                 buckets=buckets)
-            continue
-        categories, x, y, used = want
-        pair, got_buckets = numerical_series(
-            sub, roll, gb, "revenue", num_buckets, buckets=buckets)
-        assert pair.categories == categories, config
-        assert got_buckets == used, config
-        assert _close(pair.subspace_series, x), config
-        assert _close(pair.rollup_series, y), config
-        assert _splits(pair.subspace_series, pair.rollup_series) \
-            == _splits(x, y), config
+        with metrics_scope(registries.get((warehouse, config))):
+            if config and engine.tier is not None and seed % 2:
+                engine.cache.clear()  # let the tier, not the cache, answer
+            sub = Subspace(schema, rows, "DS'", engine=engine)
+            roll = Subspace(schema, rollup_rows, "RUP", engine=engine)
+            if want is None:
+                with pytest.raises(ValueError):
+                    numerical_series(sub, roll, gb, "revenue", num_buckets,
+                                     buckets=buckets)
+                continue
+            categories, x, y, used = want
+            pair, got_buckets = numerical_series(
+                sub, roll, gb, "revenue", num_buckets, buckets=buckets)
+            assert pair.categories == categories, config
+            assert got_buckets == used, config
+            assert _close(pair.subspace_series, x), config
+            assert _close(pair.rollup_series, y), config
+            assert _splits(pair.subspace_series, pair.rollup_series) \
+                == _splits(x, y), config
 
 
-def test_parity_examples_reached_every_path(engines):
+def test_parity_examples_reached_every_path(engines, registries):
     """Runs after the property above: its examples must have been served
     by scans, plan-cache hits, tier views and retried SQL alike."""
     for (name, config), engine in engines.items():
-        assert engine.cache_stats.hits and engine.cache_stats.misses, \
-            (name, config)
+        registry = registries[name, config]
+        cache = cache_counts(registry)
+        assert cache["hits"] and cache["misses"], (name, config)
         if engine.tier is not None:
             assert engine.tier.stats.hits, (name, config)
         if config.startswith("resilient"):
-            assert engine.backend.resilience.retries, name
+            assert resilience_counts(registry)["retries"], name
 
 
 def test_null_only_subspace_is_degenerate(scale_with_nulls):
@@ -223,10 +233,10 @@ def test_numeric_candidates_ride_the_fused_query(aw_online):
     assert ops["MultiGroupAggregate"].calls == 2
     assert "Partition" not in ops and "GroupAggregate" not in ops
     calls = engine.counters.total_calls
-    hits = engine.cache_stats.hits
-    numerical_series(sub, roll, income, "revenue")
+    with metrics_scope(MetricsRegistry()) as registry:
+        numerical_series(sub, roll, income, "revenue")
     assert engine.counters.total_calls == calls
-    assert engine.cache_stats.hits == hits + 2
+    assert cache_counts(registry)["hits"] == 2
     engine.close()
 
 

@@ -11,6 +11,8 @@ from repro.core import (
 )
 from repro.datasets import build_aw_online
 
+from ..counts import cache_counts
+
 
 class TestDifferentiate:
     def test_ranked_descending(self, online_session):
@@ -54,20 +56,19 @@ class TestExplore:
     @pytest.mark.parametrize("materialize", [False, True])
     def test_cache_counter_models_agree(self, aw_online, online_session,
                                         materialize):
-        """Regression: a fused call's per-branch cache peek counted in
-        ``CacheStats`` but not in ``kdap.plan.cache.*``, and a branch
-        miss was counted again as the fused plan's miss."""
+        """The registry is the one plan-cache counter model; its counts
+        for this session are pinned at what the retired per-engine
+        counters and the registry agreed on (a fused call's per-branch
+        cache peek once counted in one model but not the other, and a
+        branch miss was counted again as the fused plan's miss)."""
         with KdapSession(aw_online, index=online_session.index,
                          materialize=materialize) as session:
             for query in ("California Mountain Bikes", "Road Bikes",
                           "California Mountain Bikes"):
                 [scored] = session.differentiate(query, limit=1)
                 session.explore(scored.star_net)
-            stats = session.engine.cache_stats
-            counted = session.metrics.counter
-            assert stats.hits > 0 and stats.misses > 0
-            assert stats.hits == counted("kdap.plan.cache.hits").value
-            assert stats.misses == counted("kdap.plan.cache.misses").value
+            stats = cache_counts(session.metrics)
+            assert (stats["hits"], stats["misses"]) == (222, 48)
 
 
 class TestSearch:

@@ -10,6 +10,8 @@ import pytest
 
 from repro.core import KdapSession
 
+from ..counts import cache_counts
+
 
 def _assert_same_result(mem_result, sq_result):
     assert mem_result.subspace.fact_rows == sq_result.subspace.fact_rows
@@ -89,11 +91,11 @@ class TestPlanCache:
         session = KdapSession(ebiz, index=ebiz_session.index)
         first = session.search("Columbus LCD")
         assert first is not None
-        hits_before = session.engine.cache_stats.hits
+        hits_before = cache_counts(session.metrics)["hits"]
         second = session.search("Columbus LCD")
-        stats = session.engine.cache_stats
-        assert stats.hits > hits_before
-        assert stats.hit_rate > 0.0
+        stats = cache_counts(session.metrics)
+        assert stats["hits"] > hits_before
+        assert stats["hit_rate"] > 0.0
         assert first.total_aggregate == pytest.approx(
             second.total_aggregate)
 
@@ -106,7 +108,7 @@ class TestPlanCache:
                 "SqlExecute", {}).get("calls", 0)
             session.search("Columbus LCD")
             after = session.engine.counters.as_dict()["SqlExecute"]["calls"]
-            assert session.engine.cache_stats.hits > 0
+            assert cache_counts(session.metrics)["hits"] > 0
             # repeats are served from the plan cache, not re-run as SQL
             assert after == sql_calls
         finally:

@@ -1,4 +1,4 @@
-"""Prometheus exposition: rendering, strict parsing, rollup, poller."""
+"""Prometheus exposition: rendering, strict parsing, rollup."""
 
 from __future__ import annotations
 
@@ -8,7 +8,6 @@ import pytest
 
 from repro.obs.metrics import Histogram, MetricsRegistry
 from repro.obs.promexport import (
-    RuntimeStatsPoller,
     merge_histogram_states,
     metric_name,
     parse_prometheus,
@@ -82,7 +81,7 @@ class TestRenderParseRoundTrip:
     def _registry(self):
         registry = MetricsRegistry()
         registry.counter("kdap.service.admitted").inc(12)
-        registry.gauge("kdap.runtime.queue_depth").set(3.0)
+        registry.gauge("kdap.service.queued").set(3.0)
         histogram = registry.histogram("kdap.service.seconds.explore",
                                        boundaries=(0.1, 1.0, 10.0))
         for value in (0.05, 0.5, 0.5, 20.0):
@@ -93,8 +92,8 @@ class TestRenderParseRoundTrip:
         text = render_prometheus(self._registry())
         assert "# TYPE kdap_service_admitted counter" in text
         assert "kdap_service_admitted 12" in text
-        assert "# TYPE kdap_runtime_queue_depth gauge" in text
-        assert "kdap_runtime_queue_depth 3" in text
+        assert "# TYPE kdap_service_queued gauge" in text
+        assert "kdap_service_queued 3" in text
 
     def test_histogram_buckets_are_cumulative(self):
         text = render_prometheus(self._registry())
@@ -160,70 +159,3 @@ class TestStrictParser:
         families = parse_prometheus(
             '# TYPE x counter\nx{path="a\\"b"} 1\n')
         assert families["x"]["samples"][0][1] == {"path": 'a"b'}
-
-
-class _StubQueue:
-    def __init__(self, depth):
-        self._depth = depth
-
-    def __len__(self):
-        return self._depth
-
-
-class _StubPool:
-    def __init__(self, in_flight):
-        self.in_flight = in_flight
-
-
-class _StubConfig:
-    workers = 4
-
-
-class _StubService:
-    """The poller's protocol: registry + queue + pool + config."""
-
-    def __init__(self):
-        self.registry = MetricsRegistry()
-        self.queue = _StubQueue(3)
-        self.pool = _StubPool(2)
-        self.config = _StubConfig()
-
-
-class TestRuntimeStatsPoller:
-    def test_poll_once_publishes_gauges(self):
-        service = _StubService()
-        poller = RuntimeStatsPoller(service, interval_s=60.0)
-        sample = poller.poll_once()
-        assert sample["queue_depth"] == 3.0
-        assert sample["in_flight"] == 2.0
-        assert sample["worker_utilization"] == 0.5
-        gauges = service.registry.snapshot()["gauges"]
-        assert gauges["kdap.runtime.queue_depth"] == 3.0
-        assert gauges["kdap.runtime.worker_utilization"] == 0.5
-
-    def test_shed_rate_is_interval_delta(self):
-        service = _StubService()
-        poller = RuntimeStatsPoller(service, interval_s=60.0)
-        poller.poll_once()  # baseline
-        service.registry.counter("kdap.service.admitted").inc(6)
-        service.registry.counter("kdap.service.shed.queue_full").inc(2)
-        sample = poller.poll_once()
-        assert sample["shed_rate"] == 0.25  # 2 shed of 8 arrivals
-        # a quiet interval reports 0.0, not a stale rate
-        assert poller.poll_once()["shed_rate"] == 0.0
-
-    def test_start_stop_lifecycle(self):
-        service = _StubService()
-        poller = RuntimeStatsPoller(service, interval_s=0.01)
-        poller.start()
-        try:
-            assert poller.polls >= 1  # start() primes the gauges
-        finally:
-            poller.stop()
-        polls_after_stop = poller.polls
-        assert poller._thread is None
-        assert poller.polls == polls_after_stop
-
-    def test_interval_validated(self):
-        with pytest.raises(ValueError):
-            RuntimeStatsPoller(_StubService(), interval_s=0.0)

@@ -8,10 +8,12 @@ inline — both must parent under the originating query's span tree.
 
 from repro.core import KdapSession
 from repro.datasets import build_aw_online
-from repro.obs import Tracer, tracing_scope
+from repro.obs import MetricsRegistry, Tracer, metrics_scope, tracing_scope
 from repro.plan import PlanCounters
 from repro.relational.errors import TransientBackendError
 from repro.resilience import ResilientBackend, RetryPolicy
+
+from ..counts import resilience_counts
 
 
 def _find_all(tree: list[dict], name: str) -> list[dict]:
@@ -135,5 +137,6 @@ class TestRetrySpans:
         backend = ResilientBackend(_FlakyThenGood(failures=1),
                                    policy=RetryPolicy(max_attempts=2),
                                    sleep=lambda _s: None)
-        assert backend.materialize(object()) == (1, 2, 3)
-        assert backend.resilience.retries == 1
+        with metrics_scope(MetricsRegistry()) as registry:
+            assert backend.materialize(object()) == (1, 2, 3)
+        assert resilience_counts(registry)["retries"] == 1

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import io
 
-from repro.obs.top import render_dashboard, run_top
+from repro.obs.top import CLEAR, render_dashboard, run_top
 
 STATZ = {
     "state": "serving",
@@ -41,19 +41,21 @@ STATZ = {
 }
 
 METRICS = {
-    "kdap_runtime_queue_depth": {
+    "kdap_service_queued": {
         "type": "gauge",
-        "samples": [("kdap_runtime_queue_depth", {}, 3.0)]},
-    "kdap_runtime_in_flight": {
+        "samples": [("kdap_service_queued", {}, 3.0)]},
+    "kdap_service_in_flight": {
         "type": "gauge",
-        "samples": [("kdap_runtime_in_flight", {}, 2.0)]},
-    "kdap_runtime_worker_utilization": {
-        "type": "gauge",
-        "samples": [("kdap_runtime_worker_utilization", {}, 0.5)]},
-    "kdap_runtime_shed_rate": {
-        "type": "gauge",
-        "samples": [("kdap_runtime_shed_rate", {}, 0.125)]},
+        "samples": [("kdap_service_in_flight", {}, 2.0)]},
 }
+
+
+def _with_counters(**changes) -> dict:
+    """STATZ with some ``kdap.service.*`` counters replaced."""
+    counters = dict(STATZ["service"]["counters"])
+    counters.update({f"kdap.service.{name.replace('__', '.')}": value
+                     for name, value in changes.items()})
+    return {**STATZ, "service": {"counters": counters}}
 
 
 class TestRenderDashboard:
@@ -63,7 +65,24 @@ class TestRenderDashboard:
         assert "workers=4" in frame  # config echo, not the detail list
         assert "queue=3" in frame
         assert "in_flight=2" in frame
-        assert "shed_rate=0.125" in frame
+        assert "] 50%" in frame  # 2 in flight of 4 configured workers
+        # first frame: 4 shed of 45 arrivals since start (a queue
+        # timeout was admitted first, so it is no second arrival)
+        assert "shed_rate=0.089" in frame
+
+    def test_shed_rate_is_frame_delta(self):
+        previous = _with_counters(admitted=36, shed__queue_full=1,
+                                  shed__queue_timeout=1)
+        frame = render_dashboard(STATZ, METRICS, previous=previous)
+        assert "shed_rate=0.250" in frame  # 2 shed of 8 arrivals
+        # a quiet interval reports 0.0, not a stale rate
+        quiet = render_dashboard(STATZ, METRICS, previous=STATZ)
+        assert quiet.splitlines()[1].endswith("shed_rate=0")
+
+    def test_utilisation_uses_the_detail_list_without_config(self):
+        statz = {key: value for key, value in STATZ.items()
+                 if key != "config"}
+        assert "] 100%" in render_dashboard(statz, METRICS)
 
     def test_requests_line_folds_service_counters(self):
         frame = render_dashboard(STATZ, METRICS)
@@ -97,6 +116,7 @@ class TestRenderDashboard:
         assert "slo" not in frame
         assert "reqs" not in frame
         assert "queue=-" in frame  # missing gauges render as '-'
+        assert "shed_rate=-" in frame
 
     def test_recent_events_render(self):
         events = [{"seq": 9, "ts": 1.0, "kind": "finished",
@@ -120,6 +140,23 @@ class TestRunTop:
         assert code == 0
         assert len(fetches) == 3
         assert out.getvalue().count("kdap top") == 3
+
+    def test_each_frame_rates_against_the_one_before(self):
+        out = io.StringIO()
+        samples = iter([
+            _with_counters(admitted=36, shed__queue_full=1,
+                           shed__queue_timeout=1),
+            STATZ,
+        ])
+
+        def fetch(url):
+            return {"statz": next(samples), "metrics": METRICS}
+
+        run_top("http://x", interval_s=0.0, iterations=2, out=out,
+                clock=lambda _s: None, fetch=fetch)
+        first, second = out.getvalue().split(CLEAR)[1:]
+        assert "shed_rate=0.054" in first  # 2 shed of 37 since start
+        assert "shed_rate=0.250" in second  # 2 shed of 8 in between
 
     def test_scrape_failure_renders_error_frame(self):
         out = io.StringIO()

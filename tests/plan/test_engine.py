@@ -2,9 +2,11 @@
 
 import pytest
 
+from repro.obs import MetricsRegistry, metrics_scope
 from repro.plan import QueryEngine, attr_key, multi_partition_plan
 from repro.warehouse import Subspace, dice, pivot, slice_
 
+from ..counts import cache_counts
 from ..warehouse.subspace_oracle import LocalKernel, star_net_rows
 
 
@@ -34,23 +36,41 @@ def lcd(ebiz):
 class TestCaching:
     def test_repeated_aggregate_hits(self, engine, lcd):
         bound = engine.bind(lcd)
-        first = bound.aggregate("revenue")
-        assert engine.cache_stats.hits == 0
-        second = bound.aggregate("revenue")
-        assert engine.cache_stats.hits == 1
+        with metrics_scope(MetricsRegistry()) as registry:
+            first = bound.aggregate("revenue")
+            assert cache_counts(registry)["hits"] == 0
+            second = bound.aggregate("revenue")
+            assert cache_counts(registry)["hits"] == 1
         assert first == second
+
+    def test_evictions_are_counted_in_the_registry(self, ebiz, lcd):
+        engine = QueryEngine(ebiz, max_cache_entries=1)
+        bound = engine.bind(lcd)
+        with metrics_scope(MetricsRegistry()) as registry:
+            bound.aggregate("revenue")
+            bound.partition_aggregates(
+                ebiz.groupby_attribute("LOCATION", "City"), "revenue")
+        assert len(engine.cache) == 1
+        assert cache_counts(registry) == {
+            "hits": 0, "misses": 2, "evictions": 1, "hit_rate": 0.0}
+
+    def test_reading_counts_creates_no_counter(self):
+        registry = MetricsRegistry()
+        assert cache_counts(registry)["hits"] == 0
+        assert len(registry) == 0
 
     def test_identical_plans_share_entries_across_consumers(
             self, ebiz, engine, lcd):
         gb = ebiz.groupby_attribute("LOCATION", "City")
         bound = engine.bind(lcd)
-        bound.partition_aggregates(gb, "revenue")
-        misses = engine.cache_stats.misses
-        # an equal subspace built independently produces the same plan
-        twin = Subspace.of(ebiz, lcd.fact_rows, engine=engine)
-        twin.partition_aggregates(gb, "revenue")
-        assert engine.cache_stats.misses == misses
-        assert engine.cache_stats.hits >= 1
+        with metrics_scope(MetricsRegistry()) as registry:
+            bound.partition_aggregates(gb, "revenue")
+            misses = cache_counts(registry)["misses"]
+            # an equal subspace built independently produces the same plan
+            twin = Subspace.of(ebiz, lcd.fact_rows, engine=engine)
+            twin.partition_aggregates(gb, "revenue")
+        assert cache_counts(registry)["misses"] == misses
+        assert cache_counts(registry)["hits"] >= 1
 
     def test_returned_dict_is_a_copy(self, ebiz, engine, lcd):
         gb = ebiz.groupby_attribute("LOCATION", "City")

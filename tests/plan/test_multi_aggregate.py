@@ -12,6 +12,7 @@ not diverge between one-branch and multi-branch plans for any aggregate.
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.obs import MetricsRegistry, metrics_scope
 from repro.plan import (
     InMemoryBackend,
     MultiGroupAggregate,
@@ -47,6 +48,7 @@ from repro.warehouse import (
     path_from_fk_names,
 )
 
+from ..counts import cache_counts
 from ..integration.test_engine_agreement import CITIES, GROUPS, build_net
 from ..warehouse.subspace_oracle import LocalKernel
 
@@ -279,12 +281,15 @@ class TestFingerprints:
         engine = QueryEngine(agg_schema, backend="memory")
         gbs = _gbs(agg_schema)
         sub = Subspace.full(agg_schema, engine=engine)
-        first = engine.multi_partition_aggregates(sub, gbs, "m_sum")
-        misses = engine.cache_stats.misses
-        # every branch is cached under its own fingerprint: in any order
-        # a repeat is all hits, and the fused plan itself holds no entry
-        second = engine.multi_partition_aggregates(sub, gbs[::-1], "m_sum")
-        assert engine.cache_stats.misses == misses
+        with metrics_scope(MetricsRegistry()) as registry:
+            first = engine.multi_partition_aggregates(sub, gbs, "m_sum")
+            misses = cache_counts(registry)["misses"]
+            # every branch is cached under its own fingerprint: in any
+            # order a repeat is all hits, and the fused plan itself holds
+            # no entry
+            second = engine.multi_partition_aggregates(sub, gbs[::-1],
+                                                       "m_sum")
+        assert cache_counts(registry)["misses"] == misses
         assert second == first[::-1]
         assert engine.cache_key(multi_partition_plan(
             agg_schema, sub.fact_rows, gbs,

@@ -12,12 +12,14 @@ stale data.
 import random
 
 from repro.datasets.scale import build_scale
+from repro.obs import MetricsRegistry, metrics_scope
 from repro.plan.engine import QueryEngine
 from repro.relational.chunks import CHUNK_SIZE
 from repro.relational.table import Table
 from repro.relational.types import float_, integer, text
 from repro.warehouse import MaterializationTier, Subspace
 
+from ..counts import cache_counts
 from ..warehouse.subspace_oracle import LocalKernel
 
 
@@ -146,16 +148,18 @@ def test_plan_cache_epoch_rolls_over_on_any_table_mutation():
     engine = QueryEngine(schema)
     gb = schema.groupby_attribute("DimProduct", "CategoryName")
     full = Subspace.full(schema, engine=engine)
-    first = engine.subspace_partition_aggregates(full, gb, "revenue")
-    assert engine.cache_stats.misses == 1
-    engine.subspace_partition_aggregates(full, gb, "revenue")
-    assert engine.cache_stats.hits == 1  # same epoch: cache hit
-    schema.database.table("DimProduct").insert({
-        "ProductKey": 999, "ProductName": "Epoch Product",
-        "Color": "Red", "CategoryName": "Clothing", "ListPrice": 1.0,
-    })
-    second = engine.subspace_partition_aggregates(full, gb, "revenue")
-    assert engine.cache_stats.misses == 2  # new epoch: no stale hit
+    with metrics_scope(MetricsRegistry()) as registry:
+        first = engine.subspace_partition_aggregates(full, gb, "revenue")
+        assert cache_counts(registry)["misses"] == 1
+        engine.subspace_partition_aggregates(full, gb, "revenue")
+        assert cache_counts(registry)["hits"] == 1  # same epoch: cache hit
+        schema.database.table("DimProduct").insert({
+            "ProductKey": 999, "ProductName": "Epoch Product",
+            "Color": "Red", "CategoryName": "Clothing", "ListPrice": 1.0,
+        })
+        second = engine.subspace_partition_aggregates(full, gb, "revenue")
+    # new epoch: no stale hit
+    assert cache_counts(registry)["misses"] == 2
     assert totals(first) == totals(second)  # new product sold nothing
 
 

@@ -8,6 +8,7 @@ drift under faults.
 
 import pytest
 
+from repro.obs import MetricsRegistry, metrics_scope
 from repro.plan import (
     InMemoryBackend,
     QueryEngine,
@@ -16,6 +17,8 @@ from repro.plan import (
 )
 from repro.relational.errors import DeadlineExceeded, TransientBackendError
 from repro.resilience import Budget, FaultInjectingBackend, budget_scope
+
+from ..counts import cache_counts
 
 
 @pytest.fixture()
@@ -28,25 +31,27 @@ def engine(ebiz):
 class TestBackendErrors:
     def test_failed_materialize_caches_nothing(self, engine, ebiz):
         plan = Scan(ebiz.fact_table)
-        with pytest.raises(TransientBackendError):
+        with metrics_scope(MetricsRegistry()) as registry, \
+                pytest.raises(TransientBackendError):
             engine.materialize(plan)
         assert len(engine.cache) == 0
-        assert engine.cache_stats.misses == 1
-        assert engine.cache_stats.hits == 0
+        assert cache_counts(registry)["misses"] == 1
+        assert cache_counts(registry)["hits"] == 0
 
     def test_retry_after_failure_caches_cleanly(self, engine, ebiz):
         plan = Scan(ebiz.fact_table)
-        with pytest.raises(TransientBackendError):
-            engine.materialize(plan)
-        rows = engine.materialize(plan)  # call 2 succeeds
-        assert rows == tuple(range(ebiz.num_fact_rows))
-        assert len(engine.cache) == 1
-        # third lookup must be served from cache, not the backend
-        backend_calls = engine.backend.calls
-        assert engine.materialize(plan) == rows
+        with metrics_scope(MetricsRegistry()) as registry:
+            with pytest.raises(TransientBackendError):
+                engine.materialize(plan)
+            rows = engine.materialize(plan)  # call 2 succeeds
+            assert rows == tuple(range(ebiz.num_fact_rows))
+            assert len(engine.cache) == 1
+            # third lookup must be served from cache, not the backend
+            backend_calls = engine.backend.calls
+            assert engine.materialize(plan) == rows
         assert engine.backend.calls == backend_calls
-        assert engine.cache_stats.hits == 1
-        assert engine.cache_stats.misses == 2
+        assert cache_counts(registry)["hits"] == 1
+        assert cache_counts(registry)["misses"] == 2
 
     def test_failed_execute_caches_nothing(self, engine, ebiz):
         plan = subspace_aggregate_plan(ebiz, (0, 1, 2),
@@ -100,15 +105,16 @@ class TestFusedPlans:
         engine = QueryEngine(ebiz, backend=faulty)
         plan = multi_partition_plan(ebiz, (0, 1, 2), self._gbs(ebiz),
                                     ebiz.measures["revenue"])
-        with pytest.raises(TransientBackendError):
-            engine.execute(plan)
-        assert len(engine.cache) == 0
-        assert engine.cache_stats.misses == 1
-        # the retry caches exactly one clean entry, then serves hits
-        result = engine.execute(plan)
-        assert len(engine.cache) == 1
-        assert engine.execute(plan) == result
-        assert engine.cache_stats.hits == 1
+        with metrics_scope(MetricsRegistry()) as registry:
+            with pytest.raises(TransientBackendError):
+                engine.execute(plan)
+            assert len(engine.cache) == 0
+            assert cache_counts(registry)["misses"] == 1
+            # the retry caches exactly one clean entry, then serves hits
+            result = engine.execute(plan)
+            assert len(engine.cache) == 1
+            assert engine.execute(plan) == result
+        assert cache_counts(registry)["hits"] == 1
 
     def test_group_budget_abort_leaves_fused_plan_uncached(self, ebiz):
         from repro.relational.errors import BudgetExceeded

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core import KdapSession
+from repro.obs import MetricsRegistry, metrics_scope
 from repro.plan import InMemoryBackend, PlanCounters, SqliteBackend
 from repro.relational.errors import (
     BackendUnavailableError,
@@ -17,6 +18,15 @@ from repro.resilience import (
     budget_scope,
     create_resilient_backend,
 )
+
+from ..counts import resilience_counts
+
+
+@pytest.fixture
+def registry():
+    """A fresh metrics registry, ambient for the test's backend calls."""
+    with metrics_scope(MetricsRegistry()) as installed:
+        yield installed
 
 
 class FlakyBackend:
@@ -90,14 +100,17 @@ NO_SLEEP = lambda s: None  # noqa: E731
 
 
 class TestRetry:
-    def test_transient_error_is_retried_to_success(self):
+    def test_transient_error_is_retried_to_success(self, registry):
         primary = FlakyBackend(failures=2)
         backend = ResilientBackend(primary, sleep=NO_SLEEP)
         assert backend.materialize(None) == (1, 2)
         assert primary.calls == 3
-        assert backend.resilience.retries == 2
-        assert backend.resilience.failovers == 0
-        assert backend.resilience.transient_errors == 2
+        stats = resilience_counts(registry)
+        assert stats["retries"] == 2
+        assert stats["failovers"] == 0
+        assert stats["transient_errors"] == 2
+        assert stats["errors_by_type"] == {"TransientBackendError": 2}
+        assert backend.last_error == "TransientBackendError: flaky call 2"
 
     def test_backoff_is_exponential(self):
         naps = []
@@ -109,14 +122,14 @@ class TestRetry:
         backend.materialize(None)
         assert naps == pytest.approx([0.01, 0.02, 0.04])
 
-    def test_non_transient_error_propagates_immediately(self):
+    def test_non_transient_error_propagates_immediately(self, registry):
         primary = BrokenBackend(error=SchemaError("bad plan"))
         backend = ResilientBackend(primary, fallback=GoodBackend(),
                                    sleep=NO_SLEEP)
         with pytest.raises(SchemaError):
             backend.materialize(None)
         assert primary.calls == 1
-        assert backend.resilience.retries == 0
+        assert resilience_counts(registry)["retries"] == 0
 
     def test_exhausted_retries_without_fallback_raise(self):
         primary = BrokenBackend()
@@ -139,16 +152,16 @@ class TestRetry:
 
 
 class TestFailover:
-    def test_failover_serves_from_fallback(self):
+    def test_failover_serves_from_fallback(self, registry):
         primary = BrokenBackend()
         fallback = GoodBackend()
         backend = ResilientBackend(primary, fallback=fallback,
                                    sleep=NO_SLEEP)
         assert backend.materialize(None) == (7,)
-        assert backend.resilience.failovers == 1
+        assert resilience_counts(registry)["failovers"] == 1
         assert backend.name == "resilient(good)"
 
-    def test_after_failover_primary_is_never_retried(self):
+    def test_after_failover_primary_is_never_retried(self, registry):
         primary = BrokenBackend()
         fallback = GoodBackend()
         backend = ResilientBackend(primary, fallback=fallback,
@@ -159,9 +172,9 @@ class TestFailover:
         backend.execute(None)
         assert primary.calls == calls_after_failover
         assert fallback.calls == 3
-        assert backend.resilience.failovers == 1
+        assert resilience_counts(registry)["failovers"] == 1
 
-    def test_lazy_fallback_factory(self):
+    def test_lazy_fallback_factory(self, registry):
         built = []
 
         def factory():
@@ -172,7 +185,7 @@ class TestFailover:
                                    fallback=factory, sleep=NO_SLEEP)
         backend.materialize(None)  # retry succeeds on the primary
         assert built == []
-        assert backend.resilience.failovers == 0
+        assert resilience_counts(registry)["failovers"] == 0
 
     def test_failing_fallback_raises_unavailable(self):
         backend = ResilientBackend(BrokenBackend(),
@@ -208,7 +221,7 @@ class TestWarehouseIntegration:
             sleep=NO_SLEEP)
         with KdapSession(ebiz, backend=resilient) as session:
             result = session.explore(net)
-            assert resilient.resilience.failovers == 1
+            assert resilience_counts(session.metrics)["failovers"] == 1
             assert result.subspace.fact_rows == expected.subspace.fact_rows
             assert result.total_aggregate == expected.total_aggregate
             assert result.interface.facets == expected.interface.facets

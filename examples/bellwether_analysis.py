@@ -20,7 +20,7 @@ from repro.core import (
     rollup_subspaces,
 )
 from repro.datasets import build_aw_online
-from repro.warehouse import Subspace
+from repro.warehouse import slice_
 
 
 def main() -> None:
@@ -53,24 +53,16 @@ def main() -> None:
     state_gb = schema.groupby_attribute("DimGeography",
                                         "StateProvinceName")
     month_gb = schema.groupby_attribute("DimDate", "MonthName")
-    month_values = schema.groupby_vector(month_gb)
-    domain = subspace.domain(state_gb)
-    global_series = [
-        subspace.partition_aggregates(state_gb, "revenue",
-                                      domain=domain)[s] or 0.0
-        for s in domain
-    ]
+    by_state = subspace.partition_aggregates(state_gb, "revenue")
+    states = sorted(by_state)
+    global_series = [by_state[s] or 0.0 for s in states]
     scored = []
-    for month in sorted(set(subspace.groupby_values(month_gb))):
-        rows = [r for r in subspace.fact_rows if month_values[r] == month]
-        local = Subspace.of(schema, rows, label=month, engine=engine)
-        local_series = [
-            local.partition_aggregates(state_gb, "revenue",
-                                       domain=domain)[s] or 0.0
-            for s in domain
-        ]
+    for month in sorted(subspace.partition_aggregates(month_gb, "revenue")):
+        local = slice_(subspace, month_gb, month)
+        local_by_state = local.partition_aggregates(state_gb, "revenue")
+        local_series = [local_by_state.get(s) or 0.0 for s in states]
         scored.append((pearson_correlation(local_series, global_series),
-                       month, len(rows)))
+                       month, len(local)))
     scored.sort(reverse=True)
     for corr, month, n in scored[:5]:
         print(f"    {month:<10s} corr={corr:+.3f}  ({n} facts)")

@@ -46,28 +46,23 @@ class SeriesPair:
     rollup_series: tuple[float, ...]
 
 
-def categorical_series(
-    subspace: Subspace,
-    rollup: Subspace,
-    gb: GroupByAttribute,
-    measure_name: str,
-) -> SeriesPair:
-    """Series over DOM(DS', attr): one point per distinct categorical value.
-
-    RUP(DS') is restricted to the categories that exist in DS' (the paper's
-    PAR(RUP(DS'), attr) convention).
-    """
-    domain = subspace.domain(gb)
-    x = subspace.partition_aggregates(gb, measure_name, domain=domain)
-    y = rollup.partition_aggregates(gb, measure_name, domain=domain)
-    return _series_pair(domain, x, y)
+def subspace_domain(groups: dict) -> list:
+    """DOM(DS', attr): the non-NULL keys of DS''s own partition
+    aggregate, sorted for determinism (type name first, so mixed-type
+    keys still order)."""
+    return sorted((value for value in groups if value is not None),
+                  key=lambda value: (str(type(value)), value))
 
 
-def _series_pair(domain, x: dict, y: dict) -> SeriesPair:
+def _series_pair(domain: list, x: dict, y: dict) -> SeriesPair:
+    """X and Y over DOM(DS', attr): the roll-up partition is projected
+    onto DS''s categories (the paper restricts PAR(RUP(DS'), attr) to
+    the segments of PAR(DS', attr)); a category the roll-up lacks
+    aggregates over no rows."""
     return SeriesPair(
         categories=tuple(domain),
         subspace_series=tuple(float(x[c] or 0.0) for c in domain),
-        rollup_series=tuple(float(y[c] or 0.0) for c in domain),
+        rollup_series=tuple(float(y.get(c) or 0.0) for c in domain),
     )
 
 
@@ -86,42 +81,39 @@ def candidate_scores(
     per roll-up space answers **all** candidates, numerical ones included
     — they come back as ``{distinct value: aggregate}`` through the same
     plan cache, tier, scan kernel / SQL statement and request budget as
-    the categorical ones, and are only then folded into basic intervals
-    (:func:`fold_numerical`).  Degenerate candidates (empty domain, or a
-    numerical attribute under a non-additive measure) score ``-inf``.
+    the categorical ones.  Every partition is unrestricted: a categorical
+    candidate's domain is the key set of its DS' partition
+    (:func:`subspace_domain`), and a numerical one is folded into basic
+    intervals (:func:`fold_numerical`).  Degenerate candidates (empty
+    domain, or a numerical attribute under a non-additive measure, which
+    is skipped without a query) score ``-inf``.
     """
     if not candidates:
         return []
     if not rollups:
         raise ValueError("at least one roll-up space is required")
-    # numerical candidates partition unrestricted: their DS' keys *are*
-    # the domain, and the fold skips roll-up values outside it.  Under a
-    # non-additive measure they have no sound segments at all: the empty
-    # domain, which is answered without a query
-    numeric_domain = None if _is_additive(subspace, measure_name) else ()
-    domains = [numeric_domain if gb.is_numerical else subspace.domain(gb)
-               for gb in candidates]
-    xs = subspace.multi_partition_aggregates(
-        candidates, measure_name, domains=domains)
-    ys_by_rollup = [
-        rollup.multi_partition_aggregates(candidates, measure_name,
-                                          domains=domains)
-        for rollup in rollups
-    ]
-    scores = []
-    for gb, domain, x, ys in zip(candidates, domains, xs,
-                                 zip(*ys_by_rollup)):
+    additive = _is_additive(subspace, measure_name)
+    scores = [float("-inf")] * len(candidates)
+    scored = [index for index, gb in enumerate(candidates)
+              if additive or not gb.is_numerical]
+    gbs = [candidates[index] for index in scored]
+    xs = subspace.multi_partition_aggregates(gbs, measure_name)
+    ys_by_rollup = [rollup.multi_partition_aggregates(gbs, measure_name)
+                    for rollup in rollups]
+    for index, gb, x, ys in zip(scored, gbs, xs, zip(*ys_by_rollup)):
         pairs: list[SeriesPair] = []
-        if domain is None:
+        if gb.is_numerical:
             try:
                 pairs, _ = fold_numerical(gb, x, ys, num_buckets)
             except ValueError:
                 pass  # no in-domain values in DS': degenerate
-        elif domain:  # an empty domain has nothing to partition
-            pairs = [_series_pair(domain, x, y) for y in ys]
-        scores.append(max(
+        else:
+            domain = subspace_domain(x)
+            if domain:  # an empty domain has nothing to compare
+                pairs = [_series_pair(domain, x, y) for y in ys]
+        scores[index] = max(
             (measure.score_series(pair.subspace_series, pair.rollup_series)
-             for pair in pairs), default=float("-inf")))
+             for pair in pairs), default=float("-inf"))
     return scores
 
 

@@ -19,6 +19,7 @@ from typing import Sequence
 
 from ..warehouse.schema import GroupByAttribute
 from ..warehouse.subspace import Subspace
+from .attribute_ranking import subspace_domain
 
 
 @dataclass(frozen=True)
@@ -28,23 +29,6 @@ class RankedInstance:
     value: object
     aggregate: float
     score: float
-
-
-def instance_score(
-    subspace: Subspace,
-    rollup: Subspace,
-    gb: GroupByAttribute,
-    value,
-    measure_name: str,
-) -> float:
-    """Eq. (2) for a single category against a single roll-up space."""
-    total_sub = subspace.aggregate(measure_name)
-    total_roll = rollup.aggregate(measure_name)
-    sub_part = subspace.partition_aggregates(gb, measure_name, domain=[value])
-    roll_part = rollup.partition_aggregates(gb, measure_name, domain=[value])
-    share_sub = (sub_part[value] or 0.0) / total_sub if total_sub else 0.0
-    share_roll = (roll_part[value] or 0.0) / total_roll if total_roll else 0.0
-    return share_sub - share_roll
 
 
 def rank_instances(
@@ -83,20 +67,19 @@ def rank_instances_batch(
     if not gbs:
         return {}
     total_sub = subspace.aggregate(measure_name)
-    domains = [subspace.domain(gb) for gb in gbs]
-    sub_parts = subspace.multi_partition_aggregates(
-        gbs, measure_name, domains=domains)
+    sub_parts = subspace.multi_partition_aggregates(gbs, measure_name)
+    domains = [subspace_domain(part) for part in sub_parts]
 
-    # per roll-up: one fused partitioning, turned into per-gb share maps
+    # per roll-up: one fused partitioning, projected onto each domain as
+    # per-gb share maps (a value the roll-up lacks has no share)
     shares_roll: list[list[dict]] = [[] for _ in gbs]
     for rollup in rollups:
         total_roll = rollup.aggregate(measure_name)
-        roll_parts = rollup.multi_partition_aggregates(
-            gbs, measure_name, domains=domains)
+        roll_parts = rollup.multi_partition_aggregates(gbs, measure_name)
         for index, (domain, roll_part) in enumerate(zip(domains, roll_parts)):
             shares_roll[index].append(
                 {
-                    value: ((roll_part[value] or 0.0) / total_roll
+                    value: ((roll_part.get(value) or 0.0) / total_roll
                             if total_roll else 0.0)
                     for value in domain
                 }

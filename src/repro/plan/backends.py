@@ -90,27 +90,8 @@ def _empty_result(plan: GroupAggregate):
 
 
 def _empty_multi_result(plan: MultiGroupAggregate) -> dict:
-    """A keyed aggregate over zero rows: every key's dict is its domain
-    fill (empty when unrestricted)."""
-    fill = AGGREGATES[plan.aggregate](())
-    return {
-        key.fingerprint(): ({} if domain is None
-                            else {value: fill for value in domain})
-        for key, domain in plan.branches()
-    }
-
-
-def _fill_domains(plan: MultiGroupAggregate, results: dict) -> dict:
-    """Apply each key's domain restriction/fill to its raw group dict
-    (the memory kernel finalizes only the domain values instead)."""
-    fill = AGGREGATES[plan.aggregate](())
-    out: dict = {}
-    for key, domain in plan.branches():
-        groups = results[key.fingerprint()]
-        if domain is not None:
-            groups = {value: groups.get(value, fill) for value in domain}
-        out[key.fingerprint()] = groups
-    return out
+    """A keyed aggregate over zero rows: an empty dict per key."""
+    return {key.fingerprint(): {} for key in plan.branches()}
 
 
 def _fact_measure(schema: StarSchema, plan) -> list:
@@ -384,14 +365,13 @@ class InMemoryBackend:
             measure = _fact_measure(self.schema, plan)
             branches = plan.branches()
             with self.counters.timed("MultiGroupAggregate") as out:
-                states = self._group_states([key for key, _ in branches],
-                                            rows, measure, plan.aggregate,
+                states = self._group_states(branches, rows, measure,
+                                            plan.aggregate,
                                             "MultiGroupAggregate", out)
-                # a domain restricts what is finalized, not what is scanned
                 results = {
                     key.fingerprint(): finalize_group_states(
-                        plan.aggregate, groups, domain)
-                    for (key, domain), groups in zip(branches, states)
+                        plan.aggregate, groups)
+                    for key, groups in zip(branches, states)
                 }
                 out[0] = sum(len(groups) for groups in states)
             osp.set_tag("rows", out[0])
@@ -552,14 +532,14 @@ class SqliteBackend:
         # — restore engine values (booleans, dates) per key column
         key_types = [
             self.schema.database.table(key.table).column(key.column).type
-            for key, _ in branches
+            for key in branches
         ]
-        raw: dict = {key.fingerprint(): {} for key, _ in branches}
+        results: dict = {key.fingerprint(): {} for key in branches}
         for index, value, agg in result_rows:
-            key, _ = branches[index]
-            raw[key.fingerprint()][from_sqlite(value, key_types[index])] = \
+            results[branches[index].fingerprint()][
+                from_sqlite(value, key_types[index])] = \
                 self._restore_aggregate(plan.aggregate, agg)
-        return _fill_domains(plan, raw)
+        return results
 
     # -- helpers -------------------------------------------------------
     def _compile(self, plan: PlanNode):

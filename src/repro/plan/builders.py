@@ -69,9 +69,8 @@ def subspace_aggregate_plan(schema, rows: Iterable[int],
     return _aggregate(rowset(schema, rows), measure)
 
 
-def keyed_aggregate(source: PlanNode, gbs: Sequence, measure,
-                    domains: Sequence[tuple | None] | None = None,
-                    ) -> MultiGroupAggregate:
+def keyed_aggregate(source: PlanNode, gbs: Sequence,
+                    measure) -> MultiGroupAggregate:
     """``value → aggregate`` for every given group-by attribute over the
     rows of ``source``, in one plan (one scan, one SQL statement); a
     single attribute is a one-branch plan."""
@@ -81,21 +80,13 @@ def keyed_aggregate(source: PlanNode, gbs: Sequence, measure,
         aggregate=measure.aggregate,
         measure_sql=str(measure.expression),
         measure_expr=measure.expression,
-        domains=(None if domains is None
-                 else tuple(None if d is None else tuple(d)
-                            for d in domains)),
     )
 
 
-def multi_partition_plan(
-    schema,
-    rows: Iterable[int],
-    gbs: Sequence,
-    measure,
-    domains: Sequence[tuple | None] | None = None,
-) -> MultiGroupAggregate:
+def multi_partition_plan(schema, rows: Iterable[int], gbs: Sequence,
+                         measure) -> MultiGroupAggregate:
     """:func:`keyed_aggregate` over a subspace's rows."""
-    return keyed_aggregate(rowset(schema, rows), gbs, measure, domains)
+    return keyed_aggregate(rowset(schema, rows), gbs, measure)
 
 
 def pivot_plan(schema, rows: Iterable[int], rows_gb, cols_gb,

@@ -207,13 +207,10 @@ def compile_multi_plan(plan: MultiGroupAggregate,
     cte_sql = base.render_sql([select_rows])
     measure_sql = qualify_measure(plan.measure_sql, "f")
     branches: list[str] = []
-    for index, (key, domain) in enumerate(plan.branches()):
+    for index, key in enumerate(plan.branches()):
         compiler = _Compiler(database)
         compiler._rows(Scan(_BASE_CTE))
         alias = compiler._group_by(key)
-        if domain is not None:
-            compiler.query.filters.append(AliasFilter(
-                alias, compiler._adapted_isin(key.table, key.column, domain)))
         column = f"{alias}.{key.column}"
         branches.append(compiler.query.render_sql(
             [f"{index} AS branch", f"{column} AS key",

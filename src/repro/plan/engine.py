@@ -45,11 +45,11 @@ _MISS = object()
 class QueryEngine:
     """Evaluate logical plans with caching over a pluggable backend.
 
-    Partition aggregates have one route: every (attribute, domain)
-    branch is cached under its own one-branch ``MultiGroupAggregate``
-    fingerprint, and the branches a call misses run as one
-    ``MultiGroupAggregate`` plan (one scan in memory, one batched
-    statement on sqlite), whether one branch missed or many.
+    Partition aggregates have one route: every attribute's partition is
+    unrestricted and cached under its own one-branch
+    ``MultiGroupAggregate`` fingerprint, and the attributes a call
+    misses run as one ``MultiGroupAggregate`` plan (one scan in memory,
+    one batched statement on sqlite), whether one missed or many.
     """
 
     def __init__(self, schema, backend: str | ExecutionBackend = "memory",
@@ -247,77 +247,47 @@ class QueryEngine:
                                        measure)
         return self.execute(plan)
 
-    def subspace_partition_aggregates(
-        self,
-        subspace: Subspace,
-        gb,
-        measure_name: str,
-        domain: Iterable | None = None,
-    ) -> dict:
-        """value → aggregated measure per group (NULL keys dropped; with a
-        ``domain``, exactly those categories, absent ones aggregating over
-        zero rows)."""
-        domain_key = None if domain is None else tuple(domain)
-        return self._partition_aggregates(subspace, [gb], measure_name,
-                                          [domain_key])[0]
+    def subspace_partition_aggregates(self, subspace: Subspace, gb,
+                                      measure_name: str) -> dict:
+        """value → aggregated measure per group (NULL keys dropped)."""
+        return self._partition_aggregates(subspace, [gb], measure_name)[0]
 
-    def multi_partition_aggregates(
-        self,
-        subspace: Subspace,
-        gbs: Sequence,
-        measure_name: str,
-        domains: Sequence[Iterable | None] | None = None,
-    ) -> list[dict]:
+    def multi_partition_aggregates(self, subspace: Subspace, gbs: Sequence,
+                                   measure_name: str) -> list[dict]:
         """One value→aggregate dict per group-by, over one subspace.
 
         Semantically identical to calling
         :meth:`subspace_partition_aggregates` once per ``gb``, but the
         branches the cache misses run as one plan: the subspace's rows
         are scanned (memory) or shipped to SQL (sqlite) **once** for all
-        of them.  ``domains``, when given, aligns with ``gbs`` (None
-        entries meaning unrestricted).
+        of them.
         """
-        gbs = list(gbs)
-        if domains is None:
-            domain_keys: list[tuple | None] = [None] * len(gbs)
-        else:
-            domain_keys = [None if d is None else tuple(d) for d in domains]
-            if len(domain_keys) != len(gbs):
-                raise ValueError("domains must align one-to-one with gbs")
-        return self._partition_aggregates(subspace, gbs, measure_name,
-                                          domain_keys)
+        return self._partition_aggregates(subspace, list(gbs), measure_name)
 
     def _partition_aggregates(self, subspace: Subspace, gbs: list,
-                              measure_name: str,
-                              domain_keys: list[tuple | None]) -> list[dict]:
+                              measure_name: str) -> list[dict]:
         """The one body behind both partition-aggregate entry points.
 
-        Each (gb, domain) branch is looked up under its own one-branch
+        Each attribute is looked up under its own one-branch
         ``MultiGroupAggregate`` fingerprint (a hit counts one lookup),
-        then asked of the tier; the branches both miss run as one plan
-        per round of distinct attributes (each round counts one miss)
-        and are cached branch by branch.  The multi-branch plan itself
-        is never cached: no lookup would ever name it.
+        then asked of the tier; the attributes both miss run as one plan
+        (counting one miss) and are cached branch by branch.  The
+        multi-branch plan itself is never cached: no lookup would ever
+        name it.
         """
+        if subspace.is_empty:
+            return [{} for _ in gbs]
         measure = self.schema.measures[measure_name]
-        fill = AGGREGATES[measure.aggregate](())
         tier = self.tier if self._tier_covers(subspace) else None
         source = rowset(self.schema, subspace.fact_rows)
         results: list[dict | None] = [None] * len(gbs)
-        # one-branch fingerprint -> (gb, domain, fingerprint, result slots)
+        # one-branch fingerprint -> (gb, result slots)
         pending: dict[tuple, tuple] = {}
-        for index, (gb, dk) in enumerate(zip(gbs, domain_keys)):
-            if subspace.is_empty or (dk is not None and not dk):
-                # nothing to aggregate: the domain fill, without a query
-                # (which also keeps ``IN ()`` out of the SQL path)
-                results[index] = ({} if dk is None
-                                  else {value: fill for value in dk})
-                continue
-            fingerprint = keyed_aggregate(source, [gb], measure,
-                                          [dk]).fingerprint()
+        for index, gb in enumerate(gbs):
+            fingerprint = keyed_aggregate(source, [gb], measure).fingerprint()
             entry = pending.get(fingerprint)
             if entry is not None:
-                entry[3].append(index)
+                entry[1].append(index)
                 continue
             key = self.cache_key(fingerprint)
             cached = self.cache.get(key, _MISS)
@@ -326,28 +296,20 @@ class QueryEngine:
                 results[index] = dict(cached)
                 continue
             if tier is not None:
-                answer = tier.answer(gb, measure_name, domain=dk)
+                answer = tier.answer(gb, measure_name)
                 if answer is not None:
                     self._note_materialized(fingerprint)
                     self._store(key, answer)
                     results[index] = dict(answer)
                     continue
-            pending[fingerprint] = (gb, dk, fingerprint, [index])
-        while pending:
-            # a plan's branch keys are distinct, so an attribute asked
-            # for under a second domain waits for the next round
-            branches: dict[tuple, tuple] = {}
-            for fingerprint, (gb, *_) in list(pending.items()):
-                attr = attr_key(gb).fingerprint()
-                if attr not in branches:
-                    branches[attr] = pending.pop(fingerprint)
-            plan = keyed_aggregate(
-                source, [gb for gb, _, _, _ in branches.values()], measure,
-                [dk for _, dk, _, _ in branches.values()])
+            pending[fingerprint] = (gb, [index])
+        if pending:
+            plan = keyed_aggregate(source, [gb for gb, _ in pending.values()],
+                                   measure)
             self._count_lookup(hit=False)
             executed = self._run(plan)
-            for attr, (gb, _, fingerprint, slots) in branches.items():
-                groups = executed[attr]
+            for fingerprint, (gb, slots) in pending.items():
+                groups = executed[attr_key(gb).fingerprint()]
                 self._store(self.cache_key(fingerprint), groups)
                 if tier is not None:
                     tier.note_miss(gb, measure_name, fingerprint)

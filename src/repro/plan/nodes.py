@@ -207,10 +207,10 @@ class MultiGroupAggregate(PlanNode):
     UNION ALL of grouped selects).  The result maps each key's
     fingerprint to that key's ``value → aggregate`` dict.
 
-    ``domains`` (optional, aligned with ``keys``) restricts each key's
-    computed groups to exactly the listed values: values that select no
-    rows aggregate over the empty set (0 for sum/count, None for
-    avg/min/max).
+    Every branch is unrestricted: a key's dict holds every non-NULL value
+    present in the child rows.  Restricting a partition to another
+    space's domain is a projection its consumer makes
+    (:mod:`repro.core.attribute_ranking`).
 
     The fingerprint is **order-insensitive** in the key set — two
     consumers asking for the same attributes in different orders share
@@ -222,28 +222,22 @@ class MultiGroupAggregate(PlanNode):
     aggregate: str
     measure_sql: str
     measure_expr: Expression | None = None
-    domains: tuple[tuple | None, ...] | None = None
 
     def __post_init__(self) -> None:
         if not self.keys:
             raise ValueError("MultiGroupAggregate needs at least one key")
         if len({k.fingerprint() for k in self.keys}) != len(self.keys):
             raise ValueError("MultiGroupAggregate keys must be distinct")
-        if self.domains is not None and len(self.domains) != len(self.keys):
-            raise ValueError("domains must align with keys")
 
-    def branches(self) -> tuple[tuple[AttrKey, tuple | None], ...]:
-        """(key, domain) pairs in canonical (fingerprint-sorted) order."""
-        domains = self.domains or (None,) * len(self.keys)
-        return tuple(sorted(zip(self.keys, domains),
-                            key=lambda kd: kd[0].fingerprint()))
+    def branches(self) -> tuple[AttrKey, ...]:
+        """The keys in canonical (fingerprint-sorted) order."""
+        return tuple(sorted(self.keys, key=lambda key: key.fingerprint()))
 
     def fingerprint(self) -> Fingerprint:
         return (
             "multigroupagg", self.child.fingerprint(), self.aggregate,
             self.measure_sql,
-            tuple((key.fingerprint(), domain)
-                  for key, domain in self.branches()),
+            tuple(key.fingerprint() for key in self.branches()),
         )
 
 

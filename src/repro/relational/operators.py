@@ -86,21 +86,15 @@ class AggregateStates:
     scan and a materialized view agree bit for bit.  Only :meth:`merge`
     re-associates additions.
 
-    Group-existence semantics match :func:`~repro.relational.vector.
-    group_rows` + fold exactly: a group exists whenever its (non-NULL)
-    key occurs in the selection, NULL measures are ignored inside the
-    group, and the empty fill equals ``AGGREGATES[name](())``.
+    Group-existence semantics match a row-by-row grouping + fold
+    exactly: a group exists whenever its (non-NULL) key occurs in the
+    selection, and NULL measures are ignored inside the group.
     """
 
     name: str = ""
 
     def new(self) -> list:
         raise NotImplementedError
-
-    @property
-    def empty(self):
-        """The finalized aggregate of an empty group."""
-        return self.final(self.new())
 
     def add_pairs(self, states: dict, keys: Sequence,
                   rows: Sequence[int], measure: Sequence) -> None:
@@ -472,16 +466,7 @@ def merge_group_states(aggregate: str, into: dict, other: dict) -> None:
             merge(known, state)
 
 
-def finalize_group_states(aggregate: str, states: dict,
-                          domain: Iterable | None = None) -> dict:
-    """Turn a state dict into the ``value → aggregate`` result, applying
-    the optional domain restriction/fill exactly like the fold path."""
-    acc = AGGREGATE_STATES[aggregate]
-    final = acc.final
-    if domain is not None:
-        empty = acc.empty
-        return {
-            value: final(states[value]) if value in states else empty
-            for value in domain
-        }
+def finalize_group_states(aggregate: str, states: dict) -> dict:
+    """Turn a state dict into the ``value → aggregate`` result."""
+    final = AGGREGATE_STATES[aggregate].final
     return {value: final(state) for value, state in states.items()}

@@ -16,9 +16,9 @@ Three kernel families live here:
   :func:`compress`: build or refine selection vectors (vectorized ``IN``
   via set membership over a whole column, range tests for bucketized
   partitioning, mask compaction for arbitrary predicates);
-* **grouping** — :func:`group_rows`, :func:`pack_keys`: partition a
-  selection by one column, or dictionary-encode composite keys so a
-  multi-column group-by folds over small integer codes.
+* **grouping** — :func:`pack_keys`, :func:`group_rows_packed`:
+  dictionary-encode composite keys so a multi-column group-by folds
+  over small integer codes.
 
 Sorted-set algebra (:func:`intersect_sorted`, :func:`union_sorted`,
 :func:`is_subset_sorted`) supports subspace membership checks without
@@ -116,22 +116,6 @@ def select_range(
 # ----------------------------------------------------------------------
 # grouping
 # ----------------------------------------------------------------------
-def group_rows(values: Sequence, row_ids: Iterable[int] | None = None) -> dict:
-    """Partition a selection by one column: value → row ids (NULL dropped)."""
-    groups: dict = {}
-    if row_ids is None:
-        row_ids = range(len(values))
-    for r in row_ids:
-        value = values[r]
-        if value is not None:
-            group = groups.get(value)
-            if group is None:
-                groups[value] = [r]
-            else:
-                group.append(r)
-    return groups
-
-
 def pack_keys(
     vectors: Sequence[Sequence], row_ids: Sequence[int]
 ) -> tuple[list[int], list[tuple]]:
@@ -162,7 +146,9 @@ def pack_keys(
 def group_rows_packed(
     vectors: Sequence[Sequence], row_ids: Sequence[int]
 ) -> dict[tuple, list[int]]:
-    """Multi-column :func:`group_rows` via dictionary-encoded keys."""
+    """Partition a selection by several columns: key tuple → row ids
+    (rows with a NULL key component dropped), via dictionary-encoded
+    keys."""
     if not isinstance(row_ids, (list, tuple)):
         row_ids = list(row_ids)
     codes, keys = pack_keys(vectors, row_ids)

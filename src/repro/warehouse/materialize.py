@@ -147,8 +147,8 @@ class MaterializationTier:
     # ------------------------------------------------------------------
     # answering
     # ------------------------------------------------------------------
-    def answer(self, gb: GroupByAttribute, measure_name: str,
-               domain: Iterable | None = None) -> dict | None:
+    def answer(self, gb: GroupByAttribute,
+               measure_name: str) -> dict | None:
         """value → aggregate for ``(gb, measure)`` over the whole
         dataspace, or None.
 
@@ -159,7 +159,6 @@ class MaterializationTier:
         """
         if self._supported(measure_name) is None:
             return None
-        domain_key = None if domain is None else tuple(domain)
         with self._lock:
             view = self._get_fresh(self._view_key(gb, measure_name))
             rolled = False
@@ -174,8 +173,7 @@ class MaterializationTier:
                 self.stats.rollup_hits += 1
                 current_registry().counter(
                     "kdap.materialize.rollup").inc()
-            return finalize_group_states(view.aggregate, view.states,
-                                         domain=domain_key)
+            return finalize_group_states(view.aggregate, view.states)
 
     def note_miss(self, gb: GroupByAttribute, measure_name: str,
                   fingerprint) -> None:
@@ -230,6 +228,8 @@ class MaterializationTier:
                     continue
                 self._views[key] = self._build_view(gb, measure_name)
                 self.stats.admitted += 1
+                current_registry().counter(
+                    "kdap.materialize.admitted").inc()
                 count += 1
         return count
 
@@ -300,7 +300,9 @@ class MaterializationTier:
         view.hwm_rows = n
         self.stats.refreshes += 1
         self.stats.refreshed_rows += len(delta)
-        current_registry().counter("kdap.materialize.refresh").inc()
+        registry = current_registry()
+        registry.counter("kdap.materialize.refresh").inc()
+        registry.counter("kdap.materialize.refreshed_rows").inc(len(delta))
 
     def _rebuild(self, view: MaterializedView) -> None:
         view.states, view.null_rows = self._compute(view.gb,

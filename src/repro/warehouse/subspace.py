@@ -7,10 +7,9 @@ A :class:`Subspace` is therefore a sorted tuple of fact row ids bound to a
 Every subspace is *engine-bound*: ``engine`` is a required
 :class:`~repro.plan.engine.QueryEngine`, and aggregation and partitioning
 go through its logical-plan layer — plan-level caching and whichever
-execution backend the engine runs.  Reading the schema's fact-aligned
-vectors (:meth:`Subspace.groupby_values`, :meth:`Subspace.domain`,
-:meth:`Subspace.partition`) needs no engine.  Code that holds only a
-schema binds with ``QueryEngine(schema)``.
+execution backend the engine runs.  There is no row-at-a-time route:
+DOM(DS', attr) is the key set of DS''s own partition aggregate.  Code
+that holds only a schema binds with ``QueryEngine(schema)``.
 """
 
 from __future__ import annotations
@@ -91,53 +90,18 @@ class Subspace:
     # ------------------------------------------------------------------
     # partitioning
     # ------------------------------------------------------------------
-    def groupby_values(self, gb: GroupByAttribute) -> list:
-        """The group-by attribute's value for each row of the subspace,
-        aligned with ``fact_rows``."""
-        return vec.take(self.schema.groupby_vector(gb), self.fact_rows)
-
-    def domain(self, gb: GroupByAttribute) -> list:
-        """DOM(DS', attr): distinct non-null attribute values present,
-        sorted for determinism."""
-        return sorted(
-            {v for v in self.groupby_values(gb) if v is not None},
-            key=lambda v: (str(type(v)), v),
-        )
-
-    def partition(self, gb: GroupByAttribute) -> dict:
-        """PAR(DS', attr): value → list of subspace rows (NULLs dropped),
-        grouped in one columnar pass."""
-        return vec.group_rows(self.schema.groupby_vector(gb),
-                              self.fact_rows)
-
-    def partition_aggregates(
-        self,
-        gb: GroupByAttribute,
-        measure_name: str,
-        domain: Iterable | None = None,
-    ) -> dict:
-        """value → aggregated measure for each group.
-
-        When ``domain`` is given, only those categories are computed and
-        missing categories aggregate over zero rows (0 for sum/count,
-        None for avg/min/max) — this implements the paper's restriction
-        of PAR(RUP(DS'), attr) to the segments that also exist in
-        PAR(DS', attr).
-        """
+    def partition_aggregates(self, gb: GroupByAttribute,
+                             measure_name: str) -> dict:
+        """PAR(DS', attr) aggregated: value → measure aggregate for each
+        non-NULL value present in the subspace."""
         return self.engine.subspace_partition_aggregates(
-            self, gb, measure_name, domain=domain)
+            self, gb, measure_name)
 
-    def multi_partition_aggregates(
-        self,
-        gbs: Iterable[GroupByAttribute],
-        measure_name: str,
-        domains: Iterable | None = None,
-    ) -> list[dict]:
+    def multi_partition_aggregates(self, gbs: Iterable[GroupByAttribute],
+                                   measure_name: str) -> list[dict]:
         """One :meth:`partition_aggregates` dict per group-by, fused
         through :meth:`~repro.plan.engine.QueryEngine.multi_partition_aggregates`
         (one plan, one scan or one batched SQL statement for all
-        group-bys).  ``domains`` aligns with ``gbs`` when given (None
-        entries unrestricted).
-        """
+        group-bys)."""
         return self.engine.multi_partition_aggregates(
-            self, list(gbs), measure_name, domains=domains)
+            self, list(gbs), measure_name)

@@ -12,6 +12,8 @@ valid for ``sum`` measures (it sums the raw measure expression).
 from repro.core.bucketing import Interval, equal_width
 from repro.relational import vector
 
+from ..warehouse.subspace_oracle import groupby_values
+
 
 def _row_series(values, weights, buckets):
     series = [0.0] * len(buckets)
@@ -29,8 +31,8 @@ def oracle_numerical_series(subspace, rollup, gb, measure_name,
     """(categories, x series, y series, bucketization), row at a time."""
     schema = subspace.schema
     measure_vector = schema.measure_vector(measure_name)
-    sub_values = subspace.groupby_values(gb)
-    roll_values = rollup.groupby_values(gb)
+    sub_values = groupby_values(subspace, gb)
+    roll_values = groupby_values(rollup, gb)
     if buckets is None:
         domain_values = [v for v in sub_values if v is not None]
         if not domain_values:

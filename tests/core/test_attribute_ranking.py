@@ -6,14 +6,17 @@ from repro.core import (
     BELLWETHER,
     SURPRISE,
     attribute_score,
-    categorical_series,
     ground_truth_series,
     numerical_series,
     pearson_correlation,
     rank_groupby_attributes,
     rollup_subspace,
 )
+from repro.core.attribute_ranking import candidate_scores, subspace_domain
 from repro.warehouse import Subspace
+
+from ..warehouse.subspace_oracle import domain
+from .ranking_oracle import oracle_candidate_scores, oracle_categorical_series
 
 
 @pytest.fixture(scope="module")
@@ -43,31 +46,40 @@ class TestRollupSubspace:
         rollup = rollups["Product"]
         gb = schema.groupby_attribute("DimProductCategory",
                                       "ProductCategoryName")
-        assert rollup.domain(gb) == ["Bikes"]
+        assert domain(rollup, gb) == ["Bikes"]
 
     def test_customer_rollup_is_country(self, california_bikes):
         schema, _net, _subspace, rollups = california_bikes
         rollup = rollups["Customer"]
         gb = schema.groupby_attribute("DimGeography", "CountryRegionName")
-        assert rollup.domain(gb) == ["United States"]
+        assert domain(rollup, gb) == ["United States"]
 
 
 class TestCategoricalSeries:
     def test_series_cover_subspace_domain(self, california_bikes):
+        """DOM(DS', attr) is the key set of DS''s own partition, and the
+        engine's scores equal the oracle's over series restricted to the
+        row-by-row domain."""
         schema, _net, subspace, rollups = california_bikes
         gb = schema.groupby_attribute("DimProduct", "Color")
-        pair = categorical_series(subspace, rollups["Product"], gb,
-                                  "revenue")
-        assert list(pair.categories) == subspace.domain(gb)
-        assert len(pair.subspace_series) == len(pair.rollup_series)
+        x = subspace.partition_aggregates(gb, "revenue")
+        assert subspace_domain(x) == domain(subspace, gb)
+        categories, xs, ys = oracle_categorical_series(
+            subspace, rollups["Product"], gb, "revenue")
+        assert list(categories) == domain(subspace, gb)
+        assert len(xs) == len(ys)
+        got = candidate_scores(subspace, [rollups["Product"]], [gb],
+                               "revenue", SURPRISE)
+        assert got == pytest.approx(oracle_candidate_scores(
+            subspace, [rollups["Product"]], [gb], "revenue", SURPRISE))
 
     def test_rollup_mass_at_least_subspace(self, california_bikes):
         schema, _net, subspace, rollups = california_bikes
         gb = schema.groupby_attribute("DimProduct", "Color")
-        pair = categorical_series(subspace, rollups["Product"], gb,
-                                  "revenue")
-        for x, y in zip(pair.subspace_series, pair.rollup_series):
-            assert y >= x - 1e-9
+        x = subspace.partition_aggregates(gb, "revenue")
+        y = rollups["Product"].partition_aggregates(gb, "revenue")
+        for value in subspace_domain(x):
+            assert y[value] >= x[value] - 1e-9
 
 
 class TestNumericalSeries:

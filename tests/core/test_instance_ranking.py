@@ -2,7 +2,11 @@
 
 import pytest
 
-from repro.core import instance_score, rank_instances, rollup_subspace
+from repro.core import rank_instances, rollup_subspace
+from repro.core.instance_ranking import rank_instances_batch
+
+from ..warehouse.subspace_oracle import domain
+from .ranking_oracle import oracle_instance_score, oracle_rank_instances
 
 
 @pytest.fixture(scope="module")
@@ -21,17 +25,26 @@ class TestInstanceScore:
     def test_shares_difference(self, context):
         schema, subspace, rollups = context
         gb = schema.groupby_attribute("DimProduct", "Color")
-        value = subspace.domain(gb)[0]
-        score = instance_score(subspace, rollups[0], gb, value, "revenue")
-        # Eq. 2 is a difference of two shares, each in [0, 1]
-        assert -1.0 <= score <= 1.0
+        ranked = rank_instances_batch(subspace, rollups[:1], [gb],
+                                      "revenue")[gb]
+        assert ranked
+        for entry in ranked:
+            want = oracle_instance_score(subspace, rollups[0], gb,
+                                         entry.value, "revenue")
+            assert entry.score == pytest.approx(want)
+            # Eq. 2 is a difference of two shares, each in [0, 1]
+            assert -1.0 <= entry.score <= 1.0
 
     def test_identity_rollup_scores_zero(self, context):
         schema, subspace, _rollups = context
         gb = schema.groupby_attribute("DimProduct", "Color")
-        value = subspace.domain(gb)[0]
-        score = instance_score(subspace, subspace, gb, value, "revenue")
-        assert score == pytest.approx(0.0)
+        ranked = rank_instances_batch(subspace, [subspace], [gb],
+                                      "revenue")[gb]
+        assert sorted(r.value for r in ranked) == domain(subspace, gb)
+        for entry in ranked:
+            assert entry.score == pytest.approx(0.0)
+            assert oracle_instance_score(subspace, subspace, gb, entry.value,
+                                         "revenue") == pytest.approx(0.0)
 
 
 class TestRankInstances:
@@ -76,3 +89,15 @@ class TestRankInstances:
         a = rank_instances(subspace, rollups, gb, "revenue")
         b = rank_instances(subspace, rollups, gb, "revenue")
         assert a == b
+
+    def test_batch_equals_the_restricted_oracle(self, context):
+        schema, subspace, rollups = context
+        gbs = [schema.groupby_attribute("DimDate", "MonthName"),
+               schema.groupby_attribute("DimProduct", "Color")]
+        batch = rank_instances_batch(subspace, rollups, gbs, "revenue")
+        for gb in gbs:
+            want = oracle_rank_instances(subspace, rollups, gb, "revenue")
+            got = {r.value: (r.aggregate, r.score) for r in batch[gb]}
+            assert got.keys() == want.keys()
+            for value, pair in want.items():
+                assert got[value] == pytest.approx(pair)

@@ -29,7 +29,7 @@ from repro.resilience import Budget, FaultInjectingBackend, ResilientBackend
 from repro.warehouse import MaterializationTier, Subspace
 
 from ..counts import cache_counts, resilience_counts
-from ..warehouse.subspace_oracle import LocalKernel
+from ..warehouse.subspace_oracle import LocalKernel, groupby_values
 from .numeric_oracle import oracle_numerical_series
 
 SUPPRESS = [HealthCheck.function_scoped_fixture, HealthCheck.too_slow]
@@ -157,7 +157,7 @@ def test_engine_series_equal_the_row_oracle(
     plain_roll = Subspace(schema, rollup_rows, "RUP", engine=local)
     buckets = None
     if ground_truth:
-        values = [v for v in plain_sub.groupby_values(gb) if v is not None]
+        values = [v for v in groupby_values(plain_sub, gb) if v is not None]
         if values:
             buckets = distinct_value_buckets(values)
     try:

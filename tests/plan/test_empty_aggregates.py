@@ -1,13 +1,14 @@
 """Empty-input aggregate semantics, pinned across backends.
 
-The audit behind the vectorized rewrite: a domain-filled group that
-selects *zero* rows must aggregate identically on the in-memory kernels
-and the sqlite mirror — 0 for sum/count (the fold identity), None for
-avg/min/max (SQL NULL).  Three empty-input shapes are covered:
+The audit behind the vectorized rewrite: a group that selects *zero*
+rows must aggregate identically on the in-memory kernels and the sqlite
+mirror — 0 for sum/count (the fold identity), None for avg/min/max (SQL
+NULL).  Partitions are unrestricted, so a value present in no row is no
+group on either backend; projecting onto a domain
+(:func:`~tests.warehouse.subspace_oracle.restrict`) fills it with that
+pinned value.  Three empty-input shapes are covered:
 
-* a domain value present in no row (a one-branch
-  ``MultiGroupAggregate.domains`` fill: ``finalize_group_states`` in
-  memory, ``_fill_domains`` on sqlite);
+* a domain value present in no row (a one-branch plan);
 * the same inside a two-branch plan, branch by branch;
 * an entirely empty child row set (``_empty_multi_result`` and, for the
   scalar aggregate, ``_empty_result``).
@@ -34,6 +35,8 @@ from repro.warehouse import (
     StarSchema,
     path_from_fk_names,
 )
+
+from ..warehouse.subspace_oracle import restrict
 
 ALL_AGGREGATES = sorted(AGGREGATES)
 
@@ -92,13 +95,11 @@ def backends(schema):
     sqlite.close()
 
 
-def _partition(schema, rows, aggregate, domain, column="Name"):
-    """PAR(rows, Dim.column) restricted to ``domain``: a one-branch
-    keyed aggregate."""
+def _partition(schema, rows, aggregate, column="Name"):
+    """PAR(rows, Dim.column): a one-branch keyed aggregate."""
     gb = schema.groupby_attribute("Dim", column)
     return multi_partition_plan(schema, rows, [gb],
-                                schema.measures[f"amount_{aggregate}"],
-                                domains=[domain])
+                                schema.measures[f"amount_{aggregate}"])
 
 
 def _groups(backend, plan) -> dict:
@@ -108,48 +109,49 @@ def _groups(backend, plan) -> dict:
 
 @pytest.mark.parametrize("aggregate", ALL_AGGREGATES)
 def test_domain_filled_empty_group(schema, backends, aggregate):
-    """'b' is in the domain but selects no rows: both backends fill it
-    with the pinned empty-input value."""
+    """'b' selects no rows: neither backend returns it, and projecting
+    onto the domain fills it with the pinned empty-input value."""
     mem, sq = backends
-    plan = _partition(schema, (0, 1), aggregate, domain=("a", "b"))
+    plan = _partition(schema, (0, 1), aggregate)
     mem_result = _groups(mem, plan)
     assert mem_result == _groups(sq, plan)
-    assert mem_result["b"] == EMPTY_FILL[aggregate]
+    assert "b" not in mem_result
     assert mem_result["a"] is not None
+    assert restrict(mem_result, ("a", "b"), aggregate)["b"] \
+        == EMPTY_FILL[aggregate]
 
 
 @pytest.mark.parametrize("aggregate", ALL_AGGREGATES)
 def test_domain_fill_through_fused_path(schema, backends, aggregate):
-    """Inside a two-branch plan each branch's domain fill agrees with
-    its one-branch plan, on both backends."""
+    """Inside a two-branch plan each branch agrees with its one-branch
+    plan, on both backends, and fills like it once projected."""
     mem, sq = backends
     name = schema.groupby_attribute("Dim", "Name")
     key = schema.groupby_attribute("Dim", "DimKey")
-    domains = [("a", "b"), (1, 2)]
     plan = multi_partition_plan(schema, (0, 1), [name, key],
-                                schema.measures[f"amount_{aggregate}"],
-                                domains=domains)
+                                schema.measures[f"amount_{aggregate}"])
     mem_result = mem.execute(plan)
     assert mem_result == sq.execute(plan)
-    assert mem_result[attr_key(name).fingerprint()]["b"] \
+    by_name = mem_result[attr_key(name).fingerprint()]
+    by_key = mem_result[attr_key(key).fingerprint()]
+    assert restrict(by_name, ("a", "b"), aggregate)["b"] \
         == EMPTY_FILL[aggregate]
-    assert mem_result[attr_key(key).fingerprint()][2] \
-        == EMPTY_FILL[aggregate]
-    for gb, domain in zip((name, key), domains):
-        single = _partition(schema, (0, 1), aggregate, domain,
-                            column=gb.ref.column)
+    assert restrict(by_key, (1, 2), aggregate)[2] == EMPTY_FILL[aggregate]
+    for gb in (name, key):
+        single = _partition(schema, (0, 1), aggregate, column=gb.ref.column)
         assert mem_result[attr_key(gb).fingerprint()] \
             == _groups(mem, single) == _groups(sq, single)
 
 
 @pytest.mark.parametrize("aggregate", ALL_AGGREGATES)
 def test_empty_rowset_child(schema, backends, aggregate):
-    """Aggregating an empty subspace: every domain value gets the fill."""
+    """Aggregating an empty subspace: no groups, so every domain value
+    gets the fill."""
     mem, sq = backends
-    plan = _partition(schema, (), aggregate, domain=("a", "b"))
-    want = {"a": EMPTY_FILL[aggregate], "b": EMPTY_FILL[aggregate]}
-    assert _groups(mem, plan) == want
-    assert _groups(sq, plan) == want
+    plan = _partition(schema, (), aggregate)
+    assert _groups(mem, plan) == _groups(sq, plan) == {}
+    assert restrict({}, ("a", "b"), aggregate) == \
+        {"a": EMPTY_FILL[aggregate], "b": EMPTY_FILL[aggregate]}
 
 
 @pytest.mark.parametrize("aggregate", ALL_AGGREGATES)

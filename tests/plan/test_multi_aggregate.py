@@ -5,8 +5,9 @@ is *semantically identical* to N independent
 ``subspace_partition_aggregates`` calls — on the in-memory backend, the
 sqlite backend, a ResilientBackend-wrapped backend, and the pinned
 local kernel (``subspace_oracle``) — while executing as one plan.  The
-awkward aggregate semantics (empty-domain fills, all-NULL groups) must
-not diverge between one-branch and multi-branch plans for any aggregate.
+awkward aggregate semantics (values a partition does not hold, all-NULL
+groups) must not diverge between one-branch and multi-branch plans for
+any aggregate.
 """
 
 import pytest
@@ -50,7 +51,7 @@ from repro.warehouse import (
 
 from ..counts import cache_counts
 from ..integration.test_engine_agreement import CITIES, GROUPS, build_net
-from ..warehouse.subspace_oracle import LocalKernel
+from ..warehouse.subspace_oracle import LocalKernel, domain, restrict
 
 AGG_MEASURES = {
     "sum": "m_sum",
@@ -132,36 +133,43 @@ class TestEmptyDomainFills:
     @pytest.mark.parametrize("backend", ["memory", "sqlite"])
     def test_absent_domain_value_fill(self, agg_engines, agg_schema,
                                       aggregate, backend):
-        """A domain category with zero rows fills 0 for sum/count and
-        None for avg/min/max — identically in single and fused paths."""
+        """A domain category with zero rows is no group, in single and
+        fused paths alike; projected onto the domain it fills 0 for
+        sum/count and None for avg/min/max, like the local kernel's
+        restricted partition."""
         engine = agg_engines[backend]
         measure = AGG_MEASURES[aggregate]
         gbs = _gbs(agg_schema)
         sub = Subspace.full(agg_schema, engine=engine)
         domains = [("a", "b", "__absent__"), ("small", "__absent__")]
-        fused = engine.multi_partition_aggregates(sub, gbs, measure,
-                                                  domains=domains)
-        singles = [
-            engine.subspace_partition_aggregates(sub, gb, measure,
-                                                 domain=domain)
-            for gb, domain in zip(gbs, domains)
-        ]
+        fused = engine.multi_partition_aggregates(sub, gbs, measure)
+        singles = [engine.subspace_partition_aggregates(sub, gb, measure)
+                   for gb in gbs]
         assert fused == singles
+        kernel = LocalKernel(agg_schema)
+        want = kernel.multi_partition_aggregates(sub, gbs, measure,
+                                                 domains=domains)
         fill = EMPTY_FILL[aggregate]
-        for groups in fused:
-            assert groups["__absent__"] == fill
+        for groups, values, expected in zip(fused, domains, want):
+            assert "__absent__" not in groups
+            projected = restrict(groups, values, aggregate)
+            assert projected == expected
+            assert projected["__absent__"] == fill
 
     @pytest.mark.parametrize("aggregate", sorted(AGG_MEASURES))
     def test_local_path_same_fill(self, agg_schema, aggregate):
-        """The pinned local fused kernel uses the same fills."""
+        """The pinned local kernel's restricted partitions use the same
+        fills, fused or one at a time."""
         measure = AGG_MEASURES[aggregate]
         gbs = _gbs(agg_schema)
-        sub = Subspace.full(agg_schema, engine=LocalKernel(agg_schema))
+        kernel = LocalKernel(agg_schema)
+        sub = Subspace.full(agg_schema, engine=kernel)
         domains = [("a", "__absent__"), ("large", "__absent__")]
-        fused = sub.multi_partition_aggregates(gbs, measure,
-                                               domains=domains)
-        singles = [sub.partition_aggregates(gb, measure, domain=domain)
-                   for gb, domain in zip(gbs, domains)]
+        fused = kernel.multi_partition_aggregates(sub, gbs, measure,
+                                                  domains=domains)
+        singles = [kernel.subspace_partition_aggregates(sub, gb, measure,
+                                                        domain=values)
+                   for gb, values in zip(gbs, domains)]
         assert fused == singles
         fill = EMPTY_FILL[aggregate]
         assert fused[0]["__absent__"] == fill
@@ -187,40 +195,36 @@ class TestEmptyDomainFills:
         engine = agg_engines[backend]
         gbs = _gbs(agg_schema)
         empty = Subspace.of(agg_schema, (), engine=engine)
-        got = engine.multi_partition_aggregates(
-            empty, gbs, "m_avg", domains=[("a",), None])
-        assert got == [{"a": None}, {}]
+        got = engine.multi_partition_aggregates(empty, gbs, "m_avg")
+        assert got == [{}, {}]
+        assert restrict(got[0], ("a",), "avg") == {"a": None}
 
 
 # ----------------------------------------------------------------------
-# one attribute under several domains in one call
+# one attribute asked for several times in one call
 # ----------------------------------------------------------------------
 class TestRepeatedAttribute:
     @pytest.mark.parametrize("backend", ["memory", "sqlite"])
-    def test_two_domains_and_a_repeat(self, agg_schema, backend):
-        """Name under two domains plus an exact repeat of one of them (and
-        Size beside them) answers like one call per attribute: each plan's
-        keys are distinct, so the second Name branch runs in a second
-        round."""
+    def test_a_repeated_attribute_runs_once(self, agg_schema, backend):
+        """Name three times (and Size beside it) answers like one call
+        per attribute, from one plan holding each attribute once; every
+        repeat gets its own copy of the groups."""
         name, size = _gbs(agg_schema)
         gbs = [name, size, name, name]
-        domains = [("a", "b"), None, ("b", "c", "__absent__"), ("a", "b")]
         engine = QueryEngine(agg_schema, backend=backend)
         sub = Subspace.full(agg_schema, engine=engine)
-        fused = engine.multi_partition_aggregates(sub, gbs, "m_sum",
-                                                  domains=domains)
-        assert engine.counters.ops["MultiGroupAggregate"].calls == 2
+        fused = engine.multi_partition_aggregates(sub, gbs, "m_sum")
+        assert engine.counters.ops["MultiGroupAggregate"].calls == 1
         engine.close()
         fresh = QueryEngine(agg_schema, backend=backend)
         sub = Subspace.full(agg_schema, engine=fresh)
-        singles = [fresh.subspace_partition_aggregates(sub, gb, "m_sum",
-                                                       domain=domain)
-                   for gb, domain in zip(gbs, domains)]
+        singles = [fresh.subspace_partition_aggregates(sub, gb, "m_sum")
+                   for gb in gbs]
         fresh.close()
         assert fused == singles
-        assert fused[0] == {"a": 5.5, "b": 0}
-        assert fused[2] == {"b": 0, "c": -2.0, "__absent__": 0}
+        assert fused[0] == {"a": 5.5, "b": 0, "c": -2.0}
         assert fused[3] == fused[0] and fused[3] is not fused[0]
+        assert fused[2] is not fused[0]
 
 
 # ----------------------------------------------------------------------
@@ -235,20 +239,6 @@ class TestFingerprints:
         backward = multi_partition_plan(agg_schema, rows, gbs[::-1],
                                         measure)
         assert forward.fingerprint() == backward.fingerprint()
-
-    def test_order_insensitive_with_domains(self, agg_schema):
-        gbs = _gbs(agg_schema)
-        measure = agg_schema.measures["m_sum"]
-        rows = (0, 1, 2)
-        domains = [("a", "b"), ("small",)]
-        forward = multi_partition_plan(agg_schema, rows, gbs, measure,
-                                       domains=domains)
-        backward = multi_partition_plan(agg_schema, rows, gbs[::-1],
-                                        measure, domains=domains[::-1])
-        assert forward.fingerprint() == backward.fingerprint()
-        # a domain restriction is part of the identity
-        unrestricted = multi_partition_plan(agg_schema, rows, gbs, measure)
-        assert forward.fingerprint() != unrestricted.fingerprint()
 
     def test_never_collides_with_single_group_aggregate(self, agg_schema):
         """A multi-branch plan never shares a cache slot with one of its
@@ -324,33 +314,38 @@ EBIZ_GBS = [
                     unique=True),
     gb_choices=st.lists(st.sampled_from(EBIZ_GBS), min_size=1, max_size=4,
                         unique=True),
-    restrict=st.booleans(),
+    restricted=st.booleans(),
 )
 @settings(max_examples=25, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 def test_fused_equals_singles_everywhere(ebiz, ebiz_engines, groups,
-                                         cities, gb_choices, restrict):
+                                         cities, gb_choices, restricted):
     """Fused == N singles on memory, sqlite, and resilient engines, and
-    all three agree with the pinned local fused kernel."""
+    all three agree with the pinned local fused kernel — also once
+    projected onto a domain, against its restricted partitions."""
     net = build_net(ebiz, groups, cities)
     gbs = [ebiz.groupby_attribute(*choice) for choice in gb_choices]
-    local = LocalKernel(ebiz).evaluate(net)
+    kernel = LocalKernel(ebiz)
+    local = kernel.evaluate(net)
     domains = None
-    if restrict:
-        domains = [tuple(local.domain(gb)[:3]) + ("__nope__",)
+    if restricted:
+        domains = [tuple(domain(local, gb)[:3]) + ("__nope__",)
                    for gb in gbs]
-    want = local.multi_partition_aggregates(gbs, "revenue",
-                                            domains=domains)
+    want = kernel.multi_partition_aggregates(local, gbs, "revenue",
+                                             domains=domains)
     singles = [
-        local.partition_aggregates(
-            gb, "revenue", domain=None if domains is None else domains[i])
+        kernel.subspace_partition_aggregates(
+            local, gb, "revenue",
+            domain=None if domains is None else domains[i])
         for i, gb in enumerate(gbs)
     ]
     assert want == singles
     for engine in ebiz_engines:
         sub = engine.evaluate(net)
-        got = engine.multi_partition_aggregates(sub, gbs, "revenue",
-                                                domains=domains)
+        got = engine.multi_partition_aggregates(sub, gbs, "revenue")
+        if domains is not None:
+            got = [restrict(groups, values, "sum")
+                   for groups, values in zip(got, domains)]
         assert len(got) == len(want)
         for got_groups, want_groups in zip(got, want):
             assert set(got_groups) == set(want_groups)
@@ -407,12 +402,9 @@ class TestBudgets:
 
         class Unfused(QueryEngine):
             def multi_partition_aggregates(self, subspace, gbs,
-                                           measure_name, domains=None):
-                gbs = list(gbs)
-                domains = domains or [None] * len(gbs)
+                                           measure_name):
                 return [self.subspace_partition_aggregates(
-                            subspace, gb, measure_name, domain=domain)
-                        for gb, domain in zip(gbs, domains)]
+                            subspace, gb, measure_name) for gb in gbs]
 
         stages = {}
         for fused in (True, False):
@@ -477,14 +469,6 @@ class TestNodeInvariants:
             MultiGroupAggregate(
                 child=RowSet("Fact", (0,)), keys=(key, key),
                 aggregate="sum", measure_sql="Amount")
-
-    def test_rejects_misaligned_domains(self, agg_schema):
-        keys = tuple(attr_key(gb) for gb in _gbs(agg_schema))
-        with pytest.raises(ValueError):
-            MultiGroupAggregate(
-                child=RowSet("Fact", (0,)), keys=keys,
-                aggregate="sum", measure_sql="Amount",
-                domains=(("a",),))
 
     def test_branches_sorted_canonically(self, agg_schema):
         keys = tuple(attr_key(gb) for gb in _gbs(agg_schema))

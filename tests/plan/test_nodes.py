@@ -81,13 +81,6 @@ class TestFingerprints:
         assert a.fingerprint() == b.fingerprint()
         assert a.fingerprint() != c.fingerprint()
 
-    def test_domain_distinguishes_aggregates(self):
-        rows = RowSet("TRANSITEM", (1, 2))
-        keys = (AttrKey("PGROUP", "GroupName", EMPTY_PATH),)
-        a = MultiGroupAggregate(rows, keys, "sum", "1")
-        b = MultiGroupAggregate(rows, keys, "sum", "1", domains=(("VCR",),))
-        assert a.fingerprint() != b.fingerprint()
-
 
 class TestValidation:
     def test_filter_requires_exactly_one_flavour(self):

@@ -49,6 +49,8 @@ from repro.relational.operators import (
 from repro.warehouse.graph import EMPTY_PATH
 from repro.warehouse.schema import StarSchema
 
+from ..warehouse.subspace_oracle import group_rows
+
 SIZE = 16
 """Tiny chunks so a couple hundred values exercise many boundaries."""
 
@@ -279,7 +281,7 @@ class TestGroupingParity:
         (states,) = chunked_group_states(
             [chunks], [1] * len(values), "count",
             rows if use_subset else None)
-        groups = vector.group_rows(values, rows)
+        groups = group_rows(values, rows)
         assert list(states) == list(groups)
         assert finalize_group_states("count", states) == {
             value: len(ids) for value, ids in groups.items()}

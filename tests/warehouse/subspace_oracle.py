@@ -16,7 +16,11 @@ the materialization tier or a backend:
 * partition aggregates run the grouped kernel
   (:func:`~repro.relational.operators.chunked_group_states`) over the
   schema's encoded fact chunks, so they add the same floats in the same
-  order as the memory backend.
+  order as the memory backend; unlike the engine, they can be restricted
+  to a domain (the paper's restricted PAR(RUP(DS'), attr));
+* DOM(DS', attr) and PAR(DS', attr) are read row by row off the
+  schema's fact-aligned vectors (:func:`domain`, :func:`partition`,
+  :func:`groupby_values`).
 
 :class:`LocalKernel` duck-types the engine methods a ``Subspace`` and the
 OLAP operators call, so ``Subspace(schema, rows,
@@ -113,26 +117,69 @@ def aggregate(schema, rows, measure_name: str):
     return fold(vector.take(schema.measure_vector(measure_name), rows))
 
 
+def groupby_values(subspace, gb) -> list:
+    """The group-by attribute's value for each row of the subspace,
+    aligned with ``fact_rows``."""
+    return vector.take(subspace.schema.groupby_vector(gb),
+                       subspace.fact_rows)
+
+
+def domain(subspace, gb) -> list:
+    """DOM(DS', attr) row by row: the distinct non-NULL values present,
+    sorted in ``repro.core``'s (type name, value) order."""
+    return sorted({v for v in groupby_values(subspace, gb) if v is not None},
+                  key=lambda v: (str(type(v)), v))
+
+
+def group_rows(values, row_ids=None) -> dict:
+    """Partition a selection by one column, row by row: value → row ids
+    (NULL dropped)."""
+    groups: dict = {}
+    if row_ids is None:
+        row_ids = range(len(values))
+    for r in row_ids:
+        if values[r] is not None:
+            groups.setdefault(values[r], []).append(r)
+    return groups
+
+
+def partition(subspace, gb) -> dict:
+    """PAR(DS', attr): value → list of subspace rows (NULLs dropped)."""
+    return group_rows(subspace.schema.groupby_vector(gb),
+                      subspace.fact_rows)
+
+
+def restrict(groups: dict, values, aggregate: str) -> dict:
+    """A partition aggregate projected onto ``values``: a value that
+    selects no rows aggregates over the empty set (0 for sum/count, None
+    for avg/min/max)."""
+    fill = AGGREGATES[aggregate](())
+    return {value: groups.get(value, fill) for value in values}
+
+
 def multi_partition_aggregates(schema, rows, gbs, measure_name: str,
                                domains=None) -> list[dict]:
     """One ``value → aggregate`` dict per group-by over ``rows`` (NULL
-    keys dropped; a domain restricts and fills its dict)."""
+    keys dropped).  A domain restricts its dict to exactly those values,
+    one selecting no rows aggregating over the empty set (0 for
+    sum/count, None for avg/min/max): the paper's PAR(RUP(DS'), attr)
+    restricted to the segments of PAR(DS', attr)."""
     gbs = list(gbs)
     domain_keys = ([None] * len(gbs) if domains is None
                    else [None if d is None else tuple(d) for d in domains])
     if len(domain_keys) != len(gbs):
         raise ValueError("domains must align one-to-one with gbs")
     name = schema.measures[measure_name].aggregate
-    if not rows or not gbs:
-        fill = AGGREGATES[name](())
-        return [{} if dk is None else {value: fill for value in dk}
-                for dk in domain_keys]
-    states = chunked_group_states(
-        [schema.fact_chunks(gb.path_from_fact, gb.ref.column)
-         for gb in gbs],
-        schema.measure_vector(measure_name), name, row_ids=rows)
-    return [finalize_group_states(name, groups, dk)
-            for groups, dk in zip(states, domain_keys)]
+    if rows and gbs:
+        states = chunked_group_states(
+            [schema.fact_chunks(gb.path_from_fact, gb.ref.column)
+             for gb in gbs],
+            schema.measure_vector(measure_name), name, row_ids=rows)
+        finals = [finalize_group_states(name, groups) for groups in states]
+    else:
+        finals = [{} for _ in gbs]
+    return [groups if dk is None else restrict(groups, dk, name)
+            for groups, dk in zip(finals, domain_keys)]
 
 
 def filter_rows(schema, rows, selections) -> list[int]:

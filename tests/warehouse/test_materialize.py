@@ -19,6 +19,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core import KdapSession, rollup_subspaces
 from repro.datasets.scale import build_scale, load_scale
+from repro.obs import MetricsRegistry, metrics_scope
 from repro.plan.engine import QueryEngine
 from repro.relational.persistence import dump_database
 from repro.resilience import Budget
@@ -89,19 +90,6 @@ def test_rollup_refused_across_non_functional_step(scale):
     tier.precompute("revenue", [year])
     direct = scanned(scale).partition_aggregates(year, "revenue")
     assert approx_equal(tier.answer(year, "revenue"), direct)
-
-
-def test_rollup_respects_domain_restriction_and_fill(scale):
-    tier = MaterializationTier(scale)
-    fine = scale.groupby_attribute("DimProduct", "ProductName")
-    coarse = scale.groupby_attribute("DimProduct", "CategoryName")
-    tier.precompute("revenue", [fine])
-    domain = ("Bikes", "NoSuchCategory")
-    rolled = tier.answer(coarse, "revenue", domain=domain)
-    direct = scanned(scale).partition_aggregates(
-        coarse, "revenue", domain=domain)
-    assert approx_equal(rolled, direct)
-    assert rolled["NoSuchCategory"] == direct["NoSuchCategory"]
 
 
 # ---------------------------------------------------------------------------
@@ -226,29 +214,49 @@ def test_expired_deadline_skips_admission_without_corruption(scale):
                         scanned(scale).partition_aggregates(gb, "revenue"))
 
 
+def test_snapshot_and_registry_count_alike(fresh_scale):
+    """Every tier count also lands in the metrics registry, so
+    ``rollup.materialize`` and ``rollup.counters`` tell one story: after
+    a precompute and one append refresh they agree."""
+    names = {"hits": "hit", "rollup_hits": "rollup", "misses": "miss",
+             "admitted": "admitted", "refreshes": "refresh",
+             "refreshed_rows": "refreshed_rows", "rebuilds": "rebuild"}
+    with metrics_scope(MetricsRegistry()) as registry:
+        tier = MaterializationTier(fresh_scale)
+        gb = fresh_scale.groupby_attribute("DimProduct", "ProductName")
+        assert tier.precompute("revenue", [gb]) == 1
+        append_facts(fresh_scale, random.Random(5), 37)
+        assert tier.answer(gb, "revenue") is not None  # folds the delta
+    snapshot = tier.snapshot()
+    assert snapshot["admitted"] == 1 and snapshot["refreshed_rows"] == 37
+    counters = registry.snapshot()["counters"]
+    for stat, name in names.items():
+        assert counters.get(f"kdap.materialize.{name}", 0) \
+            == snapshot[stat], stat
+
+
 # ---------------------------------------------------------------------------
 # engine integration (both backends)
 # ---------------------------------------------------------------------------
 @pytest.mark.parametrize("backend", ["memory", "sqlite"])
 def test_engine_tier_parity_and_admission(scale, backend):
-    """Through the engine: distinct-fingerprint misses admit a view and
-    later (fingerprint-distinct) queries are answered by the tier, equal
-    to raw execution on either backend."""
+    """Through the engine: misses of two levels of one hierarchy (two
+    distinct fingerprints sharing the finest level) admit that level's
+    view, and a later ask at the coarse level is answered by the tier's
+    roll-up, equal to raw execution on either backend."""
     plain = QueryEngine(scale, backend=backend)
     tiered = QueryEngine(scale, backend=backend, materialize=True)
     try:
         full = Subspace.full(scale, engine=tiered)
         gb = scale.groupby_attribute("DimProduct", "ProductName")
         coarse = scale.groupby_attribute("DimProduct", "CategoryName")
-        domains = [None, ("Scale Product 001", "Scale Product 002")]
-        for domain in domains:  # two distinct fingerprints → admission
+        for level in (gb, coarse):  # two distinct fingerprints → admission
             assert approx_equal(
-                tiered.subspace_partition_aggregates(
-                    full, gb, "revenue", domain=domain),
-                plain.subspace_partition_aggregates(
-                    full, gb, "revenue", domain=domain))
+                tiered.subspace_partition_aggregates(full, level, "revenue"),
+                plain.subspace_partition_aggregates(full, level, "revenue"))
         assert tiered.tier is not None and len(tiered.tier) >= 1
-        # a fresh fingerprint at the coarse level: lattice roll-up, no scan
+        # past the plan cache, the coarse level is a lattice roll-up
+        tiered.cache.clear()
         assert approx_equal(
             tiered.subspace_partition_aggregates(full, coarse, "revenue"),
             plain.subspace_partition_aggregates(full, coarse, "revenue"))
@@ -286,8 +294,8 @@ def test_shared_empty_tier_instance_is_adopted(scale):
         full = Subspace.full(scale, engine=engines[0])
         engines[0].subspace_partition_aggregates(full, gb, "revenue")
         assert len(tier) == 1  # admitted via engine 0...
-        engines[1].subspace_partition_aggregates(
-            full, gb, "revenue", domain=("Scale Product 001",))
+        # engine 1's plan cache is its own: its miss reaches the tier
+        engines[1].subspace_partition_aggregates(full, gb, "revenue")
         assert tier.stats.hits >= 1  # ...answers engine 1
     finally:
         for engine in engines:
@@ -295,19 +303,17 @@ def test_shared_empty_tier_instance_is_adopted(scale):
 
 
 def test_fused_path_reports_misses_and_hits_tier(scale):
-    engine = QueryEngine(scale, materialize=True)
+    engine = QueryEngine(
+        scale, materialize=MaterializationTier(scale, admit_after=1))
     full = Subspace.full(scale, engine=engine)
     gbs = [scale.groupby_attribute("DimProduct", "ProductName"),
            scale.groupby_attribute("DimDate", "MonthName")]
     engine.multi_partition_aggregates(full, gbs, "revenue")
     assert engine.tier.stats.misses == 2
-    # distinct fingerprints for the same attributes: restricted domains
-    engine.multi_partition_aggregates(
-        full, gbs, "revenue",
-        domains=[("Scale Product 001",), ("January",)])
-    assert len(engine.tier) >= 2
-    fused = engine.multi_partition_aggregates(full, gbs, "revenue",
-                                              domains=None)
+    assert len(engine.tier) == 2
+    engine.cache.clear()  # let the tier, not the cache, answer
+    fused = engine.multi_partition_aggregates(full, gbs, "revenue")
+    assert engine.tier.stats.hits == 2
     plain = QueryEngine(scale)
     expected = plain.multi_partition_aggregates(full, gbs, "revenue")
     for got, want in zip(fused, expected):
@@ -316,7 +322,7 @@ def test_fused_path_reports_misses_and_hits_tier(scale):
 
 def test_tier_answers_full_space_roll_ups_only(scale, monkeypatch):
     """Facet pages over a keyword-selected subspace never reach the
-    tier (no lookup, no view built, however many distinct pages); the
+    tier (no lookup, no view built, however many pages miss); the
     roll-up space of a single-dimension query is the whole dataspace,
     and that one the tier answers, equal to a tier-less engine."""
     net = KdapSession(scale, materialize=False).differentiate(
@@ -331,16 +337,12 @@ def test_tier_answers_full_space_roll_ups_only(scale, monkeypatch):
                         lambda *a, **k: asked.append(a) or answer(*a, **k))
     product = next(d for d in scale.dimensions if d.name == "Product")
     gbs = [gb for gb in product.groupbys if not gb.is_numerical]
-    names = sorted(Subspace.full(scale, engine=plain).partition_aggregates(
-        gbs[0], "revenue"))
 
     sub = tiered.evaluate(net)
     assert 0 < len(sub.fact_rows) < scale.num_fact_rows
-    for page in range(3):
-        domain = None if page == 0 else tuple(names[:page])
+    for _page in range(3):
         tiered.multi_partition_aggregates(sub, gbs, "revenue")
-        tiered.subspace_partition_aggregates(sub, gbs[0], "revenue",
-                                             domain=domain)
+        tiered.subspace_partition_aggregates(sub, gbs[0], "revenue")
         tiered.cache.clear()
     assert asked == [] and len(tiered.tier) == 0
     assert tiered.tier.stats.misses == 0

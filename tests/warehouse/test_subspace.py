@@ -2,7 +2,10 @@
 
 import pytest
 
+from repro.core.attribute_ranking import subspace_domain
 from repro.warehouse import Subspace
+
+from .subspace_oracle import domain, groupby_values, partition, restrict
 
 
 @pytest.fixture(scope="module")
@@ -77,13 +80,17 @@ class TestAggregation:
 
 class TestPartitioning:
     def test_partition_covers_non_null_rows(self, spaces):
+        """PAR(DS', attr) row by row covers every row with a non-NULL
+        value, and its values are the engine partition's keys."""
         schema, _full, half = spaces
         gb = schema.groupby_attribute("DimProduct", "Color")
-        partition = half.partition(gb)
-        covered = sorted(r for rows in partition.values() for r in rows)
+        rows_by_value = partition(half, gb)
+        covered = sorted(r for rows in rows_by_value.values() for r in rows)
         values = schema.groupby_vector(gb)
         want = [r for r in half.fact_rows if values[r] is not None]
         assert covered == want
+        assert set(half.partition_aggregates(gb, "revenue")) \
+            == set(rows_by_value)
 
     def test_partition_aggregates_sum_to_total(self, spaces):
         schema, _full, half = spaces
@@ -94,20 +101,24 @@ class TestPartitioning:
             half.aggregate("revenue"))
 
     def test_domain_sorted(self, spaces):
+        """DOM(DS', attr) is the sorted key set of DS''s own partition."""
         schema, full, _half = spaces
         gb = schema.groupby_attribute("DimDate", "MonthName")
-        domain = full.domain(gb)
-        assert domain == sorted(domain)
+        values = subspace_domain(full.partition_aggregates(gb, "revenue"))
+        assert values == sorted(values)
+        assert values == domain(full, gb)
 
     def test_fixed_domain_fills_zero(self, spaces):
+        """A value outside DS' is no group; projected onto a fixed
+        domain it aggregates to zero."""
         schema, _full, half = spaces
         gb = schema.groupby_attribute("DimProduct", "Color")
-        parts = half.partition_aggregates(gb, "revenue",
-                                          domain=["NoSuchColor"])
-        assert parts == {"NoSuchColor": 0.0}
+        parts = half.partition_aggregates(gb, "revenue")
+        assert "NoSuchColor" not in parts
+        assert restrict(parts, ["NoSuchColor"], "sum") == {"NoSuchColor": 0.0}
 
     def test_groupby_values_aligned(self, spaces):
         schema, _full, half = spaces
         gb = schema.groupby_attribute("DimProduct", "Color")
-        values = half.groupby_values(gb)
+        values = groupby_values(half, gb)
         assert len(values) == len(half)

@@ -25,7 +25,7 @@ from typing import Sequence
 from ..obs.tracer import current_tracer
 from ..relational import vector
 from ..relational.errors import ResourceExhausted
-from ..relational.operators import AGGREGATES
+from ..relational.operators import fold_rows
 from ..resilience.budget import current_budget
 from ..warehouse.graph import JoinPath
 from ..warehouse.rollup import generalize_values
@@ -503,6 +503,6 @@ def _safe_total(subspace: Subspace, config: ExploreConfig,
             "total", exc.reason,
             "subspace total computed locally outside the engine")
         schema = subspace.schema
-        values = schema.measure_vector(config.measure_name)
-        fold = AGGREGATES[schema.measures[config.measure_name].aggregate]
-        return fold(vector.take(values, subspace.fact_rows))
+        return fold_rows(schema.measures[config.measure_name].aggregate,
+                         schema.measure_vector(config.measure_name),
+                         subspace.fact_rows)

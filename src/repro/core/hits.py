@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..textindex.index import AttributeTextIndex, SearchHit
+from .interestingness import ordered_sum
 
 
 @dataclass(frozen=True)
@@ -53,7 +54,7 @@ class HitGroup:
 
     def mean_score(self) -> float:
         """Average full-text relevance over the group's hits."""
-        return sum(h.score for h in self.hits) / len(self.hits)
+        return ordered_sum(h.score for h in self.hits) / len(self.hits)
 
     def __str__(self) -> str:
         values = " OR ".join(repr(v) for v in self.values[:3])

@@ -8,20 +8,11 @@ seed are identical bit for bit.
 from __future__ import annotations
 
 import random
-from typing import Sequence, TypeVar
-
-T = TypeVar("T")
 
 
 def make_rng(seed: int) -> random.Random:
     """A fresh, isolated RNG."""
     return random.Random(seed)
-
-
-def weighted_choice(rng: random.Random, items: Sequence[T],
-                    weights: Sequence[float]) -> T:
-    """One draw from ``items`` proportional to ``weights``."""
-    return rng.choices(items, weights=weights, k=1)[0]
 
 
 def zipf_weights(n: int, skew: float = 1.0) -> list[float]:

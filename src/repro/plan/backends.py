@@ -12,7 +12,9 @@ An :class:`ExecutionBackend` turns logical plans into results:
 Two engines conform:
 
 * :class:`InMemoryBackend` — selection vectors narrowed chunk by
-  chunk over the schema's encoded fact-aligned columns;
+  chunk over the schema's encoded fact-aligned columns, every aggregate
+  (keyed, pivot or scalar) folded through the one fold rule of
+  :data:`~repro.relational.operators.AGGREGATE_STATES`;
 * :class:`SqliteBackend` — compiles plans to SQL via
   :mod:`repro.plan.compile` and runs them on a sqlite3 mirror of the
   warehouse, demonstrating the paper's §7 direction of delegating KDAP
@@ -31,12 +33,14 @@ import threading
 
 from ..obs.tracer import current_tracer, op_span
 from ..relational import vector
+from ..relational.chunks import CHUNK_SIZE
 from ..relational.errors import BackendError, SchemaError
 from ..relational.expressions import And, Between, Col, In, Predicate
 from ..relational.operators import (
-    AGGREGATES,
+    AGGREGATE_STATES,
     chunked_group_states,
     finalize_group_states,
+    fold_rows,
 )
 from ..relational.sqlite_backend import SqliteBackend as SqliteMirror
 from ..relational.sqlite_backend import from_sqlite
@@ -86,7 +90,7 @@ def _leaf(plan: PlanNode) -> PlanNode:
 
 def _empty_result(plan: GroupAggregate):
     """The result of aggregating zero rows (shared by both backends)."""
-    return {} if plan.grouped else AGGREGATES[plan.aggregate](())
+    return {} if plan.grouped else fold_rows(plan.aggregate, (), ())
 
 
 def _empty_multi_result(plan: MultiGroupAggregate) -> dict:
@@ -119,21 +123,23 @@ class InMemoryBackend:
     :class:`~repro.plan.counters.PlanCounters` records how many chunks
     each operator scanned vs skipped.
 
-    Keyed aggregates (:class:`MultiGroupAggregate`, one branch or many)
-    have one kernel at every row count:
+    Every aggregate folds into the mergeable states of
+    :data:`~repro.relational.operators.AGGREGATE_STATES` (the same
+    states the materialization tier stores, so a scan and an exact tier
+    view agree bit for bit).  Keyed aggregates
+    (:class:`MultiGroupAggregate`, one branch or many) have one kernel
+    at every row count:
     :func:`~repro.relational.operators.chunked_group_states` walks the
-    grouping keys' encoded fact chunks in one serial pass, accumulating
-    mergeable per-group states (the same states the materialization tier
-    stores, so a scan and an exact tier view agree bit for bit).  Only
-    composite keys (pivots) group packed key tuples instead.
+    grouping keys' encoded fact chunks in one serial pass.  A pivot
+    folds its composite key tuples batch by batch, and the scalar G(DS′)
+    folds its rows as one group
+    (:func:`~repro.relational.operators.fold_rows`).
     """
 
     name = "memory"
 
-    def __init__(self, schema: StarSchema,
-                 batch_size: int = vector.DEFAULT_BATCH_SIZE):
+    def __init__(self, schema: StarSchema):
         self.schema = schema
-        self.batch_size = batch_size
         self.counters = PlanCounters()
         self._scan_rows: dict[str, tuple[int, list[int]]] = {}
 
@@ -149,9 +155,8 @@ class InMemoryBackend:
                 table = self.schema.database.table(node.table)
                 with self.counters.timed("Scan") as out:
                     n = len(table)
-                    for start in range(0, n, self.batch_size):
-                        charge_rows(min(self.batch_size, n - start),
-                                    "Scan")
+                    for start in range(0, n, CHUNK_SIZE):
+                        charge_rows(min(CHUNK_SIZE, n - start), "Scan")
                         out[1] += 1
                     out[0] = n
                     # the full-row selection vector is immutable
@@ -214,7 +219,7 @@ class InMemoryBackend:
         zone-map test ``may_match`` rules out.  ``out`` is the counter
         slot list (batches / chunks_scanned / chunks_skipped)."""
         rows: list[int] = []
-        size = chunks[0].stop if chunks else self.batch_size
+        size = chunks[0].stop if chunks else CHUNK_SIZE
         for index, sub in vector.split_selection(child_rows, size):
             chunk = chunks[index]
             if not may_match(chunk):
@@ -278,7 +283,7 @@ class InMemoryBackend:
                         child_rows: list[int], out,
                         charge: bool = True) -> list[int]:
         rows: list[int] = []
-        for batch in vector.batches(child_rows, self.batch_size):
+        for batch in vector.batches(child_rows, CHUNK_SIZE):
             kept = predicate.select_batch(table, batch)
             if charge:
                 charge_rows(len(kept), "Filter")
@@ -303,7 +308,6 @@ class InMemoryBackend:
             if not rows:
                 osp.set_tag("rows", 0)
                 return _empty_result(plan)
-            fn = AGGREGATES[plan.aggregate]
             measure = _fact_measure(self.schema, plan)
             if not keys:
                 check_deadline("GroupAggregate")
@@ -312,46 +316,40 @@ class InMemoryBackend:
                     out[1] = 1
                     osp.set_tag("rows", 1)
                     osp.set_tag("batches", 1)
-                    return fn(vector.take(measure, rows))
-            groups = self._partition_packed(plan.child, keys, rows)
-            charge_groups(len(groups), "Partition")
+                    return fold_rows(plan.aggregate, measure, rows)
+            states = self._pivot_states(plan.child, keys, rows, measure,
+                                        plan.aggregate)
+            charge_groups(len(states), "Partition")
             with self.counters.timed("GroupAggregate") as out:
-                out[0] = len(groups)
+                out[0] = len(states)
                 out[1] = 1
-                osp.set_tag("rows", len(groups))
+                osp.set_tag("rows", len(states))
                 osp.set_tag("batches", 1)
-                return {
-                    value: fn(vector.take(measure, group_rows))
-                    for value, group_rows in groups.items()
-                }
+                return finalize_group_states(plan.aggregate, states)
 
-    def _partition_packed(self, node, keys, rows: list[int]) -> dict:
-        """Composite key tuple → selection vector, built batch-at-a-time.
-
-        The keys are dictionary-encoded (:func:`~repro.relational.vector.
-        pack_keys`) so the fold hashes small tuples exactly once per
-        distinct key per batch.  ``node`` is the :class:`Partition` plan
-        node (span attribution only).
-        """
+    def _pivot_states(self, node, keys, rows: list[int], measure,
+                      aggregate: str) -> dict:
+        """Composite key tuple → state, folded batch by batch: a tuple
+        with a NULL component is passed as None, which drops the row.
+        ``node`` is the :class:`Partition` plan node (span attribution
+        only)."""
+        acc = AGGREGATE_STATES[aggregate]
         check_deadline("Partition")
         with op_span(node) as osp, self.counters.timed("Partition") as out:
             vectors = [self.schema.fact_vector(k.path, k.column)
                        for k in keys]
-            groups: dict = {}
-            for batch in vector.batches(rows, self.batch_size):
+            states: dict = {}
+            for batch in vector.batches(rows, CHUNK_SIZE):
                 check_deadline("Partition")
-                for value, ids in vector.group_rows_packed(
-                        vectors, batch).items():
-                    known = groups.get(value)
-                    if known is None:
-                        groups[value] = ids
-                    else:
-                        known.extend(ids)
+                tuples = zip(*([v[r] for r in batch] for v in vectors))
+                acc.add_pairs(states,
+                              [None if None in t else t for t in tuples],
+                              batch, measure)
                 out[1] += 1
-            out[0] = len(groups)
+            out[0] = len(states)
             osp.set_tag("rows", out[0])
             osp.set_tag("batches", out[1])
-        return groups
+        return states
 
     def _execute_multi(self, plan: MultiGroupAggregate) -> dict:
         """The keyed kernel: one pass over the child's rows updating one
@@ -564,7 +562,7 @@ class SqliteBackend:
         """Align sqlite aggregate results with the in-memory fold: SUM of
         no (or all-NULL) inputs is 0 in memory, NULL in SQL."""
         if value is None and aggregate in ("sum", "count"):
-            return AGGREGATES[aggregate](())
+            return fold_rows(aggregate, (), ())
         return value
 
     def close(self) -> None:

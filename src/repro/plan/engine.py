@@ -24,7 +24,7 @@ from ..obs.tracer import (
     current_tracer,
     fingerprint_digest,
 )
-from ..relational.operators import AGGREGATES
+from ..relational.operators import fold_rows
 from ..resilience.budget import check_deadline
 from ..warehouse.subspace import Subspace
 from .backends import ExecutionBackend, create_backend
@@ -242,7 +242,7 @@ class QueryEngine:
         """G(DS') — the measure aggregated over a subspace."""
         measure = self.schema.measures[measure_name]
         if subspace.is_empty:
-            return AGGREGATES[measure.aggregate](())
+            return fold_rows(measure.aggregate, (), ())
         plan = subspace_aggregate_plan(self.schema, subspace.fact_rows,
                                        measure)
         return self.execute(plan)

@@ -45,14 +45,6 @@ from .expressions import (
     isin,
 )
 from .persistence import dump_database, load_database
-from .operators import (
-    AGGREGATES,
-    aggregate_avg,
-    aggregate_count,
-    aggregate_max,
-    aggregate_min,
-    aggregate_sum,
-)
 from .sql import AliasFilter, JoinEdge, JoinQuery
 from .sqlite_backend import SqliteBackend
 from .table import Table
@@ -68,7 +60,6 @@ from .types import (
 )
 
 __all__ = [
-    "AGGREGATES",
     "AliasFilter",
     "And",
     "Arith",
@@ -105,11 +96,6 @@ __all__ = [
     "TypeMismatchError",
     "UnknownColumnError",
     "UnknownTableError",
-    "aggregate_avg",
-    "aggregate_count",
-    "aggregate_max",
-    "aggregate_min",
-    "aggregate_sum",
     "boolean",
     "coerce_value",
     "date",

@@ -4,9 +4,11 @@ Operators work on *sets of row ids* rather than materialised intermediate
 tables.  That is precisely the shape KDAP needs — a subspace is a set of
 fact rows.
 
-Execution is columnar: the grouped aggregates fold encoded chunks into
-mergeable states (:func:`chunked_group_states`), so no operator
-dispatches per row.
+Execution is columnar: every aggregate — keyed partitions, pivot cells
+and the scalar G(DS′) alike — folds into the mergeable states of
+:data:`AGGREGATE_STATES` (grouped over encoded chunks by
+:func:`chunked_group_states`, one group by :func:`fold_rows`), so one
+fold rule decides every aggregate and no operator dispatches per row.
 """
 
 from __future__ import annotations
@@ -17,57 +19,6 @@ from typing import Callable, Iterable, Sequence
 
 from . import vector
 from .chunks import ColumnChunk, DictChunk, RLEChunk
-
-
-def aggregate_sum(values: Iterable[float]) -> float:
-    """SUM over an iterable, ignoring ``None``."""
-    return sum(v for v in values if v is not None)
-
-
-def aggregate_count(values: Iterable) -> int:
-    """COUNT of non-null values."""
-    return sum(1 for v in values if v is not None)
-
-
-def aggregate_avg(values: Iterable[float]) -> float | None:
-    """AVG over non-null values; None on empty input."""
-    total = 0.0
-    count = 0
-    for value in values:
-        if value is not None:
-            total += value
-            count += 1
-    if count == 0:
-        return None
-    return total / count
-
-
-def aggregate_min(values: Iterable) -> object | None:
-    """MIN over non-null values; None on empty input."""
-    best = None
-    for value in values:
-        if value is not None and (best is None or value < best):
-            best = value
-    return best
-
-
-def aggregate_max(values: Iterable) -> object | None:
-    """MAX over non-null values; None on empty input."""
-    best = None
-    for value in values:
-        if value is not None and (best is None or value > best):
-            best = value
-    return best
-
-
-AGGREGATES: dict[str, Callable] = {
-    "sum": aggregate_sum,
-    "count": aggregate_count,
-    "avg": aggregate_avg,
-    "min": aggregate_min,
-    "max": aggregate_max,
-}
-"""Aggregate functions addressable by name (used by measures and SQL gen)."""
 
 
 # ----------------------------------------------------------------------
@@ -390,7 +341,22 @@ AGGREGATE_STATES: dict[str, AggregateStates] = {
     acc.name: acc for acc in (_SumStates(), _CountStates(), _AvgStates(),
                               _MinStates(), _MaxStates())
 }
-"""Mergeable-state accumulators, one per :data:`AGGREGATES` entry."""
+"""Mergeable-state accumulators addressable by aggregate name (the
+measures' ``aggregate`` and the SQL compiler's function names)."""
+
+
+def fold_rows(aggregate: str, measure: Sequence,
+              rows: Sequence[int]):
+    """The aggregate of ``measure`` at ``rows`` (ascending) folded as
+    one group: the value a keyed partition gives a group holding exactly
+    these rows, or the empty-input value (0 for sum/count, None for
+    avg/min/max) when ``rows`` is empty."""
+    acc = AGGREGATE_STATES[aggregate]
+    if not rows:
+        return acc.final(acc.new())
+    states: dict = {}
+    acc.add_rle(states, (((), rows),), measure)
+    return acc.final(states[()])
 
 
 def accumulate_chunk(acc: AggregateStates, states: dict,

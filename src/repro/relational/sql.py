@@ -189,10 +189,3 @@ def qualify_measure(measure_sql: str, fact_alias: str) -> str:
             out.append(ch)
             i += 1
     return "".join(out)
-
-
-def render_measure(expr: Expression) -> str:
-    """Render a measure expression for SQL (columns assumed fact-qualified
-    later via :func:`_qualify` convention: measures only read fact columns,
-    so we qualify with the fact alias at call sites)."""
-    return str(expr)

@@ -221,8 +221,3 @@ def from_sqlite(value, column_type: ColumnType):
     if column_type is ColumnType.BOOLEAN:
         return bool(value)
     return value
-
-
-def _to_sqlite(value):
-    """Backwards-compatible alias of :func:`to_sqlite`."""
-    return to_sqlite(value)

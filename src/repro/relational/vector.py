@@ -1,4 +1,4 @@
-"""Columnar batch kernels: gathers, selections, and group packing.
+"""Columnar batch kernels: gathers and selections.
 
 This module is the vocabulary of the vectorized execution path.  All
 kernels operate on *column vectors* (one Python list per column, as
@@ -8,17 +8,16 @@ interpreted :meth:`Expression.evaluate` dispatch per row, operators move
 whole batches through these kernels, so the per-row work is a C-level
 list comprehension / ``zip`` step rather than a Python method call.
 
-Three kernel families live here:
+Two kernel families live here:
 
-* **gathers** — :func:`take`, :func:`gather_tuples`: column slices for a
-  selection vector;
+* **gathers** — :func:`take`: a column's values for a selection vector;
 * **selections** — :func:`select_in`, :func:`select_range`,
   :func:`compress`: build or refine selection vectors (vectorized ``IN``
   via set membership over a whole column, range tests for bucketized
-  partitioning, mask compaction for arbitrary predicates);
-* **grouping** — :func:`pack_keys`, :func:`group_rows_packed`:
-  dictionary-encode composite keys so a multi-column group-by folds
-  over small integer codes.
+  partitioning, mask compaction for arbitrary predicates).
+
+Grouping is not a kernel here: every aggregate folds into the mergeable
+states of :mod:`repro.relational.operators`.
 
 Sorted-set algebra (:func:`intersect_sorted`, :func:`union_sorted`,
 :func:`is_subset_sorted`) supports subspace membership checks without
@@ -34,15 +33,10 @@ from __future__ import annotations
 from bisect import bisect_left
 from typing import Iterable, Iterator, Sequence
 
-DEFAULT_BATCH_SIZE = 4096
-"""Rows per batch in the vectorized executor (large enough to amortise
-per-batch bookkeeping, small enough to keep budget checks responsive)."""
 
-
-def batches(
-    row_ids: Sequence[int], size: int = DEFAULT_BATCH_SIZE
-) -> Iterator[Sequence[int]]:
-    """Split a selection vector into successive batches (order kept)."""
+def batches(row_ids: Sequence[int], size: int) -> Iterator[Sequence[int]]:
+    """Split a selection vector into successive batches of ``size`` rows
+    (order kept)."""
     if not isinstance(row_ids, (list, tuple, range)):
         row_ids = list(row_ids)
     for start in range(0, len(row_ids), size):
@@ -57,13 +51,6 @@ def take(values: Sequence, row_ids: Iterable[int] | None) -> list:
     if row_ids is None:
         return list(values)
     return [values[r] for r in row_ids]
-
-
-def gather_tuples(
-    stores: Sequence[Sequence], row_ids: Iterable[int] | None
-) -> list[tuple]:
-    """Row tuples over several columns for one selection vector."""
-    return list(zip(*(take(store, row_ids) for store in stores)))
 
 
 # ----------------------------------------------------------------------
@@ -111,52 +98,6 @@ def select_range(
     if inclusive_high:
         return [r for r in ids if values[r] is not None and low <= values[r] <= high]
     return [r for r in ids if values[r] is not None and low <= values[r] < high]
-
-
-# ----------------------------------------------------------------------
-# grouping
-# ----------------------------------------------------------------------
-def pack_keys(
-    vectors: Sequence[Sequence], row_ids: Sequence[int]
-) -> tuple[list[int], list[tuple]]:
-    """Dictionary-encode composite group-by keys for a selection.
-
-    Returns ``(codes, keys)``: ``codes[i]`` is the small-integer code of
-    row ``row_ids[i]``'s key tuple (−1 when any component is NULL, i.e.
-    the row belongs to no group), and ``keys[code]`` is the decoded
-    tuple.  Downstream folds then group over dense ints instead of
-    hashing wide tuples repeatedly.
-    """
-    encoding: dict[tuple, int] = {}
-    keys: list[tuple] = []
-    codes: list[int] = []
-    columns = gather_tuples(vectors, row_ids)
-    for key in columns:
-        if None in key:
-            codes.append(-1)
-            continue
-        code = encoding.get(key)
-        if code is None:
-            code = encoding[key] = len(keys)
-            keys.append(key)
-        codes.append(code)
-    return codes, keys
-
-
-def group_rows_packed(
-    vectors: Sequence[Sequence], row_ids: Sequence[int]
-) -> dict[tuple, list[int]]:
-    """Partition a selection by several columns: key tuple → row ids
-    (rows with a NULL key component dropped), via dictionary-encoded
-    keys."""
-    if not isinstance(row_ids, (list, tuple)):
-        row_ids = list(row_ids)
-    codes, keys = pack_keys(vectors, row_ids)
-    buckets: list[list[int]] = [[] for _ in keys]
-    for r, code in zip(row_ids, codes):
-        if code >= 0:
-            buckets[code].append(r)
-    return dict(zip(keys, buckets))
 
 
 # ----------------------------------------------------------------------

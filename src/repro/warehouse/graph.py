@@ -145,10 +145,6 @@ class SchemaGraph:
             self._adjacency[fk.child_table].append(PathStep(fk, True))
             self._adjacency[fk.parent_table].append(PathStep(fk, False))
 
-    def neighbors(self, table: str) -> list[PathStep]:
-        """All steps leaving ``table`` (both FK directions)."""
-        return list(self._adjacency.get(table, ()))
-
     def join_paths(
         self,
         source: str,

@@ -100,13 +100,6 @@ class Hierarchy:
                 return i
         return None
 
-    def parent_level(self, ref: AttributeRef) -> AttributeRef | None:
-        """The next-coarser level above ``ref``, or None at the top."""
-        idx = self.level_index(ref)
-        if idx is None or idx + 1 >= len(self.levels):
-            return None
-        return self.levels[idx + 1]
-
 
 @dataclass(frozen=True)
 class Dimension:
@@ -254,22 +247,6 @@ class StarSchema:
                 if idx is not None:
                     return (dim, hierarchy, idx)
         return None
-
-    def path_via_dimension(self, dimension: Dimension, table: str,
-                           max_length: int = 6) -> JoinPath:
-        """The canonical fact → ``table`` path whose intermediate tables all
-        belong to ``dimension`` (resolves shared-table role ambiguity)."""
-        candidates = [
-            p for p in self.graph.join_paths(self.fact_table, table, max_length)
-            if all(t in self.fact_complex or t in dimension.tables
-                   for t in p.tables)
-        ]
-        if not candidates:
-            raise SchemaError(
-                f"no path from {self.fact_table!r} to {table!r} inside "
-                f"dimension {dimension.name!r}"
-            )
-        return candidates[0]  # join_paths sorts by length, then FK names
 
     # ------------------------------------------------------------------
     # row-level resolution (fact-aligned vectors)

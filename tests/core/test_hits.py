@@ -33,6 +33,14 @@ class TestHitGroup:
         assert group.mean_score() == 1.5
         assert group.domain == ("T", "A")
 
+    def test_mean_score_adds_left_to_right(self):
+        """The star-net score's group mean adds hit scores one by one:
+        1e16 + 1.0 rounds back to 1e16, so the mean is 0.0 on every
+        Python version (a compensated sum would give 1/3)."""
+        hits = tuple(SearchHit("T", "A", f"v{i}", score)
+                     for i, score in enumerate((1e16, 1.0, -1e16)))
+        assert HitGroup("T", "A", hits, ("k",)).mean_score() == 0.0
+
     def test_str_truncates(self):
         hits = tuple(SearchHit("T", "A", f"v{i}", 1.0) for i in range(5))
         group = HitGroup("T", "A", hits, ("k",))

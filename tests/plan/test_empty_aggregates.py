@@ -25,7 +25,7 @@ from repro.plan import (
 from repro.plan.builders import attr_key, multi_partition_plan
 from repro.relational import Database, Table, float_, integer, text
 from repro.relational.expressions import Col
-from repro.relational.operators import AGGREGATES
+from repro.relational.operators import AGGREGATE_STATES
 from repro.warehouse import (
     AttributeKind,
     AttributeRef,
@@ -38,7 +38,7 @@ from repro.warehouse import (
 
 from ..warehouse.subspace_oracle import restrict
 
-ALL_AGGREGATES = sorted(AGGREGATES)
+ALL_AGGREGATES = sorted(AGGREGATE_STATES)
 
 EMPTY_FILL = {"sum": 0, "count": 0, "avg": None, "min": None, "max": None}
 """The pinned empty-input results: fold identities for sum/count, None

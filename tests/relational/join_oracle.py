@@ -22,9 +22,9 @@ from typing import Hashable
 
 from repro.relational.catalog import Database
 from repro.relational.errors import SchemaError
-from repro.relational.operators import AGGREGATES
 from repro.relational.sql import JoinQuery
 
+from ..warehouse.subspace_oracle import fold
 from .row_oracle import evaluate_row
 
 
@@ -106,15 +106,13 @@ def execute_join_query(database: Database,
     # ------------------------------------------------------------------
     # aggregation
     # ------------------------------------------------------------------
-    aggregate_fn = AGGREGATES[query.aggregate]
-
     def measure_of(env: tuple):
         if query.measure_expr is None:
             return 1
         return evaluate_row(query.measure_expr, fact, env[0])
 
     if not query.group_by:
-        return [(aggregate_fn(measure_of(env) for env in rows),)]
+        return [(fold(query.aggregate, (measure_of(env) for env in rows)),)]
 
     key_columns = []
     for alias, column in query.group_by:
@@ -130,7 +128,7 @@ def execute_join_query(database: Database,
                     for slot, values in key_columns)
         groups[key].append(measure_of(env))
     return [
-        (*key, aggregate_fn(measures))
+        (*key, fold(query.aggregate, measures))
         for key, measures in sorted(groups.items(),
                                     key=lambda kv: tuple(map(str, kv[0])))
     ]

@@ -6,21 +6,10 @@ attribute filters and has no semi-join of its own)."""
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.relational import (
-    AGGREGATES,
-    Table,
-    aggregate_avg,
-    aggregate_count,
-    aggregate_max,
-    aggregate_min,
-    aggregate_sum,
-    eq,
-    integer,
-    text,
-    vector,
-)
+from repro.relational import Table, eq, integer, text
+from repro.relational.operators import AGGREGATE_STATES, fold_rows
 
-from ..warehouse.subspace_oracle import group_rows, semi_join
+from ..warehouse.subspace_oracle import fold, group_rows, semi_join
 
 
 @pytest.fixture
@@ -67,12 +56,6 @@ class TestSemiJoin:
         assert semi_join(orders, "CustomerId", [], customers, "Id") == []
 
 
-class TestProject:
-    def test_tuples(self, orders):
-        stores = [orders.column_values(c) for c in ("Id", "Amount")]
-        assert vector.gather_tuples(stores, [0, 1]) == [(1, 5), (2, 7)]
-
-
 class TestGroupBy:
     def test_by_column(self, orders):
         groups = group_rows(orders.column_values("CustomerId"))
@@ -84,25 +67,38 @@ class TestGroupBy:
         assert None not in groups
 
 
+def _fold(aggregate, values):
+    """``fold_rows`` over every row of ``values``."""
+    return fold_rows(aggregate, values, range(len(values)))
+
+
 class TestAggregates:
+    """The one-group fold (:func:`fold_rows`) that G(DS') runs on."""
+
     def test_sum_ignores_none(self):
-        assert aggregate_sum([1, None, 2]) == 3
+        assert _fold("sum", [1, None, 2]) == 3
 
     def test_count_non_null(self):
-        assert aggregate_count([1, None, 2]) == 2
+        assert _fold("count", [1, None, 2]) == 2
 
     def test_avg(self):
-        assert aggregate_avg([2, 4, None]) == 3
+        assert _fold("avg", [2, 4, None]) == 3
 
     def test_avg_empty_is_none(self):
-        assert aggregate_avg([None]) is None
+        assert _fold("avg", [None]) is None
 
     def test_min_max(self):
-        assert aggregate_min([3, 1, None]) == 1
-        assert aggregate_max([3, 1, None]) == 3
+        assert _fold("min", [3, 1, None]) == 1
+        assert _fold("max", [3, 1, None]) == 3
 
     def test_registry(self):
-        assert set(AGGREGATES) == {"sum", "count", "avg", "min", "max"}
+        assert set(AGGREGATE_STATES) == {"sum", "count", "avg", "min",
+                                         "max"}
+
+    def test_sum_adds_left_to_right(self):
+        """No compensated rounding: 1e16 + 1.0 rounds back to 1e16."""
+        assert _fold("sum", [1e16, 1.0, -1e16]) == 0.0
+        assert _fold("avg", [1e16, 1.0, -1e16]) == 0.0
 
 
 # ----------------------------------------------------------------------
@@ -139,3 +135,17 @@ def test_group_by_partitions_rows(values):
     assert covered == want
     for key, rows in groups.items():
         assert all(values[r] == key for r in rows)
+
+
+@given(values=st.lists(st.one_of(st.floats(-1e16, 1e16), st.integers(-5, 5),
+                                 st.none()), max_size=40),
+       data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_fold_rows_matches_plain_loop(values, data):
+    """The one-group state fold equals the oracle's plain left-to-right
+    loop byte for byte, over any ascending selection."""
+    rows = sorted(data.draw(st.sets(st.integers(0, max(len(values) - 1, 0))))
+                  ) if values else []
+    for aggregate in AGGREGATE_STATES:
+        want = fold(aggregate, [values[r] for r in rows])
+        assert repr(fold_rows(aggregate, values, rows)) == repr(want)

@@ -12,7 +12,8 @@ the materialization tier or a backend:
   chain of semi-joins (:func:`select_rows_by_values` + :func:`slice_facts`
   + :func:`semi_join`, the route ``src/`` ran before rays became attribute
   filters over the fact chunks), narrowed by any measure predicates;
-* G(DS') folds the schema's cached measure vector;
+* G(DS') folds the schema's cached measure vector with :func:`fold`, a
+  plain left-to-right loop independent of ``src/``'s aggregate states;
 * partition aggregates run the grouped kernel
   (:func:`~repro.relational.operators.chunked_group_states`) over the
   schema's encoded fact chunks, so they add the same floats in the same
@@ -36,7 +37,6 @@ from functools import reduce
 from repro.core.measure_hits import measure_fact_rows
 from repro.relational import vector
 from repro.relational.operators import (
-    AGGREGATES,
     chunked_group_states,
     finalize_group_states,
 )
@@ -111,10 +111,33 @@ def star_net_rows(schema, net) -> tuple[int, ...]:
     return tuple(sorted(rows))
 
 
+def fold(aggregate_name: str, values):
+    """One aggregate over ``values`` as a plain loop, NULLs ignored:
+    sums add left to right (avg from 0.0), min/max keep the first
+    extreme, and empty (or all-NULL) input gives 0 for sum/count and
+    None for avg/min/max."""
+    present = [v for v in values if v is not None]
+    if aggregate_name == "count":
+        return len(present)
+    if aggregate_name in ("min", "max"):
+        best = None
+        for v in present:
+            if best is None or (v < best if aggregate_name == "min"
+                                else v > best):
+                best = v
+        return best
+    total = 0.0 if aggregate_name == "avg" else 0
+    for v in present:
+        total += v
+    if aggregate_name == "sum":
+        return total
+    return total / len(present) if present else None
+
+
 def aggregate(schema, rows, measure_name: str):
     """G(DS') over ``rows``."""
-    fold = AGGREGATES[schema.measures[measure_name].aggregate]
-    return fold(vector.take(schema.measure_vector(measure_name), rows))
+    return fold(schema.measures[measure_name].aggregate,
+                vector.take(schema.measure_vector(measure_name), rows))
 
 
 def groupby_values(subspace, gb) -> list:
@@ -153,7 +176,7 @@ def restrict(groups: dict, values, aggregate: str) -> dict:
     """A partition aggregate projected onto ``values``: a value that
     selects no rows aggregates over the empty set (0 for sum/count, None
     for avg/min/max)."""
-    fill = AGGREGATES[aggregate](())
+    fill = fold(aggregate, ())
     return {value: groups.get(value, fill) for value in values}
 
 
@@ -195,13 +218,16 @@ def filter_rows(schema, rows, selections) -> list[int]:
 def pivot_cells(schema, rows, rows_gb, cols_gb, measure_name: str) -> dict:
     """(row value, column value) → the measure's aggregate over that
     cell's rows (a NULL on either axis drops the row)."""
-    fold = AGGREGATES[schema.measures[measure_name].aggregate]
+    name = schema.measures[measure_name].aggregate
     values = schema.measure_vector(measure_name)
-    groups = vector.group_rows_packed(
-        [schema.groupby_vector(rows_gb), schema.groupby_vector(cols_gb)],
-        list(rows))
-    return {key: fold(vector.take(values, cell))
-            for key, cell in groups.items()}
+    row_keys = schema.groupby_vector(rows_gb)
+    col_keys = schema.groupby_vector(cols_gb)
+    cells: dict = {}
+    for r in rows:
+        key = (row_keys[r], col_keys[r])
+        if None not in key:
+            cells.setdefault(key, []).append(values[r])
+    return {key: fold(name, cell) for key, cell in cells.items()}
 
 
 class LocalKernel:

@@ -8,7 +8,7 @@ rows, batches, and inclusive seconds — the paper-reproduction analogue
 of a SQL engine's ``EXPLAIN ANALYZE``.
 
 The module is deliberately duck-typed over plan nodes (``kind``,
-``child``, ``keys`` ...) so the observability layer stays below the plan
+``child``, ``groupings`` ...) so the observability layer stays below the plan
 layer in the import graph: ``repro.plan`` imports ``repro.obs``, never
 the reverse.
 """
@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .tracer import Tracer, plan_digest
+from .tracer import Tracer, grouping_label, plan_digest
 
 
 @dataclass
@@ -75,13 +75,9 @@ def _describe(node) -> str:
         if node.predicate is not None:
             return str(node.predicate)
         return f"{node.attr} IN [{len(node.values)} values]"
-    if kind == "Partition":
-        return ", ".join(str(key) for key in node.keys)
-    if kind == "GroupAggregate":
-        return f"{node.aggregate}({node.measure_sql})"
     if kind == "MultiGroupAggregate":
-        keys = ", ".join(str(key) for key in node.keys)
-        return f"{node.aggregate}({node.measure_sql}) by [{keys}]"
+        groupings = ", ".join(grouping_label(g) for g in node.groupings)
+        return f"{node.aggregate}({node.measure_sql}) by [{groupings}]"
     return repr(node)
 
 

@@ -311,6 +311,15 @@ def request_scope(request_id: str | None):
         _REQUEST_ID.reset(token)
 
 
+def grouping_label(grouping) -> str:
+    """One aggregate grouping as spans and EXPLAIN print it: ``()`` for
+    the 0-key total, the attribute for a partition, ``(rows, columns)``
+    for a pivot."""
+    if len(grouping) == 1:
+        return str(grouping[0])
+    return "(" + ", ".join(str(key) for key in grouping) + ")"
+
+
 def op_span(node):
     """A span for one plan-operator execution, or the no-op span.
 
@@ -324,7 +333,8 @@ def op_span(node):
     if node.kind == "MultiGroupAggregate":
         # EXPLAIN lists which group-bys (numerical ones included) rode
         # this fused scan / statement
-        span.set_tag("keys", ",".join(str(key) for key in node.keys))
+        span.set_tag("keys", ",".join(grouping_label(grouping)
+                                      for grouping in node.groupings))
     request_id = _REQUEST_ID.get()
     if request_id is not None:
         span.set_tag("request", request_id)

@@ -4,16 +4,16 @@ An :class:`ExecutionBackend` turns logical plans into results:
 
 * :meth:`~ExecutionBackend.materialize` runs a row-producing plan and
   returns the sorted fact-row ids it selects;
-* :meth:`~ExecutionBackend.execute` runs an aggregate plan: a
-  :class:`MultiGroupAggregate` returns one ``value → aggregate`` dict
-  per branch, a :class:`GroupAggregate` a scalar (or, over a pivot's
-  two-key :class:`Partition`, a ``key tuple → aggregate`` mapping).
+* :meth:`~ExecutionBackend.execute` runs the one aggregate node, a
+  :class:`MultiGroupAggregate`, and returns one ``group → aggregate``
+  dict per grouping: the 0-key total's one group ``()``, a partition's
+  values, or a pivot's value pairs.
 
 Two engines conform:
 
 * :class:`InMemoryBackend` — selection vectors narrowed chunk by
-  chunk over the schema's encoded fact-aligned columns, every aggregate
-  (keyed, pivot or scalar) folded through the one fold rule of
+  chunk over the schema's encoded fact-aligned columns, every grouping
+  (0, 1 or 2 keys) folded through the one fold rule of
   :data:`~repro.relational.operators.AGGREGATE_STATES`;
 * :class:`SqliteBackend` — compiles plans to SQL via
   :mod:`repro.plan.compile` and runs them on a sqlite3 mirror of the
@@ -51,12 +51,11 @@ from .compile import compile_multi_plan, compile_plan
 from .counters import PlanCounters
 from .nodes import (
     Filter,
-    GroupAggregate,
     MultiGroupAggregate,
-    Partition,
     PlanNode,
     RowSet,
     Scan,
+    grouping_fingerprint,
     row_source,
 )
 
@@ -71,8 +70,8 @@ class ExecutionBackend(Protocol):
     def materialize(self, plan: PlanNode) -> tuple[int, ...]:
         """Sorted row ids selected by a row-producing plan."""
 
-    def execute(self, plan: GroupAggregate | MultiGroupAggregate) -> object:
-        """Per-branch group dicts, a scalar, or pivot cells."""
+    def execute(self, plan: MultiGroupAggregate) -> dict:
+        """One ``group → aggregate`` dict per grouping."""
 
     def close(self) -> None:
         """Release any resources (idempotent)."""
@@ -88,14 +87,15 @@ def _leaf(plan: PlanNode) -> PlanNode:
     return node
 
 
-def _empty_result(plan: GroupAggregate):
-    """The result of aggregating zero rows (shared by both backends)."""
-    return {} if plan.grouped else fold_rows(plan.aggregate, (), ())
-
-
-def _empty_multi_result(plan: MultiGroupAggregate) -> dict:
-    """A keyed aggregate over zero rows: an empty dict per key."""
-    return {key.fingerprint(): {} for key in plan.branches()}
+def _empty_groups(plan: MultiGroupAggregate) -> dict:
+    """An aggregate over zero rows (shared by both backends): a 0-key
+    grouping still has its one group, holding the empty-input value;
+    every keyed grouping is empty."""
+    return {
+        grouping_fingerprint(grouping):
+            {} if grouping else {(): fold_rows(plan.aggregate, (), ())}
+        for grouping in plan.branches()
+    }
 
 
 def _fact_measure(schema: StarSchema, plan) -> list:
@@ -126,14 +126,12 @@ class InMemoryBackend:
     Every aggregate folds into the mergeable states of
     :data:`~repro.relational.operators.AGGREGATE_STATES` (the same
     states the materialization tier stores, so a scan and an exact tier
-    view agree bit for bit).  Keyed aggregates
-    (:class:`MultiGroupAggregate`, one branch or many) have one kernel
-    at every row count:
-    :func:`~repro.relational.operators.chunked_group_states` walks the
-    grouping keys' encoded fact chunks in one serial pass.  A pivot
-    folds its composite key tuples batch by batch, and the scalar G(DS′)
-    folds its rows as one group
-    (:func:`~repro.relational.operators.fold_rows`).
+    view agree bit for bit).  :meth:`execute` picks a kernel per
+    grouping arity: all 1-key branches share one
+    :func:`~repro.relational.operators.chunked_group_states` walk over
+    their keys' encoded fact chunks, a 0-key branch (G(DS′)) folds the
+    rows as one group (:func:`~repro.relational.operators.fold_rows`),
+    and a 2-key branch (a pivot) folds its key tuples batch by batch.
     """
 
     name = "memory"
@@ -293,92 +291,67 @@ class InMemoryBackend:
         return rows
 
     # -- aggregates ----------------------------------------------------
-    def execute(self, plan: GroupAggregate | MultiGroupAggregate):
-        if isinstance(plan, MultiGroupAggregate):
-            return self._execute_multi(plan)
-        if not isinstance(plan, GroupAggregate):
-            raise SchemaError("execute() takes an aggregate plan")
-        with op_span(plan) as osp:
-            child = plan.child
-            keys = ()
-            if isinstance(child, Partition):
-                keys = child.keys
-                child = child.child
-            rows = self._rows(child)
-            if not rows:
-                osp.set_tag("rows", 0)
-                return _empty_result(plan)
-            measure = _fact_measure(self.schema, plan)
-            if not keys:
-                check_deadline("GroupAggregate")
-                with self.counters.timed("GroupAggregate") as out:
-                    out[0] = len(rows)
-                    out[1] = 1
-                    osp.set_tag("rows", 1)
-                    osp.set_tag("batches", 1)
-                    return fold_rows(plan.aggregate, measure, rows)
-            states = self._pivot_states(plan.child, keys, rows, measure,
-                                        plan.aggregate)
-            charge_groups(len(states), "Partition")
-            with self.counters.timed("GroupAggregate") as out:
-                out[0] = len(states)
-                out[1] = 1
-                osp.set_tag("rows", len(states))
-                osp.set_tag("batches", 1)
-                return finalize_group_states(plan.aggregate, states)
-
-    def _pivot_states(self, node, keys, rows: list[int], measure,
-                      aggregate: str) -> dict:
-        """Composite key tuple → state, folded batch by batch: a tuple
-        with a NULL component is passed as None, which drops the row.
-        ``node`` is the :class:`Partition` plan node (span attribution
-        only)."""
-        acc = AGGREGATE_STATES[aggregate]
-        check_deadline("Partition")
-        with op_span(node) as osp, self.counters.timed("Partition") as out:
-            vectors = [self.schema.fact_vector(k.path, k.column)
-                       for k in keys]
-            states: dict = {}
-            for batch in vector.batches(rows, CHUNK_SIZE):
-                check_deadline("Partition")
-                tuples = zip(*([v[r] for r in batch] for v in vectors))
-                acc.add_pairs(states,
-                              [None if None in t else t for t in tuples],
-                              batch, measure)
-                out[1] += 1
-            out[0] = len(states)
-            osp.set_tag("rows", out[0])
-            osp.set_tag("batches", out[1])
-        return states
-
-    def _execute_multi(self, plan: MultiGroupAggregate) -> dict:
-        """The keyed kernel: one pass over the child's rows updating one
-        state dict per branch key."""
+    def execute(self, plan: MultiGroupAggregate) -> dict:
+        """The one aggregate kernel: every grouping over one selection of
+        the child's rows, each arity on its own fold."""
         with op_span(plan) as osp:
             rows = self._rows(plan.child)
             if not rows:
                 osp.set_tag("rows", 0)
-                return _empty_multi_result(plan)
+                return _empty_groups(plan)
             check_deadline("MultiGroupAggregate")
             measure = _fact_measure(self.schema, plan)
+            aggregate = plan.aggregate
             branches = plan.branches()
+            singles = [grouping for grouping in branches
+                       if len(grouping) == 1]
+            results: dict = {}
             with self.counters.timed("MultiGroupAggregate") as out:
-                states = self._group_states(branches, rows, measure,
-                                            plan.aggregate,
-                                            "MultiGroupAggregate", out)
-                results = {
-                    key.fingerprint(): finalize_group_states(
-                        plan.aggregate, groups)
-                    for key, groups in zip(branches, states)
-                }
-                out[0] = sum(len(groups) for groups in states)
+                if singles:
+                    states = self._group_states(
+                        [key for (key,) in singles], rows, measure,
+                        aggregate, out)
+                    for grouping, groups in zip(singles, states):
+                        results[grouping_fingerprint(grouping)] = \
+                            finalize_group_states(aggregate, groups)
+                for grouping in branches:
+                    if not grouping:
+                        results[()] = {(): fold_rows(aggregate, measure,
+                                                     rows)}
+                        out[1] += 1
+                    elif len(grouping) > 1:
+                        results[grouping_fingerprint(grouping)] = \
+                            self._tuple_groups(grouping, rows, measure,
+                                               aggregate, out)
+                out[0] = sum(len(groups) for groups in results.values())
             osp.set_tag("rows", out[0])
             osp.set_tag("batches", out[1])
-            charge_groups(out[0], "MultiGroupAggregate")
+            # the 0-key total's one group is not charged: the budget
+            # counts the groups partitions and pivots create
+            charge_groups(sum(len(groups) for fp, groups in results.items()
+                              if fp), "MultiGroupAggregate")
             return results
 
+    def _tuple_groups(self, keys, rows: list[int], measure,
+                      aggregate: str, out) -> dict:
+        """Key tuple → aggregate for a grouping of two or more keys,
+        folded batch by batch: a tuple with a NULL component is passed
+        as None, which drops the row.  The deadline is checked per
+        batch."""
+        acc = AGGREGATE_STATES[aggregate]
+        vectors = [self.schema.fact_vector(k.path, k.column) for k in keys]
+        states: dict = {}
+        for batch in vector.batches(rows, CHUNK_SIZE):
+            check_deadline("MultiGroupAggregate")
+            tuples = zip(*([v[r] for r in batch] for v in vectors))
+            acc.add_pairs(states,
+                          [None if None in t else t for t in tuples],
+                          batch, measure)
+            out[1] += 1
+        return finalize_group_states(aggregate, states)
+
     def _group_states(self, keys, rows: list[int], measure, aggregate: str,
-                      stage: str, out) -> list[dict]:
+                      out) -> list[dict]:
         """Per-key ``value → state`` dicts over ``rows``: the one grouped
         kernel, walking the keys' encoded fact chunks serially.
 
@@ -387,7 +360,7 @@ class InMemoryBackend:
         here: the row-producing child already charged them.
         """
         def on_chunk(_rows: int) -> None:
-            check_deadline(stage)
+            check_deadline("MultiGroupAggregate")
             out[1] += 1
 
         return chunked_group_states(
@@ -455,7 +428,7 @@ class SqliteBackend:
         with op_span(plan) as osp:
             self._mark_sql_nodes(plan)
             table = self.schema.database.table(leaf.table)
-            query = self._compile(plan)
+            query = self._compile(plan, compile_plan)
             pk = table.primary_key
             if (pk is not None
                     and table.column(pk).type is ColumnType.INTEGER):
@@ -485,64 +458,47 @@ class SqliteBackend:
             node = getattr(node, "child", None)
 
     # -- aggregates ----------------------------------------------------
-    def execute(self, plan: GroupAggregate | MultiGroupAggregate):
-        if isinstance(plan, MultiGroupAggregate):
-            return self._execute_multi(plan)
-        if not isinstance(plan, GroupAggregate):
-            raise SchemaError("execute() takes an aggregate plan")
-        leaf = _leaf(plan)
-        if isinstance(leaf, RowSet) and not leaf.rows:
-            return _empty_result(plan)
-        with op_span(plan) as osp:
-            self._mark_sql_nodes(plan)
-            query = self._compile(plan)
-            result_rows = self._run(query.to_sql())
-            osp.set_tag("rows", len(result_rows))
-            osp.set_tag("batches", 1)
-            if not plan.grouped:
-                value = result_rows[0][0]
-                return self._restore_aggregate(plan.aggregate, value)
-            charge_groups(len(result_rows), "GroupAggregate")
-            return {
-                tuple(row[:-1]): self._restore_aggregate(plan.aggregate,
-                                                         row[-1])
-                for row in result_rows
-            }
-
-    def _execute_multi(self, plan: MultiGroupAggregate) -> dict:
+    def execute(self, plan: MultiGroupAggregate) -> dict:
         """One batched round-trip: a shared filtered CTE feeding one
-        grouped select per branch key (instead of one full query per key,
-        each re-evaluating the row-set filter)."""
+        grouped select per grouping (instead of one full query per
+        grouping, each re-evaluating the row-set filter)."""
         leaf = _leaf(plan)
         if isinstance(leaf, RowSet) and not leaf.rows:
-            return _empty_multi_result(plan)
+            return _empty_groups(plan)
         with op_span(plan) as osp:
             self._mark_sql_nodes(plan)
-            with self.counters.timed("SqlCompile"):
-                sql = compile_multi_plan(plan, self.schema.database)
-            self.counters.record("MultiGroupAggregate")
+            sql = self._compile(plan, compile_multi_plan)
             result_rows = self._run(sql)
             osp.set_tag("rows", len(result_rows))
             osp.set_tag("batches", 1)
-        charge_groups(len(result_rows), "MultiGroupAggregate")
         branches = plan.branches()
+        # the 0-key total's one row is not charged (as in memory)
+        charge_groups(sum(1 for row in result_rows if branches[row[0]]),
+                      "MultiGroupAggregate")
         # UNION ALL loses declared column types, so converters never fire
-        # — restore engine values (booleans, dates) per key column
+        # — restore engine values (booleans, dates) per key position
+        database = self.schema.database
         key_types = [
-            self.schema.database.table(key.table).column(key.column).type
-            for key in branches
+            [database.table(key.table).column(key.column).type
+             for key in grouping]
+            for grouping in branches
         ]
-        results: dict = {key.fingerprint(): {} for key in branches}
-        for index, value, agg in result_rows:
-            results[branches[index].fingerprint()][
-                from_sqlite(value, key_types[index])] = \
-                self._restore_aggregate(plan.aggregate, agg)
-        return results
+        results = [{} for _ in branches]
+        for index, *keys, agg in result_rows:
+            values = tuple(from_sqlite(value, column_type) for value,
+                           column_type in zip(keys, key_types[index]))
+            group = values[0] if len(values) == 1 else values
+            results[index][group] = self._restore_aggregate(plan.aggregate,
+                                                            agg)
+        return {grouping_fingerprint(grouping): groups
+                for grouping, groups in zip(branches, results)}
 
     # -- helpers -------------------------------------------------------
-    def _compile(self, plan: PlanNode):
+    def _compile(self, plan: PlanNode, compiler):
+        """``compiler(plan, database)``, timed as ``SqlCompile``; every
+        node of the plan counts one call (they all run inside SQL)."""
         with self.counters.timed("SqlCompile"):
-            query = compile_plan(plan, self.schema.database)
+            query = compiler(plan, self.schema.database)
         for node_kind in _walk_kinds(plan):
             self.counters.record(node_kind)
         return query

@@ -15,15 +15,7 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from .nodes import (
-    AttrKey,
-    Filter,
-    GroupAggregate,
-    MultiGroupAggregate,
-    Partition,
-    PlanNode,
-    RowSet,
-)
+from .nodes import AttrKey, Filter, MultiGroupAggregate, PlanNode, RowSet
 
 
 def attr_key(gb) -> AttrKey:
@@ -53,10 +45,15 @@ def rowset(schema, rows: Iterable[int]) -> RowSet:
     return RowSet(schema.fact_table, tuple(rows))
 
 
-def _aggregate(source: PlanNode, measure) -> GroupAggregate:
-    """Aggregate ``measure`` over the rows (or pivot cells) of ``source``."""
-    return GroupAggregate(
+def keyed_aggregate(source: PlanNode, groupings: Sequence[Sequence],
+                    measure) -> MultiGroupAggregate:
+    """``group → aggregate`` for every grouping (a sequence of 0, 1 or 2
+    group-by attributes) over the rows of ``source``, in one plan (one
+    scan, one SQL statement)."""
+    return MultiGroupAggregate(
         child=source,
+        groupings=tuple(tuple(attr_key(gb) for gb in grouping)
+                        for grouping in groupings),
         aggregate=measure.aggregate,
         measure_sql=str(measure.expression),
         measure_expr=measure.expression,
@@ -64,34 +61,23 @@ def _aggregate(source: PlanNode, measure) -> GroupAggregate:
 
 
 def subspace_aggregate_plan(schema, rows: Iterable[int],
-                            measure) -> GroupAggregate:
-    """G(DS'): the measure over a subspace's rows."""
-    return _aggregate(rowset(schema, rows), measure)
-
-
-def keyed_aggregate(source: PlanNode, gbs: Sequence,
-                    measure) -> MultiGroupAggregate:
-    """``value → aggregate`` for every given group-by attribute over the
-    rows of ``source``, in one plan (one scan, one SQL statement); a
-    single attribute is a one-branch plan."""
-    return MultiGroupAggregate(
-        child=source,
-        keys=tuple(attr_key(gb) for gb in gbs),
-        aggregate=measure.aggregate,
-        measure_sql=str(measure.expression),
-        measure_expr=measure.expression,
-    )
+                            measure) -> MultiGroupAggregate:
+    """G(DS'): the measure over a subspace's rows, as the one group of a
+    0-key grouping."""
+    return keyed_aggregate(rowset(schema, rows), [()], measure)
 
 
 def multi_partition_plan(schema, rows: Iterable[int], gbs: Sequence,
                          measure) -> MultiGroupAggregate:
-    """:func:`keyed_aggregate` over a subspace's rows."""
-    return keyed_aggregate(rowset(schema, rows), gbs, measure)
+    """``value → aggregate`` for every given group-by attribute over a
+    subspace's rows: one 1-key grouping per attribute."""
+    return keyed_aggregate(rowset(schema, rows), [(gb,) for gb in gbs],
+                           measure)
 
 
 def pivot_plan(schema, rows: Iterable[int], rows_gb, cols_gb,
-               measure) -> GroupAggregate:
-    """(row value, column value) → aggregate over a subspace."""
-    return _aggregate(Partition(rowset(schema, rows),
-                                (attr_key(rows_gb), attr_key(cols_gb))),
-                      measure)
+               measure) -> MultiGroupAggregate:
+    """(row value, column value) → aggregate over a subspace: one 2-key
+    grouping."""
+    return keyed_aggregate(rowset(schema, rows), [(rows_gb, cols_gb)],
+                           measure)

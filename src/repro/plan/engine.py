@@ -37,7 +37,13 @@ from .builders import (
     subspace_aggregate_plan,
 )
 from .cache import EVICTIONS, HITS, MISSES, PlanCache
-from .nodes import Filter, GroupAggregate, MultiGroupAggregate, PlanNode, Scan
+from .nodes import (
+    Filter,
+    MultiGroupAggregate,
+    PlanNode,
+    Scan,
+    grouping_fingerprint,
+)
 
 _MISS = object()
 
@@ -45,10 +51,11 @@ _MISS = object()
 class QueryEngine:
     """Evaluate logical plans with caching over a pluggable backend.
 
+    Every aggregate is a :class:`MultiGroupAggregate`: G(DS′) a 0-key
+    grouping, a partition a 1-key one and a pivot a 2-key one.
     Partition aggregates have one route: every attribute's partition is
-    unrestricted and cached under its own one-branch
-    ``MultiGroupAggregate`` fingerprint, and the attributes a call
-    misses run as one ``MultiGroupAggregate`` plan (one scan in memory,
+    unrestricted and cached under its own one-branch fingerprint, and
+    the attributes a call misses run as one plan (one scan in memory,
     one batched statement on sqlite), whether one missed or many.
     """
 
@@ -132,10 +139,10 @@ class QueryEngine:
         self._store(key, rows)
         return rows
 
-    def execute(self, plan: GroupAggregate | MultiGroupAggregate):
-        """Aggregate result of a plan (cached; dicts, and a keyed
-        aggregate's per-branch dicts, are copied on the way out so
-        callers cannot corrupt cache entries)."""
+    def execute(self, plan: MultiGroupAggregate) -> dict:
+        """Per-grouping ``group → aggregate`` dicts of a plan (cached;
+        copied on the way out so callers cannot corrupt cache
+        entries)."""
         fingerprint = plan.fingerprint()
         key = self.cache_key(fingerprint)
         cached = self.cache.get(key, _MISS)
@@ -145,11 +152,9 @@ class QueryEngine:
             self._store(key, cached)
         else:
             self._note_hit(fingerprint, kind="execute")
-        if isinstance(plan, MultiGroupAggregate):
-            return {fp: dict(groups) for fp, groups in cached.items()}
-        return dict(cached) if isinstance(cached, dict) else cached
+        return {fp: dict(groups) for fp, groups in cached.items()}
 
-    def _run(self, plan: GroupAggregate | MultiGroupAggregate):
+    def _run(self, plan: MultiGroupAggregate) -> dict:
         """Execute an aggregate plan on the backend (no cache access)."""
         check_deadline("execute")
         with current_tracer().span("plan.execute", **self._request_tag()):
@@ -239,13 +244,14 @@ class QueryEngine:
                 and len(subspace.fact_rows) == self.schema.num_fact_rows)
 
     def subspace_aggregate(self, subspace: Subspace, measure_name: str):
-        """G(DS') — the measure aggregated over a subspace."""
+        """G(DS') — the measure aggregated over a subspace: the one group
+        ``()`` of the plan's one 0-key grouping ``()``."""
         measure = self.schema.measures[measure_name]
         if subspace.is_empty:
             return fold_rows(measure.aggregate, (), ())
         plan = subspace_aggregate_plan(self.schema, subspace.fact_rows,
                                        measure)
-        return self.execute(plan)
+        return self.execute(plan)[()][()]
 
     def subspace_partition_aggregates(self, subspace: Subspace, gb,
                                       measure_name: str) -> dict:
@@ -284,7 +290,8 @@ class QueryEngine:
         # one-branch fingerprint -> (gb, result slots)
         pending: dict[tuple, tuple] = {}
         for index, gb in enumerate(gbs):
-            fingerprint = keyed_aggregate(source, [gb], measure).fingerprint()
+            fingerprint = keyed_aggregate(source, [(gb,)],
+                                          measure).fingerprint()
             entry = pending.get(fingerprint)
             if entry is not None:
                 entry[1].append(index)
@@ -304,12 +311,13 @@ class QueryEngine:
                     continue
             pending[fingerprint] = (gb, [index])
         if pending:
-            plan = keyed_aggregate(source, [gb for gb, _ in pending.values()],
+            plan = keyed_aggregate(source,
+                                   [(gb,) for gb, _ in pending.values()],
                                    measure)
             self._count_lookup(hit=False)
             executed = self._run(plan)
             for fingerprint, (gb, slots) in pending.items():
-                groups = executed[attr_key(gb).fingerprint()]
+                groups = executed[grouping_fingerprint((attr_key(gb),))]
                 self._store(self.cache_key(fingerprint), groups)
                 if tier is not None:
                     tier.note_miss(gb, measure_name, fingerprint)
@@ -326,7 +334,8 @@ class QueryEngine:
         measure = self.schema.measures[measure_name]
         plan = pivot_plan(self.schema, subspace.fact_rows,
                           rows_gb, cols_gb, measure)
-        return self.execute(plan)
+        (cells,) = self.execute(plan).values()
+        return cells
 
     # ------------------------------------------------------------------
     # subspace filtering (slice / dice)

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from ..relational.errors import SchemaError
+from ..relational.operators import fold_rows
 from .schema import AttributeRef, GroupByAttribute, StarSchema
 from .subspace import Subspace
 
@@ -101,37 +102,28 @@ class PivotTable:
     row_values: tuple
     column_values: tuple
     cells: dict  # (row value, column value) -> aggregate
+    aggregate: str  # the measure's aggregate function
 
-    def cell(self, row, column) -> float:
-        """One aggregate (0.0 for empty combinations)."""
-        return self.cells.get((row, column), 0.0)
-
-    def row_totals(self) -> dict:
-        """Aggregate per row value."""
-        return {
-            r: sum(self.cell(r, c) for c in self.column_values)
-            for r in self.row_values
-        }
-
-    def column_totals(self) -> dict:
-        """Aggregate per column value."""
-        return {
-            c: sum(self.cell(r, c) for r in self.row_values)
-            for c in self.column_values
-        }
+    def cell(self, row, column):
+        """One aggregate; a combination with no facts reads the
+        aggregate's empty-input value (0 for sum/count, None for
+        avg/min/max)."""
+        return self.cells.get((row, column),
+                              fold_rows(self.aggregate, (), ()))
 
 
 def pivot(subspace: Subspace, rows_gb: GroupByAttribute,
           cols_gb: GroupByAttribute, measure_name: str) -> PivotTable:
     """Cross-tabulate the measure over two attributes.
 
-    The cells come from a two-key :class:`~repro.plan.nodes.Partition`
-    plan on the subspace's engine (cached, backend-agnostic), folded with
-    the measure's own aggregate.  Rows with a NULL on either axis are
-    dropped.
+    The cells are the one 2-key grouping of a
+    :class:`~repro.plan.nodes.MultiGroupAggregate` on the subspace's
+    engine (cached, backend-agnostic), folded with the measure's own
+    aggregate.  Rows with a NULL on either axis are dropped.
     """
     cells = subspace.engine.pivot_aggregates(
         subspace, rows_gb, cols_gb, measure_name)
     row_values = tuple(sorted({r for r, _c in cells}, key=str))
     col_values = tuple(sorted({c for _r, c in cells}, key=str))
-    return PivotTable(row_values, col_values, cells)
+    return PivotTable(row_values, col_values, cells,
+                      subspace.schema.measures[measure_name].aggregate)

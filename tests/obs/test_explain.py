@@ -39,7 +39,7 @@ class TestExplainMemory:
         with KdapSession(schema) as session:
             result = session.explain("Road Bikes")
         assert result.total_plan is not None
-        assert result.total_plan.kind == "GroupAggregate"
+        assert result.total_plan.kind == "MultiGroupAggregate"
         assert result.total_plan.profile.calls >= 1
 
     def test_render_contains_tree_and_phases(self, schema):

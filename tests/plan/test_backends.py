@@ -22,9 +22,8 @@ from repro.core import (
 from repro.plan import (
     AttrKey,
     Filter,
-    GroupAggregate,
     InMemoryBackend,
-    Partition,
+    MultiGroupAggregate,
     QueryEngine,
     RowSet,
     Scan,
@@ -238,10 +237,10 @@ class TestRayLowering:
 class TestAggregates:
     def test_scalar_sum_ignores_null(self, tiny, backends):
         mem, sq = backends
-        plan = GroupAggregate(Scan("Fact"), "sum", "Amount",
-                              Col("Amount"))
-        assert mem.execute(plan) == pytest.approx(15.0)
-        assert sq.execute(plan) == pytest.approx(15.0)
+        plan = MultiGroupAggregate(Scan("Fact"), ((),), "sum", "Amount",
+                                   Col("Amount"))
+        assert _groups(mem, plan) == {(): pytest.approx(15.0)}
+        assert _groups(sq, plan) == {(): pytest.approx(15.0)}
 
     def test_group_sum_with_all_null_group(self, tiny, backends):
         """Group 'b' has only NULL amounts: both backends report 0 (the
@@ -296,25 +295,25 @@ class TestAggregates:
 
     def test_empty_rowset_aggregates(self, tiny, backends):
         mem, sq = backends
-        scalar = GroupAggregate(RowSet("Fact", ()), "sum", "Amount",
-                                Col("Amount"))
+        scalar = MultiGroupAggregate(RowSet("Fact", ()), ((),), "sum",
+                                     "Amount", Col("Amount"))
         grouped = _partition(tiny, (), "Name")
         for backend in (mem, sq):
-            assert backend.execute(scalar) == 0
+            assert _groups(backend, scalar) == {(): 0}
             assert _groups(backend, grouped) == {}
 
     def test_multi_key_partition(self, tiny, backends):
         mem, sq = backends
         measure = tiny.measures["amount"]
-        plan = GroupAggregate(
-            Partition(RowSet("Fact", (0, 1, 2, 3, 4)),
-                      (_attr(tiny, "Name"), _attr(tiny, "Flag"))),
+        plan = MultiGroupAggregate(
+            RowSet("Fact", (0, 1, 2, 3, 4)),
+            ((_attr(tiny, "Name"), _attr(tiny, "Flag")),),
             measure.aggregate, str(measure.expression),
             measure.expression,
         )
         want = {("a", True): 3.0, ("b", False): 0}
-        assert mem.execute(plan) == want
-        assert sq.execute(plan) == want
+        assert _groups(mem, plan) == want
+        assert _groups(sq, plan) == want
 
 
 class TestNumericFacetsHonourTheAggregate:

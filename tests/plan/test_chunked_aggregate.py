@@ -68,7 +68,7 @@ class TestParity:
         source = Filter(Scan(scale.fact_table),
                         predicate=Between(Col("DateKey"),
                                           20030301, 20030501))
-        plan = keyed_aggregate(source, [gb], scale.measures["revenue"])
+        plan = keyed_aggregate(source, [(gb,)], scale.measures["revenue"])
         memory = groups_of(InMemoryBackend(scale).execute(plan))
         assert memory, "the date window must select rows"
         with SqliteBackend(scale) as sqlite:
@@ -118,7 +118,7 @@ class TestCountersAndBudget:
         source = Filter(Scan(scale.fact_table),
                         predicate=Between(Col("DateKey"),
                                           20030310, 20030320))
-        plan = keyed_aggregate(source, [gb], scale.measures["revenue"])
+        plan = keyed_aggregate(source, [(gb,)], scale.measures["revenue"])
         backend = InMemoryBackend(scale)
         result = groups_of(backend.execute(plan))
         assert result, "the ten-day window must select rows"

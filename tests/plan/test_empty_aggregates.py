@@ -10,18 +10,19 @@ pinned value.  Three empty-input shapes are covered:
 
 * a domain value present in no row (a one-branch plan);
 * the same inside a two-branch plan, branch by branch;
-* an entirely empty child row set (``_empty_multi_result`` and, for the
-  scalar aggregate, ``_empty_result``).
+* an entirely empty child row set (``_empty_groups``: every keyed
+  grouping is empty, and a 0-key grouping keeps its one group).
 """
 
 import pytest
 
 from repro.plan import (
-    GroupAggregate,
     InMemoryBackend,
+    MultiGroupAggregate,
     RowSet,
     SqliteBackend,
 )
+from repro.plan import grouping_fingerprint
 from repro.plan.builders import attr_key, multi_partition_plan
 from repro.relational import Database, Table, float_, integer, text
 from repro.relational.expressions import Col
@@ -132,14 +133,14 @@ def test_domain_fill_through_fused_path(schema, backends, aggregate):
                                 schema.measures[f"amount_{aggregate}"])
     mem_result = mem.execute(plan)
     assert mem_result == sq.execute(plan)
-    by_name = mem_result[attr_key(name).fingerprint()]
-    by_key = mem_result[attr_key(key).fingerprint()]
+    by_name = mem_result[grouping_fingerprint((attr_key(name),))]
+    by_key = mem_result[grouping_fingerprint((attr_key(key),))]
     assert restrict(by_name, ("a", "b"), aggregate)["b"] \
         == EMPTY_FILL[aggregate]
     assert restrict(by_key, (1, 2), aggregate)[2] == EMPTY_FILL[aggregate]
     for gb in (name, key):
         single = _partition(schema, (0, 1), aggregate, column=gb.ref.column)
-        assert mem_result[attr_key(gb).fingerprint()] \
+        assert mem_result[grouping_fingerprint((attr_key(gb),))] \
             == _groups(mem, single) == _groups(sq, single)
 
 
@@ -156,10 +157,11 @@ def test_empty_rowset_child(schema, backends, aggregate):
 
 @pytest.mark.parametrize("aggregate", ALL_AGGREGATES)
 def test_empty_rowset_scalar(schema, backends, aggregate):
-    """Ungrouped aggregate over zero rows pins the same fills."""
+    """A 0-key grouping over zero rows keeps its one group ``()``, which
+    holds the same fill."""
     mem, sq = backends
     measure = schema.measures[f"amount_{aggregate}"]
-    plan = GroupAggregate(RowSet("Fact", ()), measure.aggregate,
-                          str(measure.expression), measure.expression)
-    assert mem.execute(plan) == EMPTY_FILL[aggregate]
-    assert sq.execute(plan) == EMPTY_FILL[aggregate]
+    plan = MultiGroupAggregate(RowSet("Fact", ()), ((),), measure.aggregate,
+                               str(measure.expression), measure.expression)
+    want = {(): EMPTY_FILL[aggregate]}
+    assert _groups(mem, plan) == _groups(sq, plan) == want

@@ -3,7 +3,12 @@
 import pytest
 
 from repro.obs import MetricsRegistry, metrics_scope
-from repro.plan import QueryEngine, attr_key, multi_partition_plan
+from repro.plan import (
+    QueryEngine,
+    attr_key,
+    grouping_fingerprint,
+    multi_partition_plan,
+)
 from repro.warehouse import Subspace, dice, pivot, slice_
 
 from ..counts import cache_counts
@@ -90,7 +95,7 @@ class TestCaching:
             [gb, ebiz.groupby_attribute("PGROUP", "GroupName")],
             ebiz.measures["revenue"])
         fused = engine.execute(plan)
-        fp = attr_key(gb).fingerprint()
+        fp = grouping_fingerprint((attr_key(gb),))
         fused[fp][key] = -1.0
         assert engine.execute(plan)[fp][key] != -1.0
 

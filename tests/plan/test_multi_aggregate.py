@@ -460,22 +460,22 @@ class TestNodeInvariants:
     def test_rejects_empty_key_set(self, agg_schema):
         with pytest.raises(ValueError):
             MultiGroupAggregate(
-                child=RowSet("Fact", (0,)), keys=(),
+                child=RowSet("Fact", (0,)), groupings=(),
                 aggregate="sum", measure_sql="Amount")
 
     def test_rejects_duplicate_keys(self, agg_schema):
         key = attr_key(_gbs(agg_schema)[0])
         with pytest.raises(ValueError):
             MultiGroupAggregate(
-                child=RowSet("Fact", (0,)), keys=(key, key),
+                child=RowSet("Fact", (0,)), groupings=((key,), (key,)),
                 aggregate="sum", measure_sql="Amount")
 
     def test_branches_sorted_canonically(self, agg_schema):
-        keys = tuple(attr_key(gb) for gb in _gbs(agg_schema))
+        keys = tuple((attr_key(gb),) for gb in _gbs(agg_schema))
         plan = MultiGroupAggregate(
-            child=RowSet("Fact", (0,)), keys=keys,
+            child=RowSet("Fact", (0,)), groupings=keys,
             aggregate="sum", measure_sql="Amount")
         flipped = MultiGroupAggregate(
-            child=RowSet("Fact", (0,)), keys=keys[::-1],
+            child=RowSet("Fact", (0,)), groupings=keys[::-1],
             aggregate="sum", measure_sql="Amount")
         assert plan.branches() == flipped.branches()

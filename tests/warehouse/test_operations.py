@@ -3,8 +3,18 @@
 import pytest
 
 from repro.plan import QueryEngine
+from repro.relational import Database, Table, float_, integer, text
 from repro.relational.expressions import Col
-from repro.warehouse import Measure, StarSchema, Subspace
+from repro.warehouse import (
+    AttributeKind,
+    AttributeRef,
+    Dimension,
+    GroupByAttribute,
+    Measure,
+    StarSchema,
+    Subspace,
+    path_from_fk_names,
+)
 from repro.warehouse.operations import (
     dice,
     drill_down,
@@ -121,10 +131,13 @@ class TestPivot:
         quarter = aw_online.groupby_attribute("DimDate", "CalendarQuarter")
         table = pivot(full, cat, quarter, "revenue")
         assert set(table.column_values) == {"Q1", "Q2", "Q3", "Q4"}
-        grand_total = sum(table.row_totals().values())
-        assert grand_total == pytest.approx(full.aggregate("revenue"))
-        assert sum(table.column_totals().values()) == \
-            pytest.approx(grand_total)
+        # revenue is a sum, so adding its cells gives the totals
+        row_sums = [sum(table.cell(r, c) for c in table.column_values)
+                    for r in table.row_values]
+        column_sums = [sum(table.cell(r, c) for r in table.row_values)
+                       for c in table.column_values]
+        assert sum(row_sums) == pytest.approx(full.aggregate("revenue"))
+        assert sum(column_sums) == pytest.approx(sum(row_sums))
 
     def test_cells_match_dice(self, aw_online, full):
         cat = aw_online.groupby_attribute("DimProductCategory",
@@ -178,3 +191,62 @@ class TestPivotFoldsTheMeasureAggregate:
         assert table.cells.keys() == want.keys()
         for key, value in want.items():
             assert table.cells[key] == pytest.approx(value, rel=1e-9), key
+
+
+@pytest.fixture(scope="module")
+def two_cells():
+    """Facts 2.0 at (a, x) and 6.0, 10.0 at (b, y): two pivot cells, and
+    (a, y), (b, x) hold no fact."""
+    db = Database("TwoCells")
+    dim = Table("Dim", [integer("DimKey", nullable=False), text("Name"),
+                        text("Kind")], primary_key="DimKey")
+    dim.insert_many([{"DimKey": 1, "Name": "a", "Kind": "x"},
+                     {"DimKey": 2, "Name": "b", "Kind": "y"}])
+    db.add_table(dim)
+    fact = Table("Fact", [integer("FactKey", nullable=False),
+                          integer("DimKey"), float_("Amount")],
+                 primary_key="FactKey")
+    fact.insert_many([{"FactKey": 1, "DimKey": 1, "Amount": 2.0},
+                      {"FactKey": 2, "DimKey": 2, "Amount": 6.0},
+                      {"FactKey": 3, "DimKey": 2, "Amount": 10.0}])
+    db.add_table(fact)
+    db.add_foreign_key("fk_dim", "Fact", "DimKey", "Dim", "DimKey")
+    path = path_from_fk_names(db, "Fact", ["fk_dim"])
+    dim_d = Dimension(name="D", tables=("Dim",), groupbys=tuple(
+        GroupByAttribute(AttributeRef("Dim", column),
+                         AttributeKind.CATEGORICAL, path)
+        for column in ("Name", "Kind")))
+    return StarSchema(
+        database=db, fact_table="Fact", dimensions=[dim_d],
+        measures=[Measure("amount", Col("Amount"), "sum"),
+                  Measure("avg_amount", Col("Amount"), "avg")],
+        searchable={"Dim": ["Name"]})
+
+
+class TestPivotEmptyCells:
+    """A combination with no facts reads the aggregate's empty-input
+    value, never a summed 0.0 for a non-additive measure."""
+
+    @pytest.mark.parametrize("backend", ["memory", "sqlite"])
+    def test_avg_missing_cell_is_none(self, two_cells, backend):
+        name = two_cells.groupby_attribute("Dim", "Name")
+        kind = two_cells.groupby_attribute("Dim", "Kind")
+        engine = QueryEngine(two_cells, backend=backend)
+        try:
+            table = pivot(Subspace.full(two_cells, engine=engine), name,
+                          kind, "avg_amount")
+        finally:
+            engine.close()
+        assert table.cells == {("a", "x"): 2.0, ("b", "y"): 8.0}
+        assert table.cell("b", "y") == 8.0
+        assert table.cell("a", "y") is None
+        assert table.cell("b", "x") is None
+
+    def test_sum_missing_cell_is_zero(self, two_cells):
+        name = two_cells.groupby_attribute("Dim", "Name")
+        kind = two_cells.groupby_attribute("Dim", "Kind")
+        table = pivot(Subspace.full(two_cells,
+                                    engine=QueryEngine(two_cells)),
+                      name, kind, "amount")
+        assert table.cell("a", "y") == 0
+        assert table.cell("b", "y") == 16.0

@@ -1,4 +1,4 @@
-"""Exact and beam-search interval merging (the §7 algorithms extension)."""
+"""Exact interval merging (the §7 algorithms extension)."""
 
 import random
 from itertools import combinations
@@ -13,7 +13,7 @@ from repro.core import (
     merged_correlation,
     pearson_correlation,
 )
-from repro.core.optimal_merge import beam_splits, exhaustive_splits
+from repro.core.optimal_merge import exhaustive_splits
 
 
 def series(m=14, seed=3):
@@ -76,42 +76,13 @@ class TestExhaustive:
             exhaustive_splits(x, y, 2, skew_limit=0.5)
 
 
-class TestBeam:
-    def test_valid_result(self):
-        x, y = series()
-        result = beam_splits(x, y, 5)
-        assert is_valid_splitting(result.splits, len(x), 4.0)
-
-    def test_near_exact(self):
-        x, y = series()
-        exact = exhaustive_splits(x, y, 5)
-        beam = beam_splits(x, y, 5, beam_width=64)
-        assert beam.error <= exact.error + 0.05
-
-    def test_wide_beam_matches_exact(self):
-        x, y = series(m=10)
-        exact = exhaustive_splits(x, y, 4)
-        beam = beam_splits(x, y, 4, beam_width=10_000)
-        assert beam.error == pytest.approx(exact.error, abs=1e-12)
-
-    def test_deterministic(self):
-        x, y = series()
-        assert beam_splits(x, y, 5).splits == beam_splits(x, y, 5).splits
-
-    def test_k_one(self):
-        x, y = series()
-        assert beam_splits(x, y, 1).splits == ()
-
-
 class TestProperties:
     @given(seed=st.integers(0, 500), k=st.integers(2, 6))
     @settings(max_examples=40, deadline=None)
     def test_exact_never_worse_than_heuristics(self, seed, k):
         x, y = series(m=12, seed=seed)
         exact = exhaustive_splits(x, y, k)
-        beam = beam_splits(x, y, k)
         annealed = anneal_splits(
             x, y, AnnealingConfig(num_intervals=k, iterations=200,
                                   seed=seed))
-        assert exact.error <= beam.error + 1e-12
         assert exact.error <= annealed.error + 1e-12

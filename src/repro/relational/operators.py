@@ -4,11 +4,13 @@ Operators work on *sets of row ids* rather than materialised intermediate
 tables.  That is precisely the shape KDAP needs — a subspace is a set of
 fact rows.
 
-Execution is columnar: every aggregate — keyed partitions, pivot cells
-and the scalar G(DS′) alike — folds into the mergeable states of
-:data:`AGGREGATE_STATES` (grouped over encoded chunks by
-:func:`chunked_group_states`, one group by :func:`fold_rows`), so one
-fold rule decides every aggregate and no operator dispatches per row.
+Execution is columnar: every grouping of the plan layer's one aggregate
+node — a 1-key partition, a 2-key pivot's cells and the 0-key G(DS′)
+alike — folds into the mergeable states of :data:`AGGREGATE_STATES`
+(grouped over encoded chunks by :func:`chunked_group_states`, key
+tuples by :meth:`AggregateStates.add_pairs`, one group by
+:func:`fold_rows`), so one fold rule decides every aggregate and no
+operator dispatches per row.
 """
 
 from __future__ import annotations

@@ -25,14 +25,6 @@ _PREDICATE_RE = re.compile(
     r"(?P<value>-?\d+(?:\.\d+)?)$"
 )
 
-_OPS = {
-    "<": lambda a, b: a < b,
-    "<=": lambda a, b: a <= b,
-    ">": lambda a, b: a > b,
-    ">=": lambda a, b: a >= b,
-    "=": lambda a, b: a == b,
-}
-
 
 @dataclass(frozen=True)
 class MeasurePredicate:
@@ -40,7 +32,9 @@ class MeasurePredicate:
 
     ``target`` is the resolved name; ``is_measure`` says whether it names a
     declared measure (evaluated through its expression) or a raw numeric
-    fact column.
+    fact column.  :meth:`~repro.core.starnet.StarNet.to_plan` lowers it
+    to a ``Filter(predicate=Compare(...))``, the one place a predicate is
+    evaluated.
     """
 
     target: str
@@ -50,19 +44,6 @@ class MeasurePredicate:
 
     def __str__(self) -> str:
         return f"{self.target} {self.op} {self.value:g}"
-
-    def holds(self, measured: float | None) -> bool:
-        """Apply the comparison to one per-row value."""
-        if measured is None:
-            return False
-        return _OPS[self.op](measured, self.value)
-
-    def select(self, values) -> set[int]:
-        """Row ids whose aligned value satisfies the comparison — one
-        batch pass with the operator resolved outside the loop."""
-        op, bound = _OPS[self.op], self.value
-        return {rid for rid, v in enumerate(values)
-                if v is not None and op(v, bound)}
 
 
 def parse_measure_keyword(schema: StarSchema,
@@ -89,27 +70,3 @@ def parse_measure_keyword(schema: StarSchema,
             return MeasurePredicate(column.name, op, value,
                                     is_measure=False)
     return None
-
-
-def measure_fact_rows(schema: StarSchema,
-                      predicate: MeasurePredicate) -> set[int]:
-    """Fact rows satisfying one measure predicate."""
-    if predicate.is_measure:
-        values = schema.measure_vector(predicate.target)
-    else:
-        fact = schema.database.table(schema.fact_table)
-        values = fact.column_values(predicate.target)
-    return predicate.select(values)
-
-
-def predicate_sql(schema: StarSchema, predicate: MeasurePredicate,
-                  fact_alias: str) -> str:
-    """Render the predicate for the generated SQL's WHERE clause."""
-    if predicate.is_measure:
-        from .starnet import _qualified_measure_sql
-
-        expr = str(schema.measures[predicate.target].expression)
-        lhs = _qualified_measure_sql(expr, fact_alias)
-    else:
-        lhs = f"{fact_alias}.{predicate.target}"
-    return f"{lhs} {predicate.op} {predicate.value:g}"

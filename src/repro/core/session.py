@@ -95,9 +95,10 @@ class KdapSession:
     backend:
         Execution backend name (``"memory"`` or ``"sqlite"``) or a
         pre-built :class:`~repro.plan.backends.ExecutionBackend`.  All
-        query evaluation — star-net materialisation, facet aggregation,
-        drill-down — goes through one :class:`~repro.plan.engine.QueryEngine`
-        on this backend, with plan-fingerprint caching.
+        query evaluation — subspace-size previews, star-net
+        materialisation, facet aggregation, drill-down — goes through one
+        :class:`~repro.plan.engine.QueryEngine` on this backend, with
+        plan-fingerprint caching.
     metrics:
         A :class:`~repro.obs.metrics.MetricsRegistry` the session's
         latency histograms, cache counters, and truncation counters go
@@ -118,9 +119,9 @@ class KdapSession:
         :class:`~repro.warehouse.materialize.MaterializationTier`
         shares one (as the service does across its workers).
 
-    **Threading**: a session is a single-caller object — its ray cache
-    and last-match bookkeeping are not synchronised for
-    concurrent public calls, and it starts no threads of its own: every
+    **Threading**: a session is a single-caller object — its
+    last-match bookkeeping is not synchronised for concurrent public
+    calls, and it starts no threads of its own: every
     request runs serially on the caller's thread.  A sqlite-backed
     session may be driven from a foreign thread because the mirror hands
     each thread its own connection; but those per-thread connections
@@ -160,13 +161,6 @@ class KdapSession:
         # pool admission history across sessions
         self.engine = QueryEngine(schema, backend=backend,
                                   materialize=materialize)
-        # per-ray fact-set memo: the same (hit group, path) ray recurs
-        # across many candidate star nets of one query.  The engine's plan
-        # cache holds the row tuples; this memo only avoids re-building
-        # frozensets for the intersection loop in subspace_size.  It holds
-        # one epoch (the plan cache's): an append empties it.
-        self._ray_cache: dict[tuple, frozenset[int]] = {}
-        self._ray_epoch: int | None = None
         self._closed = False
 
     def close(self) -> None:
@@ -187,46 +181,13 @@ class KdapSession:
         self.close()
 
     # ------------------------------------------------------------------
-    # cached subspace sizing
+    # subspace sizing
     # ------------------------------------------------------------------
-    def _ray_facts(self, ray) -> frozenset[int]:
-        epoch, key = self.engine.cache_key((ray.hit_group.domain,
-                                            ray.hit_group.values,
-                                            ray.path_to_fact.fk_names))
-        if epoch != self._ray_epoch:
-            self._ray_cache.clear()
-            self._ray_epoch = epoch
-        facts = self._ray_cache.get(key)
-        if facts is None:
-            facts = frozenset(self.engine.semijoin_rows(
-                ray.hit_group.table, ray.hit_group.attribute,
-                ray.hit_group.values, ray.path_to_fact))
-            self._ray_cache[key] = facts
-        return facts
-
     def subspace_size(self, star_net) -> int:
-        """Fact-row count of a star net's subspace, with per-ray caching.
-
-        Cheap enough to preview for every candidate: each distinct ray is
-        evaluated once per session, and candidates share most rays.
-        """
-        if not star_net.rays and not star_net.measure_predicates:
-            return self.schema.num_fact_rows
-        rows: frozenset[int] | None = None
-        for ray in star_net.rays:
-            facts = self._ray_facts(ray)
-            rows = facts if rows is None else rows & facts
-            if not rows:
-                return 0
-        if star_net.measure_predicates:
-            from .measure_hits import measure_fact_rows
-
-            if rows is None:
-                rows = frozenset(range(self.schema.num_fact_rows))
-            for predicate in star_net.measure_predicates:
-                rows = rows & frozenset(
-                    measure_fact_rows(self.schema, predicate))
-        return len(rows or ())
+        """Fact-row count of a star net's subspace: the star net's own
+        plan through the engine, so a preview and an explore of the same
+        candidate are one plan-cache entry."""
+        return len(self.engine.evaluate(star_net))
 
     # ------------------------------------------------------------------
     # phase 1: differentiate
@@ -252,8 +213,9 @@ class KdapSession:
         query (e.g. ``("value",)`` for the paper's value-only front end).
 
         With ``preview_sizes`` each returned candidate carries the number
-        of fact rows its subspace would contain (computed with per-ray
-        caching, so the cost is one attribute filter per distinct ray).
+        of fact rows its subspace would contain: the star net's plan,
+        evaluated and cached exactly as :meth:`explore` evaluates it, so
+        exploring a previewed candidate is a plan-cache hit.
 
         Under a ``budget`` (explicit, or ambient via
         :func:`~repro.resilience.budget.budget_scope`) enumeration is

@@ -69,7 +69,6 @@ from .explain import (
     ExplainNode,
     ExplainResult,
     OpProfile,
-    collect_profiles,
     profile_plan,
     render_plan,
     render_span_tree,
@@ -108,7 +107,6 @@ __all__ = [
     "Span",
     "TailSampler",
     "Tracer",
-    "collect_profiles",
     "current_registry",
     "current_request_id",
     "current_span",

@@ -86,8 +86,8 @@ def _children(node):
     return [child] if child is not None else []
 
 
-def collect_profiles(tracer: Tracer) -> dict[str, OpProfile]:
-    """Per-node actuals keyed by plan digest, from a trace's spans.
+def _profile(spans) -> OpProfile:
+    """Actuals for one plan node from the spans attributed to it.
 
     ``op.*`` spans (backends) contribute calls/rows/batches/seconds;
     ``plan.materialize`` / ``plan.execute`` spans tagged ``cached=True``
@@ -97,45 +97,57 @@ def collect_profiles(tracer: Tracer) -> dict[str, OpProfile]:
     ``pushed_to_sql`` mark nodes the sqlite backend compiled away into
     one statement rather than executing individually.
     """
-    profiles: dict[str, OpProfile] = {}
-    for span in tracer.spans():
-        fp = span.tags.get("fp")
-        if fp is None:
-            continue
-        profile = profiles.setdefault(fp, OpProfile())
+    profile = OpProfile()
+    for span in spans:
         if span.name.startswith("op."):
+            profile.calls += 1
             if span.tags.get("pushed_to_sql"):
                 profile.pushed_to_sql = True
-                profile.calls += 1
-            else:
-                profile.calls += 1
-                profile.rows += int(span.tags.get("rows", 0) or 0)
-                profile.batches += int(span.tags.get("batches", 0) or 0)
-                profile.chunks_scanned += int(
-                    span.tags.get("chunks_scanned", 0) or 0)
-                profile.chunks_skipped += int(
-                    span.tags.get("chunks_skipped", 0) or 0)
-                profile.seconds += span.duration_s
+                continue
+            profile.rows += int(span.tags.get("rows", 0) or 0)
+            profile.batches += int(span.tags.get("batches", 0) or 0)
+            profile.chunks_scanned += int(
+                span.tags.get("chunks_scanned", 0) or 0)
+            profile.chunks_skipped += int(
+                span.tags.get("chunks_skipped", 0) or 0)
+            profile.seconds += span.duration_s
         elif span.tags.get("cached"):
             profile.cache_hits += 1
         elif span.tags.get("materialized"):
             profile.materialized += 1
-    return profiles
+    return profile
 
 
 def profile_plan(plan, tracer: Tracer) -> ExplainNode:
-    """The plan tree annotated with the actuals recorded in ``tracer``."""
-    profiles = collect_profiles(tracer)
+    """The plan tree annotated with the actuals recorded in ``tracer``.
 
-    def build(node) -> ExplainNode:
+    The root takes every span tagged with its digest.  A child takes
+    only the ``op.*`` spans that ran nested inside one of its parent's:
+    sibling plans share leaves (every aggregate over DS′ reads the same
+    ``RowSet``, every star net the same ``Scan``), so a digest alone
+    would credit a leaf with its siblings' runs.
+    """
+    by_digest: dict[str, list] = {}
+    for span in tracer.spans():
+        fp = span.tags.get("fp")
+        if fp is not None:
+            by_digest.setdefault(fp, []).append(span)
+
+    def build(node, parent_ops) -> ExplainNode:
         fp = plan_digest(node)
+        spans = by_digest.get(fp, [])
+        if parent_ops is not None:
+            spans = [span for span in spans
+                     if span.name.startswith("op.")
+                     and span.parent in parent_ops]
+        ops = {span for span in spans if span.name.startswith("op.")}
         return ExplainNode(
             kind=node.kind, detail=_describe(node), fp=fp,
-            profile=profiles.get(fp, OpProfile()),
-            children=[build(child) for child in _children(node)],
+            profile=_profile(spans),
+            children=[build(child, ops) for child in _children(node)],
         )
 
-    return build(plan)
+    return build(plan, None)
 
 
 def render_plan(root: ExplainNode) -> str:

@@ -27,6 +27,7 @@ cost to plan nodes.
 
 from __future__ import annotations
 
+from contextlib import ExitStack
 from typing import Protocol, runtime_checkable
 
 import threading
@@ -447,15 +448,16 @@ class SqliteBackend:
         """Zero-duration marker spans for the *inner* nodes of a plan the
         compiler folds into one SQL statement — EXPLAIN can then show
         that those operators ran (once, inside SQL) even though no
-        per-operator timing exists for them."""
-        tracer = current_tracer()
-        if not tracer.enabled:
+        per-operator timing exists for them.  Each marker nests inside
+        its parent's, as the memory backend's operator spans do."""
+        if not current_tracer().enabled:
             return
-        node = getattr(plan, "child", None)
-        while node is not None:
-            with op_span(node) as osp:
-                osp.set_tag("pushed_to_sql", True)
-            node = getattr(node, "child", None)
+        with ExitStack() as stack:
+            node = getattr(plan, "child", None)
+            while node is not None:
+                stack.enter_context(op_span(node)).set_tag(
+                    "pushed_to_sql", True)
+                node = getattr(node, "child", None)
 
     # -- aggregates ----------------------------------------------------
     def execute(self, plan: MultiGroupAggregate) -> dict:

@@ -8,10 +8,10 @@ fingerprint and delegates cache misses to the configured
 :class:`~repro.plan.backends.ExecutionBackend`.
 
 Because cache keys are canonical fingerprints rather than per-consumer
-ad-hoc keys, a ray materialised for subspace-size preview, the same ray
-evaluated inside a star net, and a facet roll-up over the resulting rows
-all share one cache — repeated exploration of related interpretations
-hits instead of recomputing, on either backend.
+ad-hoc keys, a star net evaluated for a subspace-size preview, the same
+star net evaluated by explore, and a facet roll-up over the resulting
+rows all share one cache — repeated exploration of related
+interpretations hits instead of recomputing, on either backend.
 """
 
 from __future__ import annotations
@@ -219,8 +219,9 @@ class QueryEngine:
                       values: Iterable, path) -> tuple[int, ...]:
         """Fact rows selected by one ray (``path`` oriented
         ``source_table`` → fact): the ray's attribute filter over the
-        whole fact table, cached, so repeated previews of a ray are
-        free."""
+        whole fact table, cached.  Nothing in the library calls it (a
+        star net's rows, previews included, come from :meth:`evaluate`);
+        the latency ledger names it as a layer target."""
         return self.materialize(ray_filter(Scan(self.schema.fact_table),
                                            source_table, column, values,
                                            path))

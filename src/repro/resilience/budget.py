@@ -158,9 +158,7 @@ class Budget:
         """
         with self._lock:
             self.events.append(TruncationEvent(stage, reason, detail))
-        registry = current_registry()
-        registry.counter(f"kdap.truncations.{reason}").inc()
-        registry.counter("kdap.truncations.total").inc()
+        current_registry().counter(f"kdap.truncations.{reason}").inc()
 
     def add_note(self, note: str) -> None:
         """Attach an informational diagnostics note (non-fatal, does not

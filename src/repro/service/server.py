@@ -512,8 +512,6 @@ class KdapService:
             "kdap.service.plan_calls",
             boundaries=COUNT_BOUNDARIES).observe(plan_calls)
         self.registry.counter(f"kdap.service.status.{status}").inc()
-        if status >= 500:
-            self.registry.counter("kdap.service.failed").inc()
 
     def _write_trace(self, tracer: Tracer, request_id: str) -> None:
         """Atomically persist one request's Chrome trace.

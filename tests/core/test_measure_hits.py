@@ -2,12 +2,11 @@
 
 import pytest
 
-from repro.core import interpret_query
-from repro.core.measure_hits import (
-    MeasurePredicate,
-    measure_fact_rows,
-    parse_measure_keyword,
-)
+from repro.core import StarNet, interpret_query
+from repro.core.measure_hits import MeasurePredicate, parse_measure_keyword
+from repro.datasets import build_aw_online
+from repro.obs import MetricsRegistry, metrics_scope
+from repro.plan import QueryEngine
 from repro.relational import SqliteBackend
 
 
@@ -39,23 +38,54 @@ class TestParsing:
         assert parse_measure_keyword(aw_online, "revenue>abc") is None
 
 
-class TestEvaluation:
-    def test_rows_satisfy_predicate(self, aw_online):
-        pred = parse_measure_keyword(aw_online, "revenue>3000")
-        rows = measure_fact_rows(aw_online, pred)
-        vector = aw_online.measure_vector("revenue")
-        assert rows == {r for r, v in enumerate(vector) if v > 3000}
+def predicate_net(schema, keyword):
+    """A star net with no rays and one measure predicate."""
+    return StarNet(schema.fact_table, (),
+                   (parse_measure_keyword(schema, keyword),))
 
-    def test_column_predicate(self, aw_online):
-        pred = parse_measure_keyword(aw_online, "Quantity=4")
-        rows = measure_fact_rows(aw_online, pred)
+
+def selected(values, keep):
+    """Row ids whose value is present and satisfies ``keep``, row by
+    row."""
+    return [r for r, v in enumerate(values) if v is not None and keep(v)]
+
+
+class TestEvaluation:
+    """A predicate is evaluated only by its star net's plan
+    (``StarNet.to_plan``'s ``Filter(predicate=Compare(...))``)."""
+
+    def test_rows_satisfy_predicate(self, aw_online, aw_engine):
+        net = predicate_net(aw_online, "revenue>3000")
+        vector = aw_online.measure_vector("revenue")
+        assert list(aw_engine.evaluate(net).fact_rows) == selected(
+            vector, lambda v: v > 3000)
+
+    def test_column_predicate(self, aw_online, aw_engine):
+        net = predicate_net(aw_online, "Quantity=4")
         quantities = aw_online.database.table(
             aw_online.fact_table).column_values("Quantity")
-        assert rows == {r for r, q in enumerate(quantities) if q == 4}
+        assert list(aw_engine.evaluate(net).fact_rows) == selected(
+            quantities, lambda q: q == 4)
 
-    def test_holds_none_is_false(self):
-        pred = MeasurePredicate("x", ">", 1.0, False)
-        assert not pred.holds(None)
+    @pytest.mark.parametrize("backend", ["memory", "sqlite"])
+    def test_null_is_never_selected(self, backend):
+        schema = build_aw_online(num_customers=60, num_facts=300, seed=11)
+        fact = schema.database.table(schema.fact_table)
+        row = fact.row(0)
+        row[fact.primary_key] = max(fact.column_values(fact.primary_key)) + 1
+        row["UnitPrice"] = None
+        null_row = fact.insert(row)
+        prices = fact.column_values("UnitPrice")
+        engine = QueryEngine(schema, backend=backend)
+        try:
+            with metrics_scope(MetricsRegistry()):
+                for keyword in ("UnitPrice>0", "revenue>0"):
+                    rows = engine.evaluate(
+                        predicate_net(schema, keyword)).fact_rows
+                    assert null_row not in rows
+                    assert list(rows) == selected(prices, lambda p: p > 0)
+        finally:
+            engine.close()
 
 
 def value_nets(session, query):

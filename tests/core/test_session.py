@@ -10,6 +10,7 @@ from repro.core import (
     RankingMethod,
 )
 from repro.datasets import build_aw_online
+from repro.obs import Tracer, plan_digest, tracing_scope
 
 from ..counts import cache_counts
 
@@ -116,22 +117,56 @@ class TestSubspaceSizePreview:
         ranked = online_session.differentiate("Road Bikes", limit=3)
         assert all(s.subspace_size is None for s in ranked)
 
-    def test_ray_cache_reused(self, online_session):
+    def test_repeated_preview_hits_plan_cache(self, online_session):
         online_session.differentiate("Columbus", limit=5,
                                      preview_sizes=True)
-        before = len(online_session._ray_cache)
-        online_session.differentiate("Columbus", limit=5,
-                                     preview_sizes=True)
-        assert len(online_session._ray_cache) == before
+        before = cache_counts(online_session.metrics)
+        again = online_session.differentiate("Columbus", limit=5,
+                                             preview_sizes=True)
+        after = cache_counts(online_session.metrics)
+        assert after["hits"] - before["hits"] == len(again) > 0
+        assert after["misses"] == before["misses"]
+
+    def test_explore_after_preview_is_a_hit(self, aw_online):
+        """A preview evaluates the star net's own plan, so exploring the
+        previewed candidate reads its rows from the plan cache."""
+        with KdapSession(aw_online) as session:
+            [scored] = session.differentiate("California Mountain Bikes",
+                                             limit=1, preview_sizes=True)
+            assert len(scored.star_net.rays) > 1
+            tracer = Tracer()
+            with tracing_scope(tracer):
+                result = session.explore(scored)
+        assert len(result.subspace) == scored.subspace_size
+        digest = plan_digest(scored.star_net.to_plan(aw_online))
+        first = next(span for span in tracer.spans()
+                     if span.name == "plan.materialize")
+        assert first.tags.get("cached") is True
+        assert first.tags["fp"] == digest
+        assert not any(span.tags.get("fp") == digest
+                       for span in tracer.spans()
+                       if span.name.startswith("op."))
+
+    @pytest.mark.parametrize("backend", ["memory", "sqlite"])
+    @pytest.mark.parametrize("query", ["Road Bikes revenue>3000",
+                                       "Road Bikes UnitPrice<=1000"])
+    def test_predicate_preview_matches_evaluation(self, aw_online,
+                                                  backend, query):
+        with KdapSession(aw_online, backend=backend) as session:
+            ranked = session.differentiate(query, limit=3,
+                                           preview_sizes=True)
+            assert ranked
+            for scored in ranked:
+                assert scored.star_net.measure_predicates
+                assert scored.subspace_size == len(
+                    session.engine.evaluate(scored.star_net))
 
     def test_preview_after_append(self):
-        """An appended matching fact row shows up in the next preview,
-        and the ray memo does not keep the old epoch's entries."""
+        """An appended matching fact row shows up in the next preview."""
         schema = build_aw_online(num_customers=60, num_facts=1500, seed=11)
         with KdapSession(schema) as session:
             [scored] = session.differentiate("Mountain Bikes", limit=1,
                                              preview_sizes=True)
-            memo_size = len(session._ray_cache)
             net = scored.star_net
             subspace = session.engine.evaluate(net)
             assert scored.subspace_size == len(subspace) > 0
@@ -146,7 +181,6 @@ class TestSubspaceSizePreview:
             [again] = session.differentiate("Mountain Bikes", limit=1,
                                             preview_sizes=True)
             assert again.subspace_size == grown
-            assert len(session._ray_cache) == memo_size
 
     def test_measure_predicate_preview(self, online_session, aw_engine):
         ranked = online_session.differentiate(

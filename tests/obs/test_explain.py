@@ -112,6 +112,26 @@ class TestExplainSqlite:
         assert shape(memory_plan) == shape(sqlite_plan)
 
 
+@pytest.mark.parametrize("backend", ["memory", "sqlite"])
+def test_shared_leaves_count_only_their_own_runs(schema, backend):
+    """Sibling plans share leaves (every aggregate over DS′ reads the
+    same ``RowSet``, every ray filter over the fact table the same
+    ``Scan``), so a leaf counts only the runs nested under its parent's:
+    one each, not the sum over the explored facets."""
+    with KdapSession(schema, backend=backend) as session:
+        result = session.explain("Road Bikes")
+    assert result.plan.profile.calls == 1
+    assert result.total_plan.profile.calls == 1
+    (scan,) = result.plan.children
+    (rowset,) = result.total_plan.children
+    for leaf in (scan, rowset):
+        assert leaf.profile.calls == 1
+        assert leaf.profile.pushed_to_sql == (backend == "sqlite")
+    if backend == "memory":
+        assert scan.profile.rows == schema.num_fact_rows
+        assert rowset.profile.rows == result.plan.profile.rows
+
+
 class TestRenderSpanTree:
     def test_elides_long_sibling_lists(self):
         tree = [{

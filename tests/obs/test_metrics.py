@@ -136,7 +136,7 @@ class TestTruncationCounters:
         counters = registry.snapshot()["counters"]
         assert counters["kdap.truncations.rows"] == 2
         assert counters["kdap.truncations.deadline"] == 1
-        assert counters["kdap.truncations.total"] == 3
+        assert "kdap.truncations.total" not in counters
         assert len(budget.events) == 3
 
     def test_session_truncations_reach_the_session_registry(self):
@@ -153,9 +153,8 @@ class TestTruncationCounters:
             result = session.explore(ranked[0].star_net, budget=budget)
         assert result.is_partial
         counters = session.metrics.snapshot()["counters"]
-        assert counters["kdap.truncations.total"] >= 1
-        assert any(name.startswith("kdap.truncations.")
-                   for name in counters if name != "kdap.truncations.total")
+        assert sum(value for name, value in counters.items()
+                   if name.startswith("kdap.truncations.")) >= 1
 
 
 class TestRunsSummary:

@@ -34,7 +34,6 @@ from __future__ import annotations
 
 from functools import reduce
 
-from repro.core.measure_hits import measure_fact_rows
 from repro.relational import vector
 from repro.relational.operators import (
     chunked_group_states,
@@ -98,6 +97,28 @@ def ray_rows(schema, ray) -> set[int]:
     return slice_facts(schema, ray.hit_group.table, rows, ray.path_to_fact)
 
 
+COMPARISONS = {
+    "<": lambda a, b: a < b,
+    "<=": lambda a, b: a <= b,
+    ">": lambda a, b: a > b,
+    ">=": lambda a, b: a >= b,
+    "=": lambda a, b: a == b,
+}
+
+
+def predicate_rows(schema, predicate) -> set[int]:
+    """Fact rows satisfying one measure predicate, row by row (a NULL
+    satisfies nothing)."""
+    if predicate.is_measure:
+        values = schema.measure_vector(predicate.target)
+    else:
+        values = schema.database.table(schema.fact_table).column_values(
+            predicate.target)
+    compare = COMPARISONS[predicate.op]
+    return {r for r, v in enumerate(values)
+            if v is not None and compare(v, predicate.value)}
+
+
 def star_net_rows(schema, net) -> tuple[int, ...]:
     """DS': the intersection of all rays' fact rows, further constrained
     by the net's measure predicates (sorted row ids)."""
@@ -107,7 +128,7 @@ def star_net_rows(schema, net) -> tuple[int, ...]:
     else:
         rows = set(range(schema.num_fact_rows))
     for predicate in net.measure_predicates:
-        rows &= measure_fact_rows(schema, predicate)
+        rows &= predicate_rows(schema, predicate)
     return tuple(sorted(rows))
 
 

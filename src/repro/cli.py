@@ -59,6 +59,18 @@ _WAREHOUSES = {
 }
 
 
+def _at_least(low: int, convert=int):
+    """An argparse type refusing values below ``low`` (exit 2)."""
+    def parse(text: str):
+        value = convert(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(
+                f"must be at least {low}, got {text}")
+        return value
+    parse.__name__ = convert.__name__
+    return parse
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -88,15 +100,17 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="wrap the backend in retry-with-backoff and "
                              "automatic failover to the in-memory "
                              "interpreter")
-    parser.add_argument("--deadline-ms", type=float, default=None,
+    parser.add_argument("--deadline-ms", type=_at_least(0, float),
+                        default=None,
                         help="wall-clock deadline per query; on expiry a "
                              "partial result is returned with diagnostics "
                              "instead of an error")
-    parser.add_argument("--max-rows", type=int, default=None,
+    parser.add_argument("--max-rows", type=_at_least(0), default=None,
                         help="cap on rows scanned by plan operators per "
                              "query (graceful truncation, like "
                              "--deadline-ms)")
-    parser.add_argument("--max-interpretations", type=int, default=None,
+    parser.add_argument("--max-interpretations", type=_at_least(0),
+                        default=None,
                         help="cap on candidate star nets enumerated per "
                              "query")
     parser.add_argument("--trace-out", metavar="PATH", default=None,
@@ -121,7 +135,7 @@ def _build_parser() -> argparse.ArgumentParser:
     explore = sub.add_parser("explore",
                              help="explore one interpretation's facets")
     explore.add_argument("keywords")
-    explore.add_argument("--pick", type=int, default=1,
+    explore.add_argument("--pick", type=_at_least(1), default=1,
                          help="1-based interpretation rank to explore")
     explore.add_argument("--measure", choices=["surprise", "bellwether"],
                          default="surprise")
@@ -138,7 +152,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="EXPLAIN ANALYZE: run one interpretation traced and print "
              "its plan with per-operator actuals")
     explain.add_argument("keywords")
-    explain.add_argument("--pick", type=int, default=1,
+    explain.add_argument("--pick", type=_at_least(1), default=1,
                          help="1-based interpretation rank to explain")
     explain.add_argument("--measure", choices=["surprise", "bellwether"],
                          default="surprise")
@@ -149,7 +163,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sql = sub.add_parser("sql",
                          help="print the SQL of one interpretation")
     sql.add_argument("keywords")
-    sql.add_argument("--pick", type=int, default=1)
+    sql.add_argument("--pick", type=_at_least(1), default=1)
 
     experiment = sub.add_parser("experiment",
                                 help="regenerate one paper artifact")

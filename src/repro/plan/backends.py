@@ -380,7 +380,9 @@ class SqliteBackend:
 
     The mirror is loaded lazily on first use (loading a 60k-row warehouse
     into sqlite costs noticeable startup time that differentiate-only
-    sessions should not pay).
+    sessions should not pay), stamped with the version of every table,
+    and loaded again once any of them moves — an append is then visible
+    to the next query, as on the memory backend.
 
     **Thread affinity**: the mirror hands each thread its own sqlite3
     connection, so a live backend may be queried from any thread (a
@@ -396,30 +398,39 @@ class SqliteBackend:
 
     name = "sqlite"
 
-    def __init__(self, schema: StarSchema, path: str = ":memory:"):
+    def __init__(self, schema: StarSchema):
         self.schema = schema
-        self.path = path
         self.counters = PlanCounters()
-        self._mirror: SqliteMirror | None = None
+        self._mirror: tuple[tuple, SqliteMirror] | None = None
         self._mirror_lock = threading.Lock()
         self._closed = False
 
     @property
     def mirror(self) -> SqliteMirror:
-        """The sqlite3 mirror, loading it on first access (lock-guarded:
-        worker threads may race to the first query)."""
+        """The sqlite3 mirror of the current table versions, (re)loading
+        it when they moved (lock-guarded: worker threads may race to the
+        first query).  A reload closes the replaced mirror, so a query
+        another thread is still running on it fails with
+        :class:`BackendError`."""
         if self._closed:
             raise BackendError(
                 "sqlite backend is closed; it does not reopen — build a "
                 "new session (the service layer keeps one per worker "
                 "thread)")
-        if self._mirror is None:
+        database = self.schema.database
+        stamp = tuple(table.version for table in database.tables())
+        current = self._mirror
+        if current is None or current[0] != stamp:
             with self._mirror_lock:
-                if self._mirror is None:
+                current = self._mirror
+                if current is None or current[0] != stamp:
+                    stale = current
                     with self.counters.timed("MirrorLoad"):
-                        self._mirror = SqliteMirror(self.schema.database,
-                                                    self.path)
-        return self._mirror
+                        current = (stamp, SqliteMirror(database))
+                    self._mirror = current
+                    if stale is not None:
+                        stale[1].close()
+        return current[1]
 
     # -- rows ----------------------------------------------------------
     def materialize(self, plan: PlanNode) -> tuple[int, ...]:
@@ -528,7 +539,7 @@ class SqliteBackend:
         backend refuses further queries with :class:`BackendError`."""
         self._closed = True
         if self._mirror is not None:
-            self._mirror.close()
+            self._mirror[1].close()
             self._mirror = None
 
     def __enter__(self) -> "SqliteBackend":

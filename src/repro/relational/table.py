@@ -94,11 +94,11 @@ class Table:
     def version(self) -> int:
         """Monotonic mutation counter; bumps on every append.
 
-        Caches layered above the table (encoded chunks, fact-aligned
-        vectors, materialized views) key their entries by this counter:
-        an append-only table whose version is unchanged is guaranteed
-        bit-identical, and a grown version means exactly that rows were
-        appended past the old length (existing rows never mutate).
+        Caches layered above the table (encoded chunks, the schema's
+        derived data, the plan cache, the sqlite mirror) stamp their
+        entries with it and rebuild once it moves; only materialized
+        views fold the appended rows instead, relying on existing rows
+        never mutating.
         """
         return self._version
 

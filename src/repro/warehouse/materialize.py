@@ -252,7 +252,10 @@ class MaterializationTier:
         return (attr_key(gb).fingerprint(), measure_name)
 
     def _dim_versions(self, gb: GroupByAttribute) -> tuple:
-        return self.schema._path_versions(gb.path_from_fact)
+        """Versions of the non-fact tables behind ``gb``'s path: a move
+        means existing fact rows may re-map, so the view rebuilds."""
+        return tuple(self.schema.database.table(step.target).version
+                     for step in gb.path_from_fact.steps)
 
     def _get_fresh(self, key: tuple) -> MaterializedView | None:
         view = self._views.get(key)

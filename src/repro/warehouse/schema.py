@@ -14,9 +14,11 @@ with the OLAP knowledge KDAP needs:
   attributes within each dimension");
 * which text attributes are full-text searchable.
 
-The schema also owns the *fact-aligned column cache*: resolving a dimension
-attribute down to one value per fact row is the hot operation behind every
-partitioning, so resolved vectors are memoised per (join path, column).
+The schema also owns the data derived from its tables: resolving a
+dimension attribute down to one value per fact row is the hot operation
+behind every partitioning, so resolved vectors, their encoded chunks,
+measure vectors and hierarchy parent maps are memoised in one store whose
+entries are rebuilt whenever a table they read changes.
 """
 
 from __future__ import annotations
@@ -27,13 +29,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from ..relational.catalog import Database
-from ..relational.chunks import (
-    CHUNK_SIZE,
-    ColumnChunk,
-    PlainChunk,
-    encode_chunk,
-    encode_column,
-)
+from ..relational.chunks import ColumnChunk, PlainChunk, encode_column
 from ..relational.errors import SchemaError, UnknownColumnError
 from ..relational.expressions import Expression
 from .graph import JoinPath, SchemaGraph
@@ -169,21 +165,11 @@ class StarSchema:
         }
         self.graph = SchemaGraph(database)
         self._validate()
-        # caches -------------------------------------------------------
-        # lock-guarded: the service's worker sessions share one schema
-        # and resolve vectors and chunks concurrently, and an unguarded
-        # dict fill would let two threads race to (re)compute the same
-        # entry.
-        # Every entry is version-stamped: fact-aligned entries carry the
-        # versions of the non-fact tables behind them plus the fact row
-        # count at fill time (append-only tables ⇒ an unchanged prefix),
-        # so dimension mutations invalidate and fact appends extend the
-        # cached payload incrementally instead of invalidating it.
+        # derived data (see _derive): lock-guarded, because the
+        # service's worker sessions share one schema and fill it
+        # concurrently
         self._cache_lock = threading.Lock()
-        self._fact_vectors: dict[tuple, tuple] = {}
-        self._fact_chunks: dict[tuple, tuple] = {}
-        self._measure_vectors: dict[str, tuple] = {}
-        self._parent_maps: dict[tuple, tuple] = {}
+        self._derived: dict[tuple, tuple] = {}
 
     # ------------------------------------------------------------------
     # validation
@@ -249,22 +235,45 @@ class StarSchema:
         return None
 
     # ------------------------------------------------------------------
+    # derived data: one version-stamped store
+    # ------------------------------------------------------------------
+    def _derive(self, key: tuple, stamp: tuple, build=None):
+        """The one memo rule for data derived from the warehouse: an
+        entry is stamped with the versions of the tables its ``build``
+        reads, taken before building, and rebuilt in full once the
+        ``stamp`` a caller passes differs.  With no ``build`` this only
+        looks (None for a missing or stale entry).  Concurrent first
+        builds may race; the last one keeps the slot and every caller
+        gets an equal value."""
+        with self._cache_lock:
+            entry = self._derived.get(key)
+        if entry is not None and entry[0] == stamp:
+            return entry[1]
+        if build is None:
+            return None
+        value = build()
+        with self._cache_lock:
+            self._derived[key] = (stamp, value)
+        return value
+
+    def _fact_stamp(self, path: JoinPath) -> tuple[int, ...]:
+        """Versions of the tables a fact-aligned ``path`` reads."""
+        tables = path.tables if path.steps else (self.fact_table,)
+        return tuple(self.database.table(t).version for t in tables)
+
+    # ------------------------------------------------------------------
     # row-level resolution (fact-aligned vectors)
     # ------------------------------------------------------------------
     def resolve_column(self, base_table: str, path: JoinPath,
-                       column: str,
-                       row_ids: Sequence[int] | None = None) -> list:
+                       column: str) -> list:
         """One value of ``column`` per row of ``base_table``, resolved by
         walking ``path`` (every step must move towards an FK parent, i.e.
         many-to-one, so each base row maps to at most one value).
 
-        Rows whose FK chain dangles resolve to None.  ``row_ids``
-        restricts resolution to a selection of base rows (the delta path
-        of incremental cache maintenance); the result aligns with it.
+        Rows whose FK chain dangles resolve to None.
         """
         table = self.database.table(base_table)
-        current: list = (list(range(len(table))) if row_ids is None
-                         else list(row_ids))
+        current: list = list(range(len(table)))
         current_table = table
         for step in path.steps:
             if not step.towards_parent:
@@ -286,45 +295,11 @@ class StarSchema:
         values = current_table.column_values(column)
         return [values[rid] if rid is not None else None for rid in current]
 
-    def _path_versions(self, path: JoinPath) -> tuple[int, ...]:
-        """Versions of every non-fact table a resolution path reads (none
-        for the empty path of a fact-table column)."""
-        if not path.steps:
-            return ()
-        return tuple(self.database.table(t).version for t in path.tables
-                     if t != self.fact_table)
-
     def fact_vector(self, path: JoinPath, column: str) -> list:
-        """Cached fact-aligned vector of ``column`` reached via ``path``.
-
-        Thread-safe: concurrent workers may race to the first resolve;
-        whichever finishes first wins the cache slot and every caller
-        sees one consistent vector.  Fact appends extend the cached
-        vector by resolving only the delta rows; dimension mutations
-        (which can re-target existing fact rows) recompute it.
-        """
-        key = (path.fk_names, column)
-        n = self.num_fact_rows
-        dims = self._path_versions(path)
-        with self._cache_lock:
-            entry = self._fact_vectors.get(key)
-        if entry is not None and entry[0] == dims:
-            if entry[1] == n:
-                return entry[2]
-            if entry[1] < n:
-                # append-only growth: resolve just the delta and publish
-                # a fresh extended list (holders of the old snapshot keep
-                # a consistent shorter vector)
-                delta = self.resolve_column(self.fact_table, path, column,
-                                            row_ids=range(entry[1], n))
-                values = entry[2] + delta
-                with self._cache_lock:
-                    self._fact_vectors[key] = (dims, n, values)
-                return values
-        values = self.resolve_column(self.fact_table, path, column)
-        with self._cache_lock:
-            self._fact_vectors[key] = (dims, n, values)
-        return values
+        """Cached fact-aligned vector of ``column`` reached via ``path``."""
+        return self._derive(
+            ("vector", path.fk_names, column), self._fact_stamp(path),
+            lambda: self.resolve_column(self.fact_table, path, column))
 
     def fact_chunks(self, path: JoinPath, column: str) -> list[ColumnChunk]:
         """Encoded column chunks of one fact-aligned vector (cached).
@@ -333,47 +308,29 @@ class StarSchema:
         distinct values, so these almost always dictionary- or
         run-length-encode; the chunk list is index-aligned with every
         other fact-grain chunk list, letting multi-key operators walk
-        them in lockstep and skip chunks via zone maps.  On fact appends
-        only the tail is re-encoded: full chunks are immutable, so the
-        old list is reused up to the last chunk boundary.
+        them in lockstep and skip chunks via zone maps.
 
-        A first encoding keeps the fact-aligned vector it encodes from in
-        the :meth:`fact_vector` cache only when a plain chunk views it
-        (it is kept alive then anyway): an attribute that only filters
-        and groups touch, such as a star-net ray's, keeps just its
-        encoded chunks.  An append goes through :meth:`fact_vector`,
-        which resolves only the new rows from then on.
+        The encoding reuses a fresh :meth:`fact_vector` entry when one
+        exists, and otherwise keeps the vector it resolved only when a
+        plain chunk views it (it is kept alive then anyway): an
+        attribute that only filters and groups touch, such as a
+        star-net ray's, keeps just its encoded chunks.
         """
-        key = (path.fk_names, column)
-        n = self.num_fact_rows
-        dims = self._path_versions(path)
-        with self._cache_lock:
-            entry = self._fact_chunks.get(key)
-            vector = self._fact_vectors.get(key)
-        if entry is not None and entry[0] == dims and entry[1] == n:
-            return entry[2]
-        if (entry is not None and entry[0] == dims and entry[1] < n
-                and entry[2]):
-            base = self.fact_vector(path, column)
-            chunks = list(entry[2])
-            if chunks[-1].stop - chunks[-1].start < CHUNK_SIZE:
-                chunks.pop()    # partial tail chunk: re-encode it
-            start = chunks[-1].stop if chunks else 0
-            while start < n:
-                stop = min(start + CHUNK_SIZE, n)
-                chunks.append(encode_chunk(base, start, stop))
-                start = stop
-        elif vector is not None and vector[0] == dims and vector[1] == n:
-            chunks = encode_column(vector[2])
-        else:
-            base = self.resolve_column(self.fact_table, path, column)
-            chunks = encode_column(base)
+        stamp = self._fact_stamp(path)
+        vector_key = ("vector", path.fk_names, column)
+
+        def build() -> list[ColumnChunk]:
+            vector = self._derive(vector_key, stamp)
+            if vector is not None:
+                return encode_column(vector)
+            vector = self.resolve_column(self.fact_table, path, column)
+            chunks = encode_column(vector)
             if any(isinstance(chunk, PlainChunk) for chunk in chunks):
-                with self._cache_lock:
-                    self._fact_vectors[key] = (dims, n, base)
-        with self._cache_lock:
-            self._fact_chunks[key] = (dims, n, chunks)
-        return chunks
+                self._derive(vector_key, stamp, lambda: vector)
+            return chunks
+
+        return self._derive(("chunks", path.fk_names, column), stamp,
+                            build)
 
     def groupby_vector(self, gb: GroupByAttribute) -> list:
         """Fact-aligned values of a group-by attribute."""
@@ -389,22 +346,14 @@ class StarSchema:
         through the expression batch seam, one kernel pass over the fact
         table).  Keyed by the canonical SQL ``sql`` — the ``measure_sql``
         plans carry — so name-based and plan-based callers share one
-        entry.  Fact appends evaluate only the delta rows."""
-        n = self.num_fact_rows
-        with self._cache_lock:
-            entry = self._measure_vectors.get(sql)
-        if entry is not None and entry[0] == n:
-            return entry[1]
+        entry."""
         fact = self.database.table(self.fact_table)
-        if entry is not None and entry[0] < n:
-            delta = expression.evaluate_batch(fact, range(entry[0], n))
-            values = entry[1] + delta
-        else:
+
+        def build() -> list:
             expression.validate(fact)
-            values = expression.evaluate_batch(fact)
-        with self._cache_lock:
-            self._measure_vectors[sql] = (n, values)
-        return values
+            return expression.evaluate_batch(fact)
+
+        return self._derive(("expression", sql), (fact.version,), build)
 
     # ------------------------------------------------------------------
     # hierarchy value mappings (for roll-up)
@@ -413,9 +362,10 @@ class StarSchema:
         """child value → parent value map between adjacent hierarchy levels.
 
         Derived from the data: project (child, parent) pairs, joining across
-        tables when the levels live in different tables.
+        tables when the levels live in different tables.  A child with
+        several parents maps to the first non-NULL one seen.
         """
-        return self._parent_entry(hierarchy, level_index)[1]
+        return self._parent_entry(hierarchy, level_index)[0]
 
     def functional_parent_map(self, hierarchy: Hierarchy,
                               level_index: int) -> dict | None:
@@ -428,58 +378,53 @@ class StarSchema:
         across functional steps; otherwise per-row re-partitioning and
         per-value mapping would disagree.
         """
-        versions, mapping, functional = self._parent_entry(hierarchy,
-                                                           level_index)
-        del versions
+        mapping, functional, _ = self._parent_entry(hierarchy, level_index)
         return mapping if functional else None
 
     def _parent_entry(self, hierarchy: Hierarchy,
-                      level_index: int) -> tuple:
+                      level_index: int) -> tuple[dict, bool, dict]:
+        """``(parent_map, functional, relation)`` of one hierarchy step:
+        ``relation`` maps each child value to an ordered dict whose keys
+        are every parent it appears with (NULL included), and the step
+        is functional when each child has exactly one."""
         if level_index + 1 >= len(hierarchy.levels):
             raise SchemaError(
                 f"level {level_index} of hierarchy {hierarchy.name!r} "
                 "has no parent level"
             )
-        key = (hierarchy.name, level_index)
         child_ref = hierarchy.levels[level_index]
         parent_ref = hierarchy.levels[level_index + 1]
+        path = None
         tables = {child_ref.table, parent_ref.table}
         if child_ref.table != parent_ref.table:
             path = self._hierarchy_link_path(child_ref.table,
                                              parent_ref.table)
             tables.update(path.tables)
-        versions = tuple(self.database.table(t).version
-                         for t in sorted(tables))
-        with self._cache_lock:
-            entry = self._parent_maps.get(key)
-        if entry is not None and entry[0] == versions:
-            return entry
-        child_table = self.database.table(child_ref.table)
-        if child_ref.table == parent_ref.table:
-            parent_values = child_table.column_values(parent_ref.column)
-        else:
-            path = self._hierarchy_link_path(child_ref.table,
-                                             parent_ref.table)
-            parent_values = self.resolve_column(
-                child_ref.table, path, parent_ref.column
-            )
-        child_values = child_table.column_values(child_ref.column)
-        mapping: dict = {}
-        conflicted = False
-        null_parents: set = set()
-        for child, parent in zip(child_values, parent_values):
-            if child is None:
-                continue
-            if parent is None:
-                null_parents.add(child)
-                continue
-            if mapping.setdefault(child, parent) != parent:
-                conflicted = True
-        functional = not conflicted and not (null_parents & mapping.keys())
-        entry = (versions, mapping, functional)
-        with self._cache_lock:
-            self._parent_maps[key] = entry
-        return entry
+        stamp = tuple(self.database.table(t).version for t in sorted(tables))
+
+        def build() -> tuple[dict, bool, dict]:
+            child_table = self.database.table(child_ref.table)
+            if path is None:
+                parent_values = child_table.column_values(parent_ref.column)
+            else:
+                parent_values = self.resolve_column(
+                    child_ref.table, path, parent_ref.column)
+            mapping: dict = {}
+            relation: dict = {}
+            for child, parent in zip(
+                    child_table.column_values(child_ref.column),
+                    parent_values):
+                if child is None:
+                    continue
+                relation.setdefault(child, {})[parent] = None
+                if parent is not None:
+                    mapping.setdefault(child, parent)
+            functional = all(len(parents) == 1
+                             for parents in relation.values())
+            return mapping, functional, relation
+
+        return self._derive(("parents", hierarchy.name, level_index), stamp,
+                            build)
 
     def _hierarchy_link_path(self, child_table: str,
                              parent_table: str) -> JoinPath:

@@ -44,34 +44,21 @@ def _check_hierarchies(schema: StarSchema,
     for dim in schema.dimensions:
         for hierarchy in dim.hierarchies:
             for level in range(len(hierarchy.levels) - 1):
-                child_ref = hierarchy.levels[level]
-                parent_ref = hierarchy.levels[level + 1]
-                child_table = schema.database.table(child_ref.table)
-                if child_ref.table == parent_ref.table:
-                    parents = child_table.column_values(parent_ref.column)
-                else:
-                    path = schema._hierarchy_link_path(child_ref.table,
-                                                       parent_ref.table)
-                    parents = schema.resolve_column(
-                        child_ref.table, path, parent_ref.column)
-                children = child_table.column_values(child_ref.column)
-                seen: dict = {}
-                conflicts: list[str] = []
-                for child, parent in zip(children, parents):
-                    if child is None or parent is None:
-                        continue
-                    if child in seen and seen[child] != parent:
-                        conflicts.append(
-                            f"{child!r} -> {seen[child]!r} and {parent!r}")
-                        if len(conflicts) >= max_examples:
-                            break
-                    seen.setdefault(child, parent)
-                if conflicts:
-                    warnings.append(
-                        f"hierarchy {hierarchy.name!r} level "
-                        f"{child_ref} is not functional: "
-                        + "; ".join(conflicts)
-                    )
+                _, functional, relation = schema._parent_entry(hierarchy,
+                                                               level)
+                if functional:
+                    continue
+                conflicts = [
+                    f"{child!r} -> "
+                    + " and ".join(repr(parent) for parent in parents)
+                    for child, parents in relation.items()
+                    if len(parents) > 1
+                ][:max_examples]
+                warnings.append(
+                    f"hierarchy {hierarchy.name!r} level "
+                    f"{hierarchy.levels[level]} is not functional: "
+                    + "; ".join(conflicts)
+                )
     return warnings
 
 

@@ -1,15 +1,16 @@
 """Version counters must invalidate every cache layered above a table.
 
 The write store bumps ``Table.version`` on each mutation; the encoded
-read store, the star schema's fact-aligned vectors, the memory backend's
-memoised measure vector, the engine's epoch-qualified plan cache, and
-non-incremental materialized views all key their freshness off it.  Each
-test here mutates a table and asserts the derived layer either extends
-(incremental caches) or recomputes (non-foldable ones) — never serves
-stale data.
+read store, the star schema's derived data, the engine's epoch-qualified
+plan cache, the sqlite backend's mirror and materialized views all key
+their freshness off it.  Each test here mutates a table and asserts the
+derived layer either rebuilds or (a materialized view after a fact
+append) folds the new rows — never serves stale data.
 """
 
 import random
+
+import pytest
 
 from repro.datasets.scale import build_scale
 from repro.obs import MetricsRegistry, metrics_scope
@@ -17,6 +18,7 @@ from repro.plan.engine import QueryEngine
 from repro.relational.chunks import CHUNK_SIZE
 from repro.relational.table import Table
 from repro.relational.types import float_, integer, text
+from repro.resilience import create_resilient_backend
 from repro.warehouse import MaterializationTier, Subspace
 
 from ..counts import cache_counts
@@ -180,3 +182,43 @@ def test_dim_mutation_invalidates_non_incremental_view():
         .partition_aggregates(gb, "revenue")
     assert answer == direct
     assert tier.stats.rebuilds == 1 and tier.stats.refreshes == 0
+
+
+# ---------------------------------------------------------------------------
+# the sqlite mirror
+# ---------------------------------------------------------------------------
+@pytest.mark.parametrize("wrap", [False, True], ids=["sqlite", "resilient"])
+def test_sqlite_answers_follow_appends(wrap):
+    """Regression: the sqlite backend loaded its mirror once, so after an
+    append the new epoch missed the plan cache and the query ran on the
+    old mirror.  A fact append (whose product does not exist yet) and a
+    dimension append that gives it a product must both show, as on the
+    memory backend."""
+    schema = build_scale(num_facts=400, seed=3)
+    memory = QueryEngine(schema)
+    sqlite = QueryEngine(schema, backend=(create_resilient_backend(schema)
+                                          if wrap else "sqlite"))
+    category = schema.groupby_attribute("DimProduct", "CategoryName")
+    product = schema.groupby_attribute("DimProduct", "ProductName")
+    month = schema.groupby_attribute("DimDate", "MonthName")
+
+    def answers(engine):
+        full = Subspace.full(schema, engine=engine)
+        return (full.aggregate("revenue"),
+                full.partition_aggregates(product, "revenue"),
+                engine.pivot_aggregates(full, category, month, "revenue"))
+
+    with metrics_scope(MetricsRegistry()):
+        assert answers(sqlite) == answers(memory)
+        schema.database.table("FactScaleSales").insert({
+            "OrderKey": 401, "ProductKey": 999, "DateKey": 20030103,
+            "UnitPrice": 100.0, "Quantity": 1})
+        grown = answers(sqlite)
+        assert grown == answers(memory)
+        schema.database.table("DimProduct").insert({
+            "ProductKey": 999, "ProductName": "Appended Product",
+            "Color": "Red", "CategoryName": "Clothing", "ListPrice": 1.0})
+        assert answers(sqlite) == answers(memory)
+    assert "Appended Product" not in grown[1]
+    assert answers(memory)[1]["Appended Product"] == 100.0
+    sqlite.close()

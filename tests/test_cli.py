@@ -116,6 +116,27 @@ class TestResilience:
         assert "no interpretation" in out
 
 
+class TestFlagValues:
+    """Out-of-range numeric flags are usage errors, not runs: ``--pick``
+    counts from 1 (``--pick 0`` once picked the last candidate) and the
+    budget flags from 0 (``--deadline-ms 0`` stays an expired
+    deadline)."""
+
+    @pytest.mark.parametrize("argv", [
+        ["explore", "Road Bikes", "--pick", "0"],
+        ["explain", "Road Bikes", "--pick", "0"],
+        ["sql", "Road Bikes", "--pick", "-1"],
+        ["--max-rows", "-1", "explore", "Road Bikes"],
+        ["--max-interpretations", "-1", "query", "Road Bikes"],
+        ["--deadline-ms", "-5", "query", "Road Bikes"],
+    ])
+    def test_out_of_range_value_exits_with_usage_code(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([*SMALL, *argv])
+        assert exc.value.code == cli.EXIT_USAGE
+        assert "must be at least" in capsys.readouterr().err
+
+
 class TestExitCodes:
     """The error taxonomy maps to distinct exit codes and one-line
     stderr messages — never tracebacks."""

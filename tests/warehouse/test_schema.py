@@ -1,5 +1,9 @@
 """StarSchema metadata: dimensions, hierarchies, resolution caches."""
 
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
 import pytest
 
 from repro.datasets.scale import build_scale
@@ -103,12 +107,57 @@ class TestResolution:
         chunks = schema.fact_chunks(gb.path_from_fact, gb.ref.column)
         assert [c.encoding for c in chunks] == ["dict", "dict"]
         assert all(isinstance(c.codes, bytes) for c in chunks)
-        assert not schema._fact_vectors
+        assert [key[0] for key in schema._derived] == ["chunks"]
         assert schema.groupby_vector(gb) == [
             value for chunk in chunks for value in chunk.values()]
         plain = schema.fact_chunks(EMPTY_PATH, "OrderKey")
         assert plain[0].encoding == "plain"
         assert schema.fact_vector(EMPTY_PATH, "OrderKey") is plain[0].base
+
+    def test_dimension_append_rebuilds_derived_data(self):
+        schema = build_scale(num_facts=CHUNK_SIZE + 50, seed=3)
+        hierarchy = schema.dimension("Product").hierarchies[0]
+        gb = schema.groupby_attribute("DimProduct", "ProductName")
+        before_map = schema.parent_map(hierarchy, 0)
+        before = schema.fact_chunks(gb.path_from_fact, gb.ref.column)
+        schema.database.table("DimProduct").insert({
+            "ProductKey": 999, "ProductName": "Appended Product",
+            "Color": "Red", "CategoryName": "Clothing", "ListPrice": 1.0,
+        })
+        after_map = schema.parent_map(hierarchy, 0)
+        assert "Appended Product" not in before_map
+        assert after_map["Appended Product"] == "Clothing"
+        after = schema.fact_chunks(gb.path_from_fact, gb.ref.column)
+        assert after is not before
+        assert [list(c.values()) for c in after] == [
+            list(c.values()) for c in before]
+
+    @pytest.mark.parametrize("derive", ["chunks", "expression"])
+    def test_concurrent_first_builds_agree(self, derive):
+        def first_call(schema):
+            if derive == "expression":
+                measure = schema.measures["revenue"].expression
+                return schema.expression_vector(str(measure), measure)
+            gb = schema.groupby_attribute("DimDate", "MonthName")
+            chunks = schema.fact_chunks(gb.path_from_fact, gb.ref.column)
+            return [list(chunk.values()) for chunk in chunks]
+
+        schema = build_scale(num_facts=2 * CHUNK_SIZE, seed=3)
+        barrier = threading.Barrier(4, timeout=30)
+
+        def race(_):
+            barrier.wait()
+            return first_call(schema)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                results = list(pool.map(race, range(4), timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        expected = first_call(build_scale(num_facts=2 * CHUNK_SIZE, seed=3))
+        assert results == [expected] * 4
 
     def test_measure_vector(self, aw_online):
         vector = aw_online.measure_vector("revenue")

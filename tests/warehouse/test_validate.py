@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.datasets.scale import build_scale
 from repro.relational import Database, Table, integer, text
 from repro.warehouse import (
     AttributeKind,
@@ -24,8 +25,9 @@ class TestCleanSchemas:
             assert validate_schema(schema) == []
 
 
-def broken_schema(*, bad_hierarchy=False, bad_searchable=False,
-                  bad_path=False, empty_dimension=False):
+def broken_schema(*, bad_hierarchy=False, null_parent=False,
+                  bad_searchable=False, bad_path=False,
+                  empty_dimension=False):
     db = Database("Broken")
     dim_table = Table("Dim", [
         integer("DimKey", nullable=False),
@@ -41,6 +43,10 @@ def broken_schema(*, bad_hierarchy=False, bad_searchable=False,
         # value "a" maps to two different parents
         rows.append({"DimKey": 3, "Name": "a", "Parent": "P2",
                      "Number": 3})
+    if null_parent:
+        # value "b" maps to a parent and to NULL
+        rows.append({"DimKey": 4, "Name": "b", "Parent": None,
+                     "Number": 4})
     dim_table.insert_many(rows)
     db.add_table(dim_table)
     fact = Table("Fact", [
@@ -81,6 +87,22 @@ class TestDetection:
     def test_non_functional_hierarchy(self):
         warnings = validate_schema(broken_schema(bad_hierarchy=True))
         assert any("not functional" in w for w in warnings)
+
+    def test_null_and_non_null_parents_are_not_functional(self):
+        schema = broken_schema(null_parent=True)
+        hierarchy = schema.dimension("D").hierarchies[0]
+        assert schema.functional_parent_map(hierarchy, 0) is None
+        assert validate_schema(schema) == [
+            "hierarchy 'H' level Dim.Name is not functional: "
+            "'b' -> 'P1' and None"]
+
+    def test_examples_name_distinct_children(self):
+        warnings = validate_schema(build_scale(num_facts=500, seed=3),
+                                   max_examples=3)
+        (warning,) = [w for w in warnings if "not functional" in w]
+        examples = warning.split("is not functional: ")[1].split("; ")
+        children = [example.split(" -> ")[0] for example in examples]
+        assert children == ["'January'", "'February'", "'March'"]
 
     def test_non_text_searchable(self):
         warnings = validate_schema(broken_schema(bad_searchable=True))

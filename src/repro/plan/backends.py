@@ -36,7 +36,7 @@ from ..obs.tracer import current_tracer, op_span
 from ..relational import vector
 from ..relational.chunks import CHUNK_SIZE
 from ..relational.errors import BackendError, SchemaError
-from ..relational.expressions import And, Between, Col, In, Predicate
+from ..relational.expressions import Predicate
 from ..relational.operators import (
     AGGREGATE_STATES,
     chunked_group_states,
@@ -114,13 +114,15 @@ def _fact_measure(schema: StarSchema, plan) -> list:
 class InMemoryBackend:
     """Columnar execution over the schema's encoded column chunks.
 
-    Row-producing plans flow as *selection vectors* split at uniform
-    chunk boundaries: each operator narrows its child's selection with
-    one encoding-aware kernel per chunk (dictionary ``IN`` probes, RLE
-    run slicing, predicate ``select_batch``), and a chunk whose zone
-    map proves no row can match is skipped without reading it.  Budgets
-    are charged per chunk, so a row/deadline limit interrupts a scan at
-    chunk — not whole-operator — granularity, and
+    Row-producing plans flow as *selection vectors*.  A filter has one
+    route per plan shape: a ray (an attribute value set) narrows the
+    selection chunk by chunk over the schema's encoded fact-aligned
+    column (dictionary ``IN`` probes, RLE run slicing), skipping a chunk
+    whose zone map proves no row can match; a measure comparison
+    compresses each batch by its
+    :meth:`~repro.relational.expressions.Predicate.select_batch` mask.
+    Budgets are charged per chunk or batch, so a row/deadline limit
+    interrupts a scan at chunk — not whole-operator — granularity, and
     :class:`~repro.plan.counters.PlanCounters` records how many chunks
     each operator scanned vs skipped.
 
@@ -191,18 +193,15 @@ class InMemoryBackend:
                         table = self.schema.database.table(
                             _leaf(node).table)
                         node.predicate.validate(table)
-                        rows = self._select_predicate(
+                        rows = self._refine_batches(
                             table, node.predicate, child_rows, out)
                     else:
                         # None in the value set selects NULL-attribute
                         # rows
                         chunks = self.schema.fact_chunks(node.attr.path,
                                                          node.attr.column)
-                        wanted = set(node.values)
                         rows = self._filter_chunks(
-                            chunks, child_rows, out,
-                            lambda c: c.may_match_in(wanted, True),
-                            lambda c, sub: c.select_in(wanted, True, sub))
+                            chunks, set(node.values), child_rows, out)
                     out[0] = len(rows)
                 osp.set_tag("rows", out[0])
                 osp.set_tag("batches", out[1])
@@ -211,81 +210,35 @@ class InMemoryBackend:
             return rows
         raise SchemaError(f"not a row-producing plan node: {node!r}")
 
-    # -- chunked filtering ---------------------------------------------
-    def _filter_chunks(self, chunks, child_rows: list[int], out,
-                       may_match, select, charge: bool = True) -> list[int]:
-        """Narrow a selection chunk-at-a-time, skipping whole chunks the
-        zone-map test ``may_match`` rules out.  ``out`` is the counter
-        slot list (batches / chunks_scanned / chunks_skipped)."""
+    # -- filtering -----------------------------------------------------
+    def _filter_chunks(self, chunks, wanted: set, child_rows: list[int],
+                       out) -> list[int]:
+        """Narrow a selection to the rows whose value is in ``wanted``,
+        chunk at a time, skipping whole chunks their zone maps rule out.
+        ``out`` is the counter slot list (batches / chunks_scanned /
+        chunks_skipped)."""
         rows: list[int] = []
         size = chunks[0].stop if chunks else CHUNK_SIZE
         for index, sub in vector.split_selection(child_rows, size):
             chunk = chunks[index]
-            if not may_match(chunk):
+            if not chunk.may_match_in(wanted):
                 out[3] += 1
                 continue
-            kept = select(chunk, sub)
-            if charge:
-                charge_rows(len(kept), "Filter")
+            kept = chunk.select_in(wanted, sub)
+            charge_rows(len(kept), "Filter")
             rows.extend(kept)
             out[1] += 1
             out[2] += 1
         return rows
 
-    def _select_predicate(self, table, predicate: Predicate,
-                          child_rows: list[int], out,
-                          charge: bool = True) -> list[int]:
-        """Chunk-aware predicate evaluation: ``IN`` / ``BETWEEN`` over a
-        bare column run on the table's encoded chunks with zone-map
-        skipping (an ``AND`` delegates its first conjunct, then refines
-        the survivors); anything else falls back to per-batch
-        ``select_batch`` (every batch counts as a scanned chunk)."""
-        if isinstance(predicate, In) and isinstance(predicate.expr, Col):
-            chunks = table.column_chunks(predicate.expr.name)
-            wanted = predicate.values
-            return self._filter_chunks(
-                chunks, child_rows, out,
-                lambda c: c.may_match_in(wanted, False),
-                lambda c, sub: c.select_in(wanted, False, sub),
-                charge=charge)
-        if isinstance(predicate, Between) and \
-                isinstance(predicate.expr, Col):
-            chunks = table.column_chunks(predicate.expr.name)
-            low, high = predicate.low, predicate.high
-            inclusive = predicate.inclusive_high
-            return self._filter_chunks(
-                chunks, child_rows, out,
-                lambda c: c.may_match_range(low, high, inclusive),
-                lambda c, sub: c.select_range(low, high, inclusive, sub),
-                charge=charge)
-        if isinstance(predicate, And) and predicate.parts:
-            first = predicate.parts[0]
-            rest = predicate.parts[1:]
-            if isinstance(first, (In, Between)) and \
-                    isinstance(first.expr, Col):
-                # rows cut by the first conjunct are not charged: the
-                # budget sees only the rows that survive the whole filter,
-                # exactly like the single-kernel path
-                selection = self._select_predicate(table, first,
-                                                   child_rows, out,
-                                                   charge=False)
-                if not rest or not selection:
-                    if charge:
-                        charge_rows(len(selection), "Filter")
-                    return selection
-                return self._refine_batches(table, And(tuple(rest)),
-                                            selection, out, charge)
-        return self._refine_batches(table, predicate, child_rows, out,
-                                    charge)
-
     def _refine_batches(self, table, predicate: Predicate,
-                        child_rows: list[int], out,
-                        charge: bool = True) -> list[int]:
+                        child_rows: list[int], out) -> list[int]:
+        """Narrow a selection batch by batch to the rows ``predicate``
+        holds on (every batch counts as a scanned chunk)."""
         rows: list[int] = []
         for batch in vector.batches(child_rows, CHUNK_SIZE):
             kept = predicate.select_batch(table, batch)
-            if charge:
-                charge_rows(len(kept), "Filter")
+            charge_rows(len(kept), "Filter")
             rows.extend(kept)
             out[1] += 1
             out[2] += 1

@@ -5,7 +5,7 @@ Public surface::
     from repro.relational import (
         Database, Table, Column, ColumnType, ForeignKey,
         integer, float_, text, date, boolean,
-        Col, Const, Compare, In, Between, And, Or, Not, eq, isin,
+        Col, Const, Compare, In, Or, Not, IsNull, eq, isin,
         JoinQuery, JoinEdge, AliasFilter, SqliteBackend,
     )
 """
@@ -28,9 +28,7 @@ from .errors import (
     UnknownTableError,
 )
 from .expressions import (
-    And,
     Arith,
-    Between,
     Col,
     Compare,
     Const,
@@ -61,11 +59,9 @@ from .types import (
 
 __all__ = [
     "AliasFilter",
-    "And",
     "Arith",
     "BackendError",
     "BackendUnavailableError",
-    "Between",
     "BudgetExceeded",
     "DeadlineExceeded",
     "Col",

@@ -14,18 +14,18 @@ stored in whichever encoding fits its data:
   everything else.
 
 Every chunk carries a :class:`ZoneMap` (min/max over non-null values,
-null count, distinct-count hint), so selection kernels can discard a
+null count, distinct-count hint), so the attribute filter can discard a
 whole chunk with one comparison before doing any per-row work: scan
 cost becomes proportional to *relevant* chunks rather than table rows.
 
-Chunk kernels mirror the plain-array kernels of
-:mod:`repro.relational.vector` — same arguments, same results, same
-NULL semantics — but exploit the encoding: a dictionary selection
-probes the (tiny) dictionary once, translates the codes into a one-byte
-match mask in C and compresses the selection with it; an RLE selection
-(whole chunk or partial) walks only the runs it touches
-(:meth:`RLEChunk.runs`, run ends found by bisection) and keeps or drops
-each run's slice of the selection whole.  Selection vectors are
+The one selection kernel is the attribute filter's ``IN``
+(:meth:`ColumnChunk.select_in`, plain set membership, so a ``None`` in
+the value set selects NULL rows), and it exploits the encoding: a
+dictionary selection probes the (tiny) dictionary once, translates the
+codes into a one-byte match mask in C and compresses the selection with
+it; an RLE selection (whole chunk or partial) walks only the runs it
+touches (:meth:`RLEChunk.runs`, run ends found by bisection) and keeps
+or drops each run's slice of the selection whole.  Selection vectors are
 **global** row ids and must be ascending, exactly as everywhere else in
 the engine.  Kernels return the selection's own int objects and never
 build new ones, so every cached selection over a table shares the ints
@@ -100,36 +100,19 @@ class ColumnChunk:
         return self.stop - self.start
 
     # -- zone-map skip tests ------------------------------------------
-    def may_match_in(self, wanted, keep_null: bool) -> bool:
-        """False only when *no* row of this chunk can satisfy an ``IN``
-        over ``wanted`` (conservative: True whenever unsure)."""
+    def may_match_in(self, wanted) -> bool:
+        """False only when *no* row of this chunk can be in ``wanted``
+        (conservative: True whenever unsure)."""
         zone = self.zone
         if zone.null_count == len(self):
-            return keep_null and None in wanted
+            return None in wanted
         if zone.lo is None:
             return True  # bounds unknown: cannot rule anything out
-        if keep_null and zone.null_count and None in wanted:
+        if zone.null_count and None in wanted:
             return True
         lo, hi = zone.lo, zone.hi
         try:
             return any(v is not None and lo <= v <= hi for v in wanted)
-        except TypeError:
-            return True
-
-    def may_match_range(self, low, high, inclusive_high: bool) -> bool:
-        """False only when no row can fall in ``[low, high)`` (or
-        ``[low, high]``); NULLs never match a range."""
-        zone = self.zone
-        if zone.null_count == len(self):
-            return False
-        if zone.lo is None:
-            return True
-        try:
-            if zone.hi < low:
-                return False
-            if inclusive_high:
-                return not zone.lo > high
-            return not zone.lo >= high
         except TypeError:
             return True
 
@@ -143,18 +126,11 @@ class ColumnChunk:
         RLE chunk has none: its callers walk :meth:`RLEChunk.runs`)."""
         raise NotImplementedError
 
-    def select_in(self, wanted, keep_null: bool, row_ids: Sequence[int]) -> list[int]:
+    def select_in(self, wanted, row_ids: Sequence[int]) -> list[int]:
         """The ids of ``row_ids`` (the chunk's ascending sub-selection)
-        whose value is in ``wanted``, with the NULL semantics of
-        :func:`repro.relational.vector.select_in`.  The result holds the
-        selection's own int objects, never fresh ones."""
-        raise NotImplementedError
-
-    def select_range(
-        self, low, high, inclusive_high: bool, row_ids: Sequence[int]
-    ) -> list[int]:
-        """The ids of ``row_ids`` with ``low <= value < high`` (or
-        ``<= high``); NULLs never match."""
+        whose value is in ``wanted`` (NULL rows when ``None`` is).  The
+        result holds the selection's own int objects, never fresh
+        ones."""
         raise NotImplementedError
 
 
@@ -180,21 +156,9 @@ class PlainChunk(ColumnChunk):
         base = self.base
         return [base[r] for r in row_ids]
 
-    def select_in(self, wanted, keep_null: bool, row_ids: Sequence[int]) -> list[int]:
+    def select_in(self, wanted, row_ids: Sequence[int]) -> list[int]:
         base = self.base
-        if keep_null:
-            return [r for r in row_ids if base[r] in wanted]
-        return [r for r in row_ids if base[r] is not None and base[r] in wanted]
-
-    def select_range(
-        self, low, high, inclusive_high: bool, row_ids: Sequence[int]
-    ) -> list[int]:
-        base = self.base
-        if inclusive_high:
-            return [
-                r for r in row_ids if base[r] is not None and low <= base[r] <= high
-            ]
-        return [r for r in row_ids if base[r] is not None and low <= base[r] < high]
+        return [r for r in row_ids if base[r] in wanted]
 
 
 class DictChunk(ColumnChunk):
@@ -222,17 +186,8 @@ class DictChunk(ColumnChunk):
         dictionary, codes, start = self.dictionary, self.codes, self.start
         return [dictionary[codes[r - start]] for r in row_ids]
 
-    def _wanted_codes(self, wanted, keep_null: bool) -> set[int]:
-        out = set()
-        for code, value in enumerate(self.dictionary):
-            if value is None:
-                if keep_null and None in wanted:
-                    out.add(code)
-            elif value in wanted:
-                out.add(code)
-        return out
-
-    def _select_codes(self, hits: set[int], row_ids: Sequence[int]) -> list[int]:
+    def select_in(self, wanted, row_ids: Sequence[int]) -> list[int]:
+        hits = [code for code, v in enumerate(self.dictionary) if v in wanted]
         if not hits:
             return []
         table = bytearray(256)
@@ -244,26 +199,6 @@ class DictChunk(ColumnChunk):
             return list(compress(row_ids, mask))
         start = self.start
         return [r for r in row_ids if mask[r - start]]
-
-    def select_in(self, wanted, keep_null: bool, row_ids: Sequence[int]) -> list[int]:
-        return self._select_codes(self._wanted_codes(wanted, keep_null), row_ids)
-
-    def select_range(
-        self, low, high, inclusive_high: bool, row_ids: Sequence[int]
-    ) -> list[int]:
-        if inclusive_high:
-            hits = {
-                code
-                for code, v in enumerate(self.dictionary)
-                if v is not None and low <= v <= high
-            }
-        else:
-            hits = {
-                code
-                for code, v in enumerate(self.dictionary)
-                if v is not None and low <= v < high
-            }
-        return self._select_codes(hits, row_ids)
 
 
 class RLEChunk(ColumnChunk):
@@ -310,26 +245,12 @@ class RLEChunk(ColumnChunk):
             yield values[idx], row_ids[i:j]
             i = j
 
-    def _select_runs(self, match, row_ids: Sequence[int]) -> list[int]:
+    def select_in(self, wanted, row_ids: Sequence[int]) -> list[int]:
         out: list[int] = []
         for value, rows in self.runs(row_ids):
-            if match(value):
+            if value in wanted:
                 out.extend(rows)
         return out
-
-    def select_in(self, wanted, keep_null: bool, row_ids: Sequence[int]) -> list[int]:
-        if keep_null:
-            return self._select_runs(lambda v: v in wanted, row_ids)
-        return self._select_runs(lambda v: v is not None and v in wanted, row_ids)
-
-    def select_range(
-        self, low, high, inclusive_high: bool, row_ids: Sequence[int]
-    ) -> list[int]:
-        if inclusive_high:
-            return self._select_runs(
-                lambda v: v is not None and low <= v <= high, row_ids
-            )
-        return self._select_runs(lambda v: v is not None and low <= v < high, row_ids)
 
 
 # ----------------------------------------------------------------------

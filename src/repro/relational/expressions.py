@@ -1,18 +1,25 @@
 """Predicate and scalar expression trees.
 
-Expressions evaluate against a :class:`~repro.relational.table.Table`
-through the batch :meth:`Expression.evaluate_batch` /
-:meth:`Predicate.select_batch` kernels, which move whole selection
-vectors through :mod:`repro.relational.vector` at C-comprehension speed.
-SQL semantics are collapsed to two values: ``None`` propagates through
-arithmetic and any comparison involving NULL is False.  The per-row
-reference semantics live with the tests (``tests/relational/
-row_oracle.py``), and the randomized parity suite pins the kernels to it.
+Two kinds of node live here:
 
-The trees are intentionally tiny — comparisons, boolean combinators,
-``IN`` sets, ranges, and arithmetic over columns — which covers
-everything KDAP's star joins and measures need, while staying printable
-as SQL for the :mod:`repro.relational.sql` generator.
+* **evaluated** — :class:`Col`, :class:`Const`, :class:`Arith` and
+  :class:`Compare`.  The memory backend runs them through the batch
+  :meth:`Expression.evaluate_batch` kernels, and
+  :meth:`Predicate.select_batch` compresses a selection vector by the
+  mask.  They are the measure comparisons a star net's measure hits add
+  (``StarNet.to_plan``).  SQL semantics are collapsed to two values:
+  ``None`` propagates through arithmetic and any comparison involving
+  NULL is False.  The per-row reference semantics live with the tests
+  (``tests/relational/row_oracle.py``), and the randomized parity suite
+  pins the kernels to it.
+* **SQL only** — :class:`In`, :class:`Or`, :class:`Not` and
+  :class:`IsNull`.  :mod:`repro.plan.compile` renders rays and row sets
+  with them for the :mod:`repro.relational.sql` generator; they have no
+  in-memory kernel (a ray is an attribute filter over the schema's
+  encoded fact chunks).
+
+Every node prints as SQL and reports the :meth:`~Expression.columns` it
+reads.
 """
 
 from __future__ import annotations
@@ -137,13 +144,8 @@ class Predicate(Expression):
 
     def select_batch(self, table: Table,
                      row_ids: Sequence[int] | None = None) -> list[int]:
-        """Selection vector of candidate rows satisfying this predicate.
-
-        The base compresses ``row_ids`` by the :meth:`evaluate_batch`
-        mask; concrete predicates override with columnar kernels (``IN``
-        probes a set over the raw column, ``AND`` narrows the selection
-        one conjunct at a time).
-        """
+        """Selection vector of candidate rows satisfying this predicate:
+        ``row_ids`` compressed by the :meth:`evaluate_batch` mask."""
         ids = _resolve_ids(table, row_ids)
         return vector.compress(self.evaluate_batch(table, ids), ids)
 
@@ -188,7 +190,8 @@ class Compare(Predicate):
 @dataclass(frozen=True)
 class In(Predicate):
     """Membership of a column in a fixed value set (the workhorse of hit
-    groups: ``GroupName IN ('LCD Projectors', 'Flat Panel(LCD)')``)."""
+    groups: ``GroupName IN ('LCD Projectors', 'Flat Panel(LCD)')``); SQL
+    only."""
 
     expr: Expression
     values: frozenset
@@ -197,22 +200,6 @@ class In(Predicate):
     def of(expr: Expression, values: Iterable) -> "In":
         """Build an ``IN`` predicate from any iterable of values."""
         return In(expr, frozenset(values))
-
-    def evaluate_batch(self, table: Table,
-                       row_ids: Sequence[int] | None = None) -> list:
-        wanted = self.values
-        return [v is not None and v in wanted
-                for v in self.expr.evaluate_batch(table, row_ids)]
-
-    def select_batch(self, table: Table,
-                     row_ids: Sequence[int] | None = None) -> list[int]:
-        # the workhorse fast path: IN over a bare column probes the set
-        # against the raw vector, skipping the mask materialisation
-        if isinstance(self.expr, Col):
-            column = table.column_values(self.expr.name)
-            return vector.select_in(column, self.values, row_ids)
-        ids = _resolve_ids(table, row_ids)
-        return vector.compress(self.evaluate_batch(table, ids), ids)
 
     def columns(self) -> set[str]:
         return self.expr.columns()
@@ -223,89 +210,8 @@ class In(Predicate):
 
 
 @dataclass(frozen=True)
-class Between(Predicate):
-    """Closed-open range test ``low <= expr < high`` used by numerical
-    bucketization (the last bucket of a domain uses ``inclusive_high``)."""
-
-    expr: Expression
-    low: float
-    high: float
-    inclusive_high: bool = False
-
-    def evaluate_batch(self, table: Table,
-                       row_ids: Sequence[int] | None = None) -> list:
-        values = self.expr.evaluate_batch(table, row_ids)
-        low, high = self.low, self.high
-        if self.inclusive_high:
-            return [v is not None and low <= v <= high for v in values]
-        return [v is not None and low <= v < high for v in values]
-
-    def select_batch(self, table: Table,
-                     row_ids: Sequence[int] | None = None) -> list[int]:
-        if isinstance(self.expr, Col):
-            column = table.column_values(self.expr.name)
-            return vector.select_range(column, self.low, self.high, row_ids,
-                                       inclusive_high=self.inclusive_high)
-        ids = _resolve_ids(table, row_ids)
-        return vector.compress(self.evaluate_batch(table, ids), ids)
-
-    def columns(self) -> set[str]:
-        return self.expr.columns()
-
-    def __str__(self) -> str:
-        op = "<=" if self.inclusive_high else "<"
-        return f"({self.low!r} <= {self.expr} AND {self.expr} {op} {self.high!r})"
-
-
-@dataclass(frozen=True)
-class And(Predicate):
-    """Conjunction of predicates."""
-
-    parts: tuple[Predicate, ...]
-
-    @staticmethod
-    def of(*parts: Predicate) -> "Predicate":
-        """Conjunction, flattening nested Ands; one part returns itself."""
-        flat: list[Predicate] = []
-        for part in parts:
-            if isinstance(part, And):
-                flat.extend(part.parts)
-            else:
-                flat.append(part)
-        if len(flat) == 1:
-            return flat[0]
-        return And(tuple(flat))
-
-    def evaluate_batch(self, table: Table,
-                       row_ids: Sequence[int] | None = None) -> list:
-        ids = _resolve_ids(table, row_ids)
-        selected = set(self.select_batch(table, ids))
-        return [r in selected for r in ids]
-
-    def select_batch(self, table: Table,
-                     row_ids: Sequence[int] | None = None) -> list[int]:
-        # selection-vector refinement: each conjunct only tests the rows
-        # that survived the previous one
-        selection = _resolve_ids(table, row_ids)
-        for part in self.parts:
-            if not selection:
-                break
-            selection = part.select_batch(table, selection)
-        return list(selection)
-
-    def columns(self) -> set[str]:
-        out: set[str] = set()
-        for part in self.parts:
-            out |= part.columns()
-        return out
-
-    def __str__(self) -> str:
-        return "(" + " AND ".join(str(p) for p in self.parts) + ")"
-
-
-@dataclass(frozen=True)
 class Or(Predicate):
-    """Disjunction of predicates."""
+    """Disjunction of predicates (SQL only: a ray's NULL branch)."""
 
     parts: tuple[Predicate, ...]
 
@@ -322,23 +228,6 @@ class Or(Predicate):
             return flat[0]
         return Or(tuple(flat))
 
-    def evaluate_batch(self, table: Table,
-                       row_ids: Sequence[int] | None = None) -> list:
-        if not self.parts:
-            return [False] * len(_resolve_ids(table, row_ids))
-        masks = [p.evaluate_batch(table, row_ids) for p in self.parts]
-        return [any(hits) for hits in zip(*masks)]
-
-    def select_batch(self, table: Table,
-                     row_ids: Sequence[int] | None = None) -> list[int]:
-        # each disjunct selects over the full candidate set; the union is
-        # rebuilt in candidate order so the output stays a selection
-        ids = _resolve_ids(table, row_ids)
-        hit: set[int] = set()
-        for part in self.parts:
-            hit.update(part.select_batch(table, ids))
-        return [r for r in ids if r in hit]
-
     def columns(self) -> set[str]:
         out: set[str] = set()
         for part in self.parts:
@@ -351,19 +240,9 @@ class Or(Predicate):
 
 @dataclass(frozen=True)
 class Not(Predicate):
-    """Negation."""
+    """Negation (SQL only)."""
 
     inner: Predicate
-
-    def evaluate_batch(self, table: Table,
-                       row_ids: Sequence[int] | None = None) -> list:
-        return [not hit for hit in self.inner.evaluate_batch(table, row_ids)]
-
-    def select_batch(self, table: Table,
-                     row_ids: Sequence[int] | None = None) -> list[int]:
-        ids = _resolve_ids(table, row_ids)
-        hit = set(self.inner.select_batch(table, ids))
-        return [r for r in ids if r not in hit]
 
     def columns(self) -> set[str]:
         return self.inner.columns()
@@ -374,14 +253,9 @@ class Not(Predicate):
 
 @dataclass(frozen=True)
 class IsNull(Predicate):
-    """NULL test."""
+    """NULL test (SQL only)."""
 
     expr: Expression
-
-    def evaluate_batch(self, table: Table,
-                       row_ids: Sequence[int] | None = None) -> list:
-        return [v is None
-                for v in self.expr.evaluate_batch(table, row_ids)]
 
     def columns(self) -> set[str]:
         return self.expr.columns()

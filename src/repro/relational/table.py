@@ -5,19 +5,16 @@ A :class:`Table` keeps one Python list per column — the append-only
 which lets higher layers (subspaces, join indexes) represent row sets as
 plain ``list[int]`` / ``set[int]`` without copying any data.
 
-On top of the write store sits the encoded *read store*:
-:meth:`column_chunks` lazily compresses a column into
-:mod:`~repro.relational.chunks` column chunks (dictionary / run-length /
-plain, each with a zone map) that the vectorized read path consumes.
-Chunks are memoised per column and invalidated by a table-wide version
-counter, so an insert simply makes the next reader re-encode.
+Tables hold no encoded copy: the star schema's derived store encodes
+the fact-aligned columns the read path consumes
+(:meth:`~repro.warehouse.schema.StarSchema.fact_chunks`) and rebuilds
+them once a table's version counter moves.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .chunks import ColumnChunk, encode_column
 from .errors import IntegrityError, UnknownColumnError
 from .types import Column, coerce_value
 
@@ -52,7 +49,6 @@ class Table:
         self._col_index: dict[str, int] = {c.name: i for i, c in enumerate(columns)}
         self._data: list[list] = [[] for _ in columns]
         self._version = 0
-        self._chunk_cache: dict[str, tuple[int, list[ColumnChunk]]] = {}
         self.primary_key = primary_key
         self._pk_index: dict[object, int] | None = None
         if primary_key is not None:
@@ -94,11 +90,10 @@ class Table:
     def version(self) -> int:
         """Monotonic mutation counter; bumps on every append.
 
-        Caches layered above the table (encoded chunks, the schema's
-        derived data, the plan cache, the sqlite mirror) stamp their
-        entries with it and rebuild once it moves; only materialized
-        views fold the appended rows instead, relying on existing rows
-        never mutating.
+        Caches layered above the table (the schema's derived data, the
+        plan cache, the sqlite mirror) stamp their entries with it and
+        rebuild once it moves; only materialized views fold the appended
+        rows instead, relying on existing rows never mutating.
         """
         return self._version
 
@@ -108,20 +103,6 @@ class Table:
             return self._data[self._col_index[name]]
         except KeyError:
             raise UnknownColumnError(self.name, name) from None
-
-    def column_chunks(self, name: str) -> list[ColumnChunk]:
-        """The encoded read store of one column: a list of uniform-width
-        column chunks (dictionary / RLE / plain, each with a zone map).
-
-        Encoded lazily on first access and memoised until the table's
-        next mutation bumps the version counter.
-        """
-        cached = self._chunk_cache.get(name)
-        if cached is not None and cached[0] == self._version:
-            return cached[1]
-        chunks = encode_column(self.column_values(name))
-        self._chunk_cache[name] = (self._version, chunks)
-        return chunks
 
     def value(self, row_id: int, column: str):
         """A single cell value."""

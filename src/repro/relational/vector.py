@@ -11,17 +11,15 @@ list comprehension / ``zip`` step rather than a Python method call.
 Two kernel families live here:
 
 * **gathers** — :func:`take`: a column's values for a selection vector;
-* **selections** — :func:`select_in`, :func:`select_range`,
-  :func:`compress`: build or refine selection vectors (vectorized ``IN``
-  via set membership over a whole column, range tests for bucketized
-  partitioning, mask compaction for arbitrary predicates).
+* **selections** — :func:`compress` (mask compaction, the one selection
+  of :meth:`~repro.relational.expressions.Predicate.select_batch`) and
+  :func:`select_range` (the range test of a numeric facet interval,
+  :func:`repro.core.facets.expand_interval`).
 
-Grouping is not a kernel here: every aggregate folds into the mergeable
-states of :mod:`repro.relational.operators`.
-
-Sorted-set algebra (:func:`intersect_sorted`, :func:`union_sorted`,
-:func:`is_subset_sorted`) supports subspace membership checks without
-materialising throwaway ``set`` copies of already-sorted row tuples.
+Attribute ``IN`` filters are not kernels here: they run on encoded
+chunks (:mod:`repro.relational.chunks`).  Grouping is not a kernel here
+either: every aggregate folds into the mergeable states of
+:mod:`repro.relational.operators`.
 
 This file is written in (and CI-checked against) the ``ruff`` formatter
 style; the rest of the tree keeps its original continuation-aligned
@@ -61,31 +59,6 @@ def compress(mask: Sequence, row_ids: Sequence[int]) -> list[int]:
     return [r for r, keep in zip(row_ids, mask) if keep]
 
 
-def select_in(
-    values: Sequence,
-    wanted,
-    row_ids: Iterable[int] | None = None,
-    keep_null: bool = False,
-) -> list[int]:
-    """Selection vector of rows whose value is in ``wanted``.
-
-    The vectorized ``IN``: one set-membership probe per row over the raw
-    column, with no expression-tree dispatch.  By default ``None`` never
-    matches (even when present in ``wanted``), matching SQL semantics;
-    ``keep_null=True`` restores plain set membership, where a ``None``
-    in ``wanted`` selects NULL rows (the attribute-filter convention).
-    """
-    if not isinstance(wanted, (set, frozenset)):
-        wanted = set(wanted)
-    if keep_null:
-        if row_ids is None:
-            return [r for r, v in enumerate(values) if v in wanted]
-        return [r for r in row_ids if values[r] in wanted]
-    if row_ids is None:
-        return [r for r, v in enumerate(values) if v is not None and v in wanted]
-    return [r for r in row_ids if values[r] is not None and values[r] in wanted]
-
-
 def select_range(
     values: Sequence,
     low,
@@ -98,69 +71,6 @@ def select_range(
     if inclusive_high:
         return [r for r in ids if values[r] is not None and low <= values[r] <= high]
     return [r for r in ids if values[r] is not None and low <= values[r] < high]
-
-
-# ----------------------------------------------------------------------
-# sorted-set algebra over selection vectors
-# ----------------------------------------------------------------------
-def intersect_sorted(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    """Intersection of two sorted duplicate-free selections (merge scan)."""
-    if len(a) > len(b):
-        a, b = b, a
-    if len(b) > 8 * max(len(a), 1):
-        members = set(b)
-        return [r for r in a if r in members]
-    out: list[int] = []
-    i = j = 0
-    while i < len(a) and j < len(b):
-        x, y = a[i], b[j]
-        if x == y:
-            out.append(x)
-            i += 1
-            j += 1
-        elif x < y:
-            i += 1
-        else:
-            j += 1
-    return out
-
-
-def union_sorted(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    """Union of two sorted duplicate-free selections (merge scan)."""
-    out: list[int] = []
-    i = j = 0
-    while i < len(a) and j < len(b):
-        x, y = a[i], b[j]
-        if x == y:
-            out.append(x)
-            i += 1
-            j += 1
-        elif x < y:
-            out.append(x)
-            i += 1
-        else:
-            out.append(y)
-            j += 1
-    if i < len(a):
-        out.extend(a[i:])
-    if j < len(b):
-        out.extend(b[j:])
-    return out
-
-
-def is_subset_sorted(inner: Sequence[int], outer: Sequence[int]) -> bool:
-    """True when sorted selection ``inner`` is contained in ``outer``."""
-    if len(inner) > len(outer):
-        return False
-    j = 0
-    n = len(outer)
-    for x in inner:
-        while j < n and outer[j] < x:
-            j += 1
-        if j >= n or outer[j] != x:
-            return False
-        j += 1
-    return True
 
 
 # ----------------------------------------------------------------------

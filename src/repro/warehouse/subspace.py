@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import KW_ONLY, dataclass, field
 from typing import Iterable
 
-from ..relational import vector as vec
 from .schema import GroupByAttribute, StarSchema
 
 
@@ -58,27 +57,6 @@ class Subspace:
     def is_empty(self) -> bool:
         """True when no fact row qualifies."""
         return not self.fact_rows
-
-    # ------------------------------------------------------------------
-    # set algebra
-    # ------------------------------------------------------------------
-    def intersect(self, other: "Subspace") -> "Subspace":
-        """Rows in both subspaces (merge scan over the sorted row ids)."""
-        rows = vec.intersect_sorted(self.fact_rows, other.fact_rows)
-        return Subspace(self.schema, tuple(rows),
-                        label=f"({self.label}) AND ({other.label})",
-                        engine=self.engine)
-
-    def union(self, other: "Subspace") -> "Subspace":
-        """Rows in either subspace (merge scan over the sorted row ids)."""
-        rows = vec.union_sorted(self.fact_rows, other.fact_rows)
-        return Subspace(self.schema, tuple(rows),
-                        label=f"({self.label}) OR ({other.label})",
-                        engine=self.engine)
-
-    def contains(self, other: "Subspace") -> bool:
-        """True when ``other`` is a subset of this subspace."""
-        return vec.is_subset_sorted(other.fact_rows, self.fact_rows)
 
     # ------------------------------------------------------------------
     # aggregation

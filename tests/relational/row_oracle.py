@@ -1,12 +1,15 @@
 """Pinned row oracle: per-row reference semantics of expression trees.
 
-The product evaluates :mod:`repro.relational.expressions` trees only
-through the batch kernels (``evaluate_batch`` / ``select_batch``).  This
-oracle is the one-row-at-a-time interpreter those kernels must agree
-with: ``None`` propagates through arithmetic, any comparison involving
-NULL is False, ``BETWEEN`` is half-open unless ``inclusive_high``.  The
-hypothesis parity suite and the join oracle compare against it.  It is
-deliberately naive and lives with the tests, not in the product.
+The product evaluates :mod:`repro.relational.expressions` trees in
+memory only through the batch kernels of the evaluated nodes
+(``evaluate_batch`` / ``select_batch`` on ``Col``, ``Const``, ``Arith``
+and ``Compare``).  This oracle is the one-row-at-a-time interpreter
+those kernels must agree with: ``None`` propagates through arithmetic
+and any comparison involving NULL is False.  It also gives the SQL-only
+nodes (``In``, ``Or``, ``Not``, ``IsNull``) their per-row meaning, for
+the join oracle's alias filters.  The hypothesis parity suite and the
+join oracle compare against it.  It is deliberately naive and lives
+with the tests, not in the product.
 """
 
 from __future__ import annotations
@@ -14,9 +17,7 @@ from __future__ import annotations
 import operator
 
 from repro.relational.expressions import (
-    And,
     Arith,
-    Between,
     Col,
     Compare,
     Const,
@@ -56,15 +57,6 @@ def evaluate_row(expr, table: Table, row_id: int):
     if isinstance(expr, In):
         value = evaluate_row(expr.expr, table, row_id)
         return value is not None and value in expr.values
-    if isinstance(expr, Between):
-        value = evaluate_row(expr.expr, table, row_id)
-        if value is None:
-            return False
-        if expr.inclusive_high:
-            return expr.low <= value <= expr.high
-        return expr.low <= value < expr.high
-    if isinstance(expr, And):
-        return all(evaluate_row(p, table, row_id) for p in expr.parts)
     if isinstance(expr, Or):
         return any(evaluate_row(p, table, row_id) for p in expr.parts)
     if isinstance(expr, Not):

@@ -1,11 +1,14 @@
 """Encoded column chunks: roundtrip, encoding choice, kernel parity.
 
 Randomized (hypothesis) checks that the chunk layer is a pure storage
-change: the memory backend's chunked ``Filter`` — ``IN`` / ``BETWEEN``
-predicates and attribute value sets — and the fused aggregate states
-must return exactly what a scalar reference loop over the plain values
+change: the memory backend's chunked attribute ``Filter`` (a value set,
+where ``None`` selects NULL rows) and the fused aggregate states must
+return exactly what a scalar reference loop over the plain values
 returns, for full scans and for arbitrary ascending sub-selections, and
 zone maps may only ever *skip* chunks that provably contain no match.
+The one range kernel left, :func:`repro.relational.vector.select_range`
+(a numeric facet interval's rows), is checked against the same kind of
+reference.
 Aggregates are compared exactly: every kernel adds a group's measures
 left to right in ascending row order, as the reference does.  Forced-
 encoding cases pin each encoding against the selection shapes random
@@ -22,16 +25,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.plan.backends import InMemoryBackend
 from repro.plan.nodes import AttrKey, Filter, RowSet, Scan
-from repro.relational import (
-    Between,
-    Col,
-    Database,
-    In,
-    Table,
-    integer,
-    text,
-    vector,
-)
+from repro.relational import Database, Table, integer, text, vector
 from repro.relational.chunks import (
     DictChunk,
     PlainChunk,
@@ -83,13 +77,9 @@ def subset_of(data, n: int) -> list[int]:
 
 def run_filter(column, cells, rows=None, **filter_args):
     """Rows a ``Filter(**filter_args)`` plan keeps on the memory backend
-    over a one-column fact table ``F.V`` holding ``cells`` in ``SIZE``-row
-    chunks,
-    plus that Filter's ``(chunks_scanned, chunks_skipped)``.
-
-    Both chunk stores are shrunk to ``SIZE``: the table's own columns (a
-    ``predicate=`` Filter) and the schema's fact-aligned attribute
-    vectors (an ``attr=`` + ``values=`` Filter)."""
+    over a one-column fact table ``F.V`` holding ``cells``, plus that
+    Filter's ``(chunks_scanned, chunks_skipped)``.  The schema encodes
+    the fact-aligned attribute vectors in ``SIZE``-row chunks."""
     database = Database("chunks")
     table = Table("F", [column("V")])
     table.load_columns({"V": cells})
@@ -97,8 +87,7 @@ def run_filter(column, cells, rows=None, **filter_args):
     backend = InMemoryBackend(StarSchema(database, "F", (), (), {}))
     source = Scan("F") if rows is None else RowSet("F", tuple(rows))
     small = partial(encode_column, chunk_size=SIZE)
-    with mock.patch("repro.relational.table.encode_column", small), \
-            mock.patch("repro.warehouse.schema.encode_column", small):
+    with mock.patch("repro.warehouse.schema.encode_column", small):
         kept = backend.materialize(Filter(source, **filter_args))
     stats = backend.counters.as_dict().get("Filter", {})
     return (list(kept), stats.get("chunks_scanned", 0),
@@ -150,11 +139,12 @@ class TestEncoding:
 # chunked Filter on the memory backend
 # ----------------------------------------------------------------------
 class TestSelectionParity:
-    @given(column=typed_values, data=st.data(),
-           keep_null=st.booleans(), use_subset=st.booleans())
+    @given(column=typed_values, data=st.data(), use_subset=st.booleans())
     @settings(max_examples=80, deadline=None)
     def test_select_in_matches_scalar_reference(self, column, data,
-                                                keep_null, use_subset):
+                                                use_subset):
+        # the attribute Filter (a ray, a slice, a dice) is plain set
+        # membership: None in the value set selects NULL rows
         kind, values = column
         wanted = set(data.draw(
             st.lists(st.one_of(st.none(), st.integers(-5, 5),
@@ -162,23 +152,10 @@ class TestSelectionParity:
                      max_size=4), label="wanted"))
         rows = (subset_of(data, len(values)) if use_subset
                 else list(range(len(values))))
-        source_rows = rows if use_subset else None
-        # keep_null=True is the attribute Filter (slice / dice): plain set
-        # membership, so None in wanted selects NULL rows; keep_null=False
-        # is the predicate Filter's SQL IN, where NULL never matches
-        if keep_null:
-            out, scanned, skipped = run_filter(
-                kind, values, source_rows,
-                attr=AttrKey("F", "V", EMPTY_PATH), values=tuple(wanted))
-            expected = [r for r in rows if values[r] in wanted]
-        else:
-            out, scanned, skipped = run_filter(
-                kind, values, source_rows,
-                predicate=In.of(Col("V"), wanted))
-            expected = [r for r in rows
-                        if values[r] is not None and values[r] in wanted]
-        assert out == expected
-        assert out == vector.select_in(values, wanted, rows, keep_null)
+        out, scanned, skipped = run_filter(
+            kind, values, rows if use_subset else None,
+            attr=AttrKey("F", "V", EMPTY_PATH), values=tuple(wanted))
+        assert out == [r for r in rows if values[r] in wanted]
         assert scanned + skipped <= len(encode_column(values, SIZE))
 
     def test_keep_null_in_every_encoding(self):
@@ -204,12 +181,12 @@ class TestSelectionParity:
     @settings(max_examples=80, deadline=None)
     def test_select_range_matches_scalar_reference(
             self, values, data, low, span, inclusive, use_subset):
+        # vector.select_range selects a numeric facet interval's rows
         high = low + span
         rows = (subset_of(data, len(values)) if use_subset
                 else list(range(len(values))))
-        out, scanned, skipped = run_filter(
-            integer, values, rows if use_subset else None,
-            predicate=Between(Col("V"), low, high, inclusive))
+        out = vector.select_range(values, low, high,
+                                  rows if use_subset else None, inclusive)
 
         def match(v):
             if v is None:
@@ -217,19 +194,18 @@ class TestSelectionParity:
             return low <= v <= high if inclusive else low <= v < high
 
         assert out == [r for r in rows if match(values[r])]
-        assert scanned + skipped <= len(encode_column(values, SIZE))
 
     def test_zone_maps_skip_clustered_range(self):
+        # a value set over a clustered column: chunks whose [lo, hi]
+        # holds none of the values are skipped
         values = sorted(v // 10 for v in range(400))
         out, scanned, skipped = run_filter(
-            integer, values, predicate=Between(Col("V"), 3, 5))
+            integer, values, attr=AttrKey("F", "V", EMPTY_PATH),
+            values=(3, 4))
         assert out == [r for r in range(400) if 3 <= values[r] < 5]
         assert skipped > 0
-        assert out    # the window is non-empty, so skipping lost nothing
-        # the attribute Filter's value set skips by the same zone maps
-        assert run_filter(integer, values,
-                          attr=AttrKey("F", "V", EMPTY_PATH),
-                          values=(3, 4)) == (out, scanned, skipped)
+        assert scanned + skipped == len(encode_column(values, SIZE))
+        assert out    # the values are present, so skipping lost nothing
 
 
 class TestSharedRowIds:
@@ -249,20 +225,16 @@ class TestSharedRowIds:
         backend = InMemoryBackend(schema)
         small = partial(encode_column, chunk_size=size)
         wanted = (1, 3, 12, 14, 1100, 1400)
-        with mock.patch("repro.relational.table.encode_column", small), \
-                mock.patch("repro.warehouse.schema.encode_column", small):
+        with mock.patch("repro.warehouse.schema.encode_column", small):
             assert [c.encoding for c in schema.fact_chunks(EMPTY_PATH, "V")] \
                 == ["rle", "dict", "plain"]
-            for plan in (
-                    Filter(Scan("F"), attr=AttrKey("F", "V", EMPTY_PATH),
-                           values=wanted),
-                    Filter(Scan("F"), predicate=In.of(Col("V"), wanted))):
-                kept = backend.materialize(plan)
-                scan = backend._scan_rows["F"][1]
-                assert list(kept) == [r for r in range(len(values))
-                                      if values[r] in wanted]
-                assert {r // size for r in kept} == {0, 1, 2}
-                assert all(r is scan[r] for r in kept)
+            kept = backend.materialize(Filter(
+                Scan("F"), attr=AttrKey("F", "V", EMPTY_PATH), values=wanted))
+            scan = backend._scan_rows["F"][1]
+            assert list(kept) == [r for r in range(len(values))
+                                  if values[r] in wanted]
+            assert {r // size for r in kept} == {0, 1, 2}
+            assert all(r is scan[r] for r in kept)
 
 
 # ----------------------------------------------------------------------
@@ -456,17 +428,8 @@ class TestForcedEncodings:
             assert all(id(r) in own for r in out)
 
         for wanted in ({1}, {None, 3}, {None}, {2, 5, 7}, set()):
-            for keep_null in (True, False):
-                check(lambda c, sub: c.select_in(wanted, keep_null, sub),
-                      lambda v: v in wanted
-                      and (keep_null or v is not None))
-        for low, high in ((1, 3), (2, 2), (3, 9)):
-            for inclusive in (True, False):
-                check(lambda c, sub: c.select_range(low, high, inclusive,
-                                                    sub),
-                      lambda v: v is not None and (
-                          low <= v <= high if inclusive
-                          else low <= v < high))
+            check(lambda c, sub: c.select_in(wanted, sub),
+                  lambda v: v in wanted)
 
     @pytest.mark.parametrize("encoding", ENCODINGS)
     @pytest.mark.parametrize("selection", FORCED_SELECTIONS)

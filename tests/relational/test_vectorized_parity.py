@@ -2,8 +2,9 @@
 
 The product evaluates expressions only through batch kernels; the
 per-row reference semantics live in :mod:`.row_oracle`.  These property
-tests pin the equivalence on arbitrary expression trees over tables
-with NULLs:
+tests pin the equivalence on arbitrary arithmetic trees and on the
+comparisons over them (a measure hit's predicate) over tables with
+NULLs:
 
 * ``evaluate_batch`` must equal one ``evaluate_row`` call per row (whole
   table and arbitrary selection-vector subsets);
@@ -20,18 +21,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core import KdapSession
 from repro.relational import Table, float_, integer, text
-from repro.relational.expressions import (
-    And,
-    Arith,
-    Between,
-    Col,
-    Compare,
-    Const,
-    In,
-    IsNull,
-    Not,
-    Or,
-)
+from repro.relational.expressions import Arith, Col, Compare, Const
 from repro.resilience import Budget
 
 from .row_oracle import evaluate_row
@@ -52,28 +42,9 @@ numeric_exprs = st.recursive(
     max_leaves=5,
 )
 
-atomic_predicates = st.one_of(
-    st.builds(Compare, st.sampled_from(["=", "!=", "<", "<=", ">", ">="]),
-              numeric_exprs, numeric_exprs),
-    st.builds(In, st.sampled_from([Col("a"), Col("c")]),
-              st.frozensets(st.sampled_from([0, 1, 2, "red", "blue", None]),
-                            max_size=4)),
-    st.builds(Between, numeric_exprs, st.integers(-4, 0),
-              st.integers(1, 5), st.booleans()),
-    st.builds(IsNull, st.one_of(numeric_exprs, st.just(Col("c")))),
-)
-
-predicates = st.recursive(
-    atomic_predicates,
-    lambda inner: st.one_of(
-        st.lists(inner, min_size=1, max_size=3).map(
-            lambda ps: And(tuple(ps))),
-        st.lists(inner, min_size=1, max_size=3).map(
-            lambda ps: Or(tuple(ps))),
-        st.builds(Not, inner),
-    ),
-    max_leaves=6,
-)
+predicates = st.builds(
+    Compare, st.sampled_from(["=", "!=", "<", "<=", ">", ">="]),
+    numeric_exprs, numeric_exprs)
 
 row_strategy = st.tuples(
     st.one_of(st.none(), st.integers(-3, 3)),
@@ -124,18 +95,6 @@ def test_expression_batch_matches_per_row(rows, expr, data):
         if len(table) else st.just(set())))
     assert expr.evaluate_batch(table, subset) == \
         [reference[r] for r in subset]
-
-
-def test_empty_connectives_match_per_row():
-    """Zero-part And/Or: vacuous truth per row must hold batch-wise."""
-    table = make_table([(1, 1.0, "red"), (None, None, None)])
-    for predicate in (And(()), Or(())):
-        reference = [evaluate_row(predicate, table, r)
-                     for r in range(len(table))]
-        assert [bool(v) for v in predicate.evaluate_batch(table)] == \
-            reference
-        assert predicate.select_batch(table) == \
-            [r for r, keep in enumerate(reference) if keep]
 
 
 # ----------------------------------------------------------------------

@@ -1,9 +1,9 @@
 """Version counters must invalidate every cache layered above a table.
 
-The write store bumps ``Table.version`` on each mutation; the encoded
-read store, the star schema's derived data, the engine's epoch-qualified
-plan cache, the sqlite backend's mirror and materialized views all key
-their freshness off it.  Each test here mutates a table and asserts the
+The write store bumps ``Table.version`` on each mutation; the star
+schema's derived data (the encoded read store included), the engine's
+epoch-qualified plan cache, the sqlite backend's mirror and
+materialized views all key their freshness off it.  Each test here mutates a table and asserts the
 derived layer either rebuilds or (a materialized view after a fact
 append) folds the new rows — never serves stale data.
 """
@@ -15,11 +15,14 @@ import pytest
 from repro.datasets.scale import build_scale
 from repro.obs import MetricsRegistry, metrics_scope
 from repro.plan.engine import QueryEngine
+from repro.relational.catalog import Database
 from repro.relational.chunks import CHUNK_SIZE
 from repro.relational.table import Table
 from repro.relational.types import float_, integer, text
 from repro.resilience import create_resilient_backend
 from repro.warehouse import MaterializationTier, Subspace
+from repro.warehouse.graph import EMPTY_PATH
+from repro.warehouse.schema import StarSchema
 
 from ..counts import cache_counts
 from ..warehouse.subspace_oracle import LocalKernel
@@ -67,18 +70,22 @@ def test_failed_insert_still_bumps_version():
 
 
 # ---------------------------------------------------------------------------
-# encoded read store (column chunks)
+# encoded read store (the schema's fact chunks)
 # ---------------------------------------------------------------------------
 def test_column_chunks_reencode_after_insert():
     t = make_table()
     t.load_columns({"K": list(range(CHUNK_SIZE + 10)),
                     "Name": ["n"] * (CHUNK_SIZE + 10),
                     "Price": [1.0] * (CHUNK_SIZE + 10)})
-    chunks = t.column_chunks("K")
+    database = Database("chunks")
+    database.add_table(t)
+    schema = StarSchema(database, "T", (), (), {})
+    chunks = schema.fact_chunks(EMPTY_PATH, "K")
     assert chunks[-1].stop == CHUNK_SIZE + 10
-    assert t.column_chunks("K") is chunks  # stable while unmutated
+    # stable while unmutated
+    assert schema.fact_chunks(EMPTY_PATH, "K") is chunks
     t.insert({"K": CHUNK_SIZE + 10, "Name": "late", "Price": 9.0})
-    fresh = t.column_chunks("K")
+    fresh = schema.fact_chunks(EMPTY_PATH, "K")
     assert fresh is not chunks
     assert fresh[-1].stop == CHUNK_SIZE + 11
     assert fresh[-1].zone.hi == CHUNK_SIZE + 10

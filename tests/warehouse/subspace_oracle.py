@@ -52,7 +52,8 @@ def semi_join(child, child_key: str, parent_row_ids, parent,
     keys.discard(None)
     if not keys:
         return []
-    return vector.select_in(child.column_values(child_key), keys)
+    return [r for r, v in enumerate(child.column_values(child_key))
+            if v in keys]
 
 
 def slice_facts(schema, source_table: str, source_rows,
@@ -86,8 +87,9 @@ def slice_facts(schema, source_table: str, source_rows,
 def select_rows_by_values(schema, ref: AttributeRef, values) -> list[int]:
     """Row ids of ``ref.table`` whose ``ref.column`` is in ``values``."""
     table = schema.database.table(ref.table)
-    return vector.select_in(table.column_values(ref.column), values,
-                            keep_null=True)
+    wanted = set(values)
+    return [r for r, v in enumerate(table.column_values(ref.column))
+            if v in wanted]
 
 
 def ray_rows(schema, ray) -> set[int]:
@@ -231,8 +233,8 @@ def filter_rows(schema, rows, selections) -> list[int]:
     selection's value set (ANDed across selections)."""
     rows = list(rows)
     for gb, values in selections:
-        rows = vector.select_in(schema.groupby_vector(gb), tuple(values),
-                                rows, keep_null=True)
+        column, wanted = schema.groupby_vector(gb), set(values)
+        rows = [r for r in rows if column[r] in wanted]
     return rows
 
 

@@ -1,4 +1,4 @@
-"""Subspace algebra, aggregation, and partitioning."""
+"""Subspace construction, aggregation, and partitioning."""
 
 import pytest
 
@@ -37,26 +37,6 @@ class TestConstruction:
             Subspace.of(aw_online, [0, 1])
         with pytest.raises(TypeError):
             Subspace.full(aw_online)
-
-
-class TestAlgebra:
-    def test_intersect(self, spaces):
-        schema, full, half = spaces
-        assert full.intersect(half).fact_rows == half.fact_rows
-
-    def test_union(self, spaces):
-        schema, full, half = spaces
-        assert half.union(full).fact_rows == full.fact_rows
-
-    def test_contains(self, spaces):
-        _schema, full, half = spaces
-        assert full.contains(half)
-        assert not half.contains(full)
-
-    def test_labels_combined(self, spaces):
-        _schema, full, half = spaces
-        assert "AND" in full.intersect(half).label
-        assert "OR" in full.union(half).label
 
 
 class TestAggregation:

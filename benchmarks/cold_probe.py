@@ -6,15 +6,19 @@ session over the scale star, the 6 cold warm-up explores, then the 40
 timed cold explores.  Prints the p50 latency of the 40, per-operator
 calls and milliseconds per request, the plan-cache statistics and a
 digest of the 40 explore payloads.  It then replays the 40 explores on
-the now-warm session and exits non-zero unless the replay gives the same
-digest: answers must not depend on cache state (DESIGN §6).
+the now-warm session, where each is a hit on its built facet interface
+(DESIGN §7), prints the replay's plan-cache lookups, and exits non-zero
+unless the replay gives the same digest: answers must not depend on
+cache state (DESIGN §6).  ``--backend sqlite`` runs the same check with
+every answer computed in SQL.
 
 The request populations come from ``benchmarks/ledger/workloads.py``
 (imported, never edited), so the probe sends exactly the ledger's cold
 requests.  Run it from a checkout root; to compare two commits, alternate
 runs of each checkout (one process per run)::
 
-    PYTHONPATH=src python benchmarks/cold_probe.py [--facts 100000]
+    PYTHONPATH=src python benchmarks/cold_probe.py [--facts 100000] \
+        [--backend {memory,sqlite}]
 
 About 30 s per run at the default 100 000 facts on a 2-core box.
 """
@@ -48,11 +52,11 @@ from repro.service.protocol import explore_payload  # noqa: E402
 from repro.textindex.index import AttributeTextIndex  # noqa: E402
 
 
-def run(facts: int) -> int:
+def run(facts: int, backend: str = "memory") -> int:
     schema = build_scale(num_facts=facts, seed=SCALE_SEED)
     index = AttributeTextIndex()
     index.index_database(schema.database, schema.searchable)
-    session = KdapSession(schema, index=index)
+    session = KdapSession(schema, index=index, backend=backend)
 
     def explore(unit) -> dict:
         ranked = session.differentiate(unit[0].body["query"], limit=5)
@@ -76,7 +80,11 @@ def run(facts: int) -> int:
         payloads.append(explore(unit))
         latencies.append((time.perf_counter() - started) * 1000)
     after = ops()
-    stats = cache_stats(session.metrics.snapshot()["counters"])
+
+    def lookups() -> dict:
+        return cache_stats(session.metrics.snapshot()["counters"])
+
+    stats = lookups()
     n = len(latencies)
     digest = digest_of(payloads)
     print(f"p50 {sorted(latencies)[n // 2]:.1f} ms  digest {digest}")
@@ -89,6 +97,9 @@ def run(facts: int) -> int:
           f"{resource.getrusage(resource.RUSAGE_SELF).ru_maxrss // 1024} MiB")
 
     replay = digest_of([explore(unit) for unit in cold_population()])
+    replayed = lookups()
+    print(f"warm replay cache hits={replayed['hits'] - stats['hits']} "
+          f"misses={replayed['misses'] - stats['misses']}")
     if replay != digest:
         print(f"warm replay digest {replay} differs from cold {digest}",
               file=sys.stderr)
@@ -102,7 +113,11 @@ def main(argv=None) -> int:
     parser.add_argument("--facts", type=int, default=SCALE_FACTS,
                         help="fact rows of the scale star "
                              "(default: the ledger's %(default)s)")
-    return run(parser.parse_args(argv).facts)
+    parser.add_argument("--backend", choices=("memory", "sqlite"),
+                        default="memory",
+                        help="execution backend (default: %(default)s)")
+    args = parser.parse_args(argv)
+    return run(args.facts, args.backend)
 
 
 if __name__ == "__main__":

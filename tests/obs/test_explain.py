@@ -132,6 +132,27 @@ def test_shared_leaves_count_only_their_own_runs(schema, backend):
         assert rowset.profile.rows == result.plan.profile.rows
 
 
+@pytest.mark.parametrize("backend", ["memory", "sqlite"])
+def test_explain_after_explore_shows_the_facet_hit(schema, backend):
+    """An explore leaves its built facet interface in the plan cache, so
+    explaining the same query next is a ``plan.facets`` hit: nothing
+    below it runs, and the total-aggregate node, answered with the rest
+    of the interface, reads as a cache hit that never executed."""
+    with KdapSession(schema, backend=backend) as session:
+        session.search("Road Bikes")
+        result = session.explain("Road Bikes")
+    [marker] = [span for span in result.tracer.spans()
+                if span.name == "plan.facets"]
+    assert marker.tags["cached"] is True
+    assert "plan.facets" in result.render()
+    assert not any(span.name.startswith("op.")
+                   for span in result.tracer.spans())
+    total = result.total_plan
+    assert (total.profile.calls, total.profile.cache_hits) == (0, 1)
+    assert render_plan(total).splitlines()[0].endswith(
+        "(calls=0 rows=0 batches=0 seconds=0.000000 cache_hits=1)")
+
+
 class TestRenderSpanTree:
     def test_elides_long_sibling_lists(self):
         tree = [{

@@ -8,7 +8,8 @@ group is the unit star nets are assembled from: it stands for the predicate
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 from ..textindex.index import AttributeTextIndex, SearchHit
 from .interestingness import ordered_sum
@@ -20,12 +21,21 @@ class HitGroup:
 
     ``keywords`` records which query keywords produced this group; phrase
     merging (§4.3) produces groups carrying several keywords.
+
+    The group is immutable, so what is derived from its hits is computed
+    once per object: ``domain`` and ``values`` when it is built (every
+    dedup and memo key reads them), the label and the mean score on
+    first use.  None of them takes part in equality or hashing.
     """
 
     table: str
     attribute: str
     hits: tuple[SearchHit, ...]
     keywords: tuple[str, ...]
+    domain: tuple[str, str] = field(init=False, repr=False, compare=False)
+    """The attribute domain (table, attribute)."""
+    values: tuple[str, ...] = field(init=False, repr=False, compare=False)
+    """The matched attribute instance values, in hit order."""
 
     def __post_init__(self) -> None:
         if not self.hits:
@@ -36,31 +46,33 @@ class HitGroup:
                     f"hit {hit} does not belong to domain "
                     f"{self.table}/{self.attribute}"
                 )
-
-    @property
-    def domain(self) -> tuple[str, str]:
-        """The attribute domain (table, attribute)."""
-        return (self.table, self.attribute)
-
-    @property
-    def values(self) -> tuple[str, ...]:
-        """The matched attribute instance values."""
-        return tuple(h.value for h in self.hits)
+        object.__setattr__(self, "domain", (self.table, self.attribute))
+        object.__setattr__(self, "values",
+                           tuple(h.value for h in self.hits))
 
     @property
     def size(self) -> int:
         """|HG|: number of hits in the group."""
         return len(self.hits)
 
-    def mean_score(self) -> float:
-        """Average full-text relevance over the group's hits."""
+    @cached_property
+    def _mean_score(self) -> float:
         return ordered_sum(h.score for h in self.hits) / len(self.hits)
 
-    def __str__(self) -> str:
+    def mean_score(self) -> float:
+        """Average full-text relevance over the group's hits."""
+        return self._mean_score
+
+    @cached_property
+    def label(self) -> str:
+        """The group as one line: its domain and first three values."""
         values = " OR ".join(repr(v) for v in self.values[:3])
         if len(self.hits) > 3:
             values += f" OR ... ({len(self.hits)} values)"
         return f"{self.table}/{self.attribute}/{{{values}}}"
+
+    def __str__(self) -> str:
+        return self.label
 
 
 def retrieve_hit_set(

@@ -323,15 +323,18 @@ def enumerate_interpretations(
     slots the one empty combo yields the ray-less star net: the whole
     dataspace, narrowed only by the measure predicates.
 
-    Each hit is scored against the query once per call.  Three memos
+    Each hit is scored against the query once per call.  Four memos
     live only for the call: the rescored group per (domain, values,
     keywords); the merged, rescored seed per set of value hit groups,
     keyed by the groups' identities (the slots keep them alive for the
     whole call, and hashing a :class:`HitGroup` would hash every hit);
-    and the OLAP-valid ray paths per hit table.
+    the phrase merge per pair of groups, keyed the same way (see
+    :func:`~repro.core.phrases.merge_seed_groups`); and the OLAP-valid
+    ray paths per hit table.
     """
     rescored: dict[tuple, HitGroup] = {}
     merged_of: dict[tuple[int, ...], tuple] = {}
+    pairs: dict[tuple[int, int], tuple] = {}
 
     def rescore(group: HitGroup) -> HitGroup:
         key = (group.domain, group.values, group.keywords)
@@ -363,8 +366,8 @@ def enumerate_interpretations(
             group_ids = tuple(map(id, groups))
             entry = merged_of.get(group_ids)
             if entry is None:
-                merged = tuple(rescore(g)
-                               for g in merge_seed_groups(groups, index))
+                merged = tuple(rescore(g) for g in
+                               merge_seed_groups(groups, index, pairs))
                 entry = merged_of[group_ids] = (
                     merged, tuple(sorted((g.domain, g.values)
                                          for g in merged)))
@@ -384,6 +387,7 @@ def enumerate_interpretations(
         span.set_tag("seeds", len(seeds))
         span.set_tag("rescored", len(rescored))
         span.set_tag("merges", len(merged_of))
+        span.set_tag("pair_merges", len(pairs))
         span.set_tag("candidates", len(interpretations))
     return interpretations
 

@@ -56,20 +56,36 @@ def try_merge(
 def merge_seed_groups(
     groups: tuple[HitGroup, ...],
     index: AttributeTextIndex,
+    pairs: dict[tuple[int, int], tuple] | None = None,
 ) -> tuple[HitGroup, ...]:
     """Apply phrase merging exhaustively across a star seed's hit groups.
 
     Generalises pairwise merging to phrases of more than two keywords by
     iterating to a fixed point (the paper: "the above merge process can be
     easily generalized to cases beyond two hit groups").
+
+    ``pairs`` memoises :func:`try_merge` by the two operands' identities,
+    so a caller merging many seeds that share groups tries each pair
+    once.  Each entry holds both operands as well as the result: a merged
+    intermediate group lives on in the memo, so its ``id`` cannot be
+    reused by a later group while the memo is alive.  Without ``pairs``
+    the memo lives for this call only.
     """
+    if pairs is None:
+        pairs = {}
     current = list(groups)
     changed = True
     while changed:
         changed = False
         for i in range(len(current)):
             for j in range(i + 1, len(current)):
-                merged = try_merge(current[i], current[j], index)
+                left, right = current[i], current[j]
+                key = (id(left), id(right))
+                entry = pairs.get(key)
+                if entry is None:
+                    entry = pairs[key] = (left, right,
+                                          try_merge(left, right, index))
+                merged = entry[2]
                 if merged is not None:
                     current[i] = merged
                     del current[j]

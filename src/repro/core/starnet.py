@@ -17,7 +17,7 @@ The OLAP-specific join semantics of §4.2 are implemented here:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from ..plan.compile import compile_plan
 from ..plan.builders import ray_filter
@@ -63,6 +63,15 @@ class StarNet:
     fact_table: str
     rays: tuple[Ray, ...]
     measure_predicates: tuple = ()
+    label: str = field(init=False, repr=False, compare=False)
+    """The star net as one line: its hit groups' labels, then its
+    measure predicates.  Built with the net, since ranking reads it for
+    every candidate as the tie-break; not part of equality or hashing."""
+
+    def __post_init__(self) -> None:
+        parts = [r.hit_group.label for r in self.rays]
+        parts.extend(f"[{p}]" for p in self.measure_predicates)
+        object.__setattr__(self, "label", " & ".join(parts))
 
     @property
     def size(self) -> int:
@@ -93,9 +102,7 @@ class StarNet:
         return "\n".join(lines)
 
     def __str__(self) -> str:
-        parts = [str(r.hit_group) for r in self.rays]
-        parts.extend(f"[{p}]" for p in self.measure_predicates)
-        return " & ".join(parts)
+        return self.label
 
     # ------------------------------------------------------------------
     # logical plan / SQL rendering

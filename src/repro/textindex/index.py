@@ -151,6 +151,11 @@ class AttributeTextIndex:
         all_terms = {form for forms in expansions.values() for form in forms}
         doc_ids = self._index.candidate_docs(all_terms)
         doc_freq_of = {t: self._index.doc_freq(t) for t in all_terms}
+        # a query term's document frequency is its most common form's
+        query_doc_freq = {
+            t: max((doc_freq_of.get(f, 0) for f in expansions[t]),
+                   default=0)
+            for t in expansions}
         num_docs = max(self._index.num_docs, 1)
         hits: list[SearchHit] = []
         for doc_id in doc_ids:
@@ -166,9 +171,7 @@ class AttributeTextIndex:
                 collapsed,
                 self._index.doc_length(doc_id),
                 query_terms,
-                {t: max((doc_freq_of.get(f, 0) for f in expansions[t]),
-                        default=0)
-                 for t in expansions},
+                query_doc_freq,
                 num_docs,
             )
             if score > min_score:

@@ -12,7 +12,14 @@ directly so it can be audited against the paper's reference vocabulary.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 _VOWELS = "aeiou"
+
+STEM_CACHE_SIZE = 4096
+"""Words :func:`stem` remembers: more than the AdventureWorks online
+vocabulary (about 2.3k distinct tokens), so the index build and every
+query keyword after it stem each word once."""
 
 
 def _is_consonant(word: str, i: int) -> bool:
@@ -180,11 +187,14 @@ def _step5(word: str) -> str:
     return word
 
 
+@lru_cache(maxsize=STEM_CACHE_SIZE)
 def stem(word: str) -> str:
     """Stem one lowercase word.
 
     Words of length <= 2 are returned unchanged, as in Porter's reference
-    implementation.
+    implementation.  Stemming is a pure function of the word, so results
+    are memoised (least recently used first out, bounded by
+    :data:`STEM_CACHE_SIZE`; ``functools.lru_cache`` is thread-safe).
     """
     if len(word) <= 2:
         return word

@@ -15,7 +15,7 @@ reversed, to the fact grain.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 from ..relational.catalog import Database, ForeignKey
@@ -66,6 +66,13 @@ class JoinPath:
     """An oriented simple path through the schema graph."""
 
     steps: tuple[PathStep, ...]
+    fk_names: tuple[str, ...] = field(init=False, repr=False, compare=False)
+    """The FK names traversed, in order (computed once: every star-net
+    dedup key and derived-vector key reads it)."""
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "fk_names",
+                           tuple(s.fk.name for s in self.steps))
 
     @property
     def source(self) -> str:
@@ -81,11 +88,6 @@ class JoinPath:
     def tables(self) -> tuple[str, ...]:
         """All tables visited, in order (length = len(steps) + 1)."""
         return (self.steps[0].source,) + tuple(s.target for s in self.steps)
-
-    @property
-    def fk_names(self) -> tuple[str, ...]:
-        """The FK names traversed, in order."""
-        return tuple(s.fk.name for s in self.steps)
 
     def reversed(self) -> "JoinPath":
         """The same path walked target → source."""

@@ -1,18 +1,26 @@
 """Memoised enumeration == the pinned unmemoised oracle.
 
 ``enumerate_interpretations`` scores each hit group against the query
-once per call and reuses merged seeds and ray paths; the walk itself —
-caps, dedup keys, budget charging, truncation notes — is unchanged.  So
-its output must equal the oracle's exactly: same interpretations in the
-same order, same matches and confidence, and bit-identical ``score`` and
-``retrieval_score`` on every hit.
+once per call and reuses merged seeds, pairwise phrase merges and ray
+paths; the walk itself — caps, dedup keys, budget charging, truncation
+notes — is unchanged.  So its output must equal the oracle's exactly:
+same interpretations in the same order, same matches and confidence,
+and bit-identical ``score`` and ``retrieval_score`` on every hit.
+Ranked, it must equal the oracle's output ranked the same way, and
+every label and mean score a hit group or star net keeps must equal a
+freshly built object's.
 """
+
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core import DEFAULT_CONFIG, MatcherChain, \
-    enumerate_interpretations, interpret_query
+from repro.core import DEFAULT_CONFIG, HitGroup, MatcherChain, Ray, \
+    StarNet, enumerate_interpretations, interpret_query, phrases, \
+    rank_interpretations
 from repro.core.interpret import split_query
 from repro.datasets import AW_ONLINE_QUERIES, AW_RESELLER_QUERIES
 from repro.obs import Tracer, tracing_scope
@@ -20,6 +28,7 @@ from repro.resilience import Budget
 from repro.resilience.budget import budget_scope
 from repro.textindex.analysis import Analyzer
 from repro.textindex.index import AttributeTextIndex
+from repro.textindex.stemmer import stem
 
 from .enumeration_oracle import oracle_enumerate_interpretations
 
@@ -135,6 +144,58 @@ class TestParity:
         assert events and events[0][1] == "interpretations"
 
 
+def _ranked(ranked):
+    return [(s.interpretation.describe(), s.score.hex()) for s in ranked]
+
+
+def _fresh_rays(net):
+    return tuple(
+        Ray(HitGroup(r.hit_group.table, r.hit_group.attribute,
+                     r.hit_group.hits, r.hit_group.keywords),
+            r.path_to_fact, r.dimension)
+        for r in net.rays)
+
+
+def assert_kept_values_are_fresh(ranked):
+    for scored in ranked:
+        net = scored.star_net
+        fresh = _fresh_rays(net)
+        for ray, built in zip(net.rays, fresh):
+            kept, new = ray.hit_group, built.hit_group
+            assert kept.label == new.label == str(kept)
+            assert kept.mean_score().hex() == new.mean_score().hex()
+            assert (kept.domain, kept.values) == (new.domain, new.values)
+            assert ray.path_to_fact.fk_names == tuple(
+                step.fk.name for step in ray.path_to_fact.steps)
+        rebuilt = StarNet(net.fact_table, fresh, net.measure_predicates)
+        assert net.label == rebuilt.label == str(net)
+
+
+def assert_ranked_parity(setup, query):
+    args = _args(setup, query)
+    if not args[3]:
+        return 0
+    got = rank_interpretations(enumerate_interpretations(*args))
+    want = rank_interpretations(oracle_enumerate_interpretations(*args))
+    assert _ranked(got) == _ranked(want), query
+    assert_kept_values_are_fresh(got)
+    return len(got)
+
+
+class TestRankedParity:
+    def test_online_queries(self, online):
+        assert sum(assert_ranked_parity(online, q.text)
+                   for q in AW_ONLINE_QUERIES) > 0
+
+    def test_reseller_queries(self, reseller):
+        assert sum(assert_ranked_parity(reseller, q.text)
+                   for q in AW_RESELLER_QUERIES) > 0
+
+    def test_front_end_texts(self, online):
+        assert sum(assert_ranked_parity(online, text)
+                   for text in FRONT_END_TEXTS) > 0
+
+
 class TestScoredOnce:
     def test_query_analysed_a_bounded_number_of_times(self, online,
                                                       monkeypatch):
@@ -155,32 +216,90 @@ class TestScoredOnce:
 
     def test_front_end_work_bound(self, online, monkeypatch):
         # the whole front end (tokenize, match, enumerate) over the
-        # ledger's front-end texts: the memoised walk makes ~1.7k analyse
-        # calls and rescores ~370 distinct groups in total; the
-        # unmemoised walk made ~4.9k calls on one of these texts alone
+        # ledger's front-end texts.  The walk makes ~730 analyse calls
+        # (~1.7k when every seed retried its phrase merges), rescores
+        # ~370 distinct groups, tries ~2.2k distinct group pairs (~32.6k
+        # merge attempts without the pair memo) and stems ~80 distinct
+        # words (~4.9k stem calls without the stem memo); the unmemoised
+        # walk made ~4.9k analyse calls on one of these texts alone
         schema, index, chain = online
-        calls = 0
+        calls = merges = 0
         analyze = Analyzer.analyze
+        try_merge = phrases.try_merge
 
         def counting(self, content):
             nonlocal calls
             calls += 1
             return analyze(self, content)
 
+        def counting_merge(left, right, index):
+            nonlocal merges
+            merges += 1
+            return try_merge(left, right, index)
+
         monkeypatch.setattr(Analyzer, "analyze", counting)
+        monkeypatch.setattr(phrases, "try_merge", counting_merge)
+        stem.cache_clear()
         tracer = Tracer()
         with tracing_scope(tracer):
             for text in FRONT_END_TEXTS:
                 interpret_query(schema, index, text, chain=chain)
-        rescored = sum(s.tags["rescored"] for s in tracer.spans()
-                       if s.name == "starnet.enumerate")
-        assert calls <= 2000
+        spans = [s for s in tracer.spans() if s.name == "starnet.enumerate"]
+        rescored = sum(s.tags["rescored"] for s in spans)
+        assert calls <= 900
         assert rescored <= 450
+        assert merges == sum(s.tags["pair_merges"] for s in spans) <= 2700
+        assert stem.cache_info().misses <= 120
+
+
+class TestConcurrentFrontEnd:
+    def test_threads_sharing_index_and_chain_agree_with_a_serial_run(
+            self, online):
+        # the service's workers share one text index (and with it the
+        # stem memo); here 4 threads also share one matcher chain and
+        # rank the same enumerated candidates, so they race to fill the
+        # same lazily built labels and mean scores
+        schema, index, chain = online
+
+        def candidates(text):
+            return interpret_query(schema, index, text, chain=chain)[0]
+
+        def differentiate(text):
+            return _ranked(rank_interpretations(candidates(text)))
+
+        expected = [differentiate(text) for text in FRONT_END_TEXTS]
+        shared = [candidates(text) for text in FRONT_END_TEXTS]
+        stem.cache_clear()
+        barrier = threading.Barrier(4, timeout=30)
+
+        def race(_):
+            barrier.wait()
+            return ([differentiate(text) for text in FRONT_END_TEXTS],
+                    [_ranked(rank_interpretations(interps))
+                     for interps in shared])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                results = list(pool.map(race, range(4), timeout=300))
+        finally:
+            sys.setswitchinterval(interval)
+        assert results == [(expected, expected)] * 4
 
 
 class TestEnumerateSpan:
-    def test_span_tags_the_walk(self, online):
+    def test_span_tags_the_walk(self, online, monkeypatch):
         schema, index, chain = online
+        merges = 0
+        try_merge = phrases.try_merge
+
+        def counting_merge(left, right, index):
+            nonlocal merges
+            merges += 1
+            return try_merge(left, right, index)
+
+        monkeypatch.setattr(phrases, "try_merge", counting_merge)
         tracer = Tracer()
         with tracing_scope(tracer):
             interps, _report = interpret_query(
@@ -194,3 +313,5 @@ class TestEnumerateSpan:
         assert 0 < tags["seeds"] <= tags["combos"]
         assert 0 < tags["merges"] <= tags["combos"]
         assert tags["rescored"] > 0
+        # the distinct group pairs phrase merging tried, each once
+        assert tags["pair_merges"] == merges > 0

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import HitGroup, merge_seed_groups, try_merge
+from repro.core import HitGroup, merge_seed_groups, phrases, try_merge
 from repro.textindex import AttributeTextIndex
 
 
@@ -79,6 +79,34 @@ class TestMergeSeedGroups:
         assert len(merged) == 1
         assert merged[0].values == ("New South Wales",)
         assert merged[0].keywords == ("New", "South", "Wales")
+
+    def test_shared_memo_tries_each_pair_once_and_keeps_its_operands(
+            self, monkeypatch):
+        idx = AttributeTextIndex()
+        idx.add_value("Loc", "State", "New South Wales")
+        idx.add_value("Loc", "State", "New York")
+        groups = tuple(
+            HitGroup("Loc", "State",
+                     tuple(h for h in idx.search(k)
+                           if h.domain == ("Loc", "State")), (k,))
+            for k in ("New", "South", "Wales")
+        )
+        tried = []
+        real = phrases.try_merge
+
+        def counting(left, right, index):
+            tried.append((left, right))
+            return real(left, right, index)
+
+        monkeypatch.setattr(phrases, "try_merge", counting)
+        pairs = {}
+        first = merge_seed_groups(groups, idx, pairs)
+        assert merge_seed_groups(groups, idx, pairs) == first
+        assert len(tried) == len(pairs) == 2
+        # the intermediate "New South" group lives on in the memo, so no
+        # later group can take its id while the memo is alive
+        for (left_id, right_id), (left, right, _) in pairs.items():
+            assert (left_id, right_id) == (id(left), id(right))
 
     def test_non_mergeable_left_alone(self, index):
         software = HitGroup("PGroup", "Name",
